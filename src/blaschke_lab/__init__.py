@@ -58,8 +58,6 @@ from .disk import (
     InvariantViolation,
     MoebiusMap,
     hyperbolic_grid,
-    moebius_apply,
-    moebius_jacobian,
     psh_diameter,
     psh_distance,
     psh_distance_pairwise,

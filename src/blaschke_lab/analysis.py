@@ -18,6 +18,7 @@ import numpy as np
 from . import bergman as bg
 from .blaschke import (
     BlaschkeProduct,
+    _greedy_parts,
     compose_min_on_compact,
     max_local_count,
     separation_report,
@@ -45,19 +46,11 @@ def union_separation(s: FiniteSequence, sep: float = 0.3):
     Repeated points land in distinct parts, so bounded multiplicity still
     reads as a small finite union while escalating multiplicity does not.
     """
-    zs = list(s.expanded())
-    order = sorted(range(len(zs)), key=lambda i: (abs(zs[i]), np.angle(zs[i])))
-    parts: list[list[complex]] = []
-    for i in order:
-        for part in parts:
-            if all(abs((zs[i] - w) / (1.0 - w.conjugate() * zs[i])) > sep for w in part):
-                part.append(zs[i])
-                break
-        else:
-            parts.append([zs[i]])
+    zs = s.expanded()
+    parts = _greedy_parts(zs, sep)
     min_delta = 1.0
     for part in parts:
-        rep = separation_report(BlaschkeProduct(FiniteSequence.from_complex(part)))
+        rep = separation_report(BlaschkeProduct(FiniteSequence.from_complex(zs[part])))
         min_delta = min(min_delta, rep.delta)
     return len(parts), min_delta
 

@@ -9,11 +9,17 @@ of 0.  This module evaluates B and its derivative, forms deleted products,
 measures separation constants, counts zeros in metric disks, partitions
 sequences into separated pieces, and probes compositions with disk
 automorphisms.
+
+Every modulus (log|B|, the separation constants, zero counts) comes from
+one kernel for log rho^2 between a tile of zeros and a tile of points, in
+real arithmetic and free of cancellation near the circle; complex values
+come from the factors in complex arithmetic over the same tiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +28,15 @@ from .disk import (
     FiniteSequence,
     InvariantViolation,
     MoebiusMap,
+    _one_minus_abs2,
     _tocomplex,
-    psh_distance,
     psh_distance_pairwise,
 )
+
+# Elements per zeros x points tile of the factor kernel.  Every temporary
+# the kernel allocates has at most this many elements, however many zeros
+# and points a call passes; smaller calls get a single tile of their size.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -41,6 +52,17 @@ class BlaschkeProduct:
     @property
     def degree(self) -> int:
         return self.zeros.total_count
+
+    @cached_property
+    def _table(self):
+        """Listed zeros, multiplicities (as floats), their kernel
+        coordinates and the unimodular constants conj(a)/|a| of the
+        factors (-1 for a zero at 0, whose factor is z)."""
+        zs = self.zeros.zs
+        units = -np.ones(len(zs), dtype=complex)
+        nonzero = zs != 0
+        units[nonzero] = np.conj(zs[nonzero]) / np.abs(zs[nonzero])
+        return zs, self.zeros.mults.astype(float), _coords(zs), units
 
 
 @dataclass(frozen=True)
@@ -59,72 +81,97 @@ class SeparationReport:
     per_point: np.ndarray
 
 
-def _factor_values(b: BlaschkeProduct, z):
-    """Per-listed-zero factor values at z (unimodular normalizer included).
+def _tiles(m: int, k: int):
+    """Row and column slices covering an m x k array (m, k >= 1) in tiles
+    of at most _BLOCK elements."""
+    rows = min(m, _BLOCK)
+    cols = max(1, _BLOCK // rows)
+    for i in range(0, m, rows):
+        for j in range(0, k, cols):
+            yield slice(i, min(i + rows, m)), slice(j, min(j + cols, k))
 
-    Returns an array of shape (n_zeros,) + shape(z); multiplicities are NOT
-    applied here.
+
+def _coords(z: np.ndarray) -> np.ndarray:
+    """Kernel coordinates of a flat complex array: rows re, im, 1 - |z|^2."""
+    return np.stack([z.real, z.imag, _one_minus_abs2(z)])
+
+
+def _log_rho2(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """log rho^2(a_i, z_j) for zeros a (rows) against points z (columns),
+    both given by their kernel coordinates.
+
+    rho = |(a - z) / (1 - conj(a) z)| is the modulus of the factor at a.
+    With the depths da = 1 - |a|^2 and dz = 1 - |z|^2 exact, the identity
+    |1 - conj(a) z|^2 = |a - z|^2 + da dz gives
+    log rho^2 = -log1p(da dz / |a - z|^2) in real arithmetic, free of the
+    cancellation in 1 - conj(a) z near the circle; -inf where z = a.
     """
-    zs = b.zeros.zs
-    z = np.asarray(z, dtype=complex)
-    out = np.empty((len(zs),) + z.shape, dtype=complex)
-    for i, a in enumerate(zs):
-        if a == 0:
-            out[i] = z
-        else:
-            out[i] = (a.conjugate() / abs(a)) * (a - z) / (1.0 - a.conjugate() * z)
-    return out
+    dx = np.subtract.outer(a[0], z[0])
+    dy = np.subtract.outer(a[1], z[1])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    out = np.multiply.outer(a[2], z[2])
+    with np.errstate(divide="ignore"):
+        out /= dx
+    np.log1p(out, out=out)
+    return np.negative(out, out=out)
+
+
+def _factors(a, units, z):
+    """Factor values units (a - z) / (1 - conj(a) z) for zeros a (rows)
+    against points z (columns), in complex arithmetic."""
+    return units[:, None] * np.subtract.outer(a, z) / (1.0 - np.multiply.outer(np.conj(a), z))
+
+
+def _points(z):
+    """(flat complex array, scalar flag) for a scalar or array argument."""
+    if isinstance(z, np.ndarray):
+        return np.asarray(z, dtype=complex).ravel(), False
+    return np.array([_tocomplex(z)]), True
 
 
 def evaluate(b: BlaschkeProduct, z):
     """Value of the product at z; scalars map to complex, arrays to arrays."""
-    scalar = not isinstance(z, np.ndarray)
-    w = np.asarray(_tocomplex(z) if scalar else z, dtype=complex)
-    if len(b.zeros) == 0:
-        res = np.ones_like(w)
-    else:
-        factors = _factor_values(b, w)
-        mults = b.zeros.mults
-        res = np.ones_like(w)
-        for i in range(len(mults)):
-            res = res * factors[i] ** mults[i]
-    return complex(res) if scalar else res
+    w, scalar = _points(z)
+    zs, mults, _, units = b._table
+    res = np.ones(len(w), dtype=complex)
+    if len(zs):
+        simple = b.zeros.is_simple()
+        for r, c in _tiles(len(zs), len(w)):
+            f = _factors(zs[r], units[r], w[c])
+            res[c] *= (f if simple else f ** mults[r, None]).prod(axis=0)
+    return complex(res[0]) if scalar else res.reshape(np.shape(z))
 
 
 def log_abs_evaluate(b: BlaschkeProduct, z):
     """sum of mult * log|factor|; -inf at zeros.  Stable for long products."""
-    scalar = not isinstance(z, np.ndarray)
-    w = np.asarray(_tocomplex(z) if scalar else z, dtype=complex)
-    if len(b.zeros) == 0:
-        res = np.zeros(w.shape)
-    else:
-        factors = np.abs(_factor_values(b, w))
-        with np.errstate(divide="ignore"):
-            res = (b.zeros.mults[(...,) + (None,) * w.ndim] * np.log(factors)).sum(axis=0)
-    return float(res) if scalar else res
+    w, scalar = _points(z)
+    zs, mults, coords, _ = b._table
+    res = np.zeros(len(w))
+    if len(zs):
+        pts = _coords(w)
+        for r, c in _tiles(len(zs), len(w)):
+            res[c] += mults[r] @ _log_rho2(coords[:, r], pts[:, c])
+        res *= 0.5
+    return float(res[0]) if scalar else res.reshape(np.shape(z))
 
 
 def deleted_product(b: BlaschkeProduct, j: int) -> complex:
     """B_j(z_j): the product over all other zeros, evaluated at zero j.
 
     Returns 0 when zero j is repeated, 1 for a lone zero (empty product).
+    Formed from complex factor values, like evaluate; separation_report
+    takes the cancellation-free moduli from the log rho^2 kernel instead.
     """
     n = len(b.zeros)
     if not 0 <= j < n:
         raise IndexError(f"zero index {j} out of range for {n} listed zeros")
-    if b.zeros.multiplicities[j] > 1:
+    zs, mults, _, units = b._table
+    if mults[j] > 1:
         return 0.0 + 0.0j
-    zj = b.zeros.points[j].z
-    value = 1.0 + 0.0j
-    for k, a in enumerate(b.zeros.zs):
-        if k == j:
-            continue
-        if a == 0:
-            f = zj
-        else:
-            f = (a.conjugate() / abs(a)) * (a - zj) / (1.0 - a.conjugate() * zj)
-        value *= f ** b.zeros.multiplicities[k]
-    return value
+    a, m, unit = (np.delete(v, j) for v in (zs, mults, units))
+    return complex(np.prod(_factors(a, unit, zs[j:j + 1])[:, 0] ** m))
 
 
 def derivative(b: BlaschkeProduct, z) -> complex:
@@ -135,48 +182,57 @@ def derivative(b: BlaschkeProduct, z) -> complex:
     factor's derivative; at a multiple zero the derivative is exactly 0.
     """
     w = _tocomplex(z)
-    zs = b.zeros.zs
-    mults = b.zeros.mults
+    zs, mults, _, units = b._table
     hit = np.nonzero(zs == w)[0]
     if hit.size:
         j = int(hit[0])
         if mults[j] > 1:
             return 0.0 + 0.0j
-        rest = deleted_product(b, j)
         a = zs[j]
-        if a == 0:
-            own = 1.0 + 0.0j
-        else:
-            own = (a.conjugate() / abs(a)) * (-1.0) / (1.0 - abs(a) ** 2)
-        return rest * own
-    value = evaluate(b, w)
-    logd = 0.0 + 0.0j
-    for a, m in zip(zs, mults):
-        if a == 0:
-            logd += m / w
-        else:
-            logd += m * (abs(a) ** 2 - 1.0) / ((1.0 - a.conjugate() * w) * (a - w))
-    return value * logd
+        own = 1.0 + 0.0j if a == 0 else -units[j] / (1.0 - abs(a) ** 2)
+        return deleted_product(b, j) * own
+    # the term m (|a|^2 - 1) / ((1 - conj(a) w)(a - w)) is m / w for a = 0
+    logd = (mults * (np.abs(zs) ** 2 - 1.0) / ((1.0 - np.conj(zs) * w) * (zs - w))).sum()
+    return evaluate(b, w) * complex(logd)
 
 
 def separation_report(b: BlaschkeProduct) -> SeparationReport:
-    """Compute all separation constants of the zero sequence."""
+    """Compute all separation constants of the zero sequence.
+
+    One pass over the pairwise log rho^2 matrix, its diagonal masked, gives
+    the deleted products and the discreteness.  delta_prime follows from
+    the identity (1 - |z_j|^2)|B'(z_j)| = |B_j(z_j)| at a simple zero
+    (the derivative vanishes at a multiple one), so it equals delta.
+    """
     n = len(b.zeros)
     if n == 0:
         raise InvariantViolation("separation report needs a nonempty sequence")
-    per_point = np.array([abs(deleted_product(b, j)) for j in range(n)])
+    _, mults, coords, _ = b._table
+    logs = np.zeros(n)
+    nearest = 0.0
+    for r, c in _tiles(n, n):
+        lr = _log_rho2(coords[:, r], coords[:, c])
+        i = np.arange(max(r.start, c.start), min(r.stop, c.stop))
+        lr[i - r.start, i - c.start] = 0.0
+        logs[c] += mults[r] @ lr
+        nearest = min(nearest, float(lr.min()))
+    per_point = np.where(mults > 1, 0.0, np.exp(0.5 * logs))
     delta = float(per_point.min())
-    dprime = min(
-        (1.0 - abs(p.z) ** 2) * abs(derivative(b, p.z)) for p in b.zeros.points
-    )
-    if not b.zeros.is_simple():
-        discreteness = 0.0
-    elif n == 1:
-        discreteness = 1.0
-    else:
-        d = psh_distance_pairwise(b.zeros.zs, b.zeros.zs)
-        discreteness = float(d[~np.eye(n, dtype=bool)].min())
-    return SeparationReport(delta, float(dprime), discreteness, per_point)
+    # log rho^2 < 0 off the diagonal, so the masked zeros never win the min
+    # and a lone point keeps discreteness 1
+    discreteness = float(np.exp(0.5 * nearest)) if b.zeros.is_simple() else 0.0
+    return SeparationReport(delta, delta, discreteness, per_point)
+
+
+def _local_counts(b: BlaschkeProduct, centers: np.ndarray, r: float) -> np.ndarray:
+    """Zeros (with multiplicity) at pseudohyperbolic distance < r from each center."""
+    zs, mults, coords, _ = b._table
+    counts = np.zeros(len(centers))
+    pts = _coords(centers)
+    bound = 2.0 * np.log(r)
+    for rows, cols in _tiles(len(zs), len(centers)):
+        counts[cols] += mults[rows] @ (_log_rho2(coords[:, rows], pts[:, cols]) < bound)
+    return counts
 
 
 def local_zero_count(b: BlaschkeProduct, center, r: float) -> int:
@@ -185,9 +241,7 @@ def local_zero_count(b: BlaschkeProduct, center, r: float) -> int:
         raise ValueError("radius must lie in (0, 1)")
     if len(b.zeros) == 0:
         return 0
-    c = _tocomplex(center)
-    d = np.abs((b.zeros.zs - c) / (1.0 - np.conj(c) * b.zeros.zs))
-    return int(b.zeros.mults[d < r].sum())
+    return int(_local_counts(b, np.array([_tocomplex(center)]), r)[0])
 
 
 def max_local_count(b: BlaschkeProduct, r: float, extra_centers=()) -> int:
@@ -200,10 +254,32 @@ def max_local_count(b: BlaschkeProduct, r: float, extra_centers=()) -> int:
     """
     if not 0 < r < 1:
         raise ValueError("radius must lie in (0, 1)")
-    centers = list(b.zeros.zs) + [_tocomplex(c) for c in extra_centers]
-    if not centers:
+    if len(b.zeros) == 0:
         return 0
-    return max(local_zero_count(b, c, r) for c in centers)
+    centers = np.concatenate([b._table[0],
+                              np.array([_tocomplex(c) for c in extra_centers], dtype=complex)])
+    return int(_local_counts(b, centers, r).max())
+
+
+def _greedy_parts(zs: np.ndarray, sep: float) -> list:
+    """Greedy first fit of the points zs (repeats allowed) into parts with
+    pairwise distance > sep; returns index lists.
+
+    Points go in order of increasing modulus, then angle, then position;
+    each joins the first part all of whose members are farther than sep,
+    else opens a new part.
+    """
+    points = zs.tolist()  # scalar moduli: numpy's vectorised abs can differ in the last bit
+    order = sorted(range(len(points)), key=lambda i: (abs(points[i]), np.angle(points[i])))
+    parts: list[list[int]] = []
+    for i in order:
+        for part in parts:
+            if psh_distance_pairwise(zs[i:i + 1], zs[part]).min() > sep:
+                part.append(i)
+                break
+        else:
+            parts.append([i])
+    return parts
 
 
 def partition_separated(s: FiniteSequence, sep: float):
@@ -218,21 +294,9 @@ def partition_separated(s: FiniteSequence, sep: float):
         raise ValueError("separation must lie in (0, 1)")
     if not s.is_simple():
         raise InvariantViolation("inseparable multiplicity")
-    order = sorted(range(len(s)), key=lambda i: (abs(s.points[i].z), np.angle(s.points[i].z)))
-    parts: list[list[int]] = []
-    for i in order:
-        zi = s.points[i].z
-        placed = False
-        for part in parts:
-            if all(psh_distance(zi, s.points[j].z) > sep for j in part):
-                part.append(i)
-                placed = True
-                break
-        if not placed:
-            parts.append([i])
     return [
         FiniteSequence(tuple(s.points[i] for i in part), (1,) * len(part))
-        for part in parts
+        for part in _greedy_parts(s.zs, sep)
     ]
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import FiniteSequence, InvariantViolation, _tocomplex
+from .blaschke import _coords, _log_rho2, _tiles
+from .disk import FiniteSequence, InvariantViolation, _one_minus_abs2, _tocomplex
 
 ANCHOR_ETAS = (0.001, 0.1, 1.0)
 
@@ -33,13 +34,6 @@ class CarlesonSquare:
         if not 0 < self.arc_length <= 1:
             raise InvariantViolation("arc length must lie in (0, 1]")
 
-    def contains(self, z) -> bool:
-        w = _tocomplex(z)
-        if w == 0:
-            return False
-        d = abs((np.angle(w) - self.arc_center + np.pi) % (2 * np.pi) - np.pi)
-        return d <= np.pi * self.arc_length and 1.0 - abs(w) < self.arc_length
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -50,10 +44,6 @@ class DiscreteMeasure:
 
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    def mass_in(self, square: CarlesonSquare) -> float:
-        inside = np.array([square.contains(a) for a in self.atoms], dtype=bool)
-        return float(self.weights[inside].sum())
 
 
 @dataclass(frozen=True)
@@ -66,8 +56,7 @@ class CarlesonNormReport:
 def mu_z_measure(s: FiniteSequence) -> DiscreteMeasure:
     """The measure with weight mult * (1 - |z_j|^2) at each listed point."""
     zs = s.zs
-    w = s.mults * (1.0 - np.abs(zs) ** 2)
-    return DiscreteMeasure(zs, w)
+    return DiscreteMeasure(zs, s.mults * _one_minus_abs2(zs))
 
 
 def _dyadic_levels(depths: np.ndarray) -> int:
@@ -133,18 +122,18 @@ def carleson_norm(s: FiniteSequence) -> CarlesonNormReport:
 def uniform_blaschke_sup(s: FiniteSequence, probe_centers) -> float:
     """Max over probe centers c of sum_j mult_j (1 - |phi_c(z_j)|^2).
 
-    Uses (1-|c|^2)(1-|z|^2)/|1 - conj(c) z|^2 for each transformed term.
+    Each term is 1 - rho^2(c, z_j), taken as -expm1 of the Blaschke
+    factor kernel's log rho^2 over blocks of centers.
     """
     if len(s) == 0:
         return 0.0
-    zs = s.zs
-    mults = s.mults
-    best = 0.0
-    for c in probe_centers:
-        cc = _tocomplex(c)
-        terms = (1.0 - abs(cc) ** 2) * (1.0 - np.abs(zs) ** 2) / np.abs(1.0 - cc.conjugate() * zs) ** 2
-        best = max(best, float((mults * terms).sum()))
-    return best
+    zeros = _coords(s.zs)
+    mults = s.mults.astype(float)
+    centers = _coords(np.array([_tocomplex(c) for c in probe_centers], dtype=complex))
+    sums = np.zeros(centers.shape[1])
+    for r, c in _tiles(len(s), centers.shape[1]):
+        sums[c] += mults[r] @ -np.expm1(_log_rho2(zeros[:, r], centers[:, c]))
+    return float(sums.max(initial=0.0))
 
 
 def lp_sequence_norm(s: FiniteSequence, values, p) -> float:
@@ -156,7 +145,7 @@ def lp_sequence_norm(s: FiniteSequence, values, p) -> float:
         return float(np.abs(vals).max()) if len(s) else 0.0
     if not p > 0:
         raise ValueError("p must be positive or inf")
-    w = s.mults * (1.0 - np.abs(s.zs) ** 2)
+    w = s.mults * _one_minus_abs2(s.zs)
     return float((w * np.abs(vals) ** p).sum() ** (1.0 / p))
 
 

@@ -197,8 +197,8 @@ def _cmd_interpolate(args) -> int:
             for r in (0.0, 0.3, 0.6, 0.85, 0.95):
                 n = 64 if r else 1
                 for t in range(n):
-                    z = r * np.exp(2j * np.pi * t / n)
-                    w = sol.function(z)
+                    z = complex(r * np.exp(2j * np.pi * t / n))
+                    w = complex(sol.function(z))
                     fh.write(f"{z.real!r} {z.imag!r} {w.real!r} {w.imag!r}\n")
     return 0
 

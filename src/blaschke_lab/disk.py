@@ -16,6 +16,9 @@ import numpy as np
 # construction rejects such points instead of propagating garbage.
 BOUNDARY_FLOOR = 1e-14
 
+# 2**27 + 1: Veltkamp's constant, splitting a double into two 26-bit halves
+_SPLITTER = 134217729.0
+
 
 class InvariantViolation(ValueError):
     """A domain invariant was broken (point outside disk, duplicate entry, ...)."""
@@ -26,6 +29,37 @@ def _tocomplex(z) -> complex:
     if isinstance(z, DiskPoint):
         return z.z
     return complex(z)
+
+
+def _one_minus_abs2(z):
+    """1 - |z|^2 of a complex scalar or array, accurate to about one
+    rounding also near the unit circle, where the naive difference cancels.
+
+    Each square is split error-free (Dekker's product with Veltkamp's
+    split), the sum of the two squares by Knuth's error-free sum; with
+    x^2 + y^2 rounded to s in [1/2, 2], 1 - s is exact and the three
+    rounding errors make up the rest (Ogita, Rump and Oishi 2005).
+    """
+    z = np.asarray(z, dtype=complex)
+    v = np.ascontiguousarray(z).reshape(-1).view(np.float64)  # re, im interleaved
+    sq = v * v
+    hi = _SPLITTER * v
+    hi -= hi - v
+    lo = v - hi
+    err = hi * hi
+    err -= sq
+    hi *= lo
+    hi += hi
+    err += hi
+    lo *= lo
+    err += lo  # v^2 = sq + err exactly, up to lo^2's last bits
+    re2, im2 = sq[0::2], sq[1::2]
+    s = re2 + im2
+    t = s - re2
+    corr = (re2 - (s - t)) + (im2 - t)
+    corr += err[0::2]
+    corr += err[1::2]
+    return ((1.0 - s) - corr).reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -145,10 +179,11 @@ class MoebiusMap:
     def jacobian(self, w) -> float:
         """Area-distortion factor |d(map)/dz|^2 = (1-|c|^2)^2 / |1 - conj(c) w|^4 at w."""
         c = self.center.z
+        depth = float(_one_minus_abs2(c))
         if isinstance(w, np.ndarray):
-            return (1.0 - abs(c) ** 2) ** 2 / np.abs(1.0 - np.conj(c) * w) ** 4
+            return depth**2 / np.abs(1.0 - np.conj(c) * w) ** 4
         v = _tocomplex(w)
-        return (1.0 - abs(c) ** 2) ** 2 / abs(1.0 - c.conjugate() * v) ** 4
+        return depth**2 / abs(1.0 - c.conjugate() * v) ** 4
 
 
 def psh_distance(z, w) -> float:
@@ -163,15 +198,6 @@ def psh_distance_pairwise(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     a = np.asarray(zs, dtype=complex)[:, None]
     b = np.asarray(ws, dtype=complex)[None, :]
     return np.abs((a - b) / (1.0 - np.conj(b) * a))
-
-
-def moebius_apply(m: MoebiusMap, z) -> DiskPoint:
-    """Apply a Moebius map and wrap the image as a validated disk point."""
-    return DiskPoint.from_complex(m(z))
-
-
-def moebius_jacobian(m: MoebiusMap, w) -> float:
-    return m.jacobian(w)
 
 
 def psh_diameter(s: FiniteSequence) -> float:

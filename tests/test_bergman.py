@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from blaschke_lab import bergman as bg
-from blaschke_lab.blaschke import BlaschkeProduct
+from blaschke_lab.blaschke import BlaschkeProduct, log_abs_evaluate
 from blaschke_lab.carleson import uniform_blaschke_sup
-from blaschke_lab.disk import FiniteSequence
+from blaschke_lab.disk import DiskPoint, FiniteSequence, MoebiusMap
 from blaschke_lab.generators import gen_escalating_multiplicity, gen_radial_geometric
 
 LIGHT = bg.QuadratureGrid.build(rings=200, min_gap=1e-7, max_angular=4096)
@@ -174,3 +176,32 @@ def test_thread_cap_env(monkeypatch):
     assert threaded == pytest.approx(single, rel=1e-12)
     monkeypatch.setenv("BLASCHKE_LAB_THREADS", "not-a-number")
     assert bg.ap_norm(f, 2, 0.0, LIGHT) == pytest.approx(single, rel=1e-12)
+
+
+def ring_by_ring(fn, g):
+    """Reference quadrature: one integrand call per ring, exact summation."""
+    terms = []
+    for r, area, n in zip(g.radii, g.band_areas, g.angular_counts):
+        theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        terms.append(float(np.sum(fn(r * np.exp(1j * theta)))) * area / n)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_area_integral_matches_ring_by_ring(monkeypatch, threads):
+    monkeypatch.setenv("BLASCHKE_LAB_THREADS", threads)
+    b = BlaschkeProduct.from_complex([0.5, -0.3 + 0.6j, 0.9j], [1, 2, 1])
+    phi = MoebiusMap(DiskPoint(0.7, -0.2))
+    fields = [
+        lambda z: np.abs(1.0 + z + z * z) ** 1.5,
+        lambda z: np.exp(0.5 * log_abs_evaluate(b, phi(z))),
+        lambda z: phi.jacobian(z),
+    ]
+    # LIGHT has rings of up to 4096 nodes, larger than one block
+    for g in (LIGHT, bg.QuadratureGrid.build(rings=40, min_gap=1e-5)):
+        for fn in fields:
+            seen = []
+            got = bg.area_integral(lambda z: seen.append(z.size) or fn(z), g)
+            want = ring_by_ring(fn, g)
+            assert abs(got - want) <= 1e-13 * abs(want)
+            assert sum(seen) == g.node_count()

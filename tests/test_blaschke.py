@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from blaschke_lab import blaschke
+from blaschke_lab.analysis import union_separation
 from blaschke_lab.blaschke import (
     BlaschkeProduct,
     compose_min_on_compact,
@@ -14,6 +16,7 @@ from blaschke_lab.blaschke import (
     separation_report,
 )
 from blaschke_lab.disk import (
+    BOUNDARY_FLOOR,
     FiniteSequence,
     InvariantViolation,
     MoebiusMap,
@@ -21,7 +24,12 @@ from blaschke_lab.disk import (
     psh_distance,
     psh_distance_pairwise,
 )
-from blaschke_lab.generators import GeneratorSpec, gen_escalating_multiplicity, gen_union
+from blaschke_lab.generators import (
+    GeneratorSpec,
+    gen_escalating_multiplicity,
+    gen_radial_geometric,
+    gen_union,
+)
 
 
 def random_sequence(seed, n=12, r_max=0.95):
@@ -195,3 +203,96 @@ def test_moebius_covariance():
     lhs = np.abs(evaluate(b, phi(z)))
     rhs = np.abs(evaluate(transformed, z))
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+def reference_product(zeros, mults, z):
+    """Plain per-zero loop over the factors (conj(a)/|a|)(a - z)/(1 - conj(a) z)."""
+    out = np.ones_like(z)
+    for a, m in zip(zeros, mults):
+        f = z if a == 0 else (a.conjugate() / abs(a)) * (a - z) / (1.0 - a.conjugate() * z)
+        out = out * f**m
+    return out
+
+
+@pytest.mark.parametrize("zeros, mults", [
+    ([0.0, 0.5 + 0.2j, -0.3j, 0.9 - 0.3j], [1, 1, 1, 1]),  # a zero at the origin
+    ([0.4 - 0.1j, 0.0, -0.6 + 0.5j], [3, 2, 1]),           # multiplicities
+    ([], []),                                               # the empty product
+])
+@pytest.mark.parametrize("block", [blaschke._BLOCK, 5])
+def test_evaluate_matches_reference_loop(monkeypatch, zeros, mults, block):
+    monkeypatch.setattr(blaschke, "_BLOCK", block)  # 5 tiles both axes
+    b = BlaschkeProduct.from_complex(zeros, mults)
+    rng = np.random.default_rng(8)
+    z = rng.uniform(0, 0.97, (6, 7)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (6, 7)))
+    want = reference_product(b.zeros.zs, b.zeros.mults, z)
+    got = evaluate(b, z)
+    assert got.shape == z.shape
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+    logs = log_abs_evaluate(b, z)
+    assert logs.shape == z.shape
+    assert (np.abs(np.exp(logs) - np.abs(want)) <= 1e-13 * np.abs(want)).all()
+    w = complex(z[2, 3])
+    assert isinstance(evaluate(b, w), complex)
+    assert isinstance(log_abs_evaluate(b, w), float)
+    assert abs(evaluate(b, w) - want[2, 3]) <= 1e-13 * abs(want[2, 3])
+    for a in b.zeros.zs:  # on a zero: 0 and -inf, for scalars and arrays
+        assert evaluate(b, a) == 0
+        assert log_abs_evaluate(b, a) == -np.inf
+        assert log_abs_evaluate(b, np.array([a, 0.1]))[0] == -np.inf
+
+
+def test_evaluate_many_zeros_matches_reference_loop():
+    s = random_sequence(12, n=60, r_max=0.99)
+    b = BlaschkeProduct(s)
+    rng = np.random.default_rng(5)
+    z = rng.uniform(0, 0.99, 1500) * np.exp(1j * rng.uniform(0, 2 * np.pi, 1500))
+    want = reference_product(s.zs, s.mults, z)  # 60 x 1500 spans several tiles
+    assert np.allclose(evaluate(b, z), want, rtol=1e-13, atol=0)
+    assert np.allclose(np.exp(log_abs_evaluate(b, z)), np.abs(want), rtol=1e-13, atol=0)
+
+
+def test_separation_per_point_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for theta in (0.0, 1.0):
+        s = gen_radial_geometric(0.5, 46, (theta, theta + np.pi))
+        rep = separation_report(BlaschkeProduct(s))
+        pts = [(mpmath.mpf(z.real), mpmath.mpf(z.imag)) for z in s.zs]
+        with mpmath.workdps(60):
+            for j, (xr, xi) in enumerate(pts):
+                prod = mpmath.mpf(1)
+                for k, (ar, ai) in enumerate(pts):
+                    if k != j:
+                        dr, di = ar - xr, ai - xi
+                        cr, ci = 1 - (ar * xr + ai * xi), ar * xi - ai * xr
+                        prod *= (dr * dr + di * di) / (cr * cr + ci * ci)
+                exact = mpmath.sqrt(prod)
+                assert 1 - abs(s.zs[j]) >= BOUNDARY_FLOOR
+                assert abs(rep.per_point[j] - exact) <= 1e-12 * exact
+        assert rep.delta == rep.delta_prime == rep.per_point.min()
+
+
+def reference_greedy(zs, sep):
+    """Plain first-fit loop with scalar distances, as index lists."""
+    order = sorted(range(len(zs)), key=lambda i: (abs(zs[i]), np.angle(zs[i])))
+    parts = []
+    for i in order:
+        for part in parts:
+            if all(psh_distance(zs[i], zs[j]) > sep for j in part):
+                part.append(i)
+                break
+        else:
+            parts.append([i])
+    return parts
+
+
+def test_greedy_partition_matches_reference_loop():
+    seqs = [random_sequence(seed, n=40) for seed in range(3)]
+    seqs.append(gen_union(3, GeneratorSpec("radial_geometric", {"q": 0.5, "n": 8}, 1)))
+    for s in seqs:
+        for sep in (0.3, 0.5):
+            got = [list(q.zs) for q in partition_separated(s, sep)]
+            assert got == [list(s.zs[p]) for p in reference_greedy(s.zs, sep)]
+    repeated = gen_escalating_multiplicity(5)
+    for sep in (0.3, 0.5):
+        assert union_separation(repeated, sep)[0] == len(reference_greedy(repeated.expanded(), sep))

@@ -144,6 +144,7 @@ def test_interpolate(tmp_path):
     assert float(rep["solution"]["jet_residual"]) <= 1e-8
     rows = [ln.split() for ln in table.read_text().splitlines() if not ln.startswith("#")]
     assert all(len(r) == 4 for r in rows)
+    assert all(np.isfinite(float(v)) for r in rows for v in r)
     # bad target index -> parse error
     targets.write_text("7 0 0 1.0 0.0\n")
     assert run_cli("interpolate", str(seq_file), str(targets)) == 2
