@@ -78,7 +78,6 @@ from .geninterp import (
     InterpolationProblem,
     InterpolationSolution,
     beta,
-    build_separating_multiplier,
     class_norm,
     cluster_sequence,
     hinf_bound_estimate,

@@ -169,8 +169,7 @@ def _cmd_partition(args) -> int:
 def _cmd_interpolate(args) -> int:
     seq = fio.read_sequence(args.file)
     part = cluster_sequence(seq, args.eps, args.r_max)
-    with open(args.targets) as fh:
-        jets = fio.parse_targets(fh.read(), part)
+    jets = fio.read_targets(args.targets, part)
     p = np.inf if args.inf else args.p
     try:
         sol = vgh_interpolate(InterpolationProblem(part, jets, p))

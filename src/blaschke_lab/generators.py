@@ -35,8 +35,6 @@ class GeneratorSpec:
     def build(self) -> FiniteSequence:
         if self.family == "radial_geometric":
             return gen_radial_geometric(**self.params)
-        if self.family == "union_of_separated":
-            return gen_union(self.params["m"], self.params["base"])
         if self.family == "escalating_multiplicity":
             return gen_escalating_multiplicity(**self.params)
         if self.family == "random_carleson":

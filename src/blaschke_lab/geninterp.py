@@ -5,17 +5,30 @@ diameter whose eps-neighborhoods are pairwise disjoint.  Targets live on
 clusters as jets (value and derivatives up to multiplicity).  The solver
 assembles
 
-    f(z) = sum_k  P_k(z) B_k~(z) ((1-|a_k|^2)/(1 - conj(a_k) z))^q
+    f(z) = sum_k  P_k(z) B_k~(z) kernel_k(z),
+    kernel_k(z) = ((1-|a_k|^2)/(1 - conj(a_k) z))^q
                   exp((beta_k(a_k) - beta_k(z)) / s)
 
 where a_k is the cluster anchor, B_k~ is the Blaschke product over all
-points of the *other* clusters, beta_k sums the anchor tail kernels
+points of the *other* clusters, beta_k sums the anchor tail terms
 (1-|a_j|^2)(1 + conj(a_j) z)/(1 - conj(a_j) z) over j >= k, and P_k is the
 confluent interpolation polynomial that makes the k-th summand carry the
 prescribed jet.  Exponents (q, s) are (2, 1) for p >= 1 and (2/p, p) for
 p < 1.  Every cross summand vanishes on cluster k to full multiplicity,
 so jets add up exactly; solutions are verified independently through
 Cauchy-circle derivative extraction.
+
+The sum is evaluated in one pass over the clusters from last to first.
+The pass adds one tail term to a running beta_k, which gives kernel_k;
+it keeps ``after``, the product of the own-cluster Blaschke products B_j
+for j > k, and updates
+
+    out <- out * B_k + P_k * after * kernel_k,    after <- after * B_k,
+
+so each summand ends up multiplied by exactly the B_j with j != k: no
+product over all points, no division by B_k and nothing special at points
+that land on zeros.  Memory stays at a few arrays of the evaluation
+points' size, whatever the number of clusters.
 
 Anchors are ordered by increasing modulus, which empirically keeps
 Re beta_k(a_k) tightest; partitions built by hand may use any order.
@@ -84,22 +97,22 @@ class ClusterPartition:
         for dk in self.d:
             if not 0 < dk <= 1:
                 raise InvariantViolation("boundary gaps must lie in (0, 1]")
-        for i, c in enumerate(self.clusters):
-            if len(c.points) > 1:
-                diam = psh_distance_pairwise(c.points.zs, c.points.zs).max()
-                if diam > self.R_max:
-                    raise InvariantViolation(
-                        f"cluster {i} has diameter {diam:.3f} above R_max"
-                    )
-        for i in range(len(self.clusters)):
-            zi = self.clusters[i].points.zs
-            for j in range(i + 1, len(self.clusters)):
-                dij = psh_distance_pairwise(zi, self.clusters[j].points.zs).min()
-                if dij <= 2.0 * self.eps:
-                    raise InvariantViolation(
-                        f"clusters {i} and {j} at distance {dij:.3e} <= 2*eps; "
-                        "their neighborhoods overlap"
-                    )
+        if not self.clusters:
+            return
+        diam, gaps = _cluster_distances(self.clusters)
+        wide = np.flatnonzero(diam > self.R_max)
+        if wide.size:
+            i = wide[0]
+            raise InvariantViolation(
+                f"cluster {i} has diameter {diam[i]:.3f} above R_max"
+            )
+        close = np.argwhere(np.triu(gaps <= 2.0 * self.eps, 1))
+        if close.size:
+            i, j = close[0]
+            raise InvariantViolation(
+                f"clusters {i} and {j} at distance {gaps[i, j]:.3e} <= 2*eps; "
+                "their neighborhoods overlap"
+            )
 
     @property
     def anchors(self) -> np.ndarray:
@@ -112,6 +125,20 @@ class ClusterPartition:
             pts.extend(c.points.points)
             mults.extend(c.points.multiplicities)
         return FiniteSequence(tuple(pts), tuple(mults))
+
+
+def _cluster_distances(clusters):
+    """(diam, gaps) for a nonempty tuple of clusters: diam[k] is the
+    pseudohyperbolic diameter of cluster k (0 for a single point) and
+    gaps[i, j] the least distance between points of clusters i and j,
+    both read block-wise off one pairwise matrix of all listed points."""
+    sizes = [len(c.points) for c in clusters]
+    starts = np.cumsum([0] + sizes[:-1])
+    zs = np.concatenate([c.points.zs for c in clusters])
+    dist = psh_distance_pairwise(zs, zs)
+    gaps = np.minimum.reduceat(np.minimum.reduceat(dist, starts, axis=0), starts, axis=1)
+    widest = np.maximum.reduceat(np.maximum.reduceat(dist, starts, axis=0), starts, axis=1)
+    return np.diagonal(widest), gaps
 
 
 @dataclass(frozen=True)
@@ -273,6 +300,51 @@ def xp_norm(part: ClusterPartition, jets, p) -> float:
     return float(sum(cn**p * dk for cn, dk in zip(norms, part.d)) ** (1.0 / p))
 
 
+def _tail_term(a: complex, w):
+    """(1-|a|^2)(1 + conj(a) w)/(1 - conj(a) w), the anchor-a term of beta."""
+    ca = a.conjugate()
+    return (1.0 - abs(a) ** 2) * (1.0 + ca * w) / (1.0 - ca * w)
+
+
+def _tail_term_jet(a: complex, z0: complex, order: int) -> np.ndarray:
+    """Jet at z0 of the tail term for anchor a."""
+    ca = a.conjugate()
+    num = jet_affine(1.0 + ca * z0, ca, order)
+    den = jet_affine(1.0 - ca * z0, -ca, order)
+    return (1.0 - abs(a) ** 2) * jet_div(num, den)
+
+
+def _tail_sums(anchors: np.ndarray, w: np.ndarray):
+    """Yield (k, beta_k(w)) for k from the last anchor down to 0: the
+    running sum of the tail terms of anchors k, k+1, ..."""
+    acc = np.zeros_like(w)
+    for k in range(len(anchors) - 1, -1, -1):
+        acc = acc + _tail_term(anchors[k], w)
+        yield k, acc
+
+
+def _anchor_betas(anchors: np.ndarray) -> np.ndarray:
+    """beta_k(a_k) for every anchor, in anchor order."""
+    out = np.empty(len(anchors), dtype=complex)
+    for k, acc in _tail_sums(anchors, anchors):
+        out[k] = acc[k]
+    return out
+
+
+def _kernel_rows(anchors: np.ndarray, beta_anchor: np.ndarray, w: np.ndarray,
+                 q: float, s: float):
+    """Yield (k, kernel_k(w)) for k from the last anchor down to 0, where
+    kernel_k(w) = ((1-|a_k|^2)/(1-conj(a_k) w))^q exp((beta_k(a_k)-beta_k(w))/s)
+    on the principal branch, which needs Re(1 - conj(a_k) w) > 0."""
+    for k, beta_w in _tail_sums(anchors, w):
+        a = anchors[k]
+        v = 1.0 - a.conjugate() * w
+        if not (v.real > 0).all():
+            raise RuntimeError("principal power guard: Re(1 - conj(a) z) <= 0")
+        yield k, np.exp(q * (math.log(1.0 - abs(a) ** 2) - np.log(v))
+                        + (beta_anchor[k] - beta_w) / s)
+
+
 def beta(part: ClusterPartition, k: int, z):
     """Tail kernel sum over anchors j >= k (0-based, anchor order):
     sum (1-|a_j|^2)(1 + conj(a_j) z)/(1 - conj(a_j) z).  Re beta > 0."""
@@ -281,11 +353,9 @@ def beta(part: ClusterPartition, k: int, z):
         raise IndexError("cluster index out of range")
     scalar = not isinstance(z, np.ndarray)
     w = np.asarray(_tocomplex(z) if scalar else z, dtype=complex)
-    acc = np.zeros_like(w)
-    for a in anchors[k:]:
-        ca = a.conjugate()
-        acc = acc + (1.0 - abs(a) ** 2) * (1.0 + ca * w) / (1.0 - ca * w)
-    return complex(acc) if scalar else acc
+    for j, acc in _tail_sums(anchors, w):
+        if j == k:
+            return complex(acc) if scalar else acc
 
 
 def poisson_angular_mean(anchor, r: float, n: int = 2048) -> float:
@@ -299,7 +369,8 @@ def poisson_angular_mean(anchor, r: float, n: int = 2048) -> float:
 
 
 def vgh_kernel_bound(part: ClusterPartition, grid, check_radii=(0.5, 0.9, 0.99)) -> float:
-    """Max over the grid of the summed kernel
+    """Max over the grid of the summed kernel sum_k |kernel_k(z)| at
+    (q, s) = (2, 1), that is
     sum_k |(1-|a_k|^2)/(1 - conj(a_k) z)|^2 exp(Re(beta_k(a_k) - beta_k(z))).
 
     Also certifies the angular-mean bound (<= 1 + 1e-8) for every anchor at
@@ -313,20 +384,9 @@ def vgh_kernel_bound(part: ClusterPartition, grid, check_radii=(0.5, 0.9, 0.99))
             if poisson_angular_mean(a, r) > 1.0 + 1e-8:
                 raise RuntimeError(f"angular mean above 1 at anchor {a}, r={r}")
     w = np.asarray([_tocomplex(g) for g in grid], dtype=complex)
-    terms = np.stack(
-        [(1.0 - abs(a) ** 2) * (1.0 + a.conjugate() * w) / (1.0 - a.conjugate() * w)
-         for a in anchors]
-    )
-    suffix = np.cumsum(terms[::-1], axis=0)[::-1]
     total = np.zeros(w.shape)
-    for k, a in enumerate(anchors):
-        beta_a = complex(np.sum(
-            (1.0 - np.abs(anchors[k:]) ** 2)
-            * (1.0 + np.conj(anchors[k:]) * a)
-            / (1.0 - np.conj(anchors[k:]) * a)
-        ))
-        kern = np.abs((1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * w)) ** 2
-        total += kern * np.exp(np.real(beta_a - suffix[k]))
+    for _, kern in _kernel_rows(anchors, _anchor_betas(anchors), w, 2.0, 1.0):
+        total += np.abs(kern)
     return float(total.max())
 
 
@@ -350,23 +410,15 @@ def _blaschke_factor_jet(a: complex, mult: int, z0: complex, order: int) -> np.n
     return out
 
 
-def _kernel_jet(part: ClusterPartition, k: int, z0: complex, order: int,
-                q: float, s: float) -> np.ndarray:
-    """Jet at z0 of ((1-|a_k|^2)/(1-conj(a_k) z))^q e^((beta_k(a_k)-beta_k(z))/s)."""
-    anchors = part.anchors
+def _kernel_jet(anchors: np.ndarray, beta_anchor: np.ndarray, k: int,
+                z0: complex, order: int, q: float, s: float) -> np.ndarray:
+    """Jet at z0 of kernel_k, given beta_anchor[j] = beta_j(a_j)."""
     a = anchors[k]
-    A = 1.0 - abs(a) ** 2
     v = jet_affine(1.0 - a.conjugate() * z0, -a.conjugate(), order)
-    power_part = (A**q) * jet_pow(v, -q)
-    beta_jet = np.zeros(order, dtype=complex)
-    for aj in anchors[k:]:
-        caj = aj.conjugate()
-        num = jet_affine(1.0 + caj * z0, caj, order)
-        den = jet_affine(1.0 - caj * z0, -caj, order)
-        beta_jet = beta_jet + (1.0 - abs(aj) ** 2) * jet_div(num, den)
-    beta_anchor = beta(part, k, complex(a))
+    power_part = ((1.0 - abs(a) ** 2) ** q) * jet_pow(v, -q)
+    beta_jet = sum(_tail_term_jet(aj, z0, order) for aj in anchors[k:])
     exp_arg = -beta_jet / s
-    exp_arg[0] += beta_anchor / s
+    exp_arg[0] += beta_anchor[k] / s
     return jet_mul(power_part, jet_exp(exp_arg))
 
 
@@ -383,7 +435,7 @@ def _cross_product_jet(part: ClusterPartition, k: int, z0: complex, order: int) 
 
 
 def _multiplier_polynomial(part: ClusterPartition, k: int, target: HermiteJet,
-                           q: float, s: float) -> HermiteInterpolant:
+                           q: float, s: float, beta_anchor: np.ndarray) -> HermiteInterpolant:
     """Confluent polynomial P_k with jet (target) / (cross product * kernel)."""
     cluster = part.clusters[k]
     pts = [p.z for p in cluster.points.points]
@@ -393,87 +445,36 @@ def _multiplier_polynomial(part: ClusterPartition, k: int, target: HermiteJet,
         t_jet = jet_from_derivatives(row)
         h_jet = jet_mul(
             _cross_product_jet(part, k, p, m),
-            _kernel_jet(part, k, p, m, q, s),
+            _kernel_jet(part.anchors, beta_anchor, k, p, m, q, s),
         )
         quotient_jets.append(jet_div(t_jet, h_jet))
     return hermite_interpolant(pts, mults, quotient_jets)
 
 
-def build_separating_multiplier(part: ClusterPartition, k: int, target: HermiteJet,
-                                exponents=(2.0, 1.0)) -> AnalyticFunction:
-    """Bounded function carrying the target class on cluster k and vanishing
-    to full multiplicity on every other cluster.
-
-    The returned F_k = P_k * (cross Blaschke product) is calibrated so that
-    F_k times the k-th exponential kernel has exactly the target jet.
-    """
-    if not 0 <= k < len(part.clusters):
-        raise IndexError("cluster index out of range")
-    q, s = exponents
-    P = _multiplier_polynomial(part, k, target, q, s)
-    others = []
-    others_m = []
-    for j, c in enumerate(part.clusters):
-        if j == k:
-            continue
-        others.extend(c.points.points)
-        others_m.extend(c.points.multiplicities)
-    b_other = BlaschkeProduct(FiniteSequence(tuple(others), tuple(others_m)))
-
-    def ev(z):
-        scalar = not isinstance(z, np.ndarray)
-        w = np.asarray(_tocomplex(z) if scalar else z, dtype=complex)
-        out = P(w) * evaluate(b_other, w)
-        return complex(out) if scalar else out
-
-    return AnalyticFunction(ev, f"separating multiplier k={k}")
-
-
 def _solution_evaluator(problem: InterpolationProblem):
-    """Vectorized evaluator for the assembled interpolation sum."""
+    """Vectorized evaluator for the assembled interpolation sum, in one
+    reverse pass over the clusters (see the module docstring)."""
     part = problem.partition
     q, s = _exponents(problem.p)
-    clusters = part.clusters
     anchors = part.anchors
+    beta_anchor = _anchor_betas(anchors)
     polys = [
-        None if jet.is_zero() else _multiplier_polynomial(part, k, jet, q, s)
+        None if jet.is_zero() else _multiplier_polynomial(part, k, jet, q, s, beta_anchor)
         for k, jet in enumerate(problem.jets)
     ]
-    b_all = BlaschkeProduct(part.all_points())
-    b_own = [BlaschkeProduct(c.points) for c in clusters]
-    beta_anchor = np.array(
-        [beta(part, k, complex(a)) for k, a in enumerate(anchors)], dtype=complex
-    )
+    b_own = [BlaschkeProduct(c.points) for c in part.clusters]
 
     def ev(z):
         scalar = not isinstance(z, np.ndarray)
         w = np.atleast_1d(np.asarray(_tocomplex(z) if scalar else z, dtype=complex))
-        terms = np.stack(
-            [(1.0 - abs(a) ** 2) * (1.0 + a.conjugate() * w) / (1.0 - a.conjugate() * w)
-             for a in anchors]
-        )
-        suffix = np.cumsum(terms[::-1], axis=0)[::-1]
-        vall = evaluate(b_all, w)
         out = np.zeros_like(w)
-        for k, a in enumerate(anchors):
-            if polys[k] is None:
-                continue
-            v = 1.0 - a.conjugate() * w
-            if not (v.real > 0).all():
-                raise RuntimeError("principal power guard: Re(1 - conj(a) z) <= 0")
-            kern = np.exp(q * (math.log(1.0 - abs(a) ** 2) - np.log(v))
-                          + (beta_anchor[k] - suffix[k]) / s)
+        after = np.ones_like(w)
+        for k, kern in _kernel_rows(anchors, beta_anchor, w, q, s):
             own = evaluate(b_own[k], w)
-            cross = np.empty_like(w)
-            ok = own != 0
-            cross[ok] = vall[ok] / own[ok]
-            for idx in np.nonzero(~ok)[0]:
-                acc = 1.0 + 0.0j
-                for j in range(len(clusters)):
-                    if j != k:
-                        acc *= evaluate(b_own[j], complex(w[idx]))
-                cross[idx] = acc
-            out += polys[k](w) * cross * kern
+            out *= own
+            if polys[k] is not None:
+                out += polys[k](w) * after * kern
+            after *= own
         return complex(out[0]) if scalar else out.reshape(np.shape(z))
 
     return ev
@@ -621,10 +622,9 @@ def verify_facts(part: ClusterPartition, solution_batch,
     violations = []
     clusters = part.clusters
     sep_margin = np.inf
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            dij = psh_distance_pairwise(clusters[i].points.zs, clusters[j].points.zs).min()
-            sep_margin = min(sep_margin, dij - 2.0 * part.eps)
+    if len(clusters) > 1:
+        _, gaps = _cluster_distances(clusters)
+        sep_margin = gaps[np.triu_indices(len(clusters), 1)].min() - 2.0 * part.eps
     separation_ok = sep_margin > 0 or len(clusters) < 2
     if not separation_ok:
         violations.append(f"cluster separation short by {-sep_margin:.3e}")

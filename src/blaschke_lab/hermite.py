@@ -23,12 +23,6 @@ def jet_from_derivatives(derivs) -> np.ndarray:
     return d / fact
 
 
-def derivatives_from_jet(jet) -> np.ndarray:
-    c = np.asarray(jet, dtype=complex)
-    fact = np.cumprod(np.concatenate([[1.0], np.arange(1, len(c))]))
-    return c * fact
-
-
 def jet_affine(c0, c1, order: int) -> np.ndarray:
     """Jet of the affine function with value c0 and slope c1."""
     out = np.zeros(order, dtype=complex)
@@ -109,18 +103,6 @@ class HermiteInterpolant:
         for i in range(len(self.coeffs) - 2, -1, -1):
             out = out * (w - self.nodes[i]) + self.coeffs[i]
         return complex(out) if scalar else out
-
-    def jet_at(self, z0: complex, order: int) -> np.ndarray:
-        """Taylor jet of the polynomial at z0, by Horner on jets."""
-        base = jet_affine(z0, 1.0, order)
-        out = np.zeros(order, dtype=complex)
-        out[0] = self.coeffs[-1]
-        for i in range(len(self.coeffs) - 2, -1, -1):
-            shifted = base.copy()
-            shifted[0] -= self.nodes[i]
-            out = jet_mul(out, shifted)
-            out[0] += self.coeffs[i]
-        return out
 
 
 def hermite_interpolant(points, mults, jets) -> HermiteInterpolant:

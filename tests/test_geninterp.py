@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from blaschke_lab import geninterp as gi
-from blaschke_lab.bergman import hp_norm
-from blaschke_lab.blaschke import BlaschkeProduct
+from blaschke_lab.blaschke import BlaschkeProduct, evaluate
 from blaschke_lab.carleson import lp_sequence_norm
 from blaschke_lab.disk import FiniteSequence, InvariantViolation, psh_distance_pairwise
 from blaschke_lab.generators import gen_perturbed, gen_radial_geometric
@@ -184,21 +183,74 @@ def test_poisson_mean_and_kernel_bound():
     assert gi.vgh_kernel_bound(single, grid) <= np.e
 
 
-def test_separating_multiplier():
-    part, jets = ray_problem(2, rays=3, levels=4, satellites=2, doubles=0)
-    k = 1
-    fk = gi.build_separating_multiplier(part, k, jets[k])
-    # vanishes on every other cluster to multiplicity (value check)
-    for j, c in enumerate(part.clusters):
-        if j == k:
+def summand_reference(problem, w):
+    """The interpolant summed term by term: P_k times the Blaschke product
+    of the other clusters' points times the kernel built from beta."""
+    part = problem.partition
+    q, s = gi._exponents(problem.p)
+    anchors = part.anchors
+    beta_anchor = np.array([gi.beta(part, k, complex(a)) for k, a in enumerate(anchors)])
+    total = np.zeros(np.shape(w), dtype=complex)
+    for k, (a, jet) in enumerate(zip(anchors, problem.jets)):
+        if jet.is_zero():
             continue
-        for p in c.points.points:
-            assert abs(fk(p.z)) < 1e-9
-    zerof = gi.build_separating_multiplier(part, k, gi.zero_jet(part.clusters[k]))
-    assert abs(zerof(0.3 + 0.1j)) == 0.0
-    assert np.isfinite(hp_norm(fk, np.inf, (0.999,)))
-    with pytest.raises(IndexError):
-        gi.build_separating_multiplier(part, 99, jets[k])
+        poly = gi._multiplier_polynomial(part, k, jet, q, s, beta_anchor)
+        others = [c for j, c in enumerate(part.clusters) if j != k]
+        b_other = BlaschkeProduct(FiniteSequence(
+            tuple(p for c in others for p in c.points.points),
+            tuple(m for c in others for m in c.points.multiplicities)))
+        kernel = ((1 - abs(a) ** 2) / (1 - np.conj(a) * w)) ** q \
+            * np.exp((beta_anchor[k] - gi.beta(part, k, w)) / s)
+        total += poly(w) * evaluate(b_other, w) * kernel
+    return total
+
+
+def test_evaluator_matches_summand_reference():
+    part, jets = ray_problem(8, rays=3, levels=4, satellites=2, doubles=1)
+    assert any(max(c.points.multiplicities) > 1 for c in part.clusters)
+    jets = (gi.zero_jet(part.clusters[0]),) + jets[1:]
+    grid = np.outer([0.0, 0.3, 0.7, 0.95], np.exp(2j * np.pi * np.arange(16) / 16))
+    points = part.all_points().zs
+    for p in (0.5, 2.0, np.inf):
+        problem = gi.InterpolationProblem(part, jets, p)
+        ev = gi._solution_evaluator(problem)
+        for w in (grid, points):
+            got = ev(w)
+            ref = summand_reference(problem, w)
+            assert got.shape == w.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        z = 0.2 - 0.35j
+        assert isinstance(ev(z), complex)
+        assert abs(ev(z) - summand_reference(problem, np.array([z]))[0]) \
+            <= 1e-12 * abs(ev(z))
+        # the zero-jet cluster's points are zeros of every summand
+        first = part.clusters[0].points.zs
+        assert np.all(ev(first) == 0)
+
+
+def test_kernel_bound_matches_stacked_formula():
+    grid = np.concatenate([
+        r * np.exp(2j * np.pi * np.arange(128) / 128) for r in (0.3, 0.7, 0.9, 0.99)
+    ])
+    for rays in ((0.0,), (0.0, 2.1, 4.2)):
+        for n in (10, 40):
+            part = gi.cluster_sequence(gen_radial_geometric(0.5, n, rays), 0.05, 0.6)
+            anchors = part.anchors
+            terms = np.stack(
+                [(1.0 - abs(a) ** 2) * (1.0 + a.conjugate() * grid)
+                 / (1.0 - a.conjugate() * grid) for a in anchors]
+            )
+            suffix = np.cumsum(terms[::-1], axis=0)[::-1]
+            total = np.zeros(grid.shape)
+            for k, a in enumerate(anchors):
+                beta_a = complex(np.sum(
+                    (1.0 - np.abs(anchors[k:]) ** 2)
+                    * (1.0 + np.conj(anchors[k:]) * a)
+                    / (1.0 - np.conj(anchors[k:]) * a)
+                ))
+                kern = np.abs((1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * grid)) ** 2
+                total += kern * np.exp(np.real(beta_a - suffix[k]))
+            assert gi.vgh_kernel_bound(part, grid) == pytest.approx(total.max(), rel=1e-12)
 
 
 def test_interpolate_two_singletons():
