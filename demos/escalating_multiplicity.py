@@ -14,10 +14,8 @@ from blaschke_lab import (
     BlaschkeProduct,
     QuadratureGrid,
     compose_min_on_compact,
-    conformal_density,
     gen_escalating_multiplicity,
     mb_lower_probe,
-    times_blaschke,
     universal_divisor_ratio,
     uniform_blaschke_sup,
     carleson_norm,
@@ -34,8 +32,7 @@ for n in range(1, 9):
     zn = 1.0 - 0.25**n
     ubs = uniform_blaschke_sup(seq, [zn])
     comp = compose_min_on_compact(b, zn, 0.5)
-    fam = [times_blaschke(conformal_density(zn, 2.0 / P), b)]
-    udr = universal_divisor_ratio(b, fam, P, 0.0, GRID)
+    udr = universal_divisor_ratio(b, [zn], P, 0.0, GRID)
     mb = mb_lower_probe(b, [zn], P, GRID)
     cn = carleson_norm(seq).norm
     print(f"{n:>5} {cn:>9.3f} {ubs:>13.3f} {comp:>14.3e} {udr:>14.3f} {mb:>11.4f}")

@@ -13,7 +13,6 @@ from .bergman import (
     analytic,
     ap_norm,
     blaschke_fn,
-    conformal_density,
     constant_fn,
     default_grid,
     divide_by_blaschke,
@@ -22,7 +21,6 @@ from .bergman import (
     kernel_mass,
     mb_lower_probe,
     pointwise_division_bound,
-    poly_from_zeros,
     reproducing_family,
     times_blaschke,
     universal_divisor_ratio,

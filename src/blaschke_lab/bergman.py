@@ -6,13 +6,16 @@ the weights sum to pi to machine precision.  Circle means use uniform
 angular sampling, which for analytic integrands converges spectrally.
 
 The probes implemented here measure two operator-theoretic quantities for
-a finite Blaschke product B:
+a finite Blaschke product B, both along test functions h with |h|^p equal
+to the area distortion of a disk automorphism phi_c:
 
-* universal_divisor_ratio - how much dividing by B can inflate a weighted
-  Bergman norm, over a family of functions vanishing on the zeros of B;
-* mb_lower_probe - the empirical constant c in ||Bf|| >= c ||f||, probed
-  along f with |f|^p equal to the area-distortion of a disk automorphism,
-  for which ||f||_Ap^p = pi exactly.
+* mb_lower_probe - the empirical constant c in ||Bh|| >= c ||h||;
+* universal_divisor_ratio - how much dividing B h by B can inflate a
+  weighted Bergman norm, which is one over the same ratio.
+
+Both integrands peak at c, to a width 1 - |c| that a capped grid misses;
+after the change of variables by phi_c they are flat near 0 instead, so
+both probes are taken from one recentred mean (_recentred_means).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct, evaluate, log_abs_evaluate
-from .disk import MoebiusMap, DiskPoint, FiniteSequence, _tocomplex
+from .disk import MoebiusMap, DiskPoint, FiniteSequence, _one_minus_abs2, _tocomplex
 from .util import worker_count
 
 DEFAULT_RADII = (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999)
@@ -64,20 +67,6 @@ def constant_fn(c) -> AnalyticFunction:
                             if isinstance(z, np.ndarray) else c, f"const {c}")
 
 
-def poly_from_zeros(zeros, lead=1.0) -> AnalyticFunction:
-    """Monic-style polynomial lead * prod (z - a_j)."""
-    zs = [complex(a) for a in zeros]
-    lead = complex(lead)
-
-    def ev(z):
-        out = np.full_like(np.asarray(z, dtype=complex), lead) if isinstance(z, np.ndarray) else lead
-        for a in zs:
-            out = out * (z - a)
-        return out
-
-    return AnalyticFunction(ev, f"poly deg {len(zs)}")
-
-
 def blaschke_fn(b: BlaschkeProduct) -> AnalyticFunction:
     return AnalyticFunction(lambda z: evaluate(b, z), f"blaschke deg {b.degree}",
                             blaschke_factor=b, cofactor=constant_fn(1.0))
@@ -87,23 +76,6 @@ def times_blaschke(g: AnalyticFunction, b: BlaschkeProduct, label: str = "") -> 
     """The product B*g, remembering both parts for exact later division."""
     return AnalyticFunction(lambda z: evaluate(b, z) * g(z),
                             label or f"B*{g.label}", blaschke_factor=b, cofactor=g)
-
-
-def conformal_density(center, power: float) -> AnalyticFunction:
-    """Analytic function with modulus |phi_center'|^power.
-
-    Computed as ((1-|c|^2)/(1 - conj(c) z)^2)^power with principal logs;
-    1 - conj(c) z has positive real part on the disk so the branch is safe.
-    """
-    c = _tocomplex(center)
-    amp = math.log(1.0 - abs(c) ** 2)
-
-    def ev(z):
-        v = 1.0 - np.conj(c) * np.asarray(z, dtype=complex)
-        out = np.exp(power * (amp - 2.0 * np.log(v)))
-        return out if isinstance(z, np.ndarray) else complex(out)
-
-    return AnalyticFunction(ev, f"|phi'_{c:.3g}|^{power:.3g}")
 
 
 def divide_by_blaschke(f: AnalyticFunction, b: BlaschkeProduct) -> AnalyticFunction:
@@ -162,13 +134,6 @@ class QuadratureGrid:
         counts = np.clip(np.ceil(angular_factor / (1.0 - radii)),
                          base_angular, max_angular).astype(int)
         return cls(radii, areas, counts)
-
-    @property
-    def total_area(self) -> float:
-        return float(self.band_areas.sum())
-
-    def node_count(self) -> int:
-        return int(self.angular_counts.sum())
 
 
 _DEFAULT_GRID: list = []
@@ -273,6 +238,33 @@ def ap_norm(f: AnalyticFunction, p: float, alpha: float = 0.0,
     return val ** (1.0 / p)
 
 
+def _recentred_means(f: AnalyticFunction, centers, p: float, alpha: float = 0.0,
+                     g: QuadratureGrid | None = None) -> list:
+    """For each center c, (1/N) * integral of |f(phi_c(w))|^p
+    (1-|phi_c(w)|^2)^alpha dA(w), with N the integral of the weight alone
+    (pi at alpha = 0, not integrated).
+
+    phi_c is an involution with area distortion |phi_c'|^2, so this is
+    ||f h||^p / ||h||^p in the weighted Bergman norm for any h with
+    |h|^p = |phi_c'|^2, with integrands flat near 0 instead of peaked at c.
+    """
+    if not p > 0:
+        raise ValueError("p must be positive")
+    if not alpha > -1:
+        raise ValueError("alpha must exceed -1")
+    means = []
+    for c in centers:
+        phi = MoebiusMap(c)
+        if alpha == 0.0:
+            means.append(area_integral(lambda z: _abs_power(f, phi(z), p), g) / np.pi)
+        else:
+            def weight(z):
+                return _one_minus_abs2(phi(z)) ** alpha
+            means.append(area_integral(lambda z: _abs_power(f, phi(z), p) * weight(z), g)
+                         / area_integral(weight, g))
+    return means
+
+
 def kernel_mass(zeta, g: QuadratureGrid | None = None) -> float:
     """Integral over the disk of the area-distortion kernel of phi_zeta.
 
@@ -328,56 +320,45 @@ def pointwise_division_bound(f: AnalyticFunction, b: BlaschkeProduct, zeta,
     """Check |f(zeta)/B(zeta)|^(p/2) <= (e^(C p/2)/pi) * integral of
     |f|^(p/2) times the area-distortion kernel of phi_zeta.
 
-    C should dominate the transformed zero-mass sums of b's zero sequence
+    The integral is taken as the integral of |f o phi_zeta|^(p/2) dA.  C
+    should dominate the transformed zero-mass sums of b's zero sequence
     (the uniform Blaschke supremum).  The quotient at zeta cancels exactly
     when f carries b as a stored factor.
     """
-    if not p > 0:
-        raise ValueError("p must be positive")
-    q = divide_by_blaschke(f, b)
-    lhs = abs(q(_tocomplex(zeta))) ** (p / 2.0)
-    phi = MoebiusMap(DiskPoint.from_complex(zeta))
-    integral = area_integral(lambda z: _abs_power(f, z, p / 2.0) * phi.jacobian(z), g)
-    rhs = math.exp(C * p / 2.0) / np.pi * integral
+    rhs = math.exp(C * p / 2.0) * _recentred_means(f, [zeta], p / 2.0, 0.0, g)[0]
+    lhs = abs(divide_by_blaschke(f, b)(_tocomplex(zeta))) ** (p / 2.0)
     margin = rhs - lhs
     return DivisionBound(lhs <= rhs * (1.0 + 1e-12) + 1e-300, margin, lhs, rhs)
 
 
-def universal_divisor_ratio(b: BlaschkeProduct, family, p: float,
+def universal_divisor_ratio(b: BlaschkeProduct, centers, p: float,
                             alpha: float = 0.0,
                             g: QuadratureGrid | None = None) -> float:
-    """Max over the family of ||f/B|| / ||f|| in the weighted Bergman norm.
+    """Max of ||f/B|| / ||f|| in the weighted Bergman norm over the
+    functions f = B h with |h|^p the area distortion of phi_c, one per
+    center c (h = 1 at c = 0).
 
-    Family members must vanish on the zeros of b with multiplicity; build
-    them with times_blaschke so the quotient cancels exactly.
+    ||f/B|| / ||f|| = ||h|| / ||B h||, one over the recentred mean of
+    |B o phi_c|^p to the power 1/p.
     """
-    best = 0.0
-    for f in family:
-        quot = divide_by_blaschke(f, b)
-        best = max(best, ap_norm(quot, p, alpha, g) / ap_norm(f, p, alpha, g))
-    return best
+    return 1.0 / min(_recentred_means(blaschke_fn(b), centers, p, alpha, g)) ** (1.0 / p)
 
 
 def mb_lower_probe(b: BlaschkeProduct, centers, p: float,
                    g: QuadratureGrid | None = None) -> float:
     """Empirical lower constant of multiplication by B on the Bergman space.
 
-    For each center c the test function has |f|^p equal to the kernel of
-    phi_c, whose norm is pi^(1/p) exactly; then ||Bf||/||f|| equals
-    (integral of |B(phi_c(z))|^p dA / pi)^(1/p) after a change of
-    variables.  Returns the min over the centers; 1 for an empty product.
+    For each center c the test function h has |h|^p equal to the area
+    distortion of phi_c; then ||Bh||/||h|| is the recentred mean of
+    |B o phi_c|^p to the power 1/p.  Returns the min over the centers; 1
+    for an empty product.
     """
     if not p > 0:
         raise ValueError("p must be positive")
     if len(b.zeros) == 0:
         return 1.0
-    best = np.inf
-    for c in centers:
-        phi = MoebiusMap(DiskPoint.from_complex(_tocomplex(c)))
-        val = area_integral(
-            lambda z: np.exp(p * log_abs_evaluate(b, phi(z))), g) / np.pi
-        best = min(best, val ** (1.0 / p))
-    return float(best)
+    return min(_recentred_means(blaschke_fn(b), centers, p, 0.0, g),
+               default=math.inf) ** (1.0 / p)
 
 
 def reproducing_family(s: FiniteSequence, p: float) -> list:

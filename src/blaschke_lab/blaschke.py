@@ -161,17 +161,19 @@ def deleted_product(b: BlaschkeProduct, j: int) -> complex:
     """B_j(z_j): the product over all other zeros, evaluated at zero j.
 
     Returns 0 when zero j is repeated, 1 for a lone zero (empty product).
-    Formed from complex factor values, like evaluate; separation_report
-    takes the cancellation-free moduli from the log rho^2 kernel instead.
+    The modulus comes from the log rho^2 kernel, as in separation_report;
+    the argument is the sum of the complex factors' arguments.
     """
     n = len(b.zeros)
     if not 0 <= j < n:
         raise IndexError(f"zero index {j} out of range for {n} listed zeros")
-    zs, mults, _, units = b._table
+    zs, mults, coords, units = b._table
     if mults[j] > 1:
         return 0.0 + 0.0j
     a, m, unit = (np.delete(v, j) for v in (zs, mults, units))
-    return complex(np.prod(_factors(a, unit, zs[j:j + 1])[:, 0] ** m))
+    log_mod = 0.5 * m @ _log_rho2(np.delete(coords, j, axis=1), coords[:, j:j + 1])[:, 0]
+    arg = m @ np.angle(_factors(a, unit, zs[j:j + 1])[:, 0])
+    return complex(np.exp(log_mod + 1j * arg))
 
 
 def derivative(b: BlaschkeProduct, z) -> complex:
@@ -188,9 +190,8 @@ def derivative(b: BlaschkeProduct, z) -> complex:
         j = int(hit[0])
         if mults[j] > 1:
             return 0.0 + 0.0j
-        a = zs[j]
-        own = 1.0 + 0.0j if a == 0 else -units[j] / (1.0 - abs(a) ** 2)
-        return deleted_product(b, j) * own
+        # the own factor's derivative -unit / (1 - |a|^2), with -unit = 1 at a = 0
+        return deleted_product(b, j) * -units[j] / float(_one_minus_abs2(zs[j]))
     # the term m (|a|^2 - 1) / ((1 - conj(a) w)(a - w)) is m / w for a = 0
     logd = (mults * (np.abs(zs) ** 2 - 1.0) / ((1.0 - np.conj(zs) * w) * (zs - w))).sum()
     return evaluate(b, w) * complex(logd)

@@ -135,6 +135,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if not args.p > 0.0:
+        raise fio.ParseError(f"p must be positive, got {args.p}")
+    if not args.alpha > -1.0:
+        raise fio.ParseError(f"alpha must exceed -1, got {args.alpha}")
     seq = fio.read_sequence(args.file)
     rep = analyze_sequence(seq, p=args.p, alpha=args.alpha,
                            probe_pitch=args.probe_grid)
@@ -143,6 +147,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    if not 0.0 < args.sep < 1.0:
+        raise fio.ParseError(f"sep must lie in (0, 1), got {args.sep}")
     seq = fio.read_sequence(args.file)
     parts = partition_separated(seq, args.sep)
     for i, part in enumerate(parts):

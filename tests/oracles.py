@@ -1,0 +1,85 @@
+"""Reference functions shared by the tests.
+
+They build test integrands with known closed-form norms and zero sets;
+the library itself has no use for them.
+"""
+
+import math
+
+import numpy as np
+
+from blaschke_lab.bergman import AnalyticFunction
+from blaschke_lab.disk import _tocomplex
+
+
+def poly_from_zeros(zeros, lead=1.0) -> AnalyticFunction:
+    """The polynomial lead * prod (z - a_j)."""
+    zs = [complex(a) for a in zeros]
+    lead = complex(lead)
+
+    def ev(z):
+        out = np.full_like(np.asarray(z, dtype=complex), lead) if isinstance(z, np.ndarray) else lead
+        for a in zs:
+            out = out * (z - a)
+        return out
+
+    return AnalyticFunction(ev, f"poly deg {len(zs)}")
+
+
+def conformal_density(center, power: float) -> AnalyticFunction:
+    """Analytic function with modulus |phi_center'|^power.
+
+    Computed as ((1-|c|^2)/(1 - conj(c) z)^2)^power with principal logs;
+    1 - conj(c) z has positive real part on the disk so the branch is safe.
+    """
+    c = _tocomplex(center)
+    amp = math.log(1.0 - abs(c) ** 2)
+
+    def ev(z):
+        v = 1.0 - np.conj(c) * np.asarray(z, dtype=complex)
+        out = np.exp(power * (amp - 2.0 * np.log(v)))
+        return out if isinstance(z, np.ndarray) else complex(out)
+
+    return AnalyticFunction(ev, f"|phi'_{c:.3g}|^{power:.3g}")
+
+
+def _dyadic_ints(values):
+    """Exact integers X and a common exponent S with values = X / 2^S."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    scale = max(den.bit_length() - 1 for _, den in ratios)
+    return [num << (scale - den.bit_length() + 1) for num, den in ratios], scale
+
+
+def deleted_product_moduli(zs, digits=50):
+    """|B_j(z_j)| and 1 - |z_j|^2 at every point of a simple sequence, as
+    mpmath numbers with ``digits`` digits.
+
+    The coordinates are taken exactly, as integers at a common binary
+    scale, so the differences, |z_k - z_j|^2 and the depths 1 - |z|^2 are
+    exact.  rho^2 = |z_k - z_j|^2 / (|z_k - z_j|^2 + (1-|z_k|^2)(1-|z_j|^2))
+    and the running product over k are kept in fixed point with twice the
+    bits of ``digits`` digits, so a product keeps ``digits`` digits down to
+    about len(zs) * 10^-digits; mpmath takes the square root.  Python
+    integers form the products about five times faster than mpmath numbers.
+    """
+    import mpmath
+
+    ints, scale = _dyadic_ints([c for z in zs for c in (z.real, z.imag)])
+    x = np.array(ints[0::2], dtype=object)
+    y = np.array(ints[1::2], dtype=object)
+    one = 1 << (2 * scale)
+    depth = one - x * x - y * y
+    bits = 2 * math.ceil(digits * math.log2(10))
+    out = []
+    for j in range(len(zs)):
+        dx = x - x[j]
+        dy = y - y[j]
+        d2 = dx * dx + dy * dy
+        rho2 = np.delete((d2 << (2 * scale + bits)) // (d2 * one + depth * depth[j]), j)
+        acc = 1 << bits
+        for r in rho2.tolist():
+            acc = (acc * r) >> bits
+        out.append(acc)
+    with mpmath.workdps(digits):
+        return ([mpmath.sqrt(mpmath.ldexp(a, -bits)) for a in out],
+                [mpmath.ldexp(d, -2 * scale) for d in depth])

@@ -43,6 +43,7 @@ from blaschke_lab.generators import (
     gen_random_carleson,
     gen_union,
 )
+from oracles import deleted_product_moduli, poly_from_zeros
 
 LIGHT = bg.QuadratureGrid.build(rings=200, min_gap=1e-7, max_angular=4096)
 BASE_GAP = 0.25
@@ -120,6 +121,7 @@ def test_criterion_01_geometry():
 
 
 def test_criterion_02_derivative_identity():
+    mpmath = pytest.importorskip("mpmath")
     t0 = time.time()
     failures = []
     seqs = []
@@ -133,22 +135,17 @@ def test_criterion_02_derivative_identity():
     seqs.append(gen_random_carleson(6, 60, 5.0))
     assert max(s.total_count for s in seqs) == 500 and len(seqs) == 20
     for s in seqs:
-        zs = s.zs
-        # independent route: log-magnitude matrix of all factors
-        num = np.abs(zs[None, :] - zs[:, None])
-        den = np.abs(1 - np.conj(zs[None, :]) * zs[:, None])
-        with np.errstate(divide="ignore"):
-            logs = np.log(num / den)
-        np.fill_diagonal(logs, 0.0)
-        deleted = np.exp(logs.sum(axis=1))
+        # independent route: 50-digit deleted products and depths
+        deleted, depth = deleted_product_moduli(s.zs)
         b = BlaschkeProduct(s)
-        for j, p in enumerate(s.points):
-            lhs = (1 - abs(p.z) ** 2) * abs(derivative(b, p.z))
-            if abs(lhs - deleted[j]) > 1e-10 * max(deleted[j], 1e-300):
-                failures.append(
-                    f"identity off at n={s.total_count} j={j}: "
-                    f"{lhs:.3e} vs {deleted[j]:.3e}")
-                break
+        with mpmath.workdps(50):
+            for j, p in enumerate(s.points):
+                lhs = depth[j] * abs(derivative(b, p.z))
+                if abs(lhs - deleted[j]) > 1e-10 * deleted[j]:
+                    failures.append(
+                        f"identity off at n={s.total_count} j={j}: "
+                        f"{float(lhs):.3e} vs {float(deleted[j]):.3e}")
+                    break
     _verdict("criterion 2 (derivative identity)", failures, t0)
 
 
@@ -171,7 +168,7 @@ def test_criterion_04_jensen_equality():
         deg = int(rng.integers(1, 7))
         zeros = rng.uniform(0.05, 0.8, deg) * np.exp(1j * rng.uniform(0, 2 * np.pi, deg))
         lead = complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
-        f = bg.poly_from_zeros(zeros, lead)
+        f = poly_from_zeros(zeros, lead)
         res = bg.jensen_area_residual(f, FiniteSequence.from_complex(zeros), LIGHT)
         if abs(res) > 1e-6:
             failures.append(f"trial {trial}: |residual| {abs(res):.2e}")
@@ -202,8 +199,7 @@ def test_criterion_05_counterexample_battery():
             failures.append(f"level {n}: composition probe {comp:.3e} > 2^-{n}")
         probes.append(bg.mb_lower_probe(bn, [zn], p, LIGHT))
         if n in (2, 8):
-            fam = [bg.times_blaschke(bg.conformal_density(zn, 2.0 / p), bn)]
-            ratios[n] = bg.universal_divisor_ratio(bn, fam, p, 0.0, LIGHT)
+            ratios[n] = bg.universal_divisor_ratio(bn, [zn], p, 0.0, LIGHT)
     if not all(b < a for a, b in zip(probes, probes[1:])):
         failures.append(f"probe not monotone: {['%.4f' % v for v in probes]}")
     if not probes[-1] < 0.05:

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from blaschke_lab import bergman as bg
+from blaschke_lab.analysis import analysis_grid, analyze_sequence
 from blaschke_lab.blaschke import BlaschkeProduct, log_abs_evaluate
 from blaschke_lab.carleson import uniform_blaschke_sup
 from blaschke_lab.disk import DiskPoint, FiniteSequence, MoebiusMap
-from blaschke_lab.generators import gen_escalating_multiplicity, gen_radial_geometric
+from blaschke_lab.generators import (
+    gen_escalating_multiplicity,
+    gen_radial_geometric,
+    gen_random_carleson,
+)
+from oracles import conformal_density, poly_from_zeros
 
 LIGHT = bg.QuadratureGrid.build(rings=200, min_gap=1e-7, max_angular=4096)
 
 
 def test_grid_tiles_the_disk():
     for g in (bg.default_grid(), LIGHT):
-        assert g.total_area == pytest.approx(np.pi, rel=1e-12)
+        assert g.band_areas.sum() == pytest.approx(np.pi, rel=1e-12)
         assert (g.radii < 1.0).all()
         assert (np.diff(g.radii) > 0).all()
 
@@ -51,7 +57,7 @@ def test_ap_norm_oracles():
     assert bg.ap_norm(idf, 2, 0.0, LIGHT) == pytest.approx(np.sqrt(np.pi / 2))
     # conformal density has Bergman-2 norm sqrt(pi) for every center
     for c in (0.0, 0.5, 0.37 + 0.2j):
-        f = bg.conformal_density(c, 1.0)
+        f = conformal_density(c, 1.0)
         assert bg.ap_norm(f, 2, 0.0, LIGHT) == pytest.approx(np.sqrt(np.pi), rel=1e-6)
     # weighted: integral of (1-|z|^2) dA = pi/2
     assert bg.ap_norm(bg.constant_fn(1.0), 2, 1.0, LIGHT) == pytest.approx(
@@ -71,7 +77,7 @@ def test_kernel_mass():
 def test_jensen_residual():
     rng = np.random.default_rng(5)
     zeros = rng.uniform(0.1, 0.8, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-    f = bg.poly_from_zeros(zeros, lead=1.7 - 0.3j)
+    f = poly_from_zeros(zeros, lead=1.7 - 0.3j)
     res = bg.jensen_area_residual(f, FiniteSequence.from_complex(zeros), LIGHT)
     assert abs(res) <= 1e-6
     # withholding one zero drives the residual strictly negative by the
@@ -83,7 +89,7 @@ def test_jensen_residual():
     assert res2 < 0
     assert bg.jensen_area_residual(bg.constant_fn(2.5), FiniteSequence(), LIGHT) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError, match="shift"):
-        bg.jensen_area_residual(bg.poly_from_zeros([0.0]), FiniteSequence(), LIGHT)
+        bg.jensen_area_residual(poly_from_zeros([0.0]), FiniteSequence(), LIGHT)
 
 
 def test_jensen_multiplicity():
@@ -126,8 +132,7 @@ def test_quotients():
 
 def test_universal_divisor_ratio():
     b = BlaschkeProduct.from_complex([0.4, -0.2 + 0.3j])
-    fam = [bg.blaschke_fn(b)]
-    ratio = bg.universal_divisor_ratio(b, fam, 2.0, 0.0, LIGHT)
+    ratio = bg.universal_divisor_ratio(b, [0.0], 2.0, 0.0, LIGHT)
     assert ratio >= 1.0
     # |B| <= 1 so multiplication contracts norms at the grid level
     g = bg.analytic(lambda z: 1.0 + 0.3 * z)
@@ -137,12 +142,7 @@ def test_universal_divisor_ratio():
     vals = []
     for n in (5, 10):
         s = gen_radial_geometric(0.5, n)
-        bb = BlaschkeProduct(s)
-        fam = [
-            bg.blaschke_fn(bb),
-            bg.times_blaschke(bg.analytic(lambda z: np.asarray(z, dtype=complex)), bb),
-        ]
-        vals.append(bg.universal_divisor_ratio(bb, fam, 2.0, 0.0, LIGHT))
+        vals.append(bg.universal_divisor_ratio(BlaschkeProduct(s), [0.0, s.zs[-1]], 2.0, 0.0, LIGHT))
     assert vals[1] <= 3.0 * vals[0]
 
 
@@ -159,6 +159,47 @@ def test_mb_lower_probe():
         bg.mb_lower_probe(b, [0.0], 0.0)
 
 
+def test_recentred_probe_matches_direct_quotient(monkeypatch):
+    # the recentred mean against ||B h|| / ||h|| with |h|^2 = |phi_c'|^2,
+    # integrated directly with B in complex arithmetic; p = 2 keeps both
+    # integrands smooth at the zeros
+    monkeypatch.setenv("BLASCHKE_LAB_THREADS", "2")
+    b = BlaschkeProduct.from_complex([0.5, -0.3 + 0.6j])
+    c = 0.6 + 0.5j
+    h = bg.analytic(lambda z: (1.0 - abs(c) ** 2) / (1.0 - np.conj(c) * z) ** 2)
+    bh = bg.analytic(lambda z: bg.evaluate(b, z) * h(z))
+    for alpha in (0.0, 1.0):
+        direct = bg.ap_norm(bh, 2.0, alpha) / bg.ap_norm(h, 2.0, alpha)
+        recentred = 1.0 / bg.universal_divisor_ratio(b, [c], 2.0, alpha)
+        assert abs(recentred - direct) <= 1e-6 * direct
+
+
+@pytest.mark.parametrize("name", ["random-carleson", "escalating-12", "escalating-6", "radial"])
+def test_divisor_ratio_converged_on_analysis_grid(monkeypatch, name):
+    # two threads: the integrals on the fine grid set this test's time
+    monkeypatch.setenv("BLASCHKE_LAB_THREADS", "2")
+    s = {
+        "random-carleson": lambda: gen_random_carleson(11, 40, 4.0),
+        "escalating-12": lambda: gen_escalating_multiplicity(12),
+        "escalating-6": lambda: gen_escalating_multiplicity(6),
+        "radial": lambda: gen_radial_geometric(0.5, 46, (0.0, np.pi)),
+    }[name]()
+    b = BlaschkeProduct(s)
+    centers = [0.0, s.zs[np.argmax(np.abs(s.zs))]]
+    got = bg.universal_divisor_ratio(b, centers, 0.5, 0.0, analysis_grid())
+    # twice the rings and twice the angles per ring
+    fine = bg.QuadratureGrid.build(rings=240, min_gap=1e-7, base_angular=128,
+                                   max_angular=4096, angular_factor=32.0)
+    assert fine.angular_counts.sum() >= 3.9 * analysis_grid().angular_counts.sum()
+    want = bg.universal_divisor_ratio(b, centers, 0.5, 0.0, fine)
+    assert abs(got - want) <= 1e-3 * want
+    if name == "escalating-6":
+        rep = analyze_sequence(s)
+        assert rep.divisor_ratio == got
+        deepest = sorted(s.zs, key=lambda z: -abs(z))[:4]
+        assert rep.mb_probe == bg.mb_lower_probe(b, deepest, 0.5, analysis_grid())
+
+
 def test_counterexample_probe_decay():
     vals = []
     for n in (2, 4):
@@ -169,7 +210,7 @@ def test_counterexample_probe_decay():
 
 
 def test_thread_cap_env(monkeypatch):
-    f = bg.conformal_density(0.4 + 0.1j, 1.0)
+    f = conformal_density(0.4 + 0.1j, 1.0)
     single = bg.ap_norm(f, 2, 0.0, LIGHT)
     monkeypatch.setenv("BLASCHKE_LAB_THREADS", "4")
     threaded = bg.ap_norm(f, 2, 0.0, LIGHT)
@@ -204,4 +245,4 @@ def test_area_integral_matches_ring_by_ring(monkeypatch, threads):
             got = bg.area_integral(lambda z: seen.append(z.size) or fn(z), g)
             want = ring_by_ring(fn, g)
             assert abs(got - want) <= 1e-13 * abs(want)
-            assert sum(seen) == g.node_count()
+            assert sum(seen) == g.angular_counts.sum()

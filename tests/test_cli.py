@@ -95,6 +95,21 @@ def test_analyze_parse_failure(tmp_path):
     assert run_cli("analyze", str(tmp_path / "missing.txt")) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--p", "0"), ("--alpha", "-1")])
+def test_analyze_bad_exponent_exit_2(tmp_path, capsys, flag, value):
+    seq_file = tmp_path / "seq.txt"
+    run_cli("gen", "radial-geometric", "--q", "0.5", "--n", "3", "-o", str(seq_file))
+    assert run_cli("analyze", str(seq_file), flag, value) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_partition_bad_separation_exit_2(tmp_path, capsys):
+    seq_file = tmp_path / "seq.txt"
+    run_cli("gen", "radial-geometric", "--q", "0.5", "--n", "3", "-o", str(seq_file))
+    assert run_cli("partition", str(seq_file), "--sep", "1.5", "-o", str(tmp_path / "p")) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_analyze_invariant_violation(tmp_path):
     bad = tmp_path / "outside.txt"
     bad.write_text("1.0 0.0 1\n")
