@@ -84,7 +84,6 @@ from .geninterp import (
     vgh_interpolate,
     vgh_kernel_bound,
     xp_norm,
-    zero_jet,
 )
 
 __version__ = "0.1.0"

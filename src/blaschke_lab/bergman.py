@@ -195,24 +195,26 @@ def area_integral(fn, g: QuadratureGrid | None = None) -> float:
 def hp_norm(f: AnalyticFunction, p, radii=DEFAULT_RADII) -> float:
     """Hardy norm: max over the radii of the circle mean M_p(f, r).
 
-    M_p is nondecreasing in r for analytic f, so the largest listed radius
-    dominates; keeping the whole list makes growth visible to callers.
-    For p = inf the value is the sup over the angular samples.
+    M_p is nondecreasing in r for analytic f (Hardy's convexity theorem),
+    so the maximum is the mean at the largest radius, and only that circle
+    is sampled; every radius is still checked to lie in [0, 1).  For
+    p = inf the value is the sup over the angular samples.
     """
     if p != np.inf and not p > 0:
         raise ValueError("p must be positive or inf")
-    best = 0.0
+    radii = sorted(radii)
     for r in radii:
         if not 0 <= r < 1:
             raise ValueError("radii must lie in [0, 1)")
-        n = int(np.clip(np.ceil(8.0 / (1.0 - r)), 64, 1 << 14))
-        theta = 2.0 * np.pi * np.arange(n) / n
-        vals = np.abs(f(r * np.exp(1j * theta)))
-        if p == np.inf:
-            best = max(best, float(vals.max()))
-        else:
-            best = max(best, float(np.mean(vals**p) ** (1.0 / p)))
-    return best
+    if not radii:
+        return 0.0
+    r = radii[-1]
+    n = int(np.clip(np.ceil(8.0 / (1.0 - r)), 64, 1 << 14))
+    theta = 2.0 * np.pi * np.arange(n) / n
+    vals = np.abs(f(r * np.exp(1j * theta)))
+    if p == np.inf:
+        return float(vals.max())
+    return float(np.mean(vals**p) ** (1.0 / p))
 
 
 def _abs_power(f: AnalyticFunction, z: np.ndarray, p: float) -> np.ndarray:

@@ -2,13 +2,21 @@
 
 A Carleson square over an arc I of the unit circle (arc length normalized
 to total measure 1) is S_I = { z : z/|z| in I, 1 - |z| < m(I) }.  The
-Carleson norm of a measure is the supremum of mu(S_I)/m(I).  For the
-discrete measures attached to zero sequences and for arc-length measure on
-contour families the supremum is searched over an explicit finite family
-of squares: arcs anchored at the atoms, at dyadic scales and at scales
-just above each atom's own depth.  The reported value is exact for the
-visited family and within a constant factor of the true supremum (an arc
-holding mass can be recentered at a contained atom at twice the length).
+Carleson norm of a measure is the supremum of mu(S_I)/m(I).
+
+For the discrete measures attached to zero sequences the supremum is
+searched over an explicit finite family of squares: arcs anchored at the
+atoms, at dyadic scales and at scales just above each atom's own depth.
+The reported value is exact for the visited family and within a constant
+factor of the true supremum (an arc holding mass can be recentered at a
+contained atom at twice the length).
+
+For arc-length measure on a family of circle arcs the mass of every arc
+inside a square is exact: the arc is cut where it crosses the circle
+|z| = 1 - m and the two lines through the square's sides, and the pieces
+whose midpoints lie inside are summed.  The supremum over all squares is
+then bracketed by branch and bound over boxes of (centre angle, log
+scale), to a relative gap of _GAP.
 """
 
 from __future__ import annotations
@@ -17,10 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import _coords, _log_rho2, _tiles
+from .blaschke import _BLOCK, _coords, _log_rho2, _tiles
 from .disk import FiniteSequence, InvariantViolation, _one_minus_abs2, _tocomplex
 
 ANCHOR_ETAS = (0.001, 0.1, 1.0)
+
+# arc_carleson_constant drops a box of squares once its upper bound is
+# within this relative gap of the best square found, and stops after
+# _MAX_REGIONS region masses: a family whose ratio is flat along a whole
+# range of squares, such as a circle centred at 0, would refine without end.
+_GAP = 1e-3
+_MAX_REGIONS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -66,6 +81,11 @@ def _dyadic_levels(depths: np.ndarray) -> int:
     return int(min(60, np.ceil(np.log2(2.0 / depths.min())) + 1))
 
 
+def _wrap(x):
+    """Angles reduced to [-pi, pi)."""
+    return (x + np.pi) % (2 * np.pi) - np.pi
+
+
 def _search_squares(angles, depths, weights, center_angles, scales):
     """Max of mass/scale over arcs centered at center_angles with the given scales.
 
@@ -79,7 +99,7 @@ def _search_squares(angles, depths, weights, center_angles, scales):
         return 0.0, None, None
     best = (0.0, None, None)
     for c in center_angles:
-        d = np.abs((angles - c + np.pi) % (2 * np.pi) - np.pi)
+        d = np.abs(_wrap(angles - c))
         # the angular test d/pi <= m is inclusive while the depth test is
         # strict; nudging the angular key down one float merges both into
         # the single strict comparison m > tau.
@@ -151,7 +171,8 @@ def lp_sequence_norm(s: FiniteSequence, values, p) -> float:
 
 @dataclass(frozen=True)
 class CircleArc:
-    """Arc of the Euclidean circle |z - center| = radius, from t0 to t1 radians."""
+    """Arc of the Euclidean circle |z - center| = radius, from t0 to t1
+    radians, t0 <= t1 <= t0 + 2 pi."""
 
     center: complex
     radius: float
@@ -161,46 +182,141 @@ class CircleArc:
     def length(self) -> float:
         return self.radius * (self.t1 - self.t0)
 
-    def sample(self, n: int):
-        """Midpoint quadrature: n points along the arc with equal length weights."""
-        t = self.t0 + (self.t1 - self.t0) * (np.arange(n) + 0.5) / n
-        pts = self.center + self.radius * np.exp(1j * t)
-        w = np.full(n, self.length() / n)
-        return pts, w
+
+class _ArcTable:
+    """The arcs of positive length as arrays: centre c, rho = |c|,
+    gamma = arg c, radius r, start t0, span t1 - t0 and length; the least
+    and largest modulus along each arc; and the half-width of its circle's
+    angle range about gamma (pi when the circle winds around 0)."""
+
+    def __init__(self, arcs):
+        arcs = [a for a in arcs if a.length() > 0]
+        self.c = np.array([a.center for a in arcs], dtype=complex)
+        self.r = np.array([a.radius for a in arcs], dtype=float)
+        self.t0 = np.array([a.t0 for a in arcs], dtype=float)
+        self.span = np.array([a.t1 - a.t0 for a in arcs], dtype=float)
+        self.length = self.r * self.span
+        self.rho = np.abs(self.c)
+        self.gamma = np.angle(self.c)
+        # |z|^2 = rho^2 + r^2 + 2 rho r cos(t - gamma) is extreme where the
+        # arc passes gamma or gamma + pi, else at an end
+        ends = np.cos(np.stack([self.t0, self.t0 + self.span]) - self.gamma)
+        cos_hi = np.where(self._reaches(self.gamma), 1.0, ends.max(axis=0))
+        cos_lo = np.where(self._reaches(self.gamma + np.pi), -1.0, ends.min(axis=0))
+        sq = self.rho**2 + self.r**2
+        self.r_max = np.sqrt(sq + 2 * self.rho * self.r * cos_hi)
+        self.r_min = np.sqrt(np.maximum(sq + 2 * self.rho * self.r * cos_lo, 0.0))
+        self.half = np.full(len(arcs), np.pi)
+        off = self.rho > self.r
+        self.half[off] = np.arcsin(self.r[off] / self.rho[off])
+
+    def _reaches(self, t):
+        return (t - self.t0) % (2 * np.pi) <= self.span
 
 
-def arc_carleson_constant(arcs, samples_per_arc: int = 512, max_centers: int = 1024) -> float:
+def _region_mass(tab: _ArcTable, phi, h, depth) -> np.ndarray:
+    """Arc length of the family inside each region
+    {|wrap(arg z - phi)| <= h, 1 - |z| < depth}, for arrays phi, h, depth,
+    in chunks of regions whose temporaries stay under _BLOCK elements (for
+    families of up to _BLOCK / 8 arcs).
+
+    Arcs whose angle and modulus ranges lie wholly inside or wholly
+    outside a region count in full or not at all; the rest go to _cut_mass.
+    """
+    out = np.empty(len(phi))
+    rows = max(1, _BLOCK // (8 * len(tab.r)))
+    for i in range(0, len(phi), rows):
+        ph, hw = phi[i:i + rows, None], h[i:i + rows, None]
+        lim = 1.0 - depth[i:i + rows, None]
+        full = hw >= np.pi
+        gap = np.abs(_wrap(tab.gamma - ph))
+        inside = (tab.r_min > lim) & (full | (gap + tab.half <= hw))
+        outside = (tab.r_max <= lim) | (~full & (gap - tab.half > hw))
+        mass = np.where(inside, tab.length, 0.0)
+        reg, arc = np.nonzero(~(inside | outside))
+        mass[reg, arc] = _cut_mass(tab, arc, ph[reg, 0], hw[reg, 0], lim[reg, 0])
+        out[i:i + rows] = mass.sum(axis=1)
+    return out
+
+
+def _cut_mass(tab: _ArcTable, arc, phi, h, lim) -> np.ndarray:
+    """Exact length of arc[i] inside {|wrap(arg z - phi[i])| <= h[i], |z| > lim[i]}.
+
+    On z = c + r e^(it) the modulus crosses lim where
+    cos(t - gamma) = (lim^2 - rho^2 - r^2) / (2 rho r), and the line at
+    angle psi where sin(t - psi) = -rho sin(gamma - psi) / r.  Those
+    crossings cut the arc into at most seven pieces; each lies wholly
+    inside or outside, which its midpoint decides.
+    """
+    rho, gamma, r = tab.rho[arc], tab.gamma[arc], tab.r[arc]
+    t0, span = tab.t0[arc], tab.span[arc]
+    cuts = np.empty((len(arc), 8))
+    cuts[:, 0] = t0
+    cuts[:, 1] = t0 + span
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = (lim * lim - rho * rho - r * r) / (2 * rho * r)
+    crosses = np.abs(k) < 1
+    turn = np.arccos(np.where(crosses, k, 1.0))
+    cuts[:, 2] = np.where(crosses, gamma + turn, t0)
+    cuts[:, 3] = np.where(crosses, gamma - turn, t0)
+    for j, psi in enumerate((phi + h, phi - h)):
+        sine = -rho * np.sin(gamma - psi) / r
+        crosses = (np.abs(sine) < 1) & (h < np.pi)
+        turn = np.arcsin(np.where(crosses, sine, 0.0))
+        cuts[:, 4 + 2 * j] = np.where(crosses, psi + turn, t0)
+        cuts[:, 5 + 2 * j] = np.where(crosses, psi + np.pi - turn, t0)
+    cuts[:, 2:] = t0[:, None] + np.minimum((cuts[:, 2:] - t0[:, None]) % (2 * np.pi),
+                                           span[:, None])
+    cuts.sort(axis=1)
+    z = tab.c[arc, None] + r[:, None] * np.exp(0.5j * (cuts[:, 1:] + cuts[:, :-1]))
+    inside = (np.abs(z) > lim[:, None]) & (
+        (h[:, None] >= np.pi) | (np.abs(_wrap(np.angle(z) - phi[:, None])) <= h[:, None]))
+    return r * (np.diff(cuts, axis=1) * inside).sum(axis=1)
+
+
+def arc_carleson_constant(arcs) -> float:
     """Carleson norm of arc-length measure on a family of circle arcs.
 
-    Each arc is discretized by midpoint quadrature into weighted points and
-    the same square-family search as carleson_norm runs over them, with
-    centers decimated for tractability.  Arcs must lie in the open disk.
+    Branch and bound over boxes [theta_a, theta_b] x [m_a, m_b] of squares
+    (centre angle, scale), split in log scale.  Every square of a box lies
+    in the region of half-width (theta_b - theta_a)/2 + pi m_b and depth
+    m_b about the box's mid angle, so that region's exact mass over m_a
+    bounds the box from above; the box's own square at (mid, m_b) bounds
+    it from below.  The search starts from the m = 1 square, whose ratio
+    is the total length, drops a box once its upper bound is within _GAP
+    of the best ratio found, and splits the rest along their relatively
+    wider side.  The value returned is the ratio of a real square; unless
+    the _MAX_REGIONS budget ran out, no square exceeds it by more than a
+    factor 1 + _GAP.  Arcs must lie in the open disk.
     """
-    arcs = list(arcs)
-    if not arcs:
+    tab = _ArcTable(arcs)
+    if len(tab.r) == 0:
         return 0.0
-    pts = []
-    wts = []
-    for arc in arcs:
-        p, w = arc.sample(samples_per_arc)
-        pts.append(p)
-        wts.append(w)
-    pts = np.concatenate(pts)
-    wts = np.concatenate(wts)
-    r = np.abs(pts)
-    if (r >= 1.0).any():
+    if (tab.r_max >= 1.0).any():
         raise InvariantViolation("arc leaves the open unit disk")
-    angles = np.angle(pts)
-    depths = 1.0 - r
-    stride = max(1, len(pts) // max_centers)
-    centers = angles[::stride]
-    L = _dyadic_levels(depths)
-    scales = set(float(2.0 ** (-l)) for l in range(L + 1))
-    for d in depths[::stride]:
-        for eta in ANCHOR_ETAS:
-            scales.add(min(1.0, float(d * (1.0 + eta))))
-    ratio, _, _ = _search_squares(angles, depths, wts, centers, sorted(scales))
-    return ratio
+    best = float(tab.length.sum())
+    # boxes as arrays of theta_a, theta_b, log m_a, log m_b; a square no
+    # deeper than the family's point nearest the circle holds no mass
+    ta, tb = np.array([-np.pi]), np.array([np.pi])
+    ua, ub = np.array([np.log1p(-tab.r_max.max())]), np.array([0.0])
+    regions = 0
+    while len(ta) and regions < _MAX_REGIONS:
+        n = min(len(ta), (_MAX_REGIONS - regions) // 2)
+        ta, tb, ua, ub = ta[:n], tb[:n], ua[:n], ub[:n]
+        mid, ma, mb = 0.5 * (ta + tb), np.exp(ua), np.exp(ub)
+        upper = _region_mass(tab, mid, 0.5 * (tb - ta) + np.pi * mb, mb) / ma
+        lower = _region_mass(tab, mid, np.pi * mb, mb) / mb
+        regions += 2 * n
+        best = max(best, float(lower.max()))
+        open_ = upper > best * (1.0 + _GAP)
+        ta, tb, ua, ub, mb = ta[open_], tb[open_], ua[open_], ub[open_], mb[open_]
+        by_angle = (tb - ta) / (2 * np.pi * mb) > ub - ua
+        t_mid, u_mid = 0.5 * (ta + tb), 0.5 * (ua + ub)
+        ta, tb, ua, ub = (np.concatenate([ta, np.where(by_angle, t_mid, ta)]),
+                          np.concatenate([np.where(by_angle, t_mid, tb), tb]),
+                          np.concatenate([ua, np.where(by_angle, ua, u_mid)]),
+                          np.concatenate([np.where(by_angle, ub, u_mid), ub]))
+    return best
 
 
 def carleson_embedding_probe(s: FiniteSequence, p: float, family) -> float:

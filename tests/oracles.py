@@ -1,7 +1,7 @@
 """Reference functions shared by the tests.
 
-They build test integrands with known closed-form norms and zero sets;
-the library itself has no use for them.
+They build test integrands with known closed-form norms and zero sets,
+zero targets and sampled arcs; the library itself has no use for them.
 """
 
 import math
@@ -10,6 +10,7 @@ import numpy as np
 
 from blaschke_lab.bergman import AnalyticFunction
 from blaschke_lab.disk import _tocomplex
+from blaschke_lab.geninterp import HermiteJet
 
 
 def poly_from_zeros(zeros, lead=1.0) -> AnalyticFunction:
@@ -83,3 +84,14 @@ def deleted_product_moduli(zs, digits=50):
     with mpmath.workdps(digits):
         return ([mpmath.sqrt(mpmath.ldexp(a, -bits)) for a in out],
                 [mpmath.ldexp(d, -2 * scale) for d in depth])
+
+
+def zero_jet(cluster) -> HermiteJet:
+    """The all-zero target on a cluster."""
+    return HermiteJet(tuple((0.0,) * m for m in cluster.points.multiplicities))
+
+
+def arc_samples(arc, n: int):
+    """Midpoint quadrature: n points along the arc with equal length weights."""
+    t = arc.t0 + (arc.t1 - arc.t0) * (np.arange(n) + 0.5) / n
+    return arc.center + arc.radius * np.exp(1j * t), np.full(n, arc.length() / n)

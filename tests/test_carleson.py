@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
+from blaschke_lab import geninterp as gi
 from blaschke_lab.bergman import constant_fn, reproducing_family
+from blaschke_lab.blaschke import BlaschkeProduct
 from blaschke_lab.carleson import (
     ANCHOR_ETAS,
     CarlesonSquare,
     CircleArc,
+    _ArcTable,
+    _dyadic_levels,
+    _region_mass,
+    _search_squares,
     arc_carleson_constant,
     carleson_embedding_probe,
     carleson_norm,
@@ -15,6 +21,8 @@ from blaschke_lab.carleson import (
 )
 from blaschke_lab.disk import FiniteSequence, InvariantViolation
 from blaschke_lab.generators import gen_escalating_multiplicity, gen_radial_geometric
+from oracles import arc_samples
+from test_acceptance import _interpolation_problem
 
 
 def contains(square, z) -> bool:
@@ -150,6 +158,118 @@ def test_arc_carleson():
             arcs.append(CircleArc(z, rho, 0.0, 2 * np.pi))
         norms.append(arc_carleson_constant(arcs))
     assert norms[1] <= 3.0 * norms[0]
+
+
+def sampled_mass(arc, phi, h, depth, n=65536):
+    """Midpoint-rule length of the arc inside {|wrap(arg z - phi)| <= h, 1 - |z| < depth}."""
+    pts, w = arc_samples(arc, n)
+    angular = h >= np.pi or np.abs((np.angle(pts) - phi + np.pi) % (2 * np.pi) - np.pi) <= h
+    return float(w[angular & (1.0 - np.abs(pts) < depth)].sum())
+
+
+def exact_mass(arc, phi, h, depth):
+    return float(_region_mass(_ArcTable([arc]), np.array([phi]), np.array([h]),
+                              np.array([depth]))[0])
+
+
+def region_cases():
+    """(arc, phi, h, depth): random regions about random short arcs, then
+    a circle around 0, arcs across arg z = +-pi, a near-tangent side line
+    and a region wider than the whole circle."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        rho = rng.uniform(0.2, 0.97)
+        c = rho * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        r = rng.uniform(0.2, 0.9) * min(0.02, 1.0 - rho)
+        t0 = rng.uniform(-np.pi, np.pi)
+        arc = CircleArc(c, r, t0, t0 + rng.choice([2 * np.pi, rng.uniform(0.5, 6.0)]))
+        phi = np.angle(c) + rng.uniform(-2.0, 2.0) * r / rho
+        yield (arc, phi, rng.uniform(0.0, 2.0) * r / rho,
+               1.0 - rho + rng.uniform(-1.2, 1.2) * r)
+    around_zero = CircleArc(0.01 + 0.004j, 0.02, 0.0, 2 * np.pi)
+    for phi, h, depth in ((0.3, 1.0, 0.985), (-2.9, 0.2, 0.99), (3.1, 2.5, 0.975)):
+        yield around_zero, phi, h, depth
+    across = CircleArc(-0.6 + 0.001j, 0.02, -2.0, 1.5)
+    yield across, np.pi - 0.01, 0.02, 0.41
+    yield across, -np.pi + 0.005, 0.01, 0.39
+    yield CircleArc(-0.6 - 0.004j, 0.02, 2.5, 4.0), np.pi, 0.015, 0.4
+    c = 0.7 * np.exp(0.4j)
+    yield CircleArc(c, 0.01, 0.0, 2 * np.pi), 0.4 - 0.01, np.arcsin(0.01 / 0.7) + 0.01 - 1e-9, 0.5
+    yield CircleArc(c, 0.01, 1.0, 4.0), 2.0, 4.0, 0.305
+
+
+def test_region_mass_matches_sampled_sums():
+    for arc, phi, h, depth in region_cases():
+        assert exact_mass(arc, phi, h, depth) == pytest.approx(
+            sampled_mass(arc, phi, h, depth), abs=1e-5), (arc, phi, h, depth)
+
+
+def sampled_family_constant(arcs, samples_per_arc=512, max_centers=1024):
+    """The square family the constant was once searched over: 512 midpoint
+    samples per arc, centres at every stride-th sample (at most about
+    max_centers), dyadic scales and (1 + eta) times every such sample's depth."""
+    pts, wts = (np.concatenate(x) for x in zip(*(arc_samples(a, samples_per_arc) for a in arcs)))
+    angles, depths = np.angle(pts), 1.0 - np.abs(pts)
+    stride = max(1, len(pts) // max_centers)
+    scales = {float(2.0 ** (-l)) for l in range(_dyadic_levels(depths) + 1)}
+    scales |= {min(1.0, float(d * (1.0 + eta))) for d in depths[::stride] for eta in ANCHOR_ETAS}
+    return _search_squares(angles, depths, wts, angles[::stride], sorted(scales))[0]
+
+
+def grid_constant(arcs, n_theta=2048, n_scales=200, samples_per_arc=512):
+    """Max ratio over a grid of n_theta centres by n_scales log-spaced scales,
+    with masses summed over midpoint samples."""
+    pts, wts = (np.concatenate(x) for x in zip(*(arc_samples(a, samples_per_arc) for a in arcs)))
+    order = np.argsort(np.angle(pts))
+    angles, depths, wts = np.angle(pts)[order], 1.0 - np.abs(pts)[order], wts[order]
+    angles = np.concatenate([angles - 2 * np.pi, angles, angles + 2 * np.pi])
+    centres = -np.pi + 2 * np.pi * np.arange(n_theta) / n_theta
+    best = 0.0
+    for m in np.geomspace(depths.min(), 1.0, n_scales):
+        csum = np.concatenate([[0.0], np.cumsum(np.tile(wts * (depths < m), 3))])
+        hi = np.searchsorted(angles, centres + np.pi * m, side="right")
+        lo = np.searchsorted(angles, centres - np.pi * m, side="left")
+        best = max(best, float((csum[hi] - csum[lo]).max()) / m)
+    return best
+
+
+def bench_shape(rng, rays, levels):
+    """The clustered problems of the clustered-interpolate benchmark, drawn
+    in its order: radial points 1 - 2^-k on equally spaced rays, four with
+    a satellite and a fifth doubled with a satellite."""
+    off = rng.uniform(0.0, 2.0 * np.pi)
+    zs = [(1.0 - 0.5**k) * np.exp(1j * (off + 2.0 * np.pi * r / rays))
+          for r in range(rays) for k in range(1, levels + 1)]
+    mults = [1] * len(zs)
+    chosen = rng.choice(len(zs), size=5, replace=False)
+    for i, dist in [(i, 0.09) for i in chosen[:4]] + [(chosen[4], 0.08)]:
+        z = zs[i]
+        zs.append(z + dist * (1.0 - abs(z) ** 2) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        mults.append(1)
+    mults[chosen[4]] = 2
+    for _ in range(2 * sum(mults)):  # the benchmark draws the targets next
+        rng.standard_normal()
+    return gi.cluster_sequence(FiniteSequence.from_complex(zs, mults), 0.05, 0.6)
+
+
+def contour_arcs(part, monkeypatch):
+    """The arcs hinf_bound_estimate passes to arc_carleson_constant."""
+    seen = []
+    monkeypatch.setattr(gi, "arc_carleson_constant", lambda arcs: seen.append(arcs) or 1.0)
+    gi.hinf_bound_estimate(part, BlaschkeProduct(part.all_points()))
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_arc_carleson_dominates_sampled_squares(monkeypatch):
+    rng = np.random.default_rng(11)
+    parts = [bench_shape(rng, 4, 5), bench_shape(rng, 5, 6), bench_shape(rng, 6, 7)]
+    parts += [_interpolation_problem(seed)[0] for seed in range(4)]
+    for part in parts:
+        arcs = contour_arcs(part, monkeypatch)
+        got = arc_carleson_constant(arcs)
+        assert got >= (1.0 - 1e-3) * sampled_family_constant(arcs)
+        assert got >= (1.0 - 1e-3) * grid_constant(arcs)
 
 
 def test_embedding_probe():

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from blaschke_lab import geninterp as gi
+from blaschke_lab.bergman import DEFAULT_RADII, hp_norm
 from blaschke_lab.blaschke import BlaschkeProduct, evaluate
 from blaschke_lab.carleson import lp_sequence_norm
 from blaschke_lab.disk import FiniteSequence, InvariantViolation, psh_distance_pairwise
 from blaschke_lab.generators import gen_perturbed, gen_radial_geometric
+from oracles import zero_jet
+from test_acceptance import _interpolation_problem
 
 
 def ray_problem(seed, rays=4, levels=6, eps=0.05, r_max=0.6, satellites=3, doubles=1):
@@ -84,7 +87,7 @@ def test_cluster_invariants():
 def test_class_norm():
     part = gi.cluster_sequence(FiniteSequence.from_complex([0, 0.1]), 0.06, 0.6)
     cluster = part.clusters[0]
-    assert gi.class_norm(cluster, gi.zero_jet(cluster), part.eps) == 0.0
+    assert gi.class_norm(cluster, zero_jet(cluster), part.eps) == 0.0
     single = gi.cluster_sequence(FiniteSequence.from_complex([0.4]), 0.05, 0.6)
     w = 2.0 - 1.0j
     assert gi.class_norm(
@@ -97,7 +100,7 @@ def test_class_norm():
 
 def test_xp_norm():
     part, jets = ray_problem(1)
-    zero = tuple(gi.zero_jet(c) for c in part.clusters)
+    zero = tuple(zero_jet(c) for c in part.clusters)
     assert gi.xp_norm(part, zero, 2.0) == 0.0
     assert gi.xp_norm(part, jets, np.inf) == max(
         gi.class_norm(c, j, part.eps) for c, j in zip(part.clusters, jets)
@@ -208,7 +211,7 @@ def summand_reference(problem, w):
 def test_evaluator_matches_summand_reference():
     part, jets = ray_problem(8, rays=3, levels=4, satellites=2, doubles=1)
     assert any(max(c.points.multiplicities) > 1 for c in part.clusters)
-    jets = (gi.zero_jet(part.clusters[0]),) + jets[1:]
+    jets = (zero_jet(part.clusters[0]),) + jets[1:]
     grid = np.outer([0.0, 0.3, 0.7, 0.95], np.exp(2j * np.pi * np.arange(16) / 16))
     points = part.all_points().zs
     for p in (0.5, 2.0, np.inf):
@@ -253,6 +256,37 @@ def test_kernel_bound_matches_stacked_formula():
             assert gi.vgh_kernel_bound(part, grid) == pytest.approx(total.max(), rel=1e-12)
 
 
+def cauchy_jet(fn, z0, order, n_nodes=128):
+    """Derivatives at z0 from fn on its own circle of radius 0.1 (1 - |z0|)."""
+    rho = 0.1 * (1.0 - abs(z0))
+    ring = np.exp(1j * 2.0 * np.pi * np.arange(n_nodes) / n_nodes)
+    vals = fn(z0 + rho * ring)
+    return [np.mean(vals * ring ** (-i)) / rho**i * np.prod(np.arange(1, i + 1))
+            for i in range(order)]
+
+
+def test_stacked_jets_match_per_point_extraction():
+    part, jets = ray_problem(4, satellites=4, doubles=2)
+    ev = gi._solution_evaluator(gi.InterpolationProblem(part, jets, 2.0))
+    centers = [p.z for c in part.clusters for p in c.points.points]
+    orders = [m for c in part.clusters for m in c.points.multiplicities]
+    assert max(orders) == 2
+    for got, z0, m in zip(gi._extract_jets(ev, centers, orders), centers, orders):
+        want = cauchy_jet(ev, z0, m)
+        assert len(got) == m
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
+
+
+def test_hp_norm_is_max_over_radii():
+    part, jets = _interpolation_problem(0)
+    for p in (0.5, 1.0, 2.0, np.inf):
+        fn = gi.vgh_interpolate(gi.InterpolationProblem(part, jets, p)).function
+        each = [hp_norm(fn, p, (r,)) for r in DEFAULT_RADII]
+        assert hp_norm(fn, p, DEFAULT_RADII) == max(each)
+        assert hp_norm(fn, p, DEFAULT_RADII[::-1]) == max(each)
+
+
 def test_interpolate_two_singletons():
     part = gi.cluster_sequence(FiniteSequence.from_complex([0.0, 0.5]), 0.05, 0.6)
     jets = (gi.HermiteJet(((1.0,),)), gi.HermiteJet(((0.0,),)))
@@ -273,7 +307,7 @@ def test_interpolate_single_cluster_all_p():
 
 def test_interpolate_zero_targets():
     part, _ = ray_problem(3, rays=3, levels=4)
-    jets = tuple(gi.zero_jet(c) for c in part.clusters)
+    jets = tuple(zero_jet(c) for c in part.clusters)
     sol = gi.vgh_interpolate(gi.InterpolationProblem(part, jets, 2.0))
     assert sol.achieved_norm == 0.0
     assert sol.norm_ratio == 0.0
