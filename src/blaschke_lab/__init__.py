@@ -11,7 +11,6 @@ from .bergman import (
     DEFAULT_RADII,
     QuadratureGrid,
     analytic,
-    ap_norm,
     blaschke_fn,
     constant_fn,
     default_grid,
@@ -22,7 +21,6 @@ from .bergman import (
     mb_lower_probe,
     pointwise_division_bound,
     reproducing_family,
-    times_blaschke,
     universal_divisor_ratio,
 )
 from .blaschke import (

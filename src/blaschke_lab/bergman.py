@@ -41,9 +41,10 @@ class AnalyticFunction:
     """Black-box analytic function on the disk.
 
     The evaluator must accept complex scalars and numpy arrays of complex
-    and be safe for concurrent calls.  When the function was formed as
-    (Blaschke product) * (cofactor), keeping those parts lets quotients by
-    the product cancel exactly instead of numerically.
+    and be safe for concurrent calls.  When the function is a Blaschke
+    product times a cofactor (``blaschke_fn`` stores B as B * 1), keeping
+    those parts lets quotients by the product cancel exactly instead of
+    numerically, and |B|^p come from the cancellation-free log-modulus.
     """
 
     evaluator: object
@@ -72,19 +73,14 @@ def blaschke_fn(b: BlaschkeProduct) -> AnalyticFunction:
                             blaschke_factor=b, cofactor=constant_fn(1.0))
 
 
-def times_blaschke(g: AnalyticFunction, b: BlaschkeProduct, label: str = "") -> AnalyticFunction:
-    """The product B*g, remembering both parts for exact later division."""
-    return AnalyticFunction(lambda z: evaluate(b, z) * g(z),
-                            label or f"B*{g.label}", blaschke_factor=b, cofactor=g)
-
-
 def divide_by_blaschke(f: AnalyticFunction, b: BlaschkeProduct) -> AnalyticFunction:
     """The quotient f / B.
 
-    Exact (symbolic cancellation) when f was built via times_blaschke or
-    blaschke_fn with the same product.  Otherwise the quotient is formed
-    numerically; evaluation points that collide with a zero of B are
-    nudged by 1e-7, so generic quotients are approximate near zeros.
+    Exact (symbolic cancellation) when f carries the same product as its
+    ``blaschke_factor``, as ``blaschke_fn(b)`` does.  Otherwise the
+    quotient is formed numerically; evaluation points that collide with a
+    zero of B are nudged by 1e-7, so generic quotients are approximate near
+    zeros.
     """
     if f.blaschke_factor is not None and f.blaschke_factor.zeros == b.zeros:
         return f.cofactor
@@ -223,21 +219,6 @@ def _abs_power(f: AnalyticFunction, z: np.ndarray, p: float) -> np.ndarray:
     if f.blaschke_factor is None:
         return np.abs(f(z)) ** p
     return np.exp(p * log_abs_evaluate(f.blaschke_factor, z)) * np.abs(f.cofactor(z)) ** p
-
-
-def ap_norm(f: AnalyticFunction, p: float, alpha: float = 0.0,
-            g: QuadratureGrid | None = None) -> float:
-    """Weighted Bergman norm (integral of |f|^p (1-|z|^2)^alpha dA)^(1/p)."""
-    if not p > 0:
-        raise ValueError("p must be positive")
-    if not alpha > -1:
-        raise ValueError("alpha must exceed -1")
-    if alpha == 0.0:
-        val = area_integral(lambda z: _abs_power(f, z, p), g)
-    else:
-        val = area_integral(
-            lambda z: _abs_power(f, z, p) * (1.0 - np.abs(z) ** 2) ** alpha, g)
-    return val ** (1.0 / p)
 
 
 def _recentred_means(f: AnalyticFunction, centers, p: float, alpha: float = 0.0,

@@ -23,7 +23,7 @@ from .analysis import analyze_sequence, direction_agreement, report_sections
 from .blaschke import BlaschkeProduct, max_local_count, partition_separated
 from .disk import InvariantViolation, psh_distance_pairwise
 from .generators import GeneratorSpec, gen_union
-from .geninterp import InterpolationProblem, cluster_sequence, vgh_interpolate, xp_norm
+from .geninterp import InterpolationProblem, cluster_sequence, vgh_interpolate
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,7 +187,7 @@ def _cmd_interpolate(args) -> int:
             "clusters": len(part.clusters),
             "eps": part.eps,
             "p": "inf" if p == np.inf else p,
-            "target_norm": xp_norm(part, jets, p),
+            "target_norm": sol.target_norm,
         },
         "solution": {
             "jet_residual": sol.jet_residual,

@@ -30,6 +30,15 @@ product over all points, no division by B_k and nothing special at points
 that land on zeros.  Memory stays at a few arrays of the evaluation
 points' size, whatever the number of clusters.
 
+P_k is formed from the jets of h_k = B_k~ kernel_k at the points z0 of
+cluster k.  The value h_k(z0) comes from the same pass with every P_k = 1:
+each cross summand carries B_k, which is exactly 0 at z0.  The Taylor
+coefficients L_n of log h_k at z0 are closed-form geometric sums over the
+zeros of the other clusters, the anchor's power and the tail anchors,
+computed for all points at once (_log_coefficients).  P_k's jet at z0 is
+then target * exp(-L) / h_k(z0): no series division, no series log and no
+second principal-branch power, whose guard stays with the value.
+
 Anchors are ordered by increasing modulus, which empirically keeps
 Re beta_k(a_k) tightest; partitions built by hand may use any order.
 """
@@ -41,25 +50,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bergman import DEFAULT_RADII, AnalyticFunction, hp_norm
-from .blaschke import BlaschkeProduct, evaluate, log_abs_evaluate, max_local_count
+from .blaschke import BlaschkeProduct, _tiles, evaluate, log_abs_evaluate, max_local_count
 from .carleson import CircleArc, arc_carleson_constant
 from .disk import (
     DiskPoint,
     FiniteSequence,
     InvariantViolation,
+    _one_minus_abs2,
     _tocomplex,
     psh_distance_pairwise,
 )
-from .hermite import (
-    HermiteInterpolant,
-    hermite_interpolant,
-    jet_affine,
-    jet_div,
-    jet_exp,
-    jet_from_derivatives,
-    jet_mul,
-    jet_pow,
-)
+from .hermite import hermite_interpolant, jet_exp, jet_from_derivatives, jet_mul
 
 EPS_HALVINGS = 5  # eps floor is eps / 2**EPS_HALVINGS
 
@@ -182,6 +183,7 @@ class InterpolationSolution:
     achieved_norm: float
     jet_residual: float
     norm_ratio: float
+    target_norm: float
 
 
 def _euclid_disk(z: complex, eps: float):
@@ -301,14 +303,6 @@ def _tail_term(a: complex, w):
     return (1.0 - abs(a) ** 2) * (1.0 + ca * w) / (1.0 - ca * w)
 
 
-def _tail_term_jet(a: complex, z0: complex, order: int) -> np.ndarray:
-    """Jet at z0 of the tail term for anchor a."""
-    ca = a.conjugate()
-    num = jet_affine(1.0 + ca * z0, ca, order)
-    den = jet_affine(1.0 - ca * z0, -ca, order)
-    return (1.0 - abs(a) ** 2) * jet_div(num, den)
-
-
 def _tail_sums(anchors: np.ndarray, w: np.ndarray):
     """Yield (k, beta_k(w)) for k from the last anchor down to 0: the
     running sum of the tail terms of anchors k, k+1, ..."""
@@ -391,85 +385,112 @@ def _exponents(p) -> tuple:
     return 2.0 / p, p
 
 
-def _blaschke_factor_jet(a: complex, mult: int, z0: complex, order: int) -> np.ndarray:
-    """Jet at z0 of the normalized factor for zero a, raised to mult."""
-    if a == 0:
-        base = jet_affine(z0, 1.0, order)
-    else:
-        num = jet_affine(a - z0, -1.0, order)
-        den = jet_affine(1.0 - a.conjugate() * z0, -a.conjugate(), order)
-        base = (a.conjugate() / abs(a)) * jet_div(num, den)
-    out = base
-    for _ in range(mult - 1):
-        out = jet_mul(out, base)
-    return out
-
-
-def _kernel_jet(anchors: np.ndarray, beta_anchor: np.ndarray, k: int,
-                z0: complex, order: int, q: float, s: float) -> np.ndarray:
-    """Jet at z0 of kernel_k, given beta_anchor[j] = beta_j(a_j)."""
-    a = anchors[k]
-    v = jet_affine(1.0 - a.conjugate() * z0, -a.conjugate(), order)
-    power_part = ((1.0 - abs(a) ** 2) ** q) * jet_pow(v, -q)
-    beta_jet = sum(_tail_term_jet(aj, z0, order) for aj in anchors[k:])
-    exp_arg = -beta_jet / s
-    exp_arg[0] += beta_anchor[k] / s
-    return jet_mul(power_part, jet_exp(exp_arg))
-
-
-def _cross_product_jet(part: ClusterPartition, k: int, z0: complex, order: int) -> np.ndarray:
-    """Jet at z0 of the Blaschke product over all clusters except k."""
-    out = np.zeros(order, dtype=complex)
-    out[0] = 1.0
-    for j, c in enumerate(part.clusters):
-        if j == k:
-            continue
-        for p, m in zip(c.points.points, c.points.multiplicities):
-            out = jet_mul(out, _blaschke_factor_jet(p.z, m, z0, order))
-    return out
-
-
-def _multiplier_polynomial(part: ClusterPartition, k: int, target: HermiteJet,
-                           q: float, s: float, beta_anchor: np.ndarray) -> HermiteInterpolant:
-    """Confluent polynomial P_k with jet (target) / (cross product * kernel)."""
-    cluster = part.clusters[k]
-    pts = [p.z for p in cluster.points.points]
-    mults = list(cluster.points.multiplicities)
-    quotient_jets = []
-    for p, m, row in zip(pts, mults, target.derivatives):
-        t_jet = jet_from_derivatives(row)
-        h_jet = jet_mul(
-            _cross_product_jet(part, k, p, m),
-            _kernel_jet(part.anchors, beta_anchor, k, p, m, q, s),
-        )
-        quotient_jets.append(jet_div(t_jet, h_jet))
-    return hermite_interpolant(pts, mults, quotient_jets)
-
-
-def _solution_evaluator(problem: InterpolationProblem):
-    """Vectorized evaluator for the assembled interpolation sum, in one
-    reverse pass over the clusters (see the module docstring)."""
+def _summands(problem: InterpolationProblem):
+    """The reverse pass of the module docstring for this problem, as
+    summed(w, weights) = sum_k weights[k](w) B~_k(w) kernel_k(w) over the
+    clusters k whose weight is not None, at a complex array w."""
     part = problem.partition
     q, s = _exponents(problem.p)
     anchors = part.anchors
     beta_anchor = _anchor_betas(anchors)
-    polys = [
-        None if jet.is_zero() else _multiplier_polynomial(part, k, jet, q, s, beta_anchor)
-        for k, jet in enumerate(problem.jets)
-    ]
     b_own = [BlaschkeProduct(c.points) for c in part.clusters]
 
-    def ev(z):
-        scalar = not isinstance(z, np.ndarray)
-        w = np.atleast_1d(np.asarray(_tocomplex(z) if scalar else z, dtype=complex))
+    def summed(w, weights):
         out = np.zeros_like(w)
         after = np.ones_like(w)
         for k, kern in _kernel_rows(anchors, beta_anchor, w, q, s):
             own = evaluate(b_own[k], w)
             out *= own
-            if polys[k] is not None:
-                out += polys[k](w) * after * kern
+            if weights[k] is not None:
+                out += weights[k](w) * after * kern
             after *= own
+        return out
+
+    return summed
+
+
+def _log_coefficients(part: ClusterPartition, q: float, s: float) -> np.ndarray:
+    """L[n-1, i] for n = 1 .. M-1: the Taylor coefficients of log h_k at the
+    i-th listed point z0 (in ``all_points`` order, cluster k), where
+    h_k = B~_k kernel_k and M is the largest multiplicity.
+
+    With x = 1/(a - z0) and y = conj(a)/(1 - conj(a) z0), each zero a of
+    another cluster adds -(m_a/n)(x^n - y^n), formed as (x - y) times
+    sum_i x^i y^(n-1-i) with x - y = (1-|a|^2)/((a - z0)(1 - conj(a) z0));
+    anchor a_k's power adds (q/n) y^n, and each tail anchor a_j, j >= k,
+    adds -(2/s)(1-|a_j|^2) y^n/(1 - conj(a_j) z0).
+    """
+    seq = part.all_points()
+    z0, mults = seq.zs, seq.mults
+    labels = np.repeat(np.arange(len(part.clusters)), [len(c.points) for c in part.clusters])
+    out = np.zeros((mults.max(initial=1) - 1, len(z0)), dtype=complex)
+    if not out.size:
+        return out
+    depth = _one_minus_abs2(z0)
+    for r, c in _tiles(len(z0), len(z0)):
+        other = np.not_equal.outer(labels[r], labels[c])
+        diff = np.where(other, np.subtract.outer(z0[r], z0[c]), 1.0)
+        v = 1.0 - np.multiply.outer(np.conj(z0[r]), z0[c])
+        x = 1.0 / diff
+        y = np.conj(z0[r])[:, None] / v
+        scaled = (mults[r] * depth[r])[:, None] * other / (diff * v)  # m_a (x - y)
+        geo = np.ones_like(x)  # sum_i x^i y^(n-1-i)
+        yn = np.ones_like(x)
+        for n in range(1, len(out) + 1):
+            out[n - 1, c] -= (scaled * geo).sum(axis=0) / n
+            yn *= y
+            geo *= x
+            geo += yn
+    anchors = part.anchors
+    idx = np.arange(len(anchors))
+    for r, c in _tiles(len(anchors), len(z0)):
+        v = 1.0 - np.multiply.outer(np.conj(anchors[r]), z0[c])
+        y = np.conj(anchors[r])[:, None] / v
+        own = np.equal.outer(idx[r], labels[c]) * q
+        tail = np.greater_equal.outer(idx[r], labels[c]) * (2.0 / s) \
+            * _one_minus_abs2(anchors[r])[:, None] / v
+        yn = np.ones_like(y)
+        for n in range(1, len(out) + 1):
+            yn *= y
+            out[n - 1, c] += ((own / n - tail) * yn).sum(axis=0)
+    return out
+
+
+def _multiplier_polynomials(problem: InterpolationProblem, values: np.ndarray) -> list:
+    """Confluent polynomials P_k with jet target / h_k at the points of
+    cluster k, or None where the target is zero; values holds h_k(z0) at
+    the listed points in ``all_points`` order."""
+    part = problem.partition
+    L = _log_coefficients(part, *_exponents(problem.p))
+    polys = []
+    start = 0
+    for cluster, target in zip(part.clusters, problem.jets):
+        mults = cluster.points.multiplicities
+        rows = range(start, start + len(mults))
+        start += len(mults)
+        if target.is_zero():
+            polys.append(None)
+            continue
+        quotient_jets = [
+            jet_mul(jet_from_derivatives(row), jet_exp(np.concatenate([[0.0], -L[: m - 1, i]])))
+            / values[i]
+            for i, m, row in zip(rows, mults, target.derivatives)
+        ]
+        polys.append(hermite_interpolant(cluster.points.zs, mults, quotient_jets))
+    return polys
+
+
+def _solution_evaluator(problem: InterpolationProblem):
+    """Vectorized evaluator for the assembled interpolation sum (see the
+    module docstring)."""
+    summed = _summands(problem)
+    points = problem.partition.all_points().zs
+    polys = _multiplier_polynomials(problem, summed(points, [np.ones_like] * len(problem.jets)))
+
+    def ev(z):
+        scalar = not isinstance(z, np.ndarray)
+        w = np.atleast_1d(np.asarray(_tocomplex(z) if scalar else z, dtype=complex))
+        out = summed(w, polys)
         return complex(out[0]) if scalar else out.reshape(np.shape(z))
 
     return ev
@@ -529,7 +550,7 @@ def vgh_interpolate(problem: InterpolationProblem) -> InterpolationSolution:
     achieved = hp_norm(fn, problem.p, DEFAULT_RADII)
     xp = xp_norm(part, problem.jets, problem.p)
     ratio = achieved / xp if xp > 0 else 0.0
-    return InterpolationSolution(problem, fn, achieved, worst, ratio)
+    return InterpolationSolution(problem, fn, achieved, worst, ratio, xp)
 
 
 def hinf_bound_estimate(part: ClusterPartition, b: BlaschkeProduct,
@@ -575,28 +596,15 @@ def _arcs_from_mask(center: complex, radius: float, theta: np.ndarray,
     step = 2.0 * np.pi / n
     if keep.all():
         return [CircleArc(center, radius, 0.0, 2.0 * np.pi)]
-    arcs = []
     # rotate so the run structure has a False at position 0
-    start = int(np.argmin(keep))
-    order = np.roll(np.arange(n), -start)
-    run = []
-    for idx in order:
-        if keep[idx]:
-            run.append(idx)
-        elif run:
-            t0 = theta[run[0]] - step / 2.0
-            t1 = theta[run[-1]] + step / 2.0
-            if t1 < t0:
-                t1 += 2.0 * np.pi
-            arcs.append(CircleArc(center, radius, t0, t1))
-            run = []
-    if run:
-        t0 = theta[run[0]] - step / 2.0
-        t1 = theta[run[-1]] + step / 2.0
-        if t1 < t0:
-            t1 += 2.0 * np.pi
-        arcs.append(CircleArc(center, radius, t0, t1))
-    return arcs
+    shift = int(np.argmin(keep))
+    edges = np.diff(np.roll(keep, -shift).astype(np.int8), append=0)
+    firsts = (np.flatnonzero(edges == 1) + 1 + shift) % n
+    lasts = (np.flatnonzero(edges == -1) + shift) % n
+    t0 = theta[firsts] - step / 2.0
+    t1 = theta[lasts] + step / 2.0
+    t1[t1 < t0] += 2.0 * np.pi
+    return [CircleArc(center, radius, a, b) for a, b in zip(t0, t1)]
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 A jet of order m at a point z0 is the coefficient vector (c_0, ..., c_{m-1})
 of the local expansion f(z0 + h) = sum c_k h^k; c_k = f^(k)(z0) / k!.
-The arithmetic below (product, quotient, exp, log, real powers) is the
-standard recurrence algebra on truncated power series, enough to push jets
-through Blaschke factors and exponential kernels.
+The jet arithmetic is the conversion from raw derivatives, the truncated
+product and the exponential (by its standard recurrence): the
+interpolation solver forms the jets it needs from a log-derivative sum
+and takes them through exp, so it needs no series quotient, log or power.
 
 Interpolation uses the confluent divided-difference table: a node repeated
 m times consumes the first m jet coefficients, and the resulting Newton
@@ -23,34 +24,11 @@ def jet_from_derivatives(derivs) -> np.ndarray:
     return d / fact
 
 
-def jet_affine(c0, c1, order: int) -> np.ndarray:
-    """Jet of the affine function with value c0 and slope c1."""
-    out = np.zeros(order, dtype=complex)
-    out[0] = c0
-    if order > 1:
-        out[1] = c1
-    return out
-
-
 def jet_mul(a, b) -> np.ndarray:
     m = len(a)
     out = np.zeros(m, dtype=complex)
     for n in range(m):
         out[n] = np.dot(a[: n + 1], b[: n + 1][::-1])
-    return out
-
-
-def jet_div(a, b) -> np.ndarray:
-    """Quotient series a / b; requires b[0] != 0."""
-    m = len(a)
-    if b[0] == 0:
-        raise ZeroDivisionError("jet division by a series vanishing at the node")
-    out = np.zeros(m, dtype=complex)
-    for n in range(m):
-        acc = a[n]
-        for k in range(n):
-            acc -= out[k] * b[n - k]
-        out[n] = acc / b[0]
     return out
 
 
@@ -64,25 +42,6 @@ def jet_exp(a) -> np.ndarray:
             acc += k * a[k] * out[n - k]
         out[n] = acc / n
     return out
-
-
-def jet_log(a) -> np.ndarray:
-    """Principal-branch log series; requires a[0] off the branch cut."""
-    m = len(a)
-    if a[0] == 0:
-        raise ZeroDivisionError("jet log at a zero of the series")
-    out = np.zeros(m, dtype=complex)
-    out[0] = np.log(a[0])
-    for n in range(1, m):
-        acc = n * a[n]
-        for k in range(1, n):
-            acc -= k * out[k] * a[n - k]
-        out[n] = acc / (n * a[0])
-    return out
-
-
-def jet_pow(a, q: float) -> np.ndarray:
-    return jet_exp(q * jet_log(a))
 
 
 class HermiteInterpolant:

@@ -56,15 +56,6 @@ def read_sequence(path) -> FiniteSequence:
         return parse_sequence(fh.read())
 
 
-def format_targets(part: ClusterPartition, jets) -> str:
-    lines = ["# cluster point order value_re value_im"]
-    for k, jet in enumerate(jets):
-        for i, row in enumerate(jet.derivatives):
-            for order, v in enumerate(row):
-                lines.append(f"{k} {i} {order} {v.real!r} {v.imag!r}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_targets(text: str, part: ClusterPartition):
     """Jets for the given partition; unspecified entries default to zero."""
     rows = [

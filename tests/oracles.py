@@ -1,14 +1,16 @@
 """Reference functions shared by the tests.
 
 They build test integrands with known closed-form norms and zero sets,
-zero targets and sampled arcs; the library itself has no use for them.
+weighted Bergman norms by direct quadrature, zero targets, target files
+and sampled arcs; the library itself has no use for them.
 """
 
 import math
 
 import numpy as np
 
-from blaschke_lab.bergman import AnalyticFunction
+from blaschke_lab.bergman import AnalyticFunction, QuadratureGrid, _abs_power, area_integral
+from blaschke_lab.blaschke import BlaschkeProduct, evaluate
 from blaschke_lab.disk import _tocomplex
 from blaschke_lab.geninterp import HermiteJet
 
@@ -42,6 +44,28 @@ def conformal_density(center, power: float) -> AnalyticFunction:
         return out if isinstance(z, np.ndarray) else complex(out)
 
     return AnalyticFunction(ev, f"|phi'_{c:.3g}|^{power:.3g}")
+
+
+def times_blaschke(g: AnalyticFunction, b: BlaschkeProduct, label: str = "") -> AnalyticFunction:
+    """The product B*g, remembering both parts for exact later division."""
+    return AnalyticFunction(lambda z: evaluate(b, z) * g(z),
+                            label or f"B*{g.label}", blaschke_factor=b, cofactor=g)
+
+
+def ap_norm(f: AnalyticFunction, p: float, alpha: float = 0.0,
+            g: QuadratureGrid | None = None) -> float:
+    """Weighted Bergman norm (integral of |f|^p (1-|z|^2)^alpha dA)^(1/p),
+    integrated directly on the grid."""
+    if not p > 0:
+        raise ValueError("p must be positive")
+    if not alpha > -1:
+        raise ValueError("alpha must exceed -1")
+    if alpha == 0.0:
+        val = area_integral(lambda z: _abs_power(f, z, p), g)
+    else:
+        val = area_integral(
+            lambda z: _abs_power(f, z, p) * (1.0 - np.abs(z) ** 2) ** alpha, g)
+    return val ** (1.0 / p)
 
 
 def _dyadic_ints(values):
@@ -89,6 +113,16 @@ def deleted_product_moduli(zs, digits=50):
 def zero_jet(cluster) -> HermiteJet:
     """The all-zero target on a cluster."""
     return HermiteJet(tuple((0.0,) * m for m in cluster.points.multiplicities))
+
+
+def format_targets(jets) -> str:
+    """Target-file text for the given jets, one line per derivative."""
+    lines = ["# cluster point order value_re value_im"]
+    for k, jet in enumerate(jets):
+        for i, row in enumerate(jet.derivatives):
+            for order, v in enumerate(row):
+                lines.append(f"{k} {i} {order} {v.real!r} {v.imag!r}")
+    return "\n".join(lines) + "\n"
 
 
 def arc_samples(arc, n: int):

@@ -7,6 +7,12 @@ import pytest
 from blaschke_lab import io as fio
 from blaschke_lab.cli import main
 from blaschke_lab.generators import gen_random_carleson
+from blaschke_lab.geninterp import (
+    InterpolationProblem,
+    cluster_sequence,
+    vgh_interpolate,
+    xp_norm,
+)
 from blaschke_lab.io import read_sequence, write_sequence
 
 
@@ -163,6 +169,29 @@ def test_interpolate(tmp_path):
     # bad target index -> parse error
     targets.write_text("7 0 0 1.0 0.0\n")
     assert run_cli("interpolate", str(seq_file), str(targets)) == 2
+
+
+def test_interpolate_report_matches_direct_solve(tmp_path):
+    seq_file = tmp_path / "seq.txt"
+    seq_file.write_text("0.0 0.0 2\n0.5 0.0 1\n0.1 0.7 1\n")
+    targets = tmp_path / "targets.txt"
+    targets.write_text("0 0 0 1.0 0.5\n0 0 1 -2.0 0.0\n1 0 0 0.25 0.0\n2 0 0 0.0 3.0\n")
+    report = tmp_path / "sol.txt"
+    assert run_cli("interpolate", str(seq_file), str(targets), "--p", "0.5",
+                   "-o", str(report)) == 0
+    # the report is the one built from a direct solve and the target norm
+    # computed on its own
+    part = cluster_sequence(read_sequence(seq_file), 0.05, 0.6)
+    jets = fio.read_targets(targets, part)
+    sol = vgh_interpolate(InterpolationProblem(part, jets, 0.5))
+    assert sol.target_norm == xp_norm(part, jets, 0.5)
+    assert report.read_text() == fio.format_report({
+        "problem": {"clusters": 3, "eps": 0.05, "p": 0.5,
+                    "target_norm": xp_norm(part, jets, 0.5)},
+        "solution": {"jet_residual": sol.jet_residual,
+                     "achieved_norm": sol.achieved_norm,
+                     "norm_ratio": sol.norm_ratio},
+    })
 
 
 def test_verify_directions(tmp_path):

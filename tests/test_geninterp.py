@@ -4,9 +4,10 @@ import pytest
 from blaschke_lab import geninterp as gi
 from blaschke_lab.bergman import DEFAULT_RADII, hp_norm
 from blaschke_lab.blaschke import BlaschkeProduct, evaluate
-from blaschke_lab.carleson import lp_sequence_norm
+from blaschke_lab.carleson import CircleArc, lp_sequence_norm
 from blaschke_lab.disk import FiniteSequence, InvariantViolation, psh_distance_pairwise
 from blaschke_lab.generators import gen_perturbed, gen_radial_geometric
+from blaschke_lab.hermite import jet_exp
 from oracles import zero_jet
 from test_acceptance import _interpolation_problem
 
@@ -188,23 +189,30 @@ def test_poisson_mean_and_kernel_bound():
 
 def summand_reference(problem, w):
     """The interpolant summed term by term: P_k times the Blaschke product
-    of the other clusters' points times the kernel built from beta."""
+    of the other clusters' points times the kernel built from beta.  P_k
+    comes from the solver's helper, fed with h_k at the listed points formed
+    the same term-by-term way."""
     part = problem.partition
     q, s = gi._exponents(problem.p)
     anchors = part.anchors
     beta_anchor = np.array([gi.beta(part, k, complex(a)) for k, a in enumerate(anchors)])
-    total = np.zeros(np.shape(w), dtype=complex)
-    for k, (a, jet) in enumerate(zip(anchors, problem.jets)):
-        if jet.is_zero():
-            continue
-        poly = gi._multiplier_polynomial(part, k, jet, q, s, beta_anchor)
+
+    def h(k, z):
         others = [c for j, c in enumerate(part.clusters) if j != k]
         b_other = BlaschkeProduct(FiniteSequence(
             tuple(p for c in others for p in c.points.points),
             tuple(m for c in others for m in c.points.multiplicities)))
-        kernel = ((1 - abs(a) ** 2) / (1 - np.conj(a) * w)) ** q \
-            * np.exp((beta_anchor[k] - gi.beta(part, k, w)) / s)
-        total += poly(w) * evaluate(b_other, w) * kernel
+        a = anchors[k]
+        kernel = ((1 - abs(a) ** 2) / (1 - np.conj(a) * z)) ** q \
+            * np.exp((beta_anchor[k] - gi.beta(part, k, z)) / s)
+        return evaluate(b_other, z) * kernel
+
+    values = np.concatenate([h(k, c.points.zs) for k, c in enumerate(part.clusters)])
+    polys = gi._multiplier_polynomials(problem, values)
+    total = np.zeros(np.shape(w), dtype=complex)
+    for k, poly in enumerate(polys):
+        if poly is not None:
+            total += poly(w) * h(k, w)
     return total
 
 
@@ -229,6 +237,68 @@ def test_evaluator_matches_summand_reference():
         # the zero-jet cluster's points are zeros of every summand
         first = part.clusters[0].points.zs
         assert np.all(ev(first) == 0)
+
+
+def deep_clusters():
+    """Clusters with multiplicities up to 4 at depths 1 - |z|^2 down to
+    2^-14, next to a cluster holding the zero at 0."""
+    d8, d14 = 2.0 ** -8, 2.0 ** -14
+    r8, r14 = np.sqrt(1 - d8), np.sqrt(1 - d14)
+    zs = [0.0, 0.3, 0.33, r8 * np.exp(1j), r8 * np.exp(1j * (1 + 0.04 * d8)),
+          r14 * np.exp(2.5j), r14 * np.exp(1j * (2.5 + 0.05 * d14)), 0.7 * np.exp(-2j)]
+    part = gi.cluster_sequence(FiniteSequence.from_complex(zs, [1, 2, 1, 3, 1, 4, 2, 4]), 0.05, 0.6)
+    assert part.clusters[0].points.zs.tolist() == [0.0]
+    return part
+
+
+def mp_summand(part, k, q, s):
+    """B~_k * kernel_k in mpmath arithmetic, straight from the formulas."""
+    import mpmath
+
+    def tail(a, z):
+        return (1 - abs(a) ** 2) * (1 + mpmath.conj(a) * z) / (1 - mpmath.conj(a) * z)
+
+    anchors = [mpmath.mpc(a.real, a.imag) for a in part.anchors]
+    zeros = [(mpmath.mpc(p.z.real, p.z.imag), m) for j, c in enumerate(part.clusters)
+             if j != k for p, m in zip(c.points.points, c.points.multiplicities)]
+    ak = anchors[k]
+    beta_anchor = sum(tail(a, ak) for a in anchors[k:])
+
+    def h(z):
+        out = ((1 - abs(ak) ** 2) / (1 - mpmath.conj(ak) * z)) ** q
+        out *= mpmath.exp((beta_anchor - sum(tail(a, z) for a in anchors[k:])) / s)
+        for a, m in zeros:
+            factor = z if a == 0 else mpmath.conj(a) / abs(a) * (a - z) / (1 - mpmath.conj(a) * z)
+            out *= factor ** m
+        return out
+
+    return h
+
+
+def test_summand_jets_match_mpmath():
+    """The jets h_k(z0) exp(L) the solver divides by agree with 50-digit
+    Taylor coefficients of B~_k * kernel_k.  Each coefficient c_n is
+    compared at the natural scale rho = 1 - |z0|^2: its error times rho^n,
+    relative to the largest |c_j| rho^j."""
+    mpmath = pytest.importorskip("mpmath")
+    part = deep_clusters()
+    seq = part.all_points()
+    labels = np.repeat(np.arange(len(part.clusters)), [len(c.points) for c in part.clusters])
+    assert max(seq.mults) == 4 and min(1 - np.abs(seq.zs) ** 2) < 2.0 ** -13
+    ones = [np.ones_like] * len(part.clusters)
+    for p in (0.5, 2.0, np.inf):
+        q, s = gi._exponents(p)
+        problem = gi.InterpolationProblem(part, tuple(zero_jet(c) for c in part.clusters), p)
+        values = gi._summands(problem)(seq.zs, ones)
+        L = gi._log_coefficients(part, q, s)
+        for i, (z0, m) in enumerate(zip(seq.zs, seq.mults)):
+            got = values[i] * jet_exp(np.concatenate([[0.0], L[: m - 1, i]]))
+            with mpmath.workdps(50):
+                want = np.array([complex(c) for c in mpmath.taylor(
+                    mp_summand(part, labels[i], q, s), mpmath.mpc(z0.real, z0.imag), m - 1)])
+            scale = (1 - abs(z0) ** 2) ** np.arange(m)
+            err = (np.abs(got - want) * scale).max() / (np.abs(want) * scale).max()
+            assert err <= 1e-10, (p, i, err)
 
 
 def test_kernel_bound_matches_stacked_formula():
@@ -313,6 +383,14 @@ def test_interpolate_zero_targets():
     assert sol.norm_ratio == 0.0
 
 
+def test_interpolate_empty_partition():
+    part = gi.cluster_sequence(FiniteSequence(), 0.05, 0.6)
+    assert gi._log_coefficients(part, 2.0, 1.0).shape == (0, 0)
+    sol = gi.vgh_interpolate(gi.InterpolationProblem(part, (), 2.0))
+    assert sol.function(0.3j) == 0.0
+    assert sol.achieved_norm == sol.target_norm == sol.norm_ratio == 0.0
+
+
 def test_interpolate_with_multiplicity():
     s = FiniteSequence.from_complex([0.2, -0.5], [2, 1])
     part = gi.cluster_sequence(s, 0.05, 0.6)
@@ -382,6 +460,61 @@ def test_hinf_dominates_solution():
     bound = gi.hinf_bound_estimate(part, BlaschkeProduct(part.all_points()))
     sup_cn = max(gi.class_norm(c, j, part.eps) for c, j in zip(part.clusters, jets))
     assert sol.achieved_norm <= bound * sup_cn * 1.05
+
+
+def arcs_by_loop(center, radius, theta, keep):
+    """Reference: walk the samples one by one from a dropped one and close
+    each run of kept samples into an arc."""
+    n = len(theta)
+    step = 2.0 * np.pi / n
+    if keep.all():
+        return [CircleArc(center, radius, 0.0, 2.0 * np.pi)]
+    arcs = []
+    start = int(np.argmin(keep))
+    order = np.roll(np.arange(n), -start)
+    run = []
+    for idx in order:
+        if keep[idx]:
+            run.append(idx)
+        elif run:
+            t0 = theta[run[0]] - step / 2.0
+            t1 = theta[run[-1]] + step / 2.0
+            if t1 < t0:
+                t1 += 2.0 * np.pi
+            arcs.append(CircleArc(center, radius, t0, t1))
+            run = []
+    if run:
+        t0 = theta[run[0]] - step / 2.0
+        t1 = theta[run[-1]] + step / 2.0
+        if t1 < t0:
+            t1 += 2.0 * np.pi
+        arcs.append(CircleArc(center, radius, t0, t1))
+    return arcs
+
+
+def test_arcs_from_mask_matches_loop():
+    n = 16
+    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    masks = {
+        "across index 0": np.isin(np.arange(n), [14, 15, 0, 1, 2, 6, 7]),
+        "all but one": np.arange(n) != 5,
+        "all but the first": np.arange(n) != 0,
+        "all but the last": np.arange(n) != n - 1,
+        "single sample": np.arange(n) == 9,
+        "single at index 0": np.arange(n) == 0,
+        "alternating": np.arange(n) % 2 == 0,
+        "none": np.zeros(n, dtype=bool),
+        "all": np.ones(n, dtype=bool),
+    }
+    rng = np.random.default_rng(2)
+    for t in range(20):
+        masks[f"random {t}"] = rng.random(n) < 0.6
+    for name, keep in masks.items():
+        want = arcs_by_loop(0.3 + 0.1j, 0.05, theta, keep)
+        assert gi._arcs_from_mask(0.3 + 0.1j, 0.05, theta, keep) == want, name
+    wrap = gi._arcs_from_mask(0.0, 1.0, theta, masks["across index 0"])
+    assert [(a.t0, a.t1) for a in wrap] == [(theta[6] - np.pi / n, theta[7] + np.pi / n),
+                                            (theta[14] - np.pi / n, theta[2] + np.pi / n + 2 * np.pi)]
 
 
 def test_verify_facts():

@@ -14,12 +14,13 @@ def derivatives_from_jet(jet) -> np.ndarray:
 
 def jet_at(P: hm.HermiteInterpolant, z0: complex, order: int) -> np.ndarray:
     """Taylor jet of the Newton-form polynomial P at z0, by Horner on jets."""
-    base = hm.jet_affine(z0, 1.0, order)
     out = np.zeros(order, dtype=complex)
     out[0] = P.coeffs[-1]
     for i in range(len(P.coeffs) - 2, -1, -1):
-        shifted = base.copy()
-        shifted[0] -= P.nodes[i]
+        shifted = np.zeros(order, dtype=complex)  # the jet of z - node
+        shifted[0] = z0 - P.nodes[i]
+        if order > 1:
+            shifted[1] = 1.0
         out = hm.jet_mul(out, shifted)
         out[0] += P.coeffs[i]
     return out
@@ -31,24 +32,10 @@ def small_jets():
 
 
 @given(small_jets())
-def test_exp_log_roundtrip(a):
-    assert np.allclose(hm.jet_log(hm.jet_exp(a)), a, atol=1e-9)
-
-
-@given(small_jets(), small_jets())
-def test_mul_div_roundtrip(a, b):
-    n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
-    if abs(b[0]) < 1e-3:
-        b = b.copy()
-        b[0] = 1.0
-    prod = hm.jet_mul(a, b)
-    assert np.allclose(hm.jet_div(prod, b), a, atol=1e-7)
-
-
-def test_jet_pow_matches_square():
-    a = np.array([0.4 + 0.2j, -0.3j, 0.05, 0.01])
-    assert np.allclose(hm.jet_pow(a, 2.0), hm.jet_mul(a, a), atol=1e-12)
+def test_exp_inverse_roundtrip(a):
+    unit = np.zeros(len(a), dtype=complex)
+    unit[0] = 1.0
+    assert np.allclose(hm.jet_mul(hm.jet_exp(a), hm.jet_exp(-a)), unit, atol=1e-9)
 
 
 def test_jet_derivative_conventions():
@@ -56,13 +43,6 @@ def test_jet_derivative_conventions():
     jet = hm.jet_from_derivatives(derivs)
     assert np.allclose(jet, [2.0, 6.0, 6.0])
     assert np.allclose(derivatives_from_jet(jet), derivs)
-
-
-def test_errors():
-    with pytest.raises(ZeroDivisionError):
-        hm.jet_div(np.array([1.0 + 0j]), np.array([0.0 + 0j]))
-    with pytest.raises(ZeroDivisionError):
-        hm.jet_log(np.array([0.0 + 0j]))
 
 
 def test_interpolates_cubic_with_derivatives():

