@@ -100,8 +100,10 @@ def _cmd_gen(args) -> int:
         raise fio.ParseError(f"q must lie in (0, 1), got {args.q}")
     if not 0.0 < args.base_gap < 1.0:
         raise fio.ParseError(f"base-gap must lie in (0, 1), got {args.base_gap}")
-    if args.n < 1 or args.n_max < 1:
-        raise fio.ParseError("counts must be positive")
+    if not 0.0 < args.target_norm < np.inf:
+        raise fio.ParseError(f"target-norm must lie in (0, inf), got {args.target_norm}")
+    if min(args.n, args.n_max, args.m) < 1 or min(args.satellites, args.doubles) < 0:
+        raise fio.ParseError("n, n-max and m must be positive; satellites and doubles >= 0")
     rays = tuple(float(t) for t in args.rays.split(",") if t.strip())
     if args.family == "radial-geometric":
         spec = GeneratorSpec("radial_geometric",
@@ -118,15 +120,15 @@ def _cmd_gen(args) -> int:
                             {"n_max": args.n_max, "base_gap": args.base_gap,
                              "split": args.split}, args.seed).build()
     elif args.family == "random-carleson":
-        if args.target_norm <= 0:
-            raise fio.ParseError("target-norm must be positive")
         seq = GeneratorSpec("random_carleson",
                             {"n": args.n, "target_norm": args.target_norm},
                             args.seed).build()
     else:
         base = GeneratorSpec("radial_geometric",
                              {"q": args.q, "n": args.n, "ray_angles": rays},
-                             args.seed)
+                             args.seed).build()
+        if args.satellites + args.doubles > len(base):
+            raise fio.ParseError("not enough base points to perturb")
         seq = GeneratorSpec("perturbed",
                             {"base": base, "n_satellites": args.satellites,
                              "n_doubles": args.doubles}, args.seed).build()
@@ -173,15 +175,17 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
+    if not args.p > 0.0:
+        raise fio.ParseError(f"p must be positive, got {args.p}")
+    if not args.eps > 0.0:
+        raise fio.ParseError(f"eps must be positive, got {args.eps}")
+    if not 0.0 < args.r_max < 1.0:
+        raise fio.ParseError(f"r-max must lie in (0, 1), got {args.r_max}")
     seq = fio.read_sequence(args.file)
     part = cluster_sequence(seq, args.eps, args.r_max)
     jets = fio.read_targets(args.targets, part)
     p = np.inf if args.inf else args.p
-    try:
-        sol = vgh_interpolate(InterpolationProblem(part, jets, p))
-    except RuntimeError as exc:
-        sys.stderr.write(f"blaschke-lab: {exc}\n")
-        return 1
+    sol = vgh_interpolate(InterpolationProblem(part, jets, p))
     sections = {
         "problem": {
             "clusters": len(part.clusters),
@@ -257,6 +261,11 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         sys.stderr.write(f"blaschke-lab: invariant violation: {exc}\n")
         return 3
+    except (RecursionError, NotImplementedError):
+        raise  # faults of the program, not a failed construction
+    except RuntimeError as exc:  # a construction that failed: no sequence or solution
+        sys.stderr.write(f"blaschke-lab: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -119,30 +119,6 @@ def gen_escalating_multiplicity(n_max: int, base_gap: float = 0.25,
     return FiniteSequence.from_complex(pts, mults)
 
 
-def _dyadic_ratios_through(angles, depths, weights, cand_angle, cand_depth,
-                           cand_weight, levels: int) -> float:
-    """Largest mass/size ratio over the fixed dyadic squares that would
-    contain the candidate, with the candidate included.
-
-    Controlling every dyadic square at every insertion dominates the full
-    arc family: any arc is covered by two adjacent dyadic arcs of at most
-    twice its length, so the true norm stays below 4x the dyadic cap.
-    """
-    a = np.append(angles, cand_angle)
-    d = np.append(depths, cand_depth)
-    w = np.append(weights, cand_weight)
-    worst = 0.0
-    for l in range(levels + 1):
-        m = 2.0 ** (-l)
-        if cand_depth >= m:
-            break
-        cell = np.floor(cand_angle / (2.0 * np.pi) * 2**l)
-        lo = cell * 2.0 * np.pi / 2**l
-        inside = (d < m) & ((a - lo) % (2.0 * np.pi) < 2.0 * np.pi * m)
-        worst = max(worst, float(w[inside].sum()) / m)
-    return worst
-
-
 def gen_random_carleson(seed: int, n: int, target_norm: float,
                         max_tries_per_point: int = 400) -> FiniteSequence:
     """Random cloud whose Carleson norm stays below 1.2 * target_norm.
@@ -154,8 +130,8 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if not target_norm > 0:
-        raise ValueError("target_norm must be positive")
+    if not 0 < target_norm < np.inf:
+        raise ValueError("target_norm must be positive and finite")
     rng = np.random.default_rng(seed)
     # cap every dyadic square at 0.3 * target: the covering argument then
     # bounds the full-family norm by 1.2 * target unconditionally.
@@ -167,9 +143,13 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
     base_level = max(1, int(np.ceil(np.log2(max(2.0 * n / margin, 2.0)))) - 1)
     level_probs = np.array([1.0, 2.0, 4.0, 8.0]) / 15.0
     deepest = base_level + 3
-    angles = np.zeros(0)
-    depths = np.zeros(0)
-    weights = np.zeros(0)
+    # mass[l, cell]: weight of the accepted atoms with depth < 2^-l in the
+    # level-l dyadic cell, held only for cells that hold an atom (a small
+    # target makes the levels deep and a full table huge).  Controlling
+    # every dyadic square at every insertion dominates the full arc family:
+    # any arc is covered by two adjacent dyadic arcs of at most twice its
+    # length, so the true norm stays below 4x the dyadic cap.
+    mass = {}
     pts = []
     for _ in range(n):
         for attempt in range(max_tries_per_point):
@@ -178,11 +158,14 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
             ang = rng.uniform(0.0, 2.0 * np.pi)
             r = 1.0 - depth
             wgt = 1.0 - r * r
-            if _dyadic_ratios_through(angles, depths, weights, ang, depth, wgt,
-                                      deepest) <= margin:
-                angles = np.append(angles, ang)
-                depths = np.append(depths, depth)
-                weights = np.append(weights, wgt)
+            # the squares through the candidate; cell 2^k (an angle of
+            # 2 pi) wraps to cell 0
+            cells = [(k, int(ang / (2.0 * np.pi) * 2**k) % 2**k)
+                     for k in range(deepest + 1) if depth < 2.0 ** -k]
+            if all((mass.get((k, c), 0.0) + wgt) / 2.0 ** -k <= margin
+                   for k, c in cells):
+                for k, c in cells:
+                    mass[k, c] = mass.get((k, c), 0.0) + wgt
                 pts.append(r * np.exp(1j * ang))
                 break
         else:
@@ -209,8 +192,8 @@ def gen_perturbed(base: FiniteSequence, n_satellites: int = 0,
     zs = list(base.zs)
     mults = list(base.multiplicities)
     n_base = len(zs)
-    if n_satellites + n_doubles > n_base:
-        raise ValueError("not enough base points to perturb")
+    if min(n_satellites, n_doubles) < 0 or n_satellites + n_doubles > n_base:
+        raise ValueError("satellite and double counts must be >= 0 and fit the base points")
     chosen = rng.choice(n_base, size=n_satellites + n_doubles, replace=False)
     for i in chosen[:n_satellites]:
         z = zs[i]

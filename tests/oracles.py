@@ -1,8 +1,9 @@
 """Reference functions shared by the tests.
 
 They build test integrands with known closed-form norms and zero sets,
-weighted Bergman norms by direct quadrature, zero targets, target files
-and sampled arcs; the library itself has no use for them.
+weighted Bergman norms by direct quadrature, zero targets, target files,
+sampled arcs and a rescanning random-Carleson sampler; the library itself
+has no use for them.
 """
 
 import math
@@ -11,7 +12,8 @@ import numpy as np
 
 from blaschke_lab.bergman import AnalyticFunction, QuadratureGrid, _abs_power, area_integral
 from blaschke_lab.blaschke import BlaschkeProduct, evaluate
-from blaschke_lab.disk import _tocomplex
+from blaschke_lab.carleson import carleson_norm
+from blaschke_lab.disk import FiniteSequence, _tocomplex
 from blaschke_lab.geninterp import HermiteJet
 
 
@@ -129,3 +131,62 @@ def arc_samples(arc, n: int):
     """Midpoint quadrature: n points along the arc with equal length weights."""
     t = arc.t0 + (arc.t1 - arc.t0) * (np.arange(n) + 0.5) / n
     return arc.center + arc.radius * np.exp(1j * t), np.full(n, arc.length() / n)
+
+
+def _dyadic_ratios_through(angles, depths, weights, cand_angle, cand_depth,
+                           cand_weight, levels: int) -> float:
+    """Largest mass/size ratio over the fixed dyadic squares that would
+    contain the candidate, with the candidate included, from a rescan of
+    every accepted atom."""
+    a = np.append(angles, cand_angle)
+    d = np.append(depths, cand_depth)
+    w = np.append(weights, cand_weight)
+    worst = 0.0
+    for l in range(levels + 1):
+        m = 2.0 ** (-l)
+        if cand_depth >= m:
+            break
+        cell = np.floor(cand_angle / (2.0 * np.pi) * 2**l)
+        lo = cell * 2.0 * np.pi / 2**l
+        inside = (d < m) & ((a - lo) % (2.0 * np.pi) < 2.0 * np.pi * m)
+        worst = max(worst, float(w[inside].sum()) / m)
+    return worst
+
+
+def rescanning_random_carleson(seed: int, n: int, target_norm: float,
+                               max_tries_per_point: int = 400) -> FiniteSequence:
+    """``generators.gen_random_carleson`` with every dyadic square through
+    a candidate re-summed over all accepted atoms: the same draws, the same
+    acceptance test and the same final norm check, in O(n^2 levels) work."""
+    rng = np.random.default_rng(seed)
+    margin = 0.3 * target_norm
+    base_level = max(1, int(np.ceil(np.log2(max(2.0 * n / margin, 2.0)))) - 1)
+    level_probs = np.array([1.0, 2.0, 4.0, 8.0]) / 15.0
+    deepest = base_level + 3
+    angles = np.zeros(0)
+    depths = np.zeros(0)
+    weights = np.zeros(0)
+    pts = []
+    for _ in range(n):
+        for _attempt in range(max_tries_per_point):
+            l = base_level + int(rng.choice(4, p=level_probs))
+            depth = 2.0 ** (-l - 1) * (1.0 + rng.uniform())
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            r = 1.0 - depth
+            wgt = 1.0 - r * r
+            if _dyadic_ratios_through(angles, depths, weights, ang, depth, wgt,
+                                      deepest) <= margin:
+                angles = np.append(angles, ang)
+                depths = np.append(depths, depth)
+                weights = np.append(weights, wgt)
+                pts.append(r * np.exp(1j * ang))
+                break
+        else:
+            raise RuntimeError("sampling budget exhausted")
+    seq = FiniteSequence.from_complex(pts)
+    norm = carleson_norm(seq).norm
+    if norm > 1.2 * target_norm:
+        raise RuntimeError(
+            f"sampling budget exhausted: norm {norm:.3f} above 1.2 * target"
+        )
+    return seq

@@ -218,10 +218,12 @@ def reference_product(zeros, mults, z):
     ([0.0, 0.5 + 0.2j, -0.3j, 0.9 - 0.3j], [1, 1, 1, 1]),  # a zero at the origin
     ([0.4 - 0.1j, 0.0, -0.6 + 0.5j], [3, 2, 1]),           # multiplicities
     ([], []),                                               # the empty product
+    ([0.1 + 0.2j, -0.5, 0.7j, 0.3 - 0.6j, -0.2 - 0.2j, 0.85, -0.6 + 0.6j],
+     [1, 2, 1, 1, 3, 1, 1]),                                # a short last row tile
 ])
 @pytest.mark.parametrize("block", [blaschke._BLOCK, 5])
 def test_evaluate_matches_reference_loop(monkeypatch, zeros, mults, block):
-    monkeypatch.setattr(blaschke, "_BLOCK", block)  # 5 tiles both axes
+    monkeypatch.setattr(blaschke, "_BLOCK", block)  # 5 tiles both axes or rows
     b = BlaschkeProduct.from_complex(zeros, mults)
     rng = np.random.default_rng(8)
     z = rng.uniform(0, 0.97, (6, 7)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (6, 7)))
@@ -250,6 +252,17 @@ def test_evaluate_many_zeros_matches_reference_loop():
     want = reference_product(s.zs, s.mults, z)  # 60 x 1500 spans several tiles
     assert np.allclose(evaluate(b, z), want, rtol=1e-13, atol=0)
     assert np.allclose(np.exp(log_abs_evaluate(b, z)), np.abs(want), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("s", [random_sequence(4, n=23), gen_escalating_multiplicity(6)])
+def test_separation_report_tiles_match_single_tile(monkeypatch, s):
+    whole = separation_report(BlaschkeProduct(s))
+    # 5-element tiles, the last row tile short
+    monkeypatch.setattr(blaschke, "_BLOCK", 5)
+    tiled = separation_report(BlaschkeProduct(s))
+    assert np.allclose(tiled.per_point, whole.per_point, rtol=1e-13, atol=0)
+    assert tiled.delta == pytest.approx(whole.delta, rel=1e-13)
+    assert tiled.discreteness == whole.discreteness
 
 
 def test_separation_per_point_against_mpmath():

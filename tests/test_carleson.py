@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blaschke_lab import blaschke
 from blaschke_lab import geninterp as gi
 from blaschke_lab.bergman import constant_fn, reproducing_family
 from blaschke_lab.blaschke import BlaschkeProduct
@@ -118,6 +119,18 @@ def test_uniform_blaschke_sup():
         zn = 1.0 - 0.25**n
         assert uniform_blaschke_sup(ce, [zn]) >= n
     assert uniform_blaschke_sup(FiniteSequence(), [0.0]) == 0.0
+
+
+@pytest.mark.parametrize("n_zeros", [17, 2])
+def test_uniform_blaschke_sup_tiles_match_single_tile(monkeypatch, n_zeros):
+    s = random_sequence(6, n=n_zeros)
+    s = FiniteSequence.from_complex(s.zs, [1] * (n_zeros - 1) + [3])
+    centers = list(random_sequence(7, n=19).zs) + [0.0]
+    whole = uniform_blaschke_sup(s, centers)
+    # 5-element tiles: 5 x 1 with a short last row tile for 17 zeros, 2 x 2
+    # with a short last column tile for 2 zeros
+    monkeypatch.setattr(blaschke, "_BLOCK", 5)
+    assert uniform_blaschke_sup(s, centers) == pytest.approx(whole, rel=1e-13)
 
 
 def test_uniform_blaschke_sup_truncation_trend():

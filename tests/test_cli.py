@@ -109,6 +109,56 @@ def test_analyze_bad_exponent_exit_2(tmp_path, capsys, flag, value):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--p", "0"), ("--p", "-1"), ("--p", "nan"), ("--eps", "0"), ("--eps", "nan"),
+    ("--r-max", "0"), ("--r-max", "1"), ("--r-max", "nan"),
+])
+def test_interpolate_bad_flag_exit_2(tmp_path, capsys, flag, value):
+    seq_file = tmp_path / "seq.txt"
+    seq_file.write_text("0.0 0.0 1\n0.5 0.0 1\n")
+    targets = tmp_path / "targets.txt"
+    targets.write_text("0 0 0 1.0 0.0\n1 0 0 2.0 0.0\n")
+    assert run_cli("interpolate", str(seq_file), str(targets), flag, value) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["random-carleson", "--target-norm", "nan"],
+    ["random-carleson", "--target-norm", "inf"],
+    ["union", "--m", "0"],
+    ["perturbed", "--satellites", "-1"],
+    ["perturbed", "--doubles", "-1"],
+    ["perturbed", "--n", "5", "--satellites", "4", "--doubles", "2"],
+])
+def test_gen_bad_flag_exit_2(tmp_path, capsys, args):
+    out = tmp_path / "x.txt"
+    assert run_cli("gen", *args, "-o", str(out)) == 2
+    assert "parse error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_construction_failure_exit_1(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    assert run_cli("gen", "random-carleson", "--n", "60", "--target-norm", "0.05",
+                   "-o", str(out)) == 1
+    assert capsys.readouterr().err == "blaschke-lab: sampling budget exhausted\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", [RecursionError, NotImplementedError])
+def test_program_fault_is_not_a_construction_failure(tmp_path, monkeypatch, fault):
+    # both are RuntimeErrors, but a traceback must still show them
+    seq_file = tmp_path / "seq.txt"
+    seq_file.write_text("0.0 0.0 1\n0.5 0.0 1\n")
+
+    def broken(*args, **kwargs):
+        raise fault("broken")
+
+    monkeypatch.setattr("blaschke_lab.cli.analyze_sequence", broken)
+    with pytest.raises(fault):
+        run_cli("analyze", str(seq_file))
+
+
 def test_partition_bad_separation_exit_2(tmp_path, capsys):
     seq_file = tmp_path / "seq.txt"
     run_cli("gen", "radial-geometric", "--q", "0.5", "--n", "3", "-o", str(seq_file))

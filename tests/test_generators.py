@@ -12,6 +12,7 @@ from blaschke_lab.generators import (
     gen_random_carleson,
     gen_union,
 )
+from oracles import rescanning_random_carleson
 
 
 def test_radial_geometric():
@@ -71,6 +72,77 @@ def test_random_carleson():
         gen_random_carleson(0, 0, 4.0)
     with pytest.raises(RuntimeError, match="budget"):
         gen_random_carleson(0, 50, 0.05)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            gen_random_carleson(0, 10, bad)
+
+
+def _draw(sampler, seed, n, target):
+    """The sampler's points, or the message of the RuntimeError it raised."""
+    try:
+        return sampler(seed, n, target).zs
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("target", [2.0, 4.0])
+@pytest.mark.parametrize("n", [8, 40, 200])
+def test_random_carleson_matches_rescanning_sampler(n, target):
+    # the cell-mass table must accept exactly the candidates a rescan of
+    # every accepted atom accepts, and fail where the rescan fails
+    for seed in range(30):
+        want = _draw(rescanning_random_carleson, seed, n, target)
+        got = _draw(gen_random_carleson, seed, n, target)
+        if isinstance(want, str):
+            assert got == want, seed
+        else:
+            assert not isinstance(got, str) and np.array_equal(got, want), seed
+
+
+def test_random_carleson_angle_of_two_pi_lies_in_cell_zero(monkeypatch):
+    # a uniform draw on [0, 2 pi) divided by 2 pi stays below 1, so no
+    # seeded cloud reaches the wrap; a stub generator turns every other
+    # angle draw below 1/2 into exactly 2 pi and the rest into angles below
+    # 5e-5, so that the rescan's wrapped cells crowd both into cell 0
+    seeded = np.random.default_rng
+
+    class Wrapping:
+        def __init__(self, seed):
+            self.rng, self.small = seeded(seed), 0
+
+        def choice(self, *args, **kwargs):
+            return self.rng.choice(*args, **kwargs)
+
+        def uniform(self, low=0.0, high=1.0):
+            u = self.rng.uniform(low, high)
+            if high == 2.0 * np.pi and u < 0.5:
+                self.small += 1
+                return 2.0 * np.pi if self.small % 2 else u * 1e-4
+            return u
+
+    monkeypatch.setattr(np.random, "default_rng", Wrapping)
+    for seed in range(4):
+        want = _draw(rescanning_random_carleson, seed, 40, 4.0)
+        got = _draw(gen_random_carleson, seed, 40, 4.0)
+        assert not isinstance(want, str) and np.array_equal(got, want), seed
+        at_two_pi = (want.imag < 0) & (want.imag > -1e-15)
+        assert at_two_pi.any() and (~at_two_pi & (abs(want.imag) < 0.4)).any(), seed
+
+
+def test_random_carleson_tiny_target_matches_rescanning_sampler():
+    # the levels run 28 and 36 deep, where a table of every dyadic cell
+    # would not fit in memory; no atom fits under so small a cap, so both
+    # samplers give up on the first point
+    for seed, n, target in [(0, 10, 1e-6), (1, 10, 1e-6), (2, 3, 2.0**-9 * 1e-6)]:
+        want = _draw(rescanning_random_carleson, seed, n, target)
+        got = _draw(gen_random_carleson, seed, n, target)
+        assert type(got) is type(want) and np.array_equal(got, want), seed
+
+
+@pytest.mark.parametrize("seed, n", [(287335975, 200), (276102408, 800)])
+def test_random_carleson_bench_clouds_match_rescanning_sampler(seed, n):
+    want = rescanning_random_carleson(seed, n, 4.0).zs
+    assert np.array_equal(gen_random_carleson(seed, n, 4.0).zs, want)
 
 
 def test_perturbed():
@@ -82,6 +154,8 @@ def test_perturbed():
     assert np.array_equal(s.zs, t.zs)
     with pytest.raises(ValueError):
         gen_perturbed(base, n_satellites=5, n_doubles=5)
+    with pytest.raises(ValueError):
+        gen_perturbed(base, n_satellites=-1, n_doubles=2)
 
 
 def test_spec_dispatch():
