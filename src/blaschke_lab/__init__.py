@@ -31,6 +31,7 @@ from .blaschke import (
     derivative,
     evaluate,
     local_zero_count,
+    log_abs_composed,
     log_abs_evaluate,
     max_local_count,
     partition_separated,

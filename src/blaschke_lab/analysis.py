@@ -62,11 +62,16 @@ def analysis_grid() -> bg.QuadratureGrid:
     """Lighter quadrature for batch diagnostics: 191,235 nodes.
 
     The recentred probes (divisor_ratio, mb_probe) integrate functions
-    flat near 0 on it: at p = 1/2 they agree with a grid of 4x the nodes
-    to 6e-4 relative on random Carleson clouds and to 1e-4 or better on
-    the escalating and radial families.  Integrands peaked near the circle
-    are not resolved: the kernel mass misses pi by 1e-5 at |c| = 0.9 and
-    by 35% at |c| = 0.999.
+    flat near 0 on it, evaluated exactly at its nodes however deep the
+    center.  At p = 1/2 and alpha = 0 they agree with a grid of 4x the
+    nodes to 5.8e-4 relative on a random Carleson cloud (n = 40); the
+    divisor ratio to 2.2e-5 or better on the escalating family (n_max 6
+    and 12) and to 1.0e-4 and 1.6e-4 on the radial rays q = 1/2, n = 46
+    at 0 and 1 rad, where the multiplication probe agrees to 4.6e-4.
+    Integrands peaked near the circle are not resolved: the kernel mass
+    misses pi by 1e-5 at |c| = 0.9 and by 35% at |c| = 0.999, and at
+    alpha = 1 the weight peaks at c (escalating n_max = 6 reads 4.8e-3
+    from a grid capped at 16,384 angles).
     """
     if not _GRID:
         _GRID.append(bg.QuadratureGrid.build(rings=120, min_gap=1e-7,
@@ -114,19 +119,18 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
     sep = separation_report(b)
     n_parts, part_delta = union_separation(s)
     cn = carleson_norm(s)
-    centers = list(s.zs)
+    zs = s.zs
+    centers = zs
     if probe_pitch > 0:
-        centers += list(hyperbolic_grid(float(np.abs(s.zs).max()), probe_pitch))
+        centers = np.concatenate([zs, hyperbolic_grid(float(np.abs(zs).max()), probe_pitch)])
     ubs = uniform_blaschke_sup(s, centers)
     ncount = max_local_count(b, 0.5)
-    nonzero = min(
-        compose_min_on_compact(b, z, 0.5) for z in s.zs
-    )
+    nonzero = min(compose_min_on_compact(b, z, 0.5) for z in zs)
     # the divisor probe recentres at 0 and at the deepest zero, the
     # multiplication probe at the deepest few zeros: one mean per center
-    probe_centers = sorted(s.zs, key=lambda z: -abs(z))[:max_probe_centers]
+    probe_centers = sorted(zs, key=lambda z: -abs(z))[:max_probe_centers]
     means = bg._recentred_means(bg.blaschke_fn(b), [0.0, *probe_centers], p, alpha, grid)
-    divisor = 1.0 / min(means[:2]) ** (1.0 / p)
+    divisor = bg._inverse_root(means[:2], p)
     mb = min(means[1:]) ** (1.0 / p)
 
     t = THRESHOLDS

@@ -15,7 +15,10 @@ to the area distortion of a disk automorphism phi_c:
 
 Both integrands peak at c, to a width 1 - |c| that a capped grid misses;
 after the change of variables by phi_c they are flat near 0 instead, so
-both probes are taken from one recentred mean (_recentred_means).
+both probes are taken from one recentred mean (_recentred_means).  There
+the zeros move and the nodes stay: |B o phi_c| is evaluated from the
+zeros moved by phi_c at the grid's own nodes, exact however deep c lies,
+and one pass over the nodes serves every center.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, evaluate, log_abs_evaluate
-from .disk import MoebiusMap, DiskPoint, FiniteSequence, _one_minus_abs2, _tocomplex
+from .blaschke import BlaschkeProduct, _coords, _log_abs_moved, _log_rho2, _moved, evaluate
+from .disk import MoebiusMap, DiskPoint, FiniteSequence, _tocomplex
 from .util import worker_count
 
 DEFAULT_RADII = (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999)
@@ -42,9 +45,10 @@ class AnalyticFunction:
 
     The evaluator must accept complex scalars and numpy arrays of complex
     and be safe for concurrent calls.  When the function is a Blaschke
-    product times a cofactor (``blaschke_fn`` stores B as B * 1), keeping
-    those parts lets quotients by the product cancel exactly instead of
-    numerically, and |B|^p come from the cancellation-free log-modulus.
+    product times a cofactor (``blaschke_fn`` stores B with no cofactor,
+    which stands for 1), keeping those parts lets quotients by the product
+    cancel exactly instead of numerically, and |B|^p come from the
+    cancellation-free log-modulus.
     """
 
     evaluator: object
@@ -70,7 +74,7 @@ def constant_fn(c) -> AnalyticFunction:
 
 def blaschke_fn(b: BlaschkeProduct) -> AnalyticFunction:
     return AnalyticFunction(lambda z: evaluate(b, z), f"blaschke deg {b.degree}",
-                            blaschke_factor=b, cofactor=constant_fn(1.0))
+                            blaschke_factor=b)
 
 
 def divide_by_blaschke(f: AnalyticFunction, b: BlaschkeProduct) -> AnalyticFunction:
@@ -83,7 +87,7 @@ def divide_by_blaschke(f: AnalyticFunction, b: BlaschkeProduct) -> AnalyticFunct
     zeros.
     """
     if f.blaschke_factor is not None and f.blaschke_factor.zeros == b.zeros:
-        return f.cofactor
+        return f.cofactor if f.cofactor is not None else constant_fn(1.0)
     zs = b.zeros.zs
 
     def ev(z):
@@ -157,13 +161,14 @@ def _ring_blocks(counts: np.ndarray) -> list:
     return blocks
 
 
-def area_integral(fn, g: QuadratureGrid | None = None) -> float:
+def area_integral(fn, g: QuadratureGrid | None = None):
     """Integral over the disk of a real-valued field fn(z_array) -> array.
 
     The integrand is evaluated once per block of consecutive rings.  Block
     sums are accumulated with exact summation, so the result does not
     depend on evaluation order; blocks may be processed by worker threads
-    (capped by BLASCHKE_LAB_THREADS).
+    (capped by BLASCHKE_LAB_THREADS).  An integrand that returns one row
+    per field, shape (fields, nodes), gets an array of the integrals.
     """
     g = g or default_grid()
 
@@ -175,8 +180,8 @@ def area_integral(fn, g: QuadratureGrid | None = None) -> float:
         n = counts[ring]
         theta = 2.0 * np.pi * (np.arange(len(ring)) - starts[ring] + 0.5) / n
         nodes = g.radii[first:stop][ring] * np.exp(1j * theta)
-        ring_sums = np.add.reduceat(fn(nodes), starts)
-        return float(ring_sums @ (g.band_areas[first:stop] / counts))
+        ring_sums = np.add.reduceat(fn(nodes), starts, axis=-1)
+        return ring_sums @ (g.band_areas[first:stop] / counts)
 
     blocks = _ring_blocks(g.angular_counts)
     workers = worker_count()
@@ -185,7 +190,10 @@ def area_integral(fn, g: QuadratureGrid | None = None) -> float:
             sums = list(pool.map(block_sum, blocks))
     else:
         sums = [block_sum(b) for b in blocks]
-    return math.fsum(sums)
+    sums = np.array(sums)
+    if sums.ndim == 1:
+        return math.fsum(sums)
+    return np.array([math.fsum(row) for row in sums.T])
 
 
 def hp_norm(f: AnalyticFunction, p, radii=DEFAULT_RADII) -> float:
@@ -213,14 +221,6 @@ def hp_norm(f: AnalyticFunction, p, radii=DEFAULT_RADII) -> float:
     return float(np.mean(vals**p) ** (1.0 / p))
 
 
-def _abs_power(f: AnalyticFunction, z: np.ndarray, p: float) -> np.ndarray:
-    """|f(z)|^p; for f stored as B * cofactor, |B|^p comes from the
-    cancellation-free log-modulus of the Blaschke product."""
-    if f.blaschke_factor is None:
-        return np.abs(f(z)) ** p
-    return np.exp(p * log_abs_evaluate(f.blaschke_factor, z)) * np.abs(f.cofactor(z)) ** p
-
-
 def _recentred_means(f: AnalyticFunction, centers, p: float, alpha: float = 0.0,
                      g: QuadratureGrid | None = None) -> list:
     """For each center c, (1/N) * integral of |f(phi_c(w))|^p
@@ -230,22 +230,49 @@ def _recentred_means(f: AnalyticFunction, centers, p: float, alpha: float = 0.0,
     phi_c is an involution with area distortion |phi_c'|^2, so this is
     ||f h||^p / ||h||^p in the weighted Bergman norm for any h with
     |h|^p = |phi_c'|^2, with integrands flat near 0 instead of peaked at c.
+
+    The nodes stay where they are: |B o phi_c| for a stored product B comes
+    from the zeros moved by phi_c (as in blaschke.log_abs_composed), and
+    the weight is 1 - rho^2(c, w) from the same kernel.  Only a cofactor,
+    or an f with no stored product, is evaluated at phi_c(w).  The
+    integrand has one row per center (and one per weight), so each node
+    block and its kernel coordinates are built once per call and serve
+    every center.
     """
     if not p > 0:
         raise ValueError("p must be positive")
     if not alpha > -1:
         raise ValueError("alpha must exceed -1")
-    means = []
-    for c in centers:
-        phi = MoebiusMap(c)
-        if alpha == 0.0:
-            means.append(area_integral(lambda z: _abs_power(f, phi(z), p), g) / np.pi)
+    cs = np.array([_tocomplex(c) for c in centers], dtype=complex)
+    b = f.blaschke_factor
+    rest = f if b is None else f.cofactor
+    moved = [_moved(b, c) for c in cs] if b is not None else []
+    maps = [MoebiusMap(c) for c in cs] if rest is not None else []
+    center_coords = _coords(cs)
+
+    def rows(z):
+        pts = _coords(z)
+        if b is None:
+            vals = np.ones((len(cs), z.size))
         else:
-            def weight(z):
-                return _one_minus_abs2(phi(z)) ** alpha
-            means.append(area_integral(lambda z: _abs_power(f, phi(z), p) * weight(z), g)
-                         / area_integral(weight, g))
-    return means
+            vals = np.exp(p * _log_abs_moved(b, moved, pts))
+        for k, phi in enumerate(maps):
+            vals[k] *= np.abs(rest(phi(z))) ** p
+        if alpha == 0.0:
+            return vals
+        weight = (-np.expm1(_log_rho2(center_coords, pts))) ** alpha
+        return np.concatenate([vals * weight, weight])
+
+    sums = area_integral(rows, g)
+    if alpha == 0.0:
+        return [float(v) / np.pi for v in sums]
+    return [float(v) / float(n) for v, n in zip(sums[:len(cs)], sums[len(cs):])]
+
+
+def _inverse_root(means: list, p: float) -> float:
+    """One over the least mean to the power 1/p; inf once that underflows to 0."""
+    low = min(means) ** (1.0 / p)
+    return 1.0 / low if low > 0.0 else math.inf
 
 
 def kernel_mass(zeta, g: QuadratureGrid | None = None) -> float:
@@ -322,9 +349,9 @@ def universal_divisor_ratio(b: BlaschkeProduct, centers, p: float,
     center c (h = 1 at c = 0).
 
     ||f/B|| / ||f|| = ||h|| / ||B h||, one over the recentred mean of
-    |B o phi_c|^p to the power 1/p.
+    |B o phi_c|^p to the power 1/p (inf once that underflows to 0).
     """
-    return 1.0 / min(_recentred_means(blaschke_fn(b), centers, p, alpha, g)) ** (1.0 / p)
+    return _inverse_root(_recentred_means(blaschke_fn(b), centers, p, alpha, g), p)
 
 
 def mb_lower_probe(b: BlaschkeProduct, centers, p: float,

@@ -24,10 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .disk import (
-    DiskPoint,
     FiniteSequence,
     InvariantViolation,
-    MoebiusMap,
     _one_minus_abs2,
     _tocomplex,
     psh_distance_pairwise,
@@ -144,17 +142,63 @@ def evaluate(b: BlaschkeProduct, z):
     return complex(res[0]) if scalar else res.reshape(np.shape(z))
 
 
+def _log_abs(coords: np.ndarray, mults: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sum of mults * log rho for zeros (coords) at points (pts), both
+    given by their kernel coordinates."""
+    res = np.zeros(pts.shape[1])
+    if coords.shape[1]:
+        for r, c in _tiles(coords.shape[1], pts.shape[1]):
+            res[c] += mults[r] @ _log_rho2(coords[:, r], pts[:, c])
+        res *= 0.5
+    return res
+
+
 def log_abs_evaluate(b: BlaschkeProduct, z):
     """sum of mult * log|factor|; -inf at zeros.  Stable for long products."""
     w, scalar = _points(z)
-    zs, mults, coords, _ = b._table
-    res = np.zeros(len(w))
-    if len(zs):
-        pts = _coords(w)
-        for r, c in _tiles(len(zs), len(w)):
-            res[c] += mults[r] @ _log_rho2(coords[:, r], pts[:, c])
-        res *= 0.5
+    _, mults, coords, _ = b._table
+    res = _log_abs(coords, mults, _coords(w))
     return float(res[0]) if scalar else res.reshape(np.shape(z))
+
+
+def _moved(b: BlaschkeProduct, c: complex) -> np.ndarray:
+    """Kernel coordinates of the zeros moved by phi_c(z) = (c - z)/(1 - conj(c) z).
+
+    With dc = 1 - |c|^2 and da = 1 - |a|^2 error-free, 1 - conj(c) a =
+    dc + conj(c)(c - a) and 1 - |phi_c(a)|^2 = dc da / (|c - a|^2 + dc da),
+    so no step cancels near the circle.  The moved depths can fall far
+    below BOUNDARY_FLOOR and |phi_c(a)| can round to 1: these are kernel
+    coordinates only, never a FiniteSequence.
+    """
+    zs, _, coords, _ = b._table
+    dc = float(_one_minus_abs2(c))
+    d = c - zs
+    moved = d / (dc + np.conj(c) * d)
+    prod = dc * coords[2]
+    return np.stack([moved.real, moved.imag, prod / (d.real**2 + d.imag**2 + prod)])
+
+
+def log_abs_composed(b: BlaschkeProduct, centers, z) -> np.ndarray:
+    """log|B(phi_c(z))| for each center c (rows) at the points z (columns).
+
+    phi_c preserves rho and is an involution, so rho(a, phi_c(z)) =
+    rho(phi_c(a), z): the zeros move and the points stay.  Mapping the
+    points instead would move the point evaluated by about eps/|phi_c'(z)|,
+    which grows like 1/(1 - |c|^2) at deep centers.  The kernel
+    coordinates of z are formed once for all centers.
+    """
+    w = np.asarray(z, dtype=complex).ravel()
+    moved = [_moved(b, _tocomplex(c)) for c in centers]
+    return _log_abs_moved(b, moved, _coords(w)).reshape((len(centers),) + np.shape(z))
+
+
+def _log_abs_moved(b: BlaschkeProduct, moved: list, pts: np.ndarray) -> np.ndarray:
+    """log|B o phi_c| at points given by kernel coordinates, one row per
+    table of moved zeros from _moved."""
+    out = np.empty((len(moved), pts.shape[1]))
+    for k, coords in enumerate(moved):
+        out[k] = _log_abs(coords, b._table[1], pts)
+    return out
 
 
 def deleted_product(b: BlaschkeProduct, j: int) -> complex:
@@ -308,7 +352,8 @@ def compose_min_on_compact(
     measured as the max of |B(phi_center(z))| over a grid on |z| <= rho.
 
     The modulus of an analytic function peaks on the bounding circle, so the
-    grid samples |z| = rho.  A small value certifies that this composition
+    grid samples |z| = rho; the circle stays fixed and the zeros move
+    (log_abs_composed).  A small value certifies that this composition
     is nearly 0 on the compact set, the failure mode of the 'uniformly
     nonzero' property.
     """
@@ -316,8 +361,6 @@ def compose_min_on_compact(
         raise ValueError("rho must lie in (0, 1)")
     if grid < 8:
         raise ValueError("need at least 8 grid samples")
-    phi = MoebiusMap(center if isinstance(center, DiskPoint) else DiskPoint.from_complex(center))
     theta = 2.0 * np.pi * np.arange(grid) / grid
     circle = rho * np.exp(1j * theta)
-    vals = log_abs_evaluate(b, phi(circle))
-    return float(np.exp(vals.max()))
+    return float(np.exp(log_abs_composed(b, [center], circle).max()))

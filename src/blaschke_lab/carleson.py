@@ -143,13 +143,16 @@ def uniform_blaschke_sup(s: FiniteSequence, probe_centers) -> float:
     """Max over probe centers c of sum_j mult_j (1 - |phi_c(z_j)|^2).
 
     Each term is 1 - rho^2(c, z_j), taken as -expm1 of the Blaschke
-    factor kernel's log rho^2 over blocks of centers.
+    factor kernel's log rho^2 over blocks of centers.  The centers are a
+    complex array, or any iterable of points (complex or DiskPoint).
     """
     if len(s) == 0:
         return 0.0
     zeros = _coords(s.zs)
     mults = s.mults.astype(float)
-    centers = _coords(np.array([_tocomplex(c) for c in probe_centers], dtype=complex))
+    if not isinstance(probe_centers, np.ndarray):
+        probe_centers = np.array([_tocomplex(c) for c in probe_centers], dtype=complex)
+    centers = _coords(probe_centers.astype(complex, copy=False).ravel())
     sums = np.zeros(centers.shape[1])
     for r, c in _tiles(len(s), centers.shape[1]):
         sums[c] += mults[r] @ -np.expm1(_log_rho2(zeros[:, r], centers[:, c]))

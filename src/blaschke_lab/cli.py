@@ -104,7 +104,12 @@ def _cmd_gen(args) -> int:
         raise fio.ParseError(f"target-norm must lie in (0, inf), got {args.target_norm}")
     if min(args.n, args.n_max, args.m) < 1 or min(args.satellites, args.doubles) < 0:
         raise fio.ParseError("n, n-max and m must be positive; satellites and doubles >= 0")
-    rays = tuple(float(t) for t in args.rays.split(",") if t.strip())
+    try:
+        rays = tuple(float(t) for t in args.rays.split(",") if t.strip())
+    except ValueError:
+        raise fio.ParseError(f"rays must be comma separated numbers, got {args.rays!r}") from None
+    if not np.isfinite(rays).all():
+        raise fio.ParseError(f"rays must be finite, got {args.rays!r}")
     if args.family == "radial-geometric":
         spec = GeneratorSpec("radial_geometric",
                              {"q": args.q, "n": args.n, "ray_angles": rays},
@@ -137,10 +142,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if not args.p > 0.0:
-        raise fio.ParseError(f"p must be positive, got {args.p}")
+    if not 0.0 < args.p < np.inf:
+        raise fio.ParseError(f"p must be positive and finite, got {args.p}")
     if not args.alpha > -1.0:
         raise fio.ParseError(f"alpha must exceed -1, got {args.alpha}")
+    if not (args.probe_grid == 0.0 or 0.0 < args.probe_grid < 1.0):
+        raise fio.ParseError(f"probe-grid must be 0 (off) or lie in (0, 1), got {args.probe_grid}")
     seq = fio.read_sequence(args.file)
     rep = analyze_sequence(seq, p=args.p, alpha=args.alpha,
                            probe_pitch=args.probe_grid)

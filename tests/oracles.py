@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from blaschke_lab.bergman import AnalyticFunction, QuadratureGrid, _abs_power, area_integral
-from blaschke_lab.blaschke import BlaschkeProduct, evaluate
+from blaschke_lab.bergman import AnalyticFunction, QuadratureGrid, area_integral
+from blaschke_lab.blaschke import BlaschkeProduct, evaluate, log_abs_evaluate
 from blaschke_lab.carleson import carleson_norm
 from blaschke_lab.disk import FiniteSequence, _tocomplex
 from blaschke_lab.geninterp import HermiteJet
@@ -52,6 +52,15 @@ def times_blaschke(g: AnalyticFunction, b: BlaschkeProduct, label: str = "") -> 
     """The product B*g, remembering both parts for exact later division."""
     return AnalyticFunction(lambda z: evaluate(b, z) * g(z),
                             label or f"B*{g.label}", blaschke_factor=b, cofactor=g)
+
+
+def _abs_power(f: AnalyticFunction, z: np.ndarray, p: float) -> np.ndarray:
+    """|f(z)|^p; for f stored as B * cofactor, |B|^p comes from the
+    cancellation-free log-modulus of the Blaschke product."""
+    if f.blaschke_factor is None:
+        return np.abs(f(z)) ** p
+    out = np.exp(p * log_abs_evaluate(f.blaschke_factor, z))
+    return out if f.cofactor is None else out * np.abs(f.cofactor(z)) ** p
 
 
 def ap_norm(f: AnalyticFunction, p: float, alpha: float = 0.0,

@@ -246,3 +246,9 @@ def test_area_integral_matches_ring_by_ring(monkeypatch, threads):
             want = ring_by_ring(fn, g)
             assert abs(got - want) <= 1e-13 * abs(want)
             assert sum(seen) == g.angular_counts.sum()
+        # one row per field: every integral from a single pass over the nodes
+        rows = bg.area_integral(lambda z: np.stack([fn(z) for fn in fields]), g)
+        assert rows.shape == (len(fields),)
+        for got, fn in zip(rows, fields):
+            want = ring_by_ring(fn, g)
+            assert abs(got - want) <= 1e-13 * abs(want)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blaschke_lab import blaschke
-from blaschke_lab.analysis import union_separation
+from blaschke_lab.analysis import analysis_grid, union_separation
 from blaschke_lab.blaschke import (
     BlaschkeProduct,
     compose_min_on_compact,
@@ -10,6 +10,7 @@ from blaschke_lab.blaschke import (
     derivative,
     evaluate,
     local_zero_count,
+    log_abs_composed,
     log_abs_evaluate,
     max_local_count,
     partition_separated,
@@ -283,6 +284,61 @@ def test_separation_per_point_against_mpmath():
                 assert 1 - abs(s.zs[j]) >= BOUNDARY_FLOOR
                 assert abs(rep.per_point[j] - exact) <= 1e-12 * exact
         assert rep.delta == rep.delta_prime == rep.per_point.min()
+
+
+def mp_log_abs_composed(mpmath, zs, mults, c, w):
+    """log|B(phi_c(w))| at 50 digits: phi_c(w) formed in complex arithmetic,
+    then each factor's rho^2 in real arithmetic."""
+    with mpmath.workdps(50):
+        c, w = mpmath.mpc(c), mpmath.mpc(w)
+        z = (c - w) / (1 - mpmath.conj(c) * w)
+        zr, zi = z.real, z.imag
+        prod = mpmath.mpf(1)
+        for a, m in zip(zs, mults):
+            ar, ai = mpmath.mpf(a.real), mpmath.mpf(a.imag)
+            dr, di = ar - zr, ai - zi
+            cr, ci = 1 - (ar * zr + ai * zi), ar * zi - ai * zr
+            prod *= ((dr * dr + di * di) / (cr * cr + ci * ci)) ** int(m)
+        return mpmath.log(prod) / 2
+
+
+DEEP = {
+    "radial rays 0,pi": lambda: gen_radial_geometric(0.5, 46, (0.0, np.pi)),
+    "radial rays 1,1+pi": lambda: gen_radial_geometric(0.5, 46, (1.0, 1.0 + np.pi)),
+    "escalating n_max=12 split": lambda: gen_escalating_multiplicity(12, split=True),
+}
+
+
+@pytest.mark.parametrize("name", list(DEEP))
+def test_log_abs_composed_against_mpmath(name):
+    # the recentred probes' integrand at their two deepest centres (depth
+    # 2.8e-14 on the rays), on nodes of the analysis grid out to its last ring
+    mpmath = pytest.importorskip("mpmath")
+    s = DEEP[name]()
+    b = BlaschkeProduct(s)
+    centers = sorted(s.zs, key=lambda z: -abs(z))[:2]
+    radii = analysis_grid().radii
+    rng = np.random.default_rng(3)
+    nodes = (radii[np.linspace(0, len(radii) - 1, 12).astype(int)]
+             * np.exp(2j * np.pi * rng.uniform(size=12)))
+    got = log_abs_composed(b, centers, nodes)
+    assert got.shape == (2, 12)
+    for k, c in enumerate(centers):
+        want = np.array([float(mp_log_abs_composed(mpmath, s.zs, s.mults, c, w))
+                         for w in nodes])
+        assert np.abs(got[k] - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_compose_probe_at_deepest_zero_against_mpmath(theta):
+    mpmath = pytest.importorskip("mpmath")
+    s = gen_radial_geometric(0.5, 46, (theta, theta + np.pi))
+    c = s.zs[np.argmax(np.abs(s.zs))]
+    circle = 0.5 * np.exp(1j * (2.0 * np.pi * np.arange(512) / 512))  # the probe's own samples
+    want = float(mpmath.exp(max(mp_log_abs_composed(mpmath, s.zs, s.mults, c, w)
+                                for w in circle)))
+    got = compose_min_on_compact(BlaschkeProduct(s), c, 0.5)
+    assert abs(got - want) <= 1e-13 * want
 
 
 def reference_greedy(zs, sep):

@@ -101,12 +101,26 @@ def test_analyze_parse_failure(tmp_path):
     assert run_cli("analyze", str(tmp_path / "missing.txt")) == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--p", "0"), ("--alpha", "-1")])
+@pytest.mark.parametrize("flag, value", [
+    ("--p", "0"), ("--p", "inf"), ("--alpha", "-1"),
+    ("--probe-grid", "1.5"), ("--probe-grid", "nan"), ("--probe-grid", "-0.2"),
+])
 def test_analyze_bad_exponent_exit_2(tmp_path, capsys, flag, value):
     seq_file = tmp_path / "seq.txt"
     run_cli("gen", "radial-geometric", "--q", "0.5", "--n", "3", "-o", str(seq_file))
     assert run_cli("analyze", str(seq_file), flag, value) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_analyze_huge_exponent_reports_infinite_divisor(tmp_path):
+    # |B|^p underflows to 0 on every node: the divisor ratio is inf, not a crash
+    seq_file = tmp_path / "seq.txt"
+    report = tmp_path / "r.txt"
+    run_cli("gen", "radial-geometric", "--q", "0.5", "--n", "3", "-o", str(seq_file))
+    assert run_cli("analyze", str(seq_file), "--p", "1e300", "-o", str(report)) == 0
+    sections = fio.parse_report(report.read_text())
+    assert float(sections["probes"]["divisor_ratio"]) == np.inf
+    assert sections["flags"]["universal_divisor"] == "fail"
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -123,6 +137,8 @@ def test_interpolate_bad_flag_exit_2(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("args", [
+    ["radial-geometric", "--rays", "0,abc"],
+    ["radial-geometric", "--rays", "0,inf"],
     ["random-carleson", "--target-norm", "nan"],
     ["random-carleson", "--target-norm", "inf"],
     ["union", "--m", "0"],
