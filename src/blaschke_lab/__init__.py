@@ -10,16 +10,12 @@ from .bergman import (
     AnalyticFunction,
     DEFAULT_RADII,
     QuadratureGrid,
-    analytic,
-    blaschke_fn,
     constant_fn,
     default_grid,
-    divide_by_blaschke,
     hp_norm,
     jensen_area_residual,
     kernel_mass,
     mb_lower_probe,
-    pointwise_division_bound,
     reproducing_family,
     universal_divisor_ratio,
 )
@@ -30,7 +26,6 @@ from .blaschke import (
     deleted_product,
     derivative,
     evaluate,
-    local_zero_count,
     log_abs_composed,
     log_abs_evaluate,
     max_local_count,
@@ -74,7 +69,6 @@ from .geninterp import (
     HermiteJet,
     InterpolationProblem,
     InterpolationSolution,
-    beta,
     class_norm,
     cluster_sequence,
     hinf_bound_estimate,

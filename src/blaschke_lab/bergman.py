@@ -6,19 +6,22 @@ the weights sum to pi to machine precision.  Circle means use uniform
 angular sampling, which for analytic integrands converges spectrally.
 
 The probes implemented here measure two operator-theoretic quantities for
-a finite Blaschke product B, both along test functions h with |h|^p equal
-to the area distortion of a disk automorphism phi_c:
+a finite Blaschke product B on the Bergman space with weight
+(1-|z|^2)^alpha, both along the Moebius-invariant test functions h with
+|h|^p = |phi_c'|^(2+alpha), phi_c the disk automorphism swapping 0 and c:
 
 * mb_lower_probe - the empirical constant c in ||Bh|| >= c ||h||;
-* universal_divisor_ratio - how much dividing B h by B can inflate a
-  weighted Bergman norm, which is one over the same ratio.
+* universal_divisor_ratio - how much dividing B h by B can inflate the
+  norm, which is one over the same ratio.
 
-Both integrands peak at c, to a width 1 - |c| that a capped grid misses;
-after the change of variables by phi_c they are flat near 0 instead, so
-both probes are taken from one recentred mean (_recentred_means).  There
-the zeros move and the nodes stay: |B o phi_c| is evaluated from the
-zeros moved by phi_c at the grid's own nodes, exact however deep c lies,
-and one pass over the nodes serves every center.
+Both integrands peak at c, to a width 1 - |c| that a capped grid misses.
+The change of variables by phi_c carries the integral of |B h|^p against
+the weight to the integral of |B o phi_c|^p against the same weight, flat
+near 0 instead, and ||h||^p to pi/(1+alpha); so both probes are taken from
+one recentred mean (_recentred_means).  There the zeros move and the
+nodes stay: |B o phi_c| is evaluated from the zeros moved by phi_c at the
+grid's own nodes, exact however deep c lies, and one pass over the nodes
+serves every center.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _coords, _log_abs_moved, _log_rho2, _moved, evaluate
-from .disk import MoebiusMap, DiskPoint, FiniteSequence, _tocomplex
+from .blaschke import BlaschkeProduct, _log_abs_moved, _moved
+from .disk import MoebiusMap, DiskPoint, FiniteSequence, _coords, _one_minus_abs2, _tocomplex
 from .util import worker_count
 
 DEFAULT_RADII = (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999)
@@ -44,17 +47,11 @@ class AnalyticFunction:
     """Black-box analytic function on the disk.
 
     The evaluator must accept complex scalars and numpy arrays of complex
-    and be safe for concurrent calls.  When the function is a Blaschke
-    product times a cofactor (``blaschke_fn`` stores B with no cofactor,
-    which stands for 1), keeping those parts lets quotients by the product
-    cancel exactly instead of numerically, and |B|^p come from the
-    cancellation-free log-modulus.
+    and be safe for concurrent calls.
     """
 
     evaluator: object
     label: str = ""
-    blaschke_factor: BlaschkeProduct | None = None
-    cofactor: "AnalyticFunction | None" = None
 
     def __call__(self, z):
         if isinstance(z, DiskPoint):
@@ -62,45 +59,10 @@ class AnalyticFunction:
         return self.evaluator(z)
 
 
-def analytic(fn, label: str = "") -> AnalyticFunction:
-    return AnalyticFunction(fn, label)
-
-
 def constant_fn(c) -> AnalyticFunction:
     c = complex(c)
     return AnalyticFunction(lambda z: np.full_like(np.asarray(z, dtype=complex), c)
                             if isinstance(z, np.ndarray) else c, f"const {c}")
-
-
-def blaschke_fn(b: BlaschkeProduct) -> AnalyticFunction:
-    return AnalyticFunction(lambda z: evaluate(b, z), f"blaschke deg {b.degree}",
-                            blaschke_factor=b)
-
-
-def divide_by_blaschke(f: AnalyticFunction, b: BlaschkeProduct) -> AnalyticFunction:
-    """The quotient f / B.
-
-    Exact (symbolic cancellation) when f carries the same product as its
-    ``blaschke_factor``, as ``blaschke_fn(b)`` does.  Otherwise the
-    quotient is formed numerically; evaluation points that collide with a
-    zero of B are nudged by 1e-7, so generic quotients are approximate near
-    zeros.
-    """
-    if f.blaschke_factor is not None and f.blaschke_factor.zeros == b.zeros:
-        return f.cofactor if f.cofactor is not None else constant_fn(1.0)
-    zs = b.zeros.zs
-
-    def ev(z):
-        arr = isinstance(z, np.ndarray)
-        w = np.asarray(z, dtype=complex).copy()
-        if len(zs):
-            bad = np.min(np.abs(w[..., None] - zs), axis=-1) < 1e-12
-            if bad.any():
-                w = np.where(bad, w + 1e-7 * np.exp(0.4j), w)
-        out = f(w) / evaluate(b, w)
-        return out if arr else complex(out)
-
-    return AnalyticFunction(ev, f"({f.label})/B")
 
 
 @dataclass(frozen=True)
@@ -221,52 +183,33 @@ def hp_norm(f: AnalyticFunction, p, radii=DEFAULT_RADII) -> float:
     return float(np.mean(vals**p) ** (1.0 / p))
 
 
-def _recentred_means(f: AnalyticFunction, centers, p: float, alpha: float = 0.0,
-                     g: QuadratureGrid | None = None) -> list:
-    """For each center c, (1/N) * integral of |f(phi_c(w))|^p
-    (1-|phi_c(w)|^2)^alpha dA(w), with N the integral of the weight alone
-    (pi at alpha = 0, not integrated).
+def _recentred_means(b: BlaschkeProduct, centers, p: float, alpha: float,
+                     g: QuadratureGrid | None) -> list:
+    """For each center c, ((1+alpha)/pi) * integral of |B(phi_c(w))|^p
+    (1-|w|^2)^alpha dA(w).
 
-    phi_c is an involution with area distortion |phi_c'|^2, so this is
-    ||f h||^p / ||h||^p in the weighted Bergman norm for any h with
-    |h|^p = |phi_c'|^2, with integrands flat near 0 instead of peaked at c.
+    With |h|^p = |phi_c'|^(2+alpha) and z = phi_c(w), the involution gives
+    |h(z)|^p dA(z) = |phi_c'(w)|^-alpha dA(w) and (1-|z|^2)^alpha =
+    |phi_c'(w)|^alpha (1-|w|^2)^alpha, so this is ||B h||^p / ||h||^p in
+    the weighted Bergman norm, with ||h||^p = pi/(1+alpha) in closed form.
+    The weight is constant on each ring and rides on the band areas.
 
-    The nodes stay where they are: |B o phi_c| for a stored product B comes
-    from the zeros moved by phi_c (as in blaschke.log_abs_composed), and
-    the weight is 1 - rho^2(c, w) from the same kernel.  Only a cofactor,
-    or an f with no stored product, is evaluated at phi_c(w).  The
-    integrand has one row per center (and one per weight), so each node
-    block and its kernel coordinates are built once per call and serve
-    every center.
+    The nodes stay where they are: |B o phi_c| comes from the zeros moved
+    by phi_c (as in blaschke.log_abs_composed).  The integrand has one row
+    per center, so each node block and its kernel coordinates are built
+    once per call and serve every center.
     """
     if not p > 0:
         raise ValueError("p must be positive")
     if not alpha > -1:
         raise ValueError("alpha must exceed -1")
-    cs = np.array([_tocomplex(c) for c in centers], dtype=complex)
-    b = f.blaschke_factor
-    rest = f if b is None else f.cofactor
-    moved = [_moved(b, c) for c in cs] if b is not None else []
-    maps = [MoebiusMap(c) for c in cs] if rest is not None else []
-    center_coords = _coords(cs)
-
-    def rows(z):
-        pts = _coords(z)
-        if b is None:
-            vals = np.ones((len(cs), z.size))
-        else:
-            vals = np.exp(p * _log_abs_moved(b, moved, pts))
-        for k, phi in enumerate(maps):
-            vals[k] *= np.abs(rest(phi(z))) ** p
-        if alpha == 0.0:
-            return vals
-        weight = (-np.expm1(_log_rho2(center_coords, pts))) ** alpha
-        return np.concatenate([vals * weight, weight])
-
-    sums = area_integral(rows, g)
-    if alpha == 0.0:
-        return [float(v) / np.pi for v in sums]
-    return [float(v) / float(n) for v, n in zip(sums[:len(cs)], sums[len(cs):])]
+    g = g or default_grid()
+    weighted = QuadratureGrid(g.radii, g.band_areas * _one_minus_abs2(g.radii) ** alpha,
+                              g.angular_counts)
+    moved = [_moved(b, _tocomplex(c)) for c in centers]
+    sums = area_integral(lambda z: np.exp(p * _log_abs_moved(b, moved, _coords(z))), weighted)
+    norm = np.pi / (1.0 + alpha)
+    return [float(v) / norm for v in sums]
 
 
 def _inverse_root(means: list, p: float) -> float:
@@ -316,42 +259,17 @@ def jensen_area_residual(f: AnalyticFunction, zeros: FiniteSequence,
     return lhs - quad
 
 
-@dataclass(frozen=True)
-class DivisionBound:
-    holds: bool
-    margin: float
-    lhs: float
-    rhs: float
-
-
-def pointwise_division_bound(f: AnalyticFunction, b: BlaschkeProduct, zeta,
-                             p: float, C: float,
-                             g: QuadratureGrid | None = None) -> DivisionBound:
-    """Check |f(zeta)/B(zeta)|^(p/2) <= (e^(C p/2)/pi) * integral of
-    |f|^(p/2) times the area-distortion kernel of phi_zeta.
-
-    The integral is taken as the integral of |f o phi_zeta|^(p/2) dA.  C
-    should dominate the transformed zero-mass sums of b's zero sequence
-    (the uniform Blaschke supremum).  The quotient at zeta cancels exactly
-    when f carries b as a stored factor.
-    """
-    rhs = math.exp(C * p / 2.0) * _recentred_means(f, [zeta], p / 2.0, 0.0, g)[0]
-    lhs = abs(divide_by_blaschke(f, b)(_tocomplex(zeta))) ** (p / 2.0)
-    margin = rhs - lhs
-    return DivisionBound(lhs <= rhs * (1.0 + 1e-12) + 1e-300, margin, lhs, rhs)
-
-
 def universal_divisor_ratio(b: BlaschkeProduct, centers, p: float,
                             alpha: float = 0.0,
                             g: QuadratureGrid | None = None) -> float:
     """Max of ||f/B|| / ||f|| in the weighted Bergman norm over the
-    functions f = B h with |h|^p the area distortion of phi_c, one per
-    center c (h = 1 at c = 0).
+    functions f = B h with |h|^p = |phi_c'|^(2+alpha), one per center c
+    (h = 1 at c = 0).
 
     ||f/B|| / ||f|| = ||h|| / ||B h||, one over the recentred mean of
     |B o phi_c|^p to the power 1/p (inf once that underflows to 0).
     """
-    return _inverse_root(_recentred_means(blaschke_fn(b), centers, p, alpha, g), p)
+    return _inverse_root(_recentred_means(b, centers, p, alpha, g), p)
 
 
 def mb_lower_probe(b: BlaschkeProduct, centers, p: float,
@@ -367,7 +285,7 @@ def mb_lower_probe(b: BlaschkeProduct, centers, p: float,
         raise ValueError("p must be positive")
     if len(b.zeros) == 0:
         return 1.0
-    return min(_recentred_means(blaschke_fn(b), centers, p, 0.0, g),
+    return min(_recentred_means(b, centers, p, 0.0, g),
                default=math.inf) ** (1.0 / p)
 
 

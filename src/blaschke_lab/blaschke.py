@@ -11,9 +11,10 @@ sequences into separated pieces, and probes compositions with disk
 automorphisms.
 
 Every modulus (log|B|, the separation constants, zero counts) comes from
-one kernel for log rho^2 between a tile of zeros and a tile of points, in
-real arithmetic and free of cancellation near the circle; complex values
-come from the factors in complex arithmetic over the same tiles.
+the metric's kernel for log rho^2 between a tile of zeros and a tile of
+points (disk._log_rho2), in real arithmetic and free of cancellation near
+the circle; complex values come from the factors in complex arithmetic
+over the same tiles.
 """
 
 from __future__ import annotations
@@ -26,15 +27,12 @@ import numpy as np
 from .disk import (
     FiniteSequence,
     InvariantViolation,
+    _coords,
+    _log_rho2,
     _one_minus_abs2,
+    _tiles,
     _tocomplex,
-    psh_distance_pairwise,
 )
-
-# Elements per zeros x points tile of the factor kernel.  Every temporary
-# the kernel allocates has at most this many elements, however many zeros
-# and points a call passes; smaller calls get a single tile of their size.
-_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -77,43 +75,6 @@ class SeparationReport:
     delta_prime: float
     discreteness: float
     per_point: np.ndarray
-
-
-def _tiles(m: int, k: int):
-    """Row and column slices covering an m x k array (m, k >= 1) in tiles
-    of at most _BLOCK elements."""
-    rows = min(m, _BLOCK)
-    cols = max(1, _BLOCK // rows)
-    for i in range(0, m, rows):
-        for j in range(0, k, cols):
-            yield slice(i, min(i + rows, m)), slice(j, min(j + cols, k))
-
-
-def _coords(z: np.ndarray) -> np.ndarray:
-    """Kernel coordinates of a flat complex array: rows re, im, 1 - |z|^2."""
-    return np.stack([z.real, z.imag, _one_minus_abs2(z)])
-
-
-def _log_rho2(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """log rho^2(a_i, z_j) for zeros a (rows) against points z (columns),
-    both given by their kernel coordinates.
-
-    rho = |(a - z) / (1 - conj(a) z)| is the modulus of the factor at a.
-    With the depths da = 1 - |a|^2 and dz = 1 - |z|^2 exact, the identity
-    |1 - conj(a) z|^2 = |a - z|^2 + da dz gives
-    log rho^2 = -log1p(da dz / |a - z|^2) in real arithmetic, free of the
-    cancellation in 1 - conj(a) z near the circle; -inf where z = a.
-    """
-    dx = np.subtract.outer(a[0], z[0])
-    dy = np.subtract.outer(a[1], z[1])
-    dx *= dx
-    dy *= dy
-    dx += dy
-    out = np.multiply.outer(a[2], z[2])
-    with np.errstate(divide="ignore"):
-        out /= dx
-    np.log1p(out, out=out)
-    return np.negative(out, out=out)
 
 
 def _factors(a, units, z):
@@ -280,17 +241,9 @@ def _local_counts(b: BlaschkeProduct, centers: np.ndarray, r: float) -> np.ndarr
     return counts
 
 
-def local_zero_count(b: BlaschkeProduct, center, r: float) -> int:
-    """Zeros (with multiplicity) at pseudohyperbolic distance < r from center."""
-    if not 0 < r < 1:
-        raise ValueError("radius must lie in (0, 1)")
-    if len(b.zeros) == 0:
-        return 0
-    return int(_local_counts(b, np.array([_tocomplex(center)]), r)[0])
-
-
 def max_local_count(b: BlaschkeProduct, r: float, extra_centers=()) -> int:
-    """Max of local_zero_count over the zeros themselves plus optional centers.
+    """Max over the zeros themselves plus optional centers of the number of
+    zeros (with multiplicity) at pseudohyperbolic distance < r.
 
     Searching centers in the zero set is a certified lower bound for the
     supremum over the whole disk: a disk D(c, r) holding k zeros contains a
@@ -312,14 +265,17 @@ def _greedy_parts(zs: np.ndarray, sep: float) -> list:
 
     Points go in order of increasing modulus, then angle, then position;
     each joins the first part all of whose members are farther than sep,
-    else opens a new part.
+    else opens a new part.  The kernel coordinates are formed once, and
+    each point's distances to all points in one kernel call.
     """
+    coords = _coords(zs)
     points = zs.tolist()  # scalar moduli: numpy's vectorised abs can differ in the last bit
     order = sorted(range(len(points)), key=lambda i: (abs(points[i]), np.angle(points[i])))
     parts: list[list[int]] = []
     for i in order:
+        dist = np.exp(0.5 * _log_rho2(coords[:, i:i + 1], coords)[0])
         for part in parts:
-            if psh_distance_pairwise(zs[i:i + 1], zs[part]).min() > sep:
+            if dist[part].min() > sep:
                 part.append(i)
                 break
         else:

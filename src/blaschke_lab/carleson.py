@@ -25,8 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import _BLOCK, _coords, _log_rho2, _tiles
-from .disk import FiniteSequence, InvariantViolation, _one_minus_abs2, _tocomplex
+from .disk import (
+    _BLOCK,
+    FiniteSequence,
+    InvariantViolation,
+    _coords,
+    _log_rho2,
+    _one_minus_abs2,
+    _tiles,
+    _tocomplex,
+)
 
 ANCHOR_ETAS = (0.001, 0.1, 1.0)
 

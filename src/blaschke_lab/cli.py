@@ -56,8 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="run the diagnostic battery")
     a.add_argument("file")
-    a.add_argument("--p", type=float, default=0.5)
-    a.add_argument("--alpha", type=float, default=0.0)
+    a.add_argument("--p", type=float, default=0.5,
+                   help="probe exponent, at least 1e-10: below it the probes "
+                        "keep no digits")
+    a.add_argument("--alpha", type=float, default=0.0,
+                   help="probe weight (1-|z|^2)^alpha, alpha > -1")
     a.add_argument("--probe-grid", type=float, default=0.0,
                    help="hyperbolic pitch for extra probe centers (0 = off)")
     a.add_argument("-o", "--output", default=None)
@@ -142,8 +145,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if not 0.0 < args.p < np.inf:
-        raise fio.ParseError(f"p must be positive and finite, got {args.p}")
+    # below 1e-10 the means |B o phi_c|^p round toward 1 and their 1/p-th
+    # powers keep no digits: at 1e-16 the divisor ratio reads below 1
+    if not 1e-10 <= args.p < np.inf:
+        raise fio.ParseError(f"p must lie in [1e-10, inf), got {args.p}")
     if not args.alpha > -1.0:
         raise fio.ParseError(f"alpha must exceed -1, got {args.alpha}")
     if not (args.probe_grid == 0.0 or 0.0 < args.probe_grid < 1.0):

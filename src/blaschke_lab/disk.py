@@ -1,9 +1,14 @@
 """Pseudohyperbolic geometry of the open unit disk.
 
 Points, finite point sequences with multiplicities, the disk automorphisms
-``(c - z) / (1 - conj(c) z)``, the metric ``|(z - w) / (1 - conj(w) z)|``,
+``(c - z) / (1 - conj(c) z)``, the metric ``rho = |(z - w) / (1 - conj(w) z)|``,
 and small grid helpers.  Everything here is immutable after construction
 and every operation is a pure function.
+
+The metric comes from one kernel for log rho^2 between a tile of points
+and another, in real arithmetic and free of cancellation near the circle
+(_log_rho2); the Blaschke moduli, separation constants and zero counts of
+the other modules use the same kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +23,11 @@ BOUNDARY_FLOOR = 1e-14
 
 # 2**27 + 1: Veltkamp's constant, splitting a double into two 26-bit halves
 _SPLITTER = 134217729.0
+
+# Elements per tile of the rho kernel.  Every temporary the kernel
+# allocates has at most this many elements, however many points a call
+# passes; smaller calls get a single tile of their size.
+_BLOCK = 1 << 15
 
 
 class InvariantViolation(ValueError):
@@ -60,6 +70,44 @@ def _one_minus_abs2(z):
     corr += err[0::2]
     corr += err[1::2]
     return ((1.0 - s) - corr).reshape(z.shape)
+
+
+def _tiles(m: int, k: int):
+    """Row and column slices covering an m x k array (m, k >= 1) in tiles
+    of at most _BLOCK elements."""
+    rows = min(m, _BLOCK)
+    cols = max(1, _BLOCK // rows)
+    for i in range(0, m, rows):
+        for j in range(0, k, cols):
+            yield slice(i, min(i + rows, m)), slice(j, min(j + cols, k))
+
+
+def _coords(z: np.ndarray) -> np.ndarray:
+    """Kernel coordinates of a flat complex array: rows re, im, 1 - |z|^2."""
+    return np.stack([z.real, z.imag, _one_minus_abs2(z)])
+
+
+def _log_rho2(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """log rho^2(a_i, z_j) for points a (rows) against points z (columns),
+    both given by their kernel coordinates.
+
+    rho = |(a - z) / (1 - conj(a) z)| is the pseudohyperbolic distance, and
+    the modulus of the Blaschke factor with zero a.
+    With the depths da = 1 - |a|^2 and dz = 1 - |z|^2 exact, the identity
+    |1 - conj(a) z|^2 = |a - z|^2 + da dz gives
+    log rho^2 = -log1p(da dz / |a - z|^2) in real arithmetic, free of the
+    cancellation in 1 - conj(a) z near the circle; -inf where z = a.
+    """
+    dx = np.subtract.outer(a[0], z[0])
+    dy = np.subtract.outer(a[1], z[1])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    out = np.multiply.outer(a[2], z[2])
+    with np.errstate(divide="ignore"):
+        out /= dx
+    np.log1p(out, out=out)
+    return np.negative(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -188,16 +236,19 @@ class MoebiusMap:
 
 def psh_distance(z, w) -> float:
     """Pseudohyperbolic distance |(z - w) / (1 - conj(w) z)| in [0, 1)."""
-    a = _tocomplex(z)
-    b = _tocomplex(w)
-    return abs((a - b) / (1.0 - b.conjugate() * a))
+    return float(psh_distance_pairwise(np.array([_tocomplex(z)]), np.array([_tocomplex(w)]))[0, 0])
 
 
 def psh_distance_pairwise(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Matrix of distances between two complex arrays (rows: zs, cols: ws)."""
-    a = np.asarray(zs, dtype=complex)[:, None]
-    b = np.asarray(ws, dtype=complex)[None, :]
-    return np.abs((a - b) / (1.0 - np.conj(b) * a))
+    """Matrix of distances between two complex arrays (rows: zs, cols: ws),
+    exp(log rho^2 / 2) from the kernel, tile by tile."""
+    a = _coords(np.asarray(zs, dtype=complex))
+    b = _coords(np.asarray(ws, dtype=complex))
+    out = np.empty((a.shape[1], b.shape[1]))
+    if out.size:
+        for r, c in _tiles(*out.shape):
+            out[r, c] = np.exp(0.5 * _log_rho2(a[:, r], b[:, c]))
+    return out
 
 
 def psh_diameter(s: FiniteSequence) -> float:

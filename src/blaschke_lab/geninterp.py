@@ -50,13 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bergman import DEFAULT_RADII, AnalyticFunction, hp_norm
-from .blaschke import BlaschkeProduct, _tiles, evaluate, log_abs_evaluate, max_local_count
+from .blaschke import BlaschkeProduct, evaluate, log_abs_evaluate, max_local_count
 from .carleson import CircleArc, arc_carleson_constant
 from .disk import (
     DiskPoint,
     FiniteSequence,
     InvariantViolation,
     _one_minus_abs2,
+    _tiles,
     _tocomplex,
     psh_distance_pairwise,
 )
@@ -297,18 +298,14 @@ def xp_norm(part: ClusterPartition, jets, p) -> float:
     return float(sum(cn**p * dk for cn, dk in zip(norms, part.d)) ** (1.0 / p))
 
 
-def _tail_term(a: complex, w):
-    """(1-|a|^2)(1 + conj(a) w)/(1 - conj(a) w), the anchor-a term of beta."""
-    ca = a.conjugate()
-    return (1.0 - abs(a) ** 2) * (1.0 + ca * w) / (1.0 - ca * w)
-
-
 def _tail_sums(anchors: np.ndarray, w: np.ndarray):
     """Yield (k, beta_k(w)) for k from the last anchor down to 0: the
-    running sum of the tail terms of anchors k, k+1, ..."""
+    running sum over the anchors a of index k, k+1, ... of the tail terms
+    (1-|a|^2)(1 + conj(a) w)/(1 - conj(a) w)."""
     acc = np.zeros_like(w)
     for k in range(len(anchors) - 1, -1, -1):
-        acc = acc + _tail_term(anchors[k], w)
+        ca = anchors[k].conjugate()
+        acc = acc + (1.0 - abs(anchors[k]) ** 2) * (1.0 + ca * w) / (1.0 - ca * w)
         yield k, acc
 
 
@@ -332,19 +329,6 @@ def _kernel_rows(anchors: np.ndarray, beta_anchor: np.ndarray, w: np.ndarray,
         if not (v.real > 0).all():
             raise RuntimeError("principal power guard: Re(1 - conj(a) z) <= 0")
         yield k, np.power((1.0 - abs(a) ** 2) / v, q) * np.exp((beta_anchor[k] - beta_w) / s)
-
-
-def beta(part: ClusterPartition, k: int, z):
-    """Tail kernel sum over anchors j >= k (0-based, anchor order):
-    sum (1-|a_j|^2)(1 + conj(a_j) z)/(1 - conj(a_j) z).  Re beta > 0."""
-    anchors = part.anchors
-    if not 0 <= k < len(anchors):
-        raise IndexError("cluster index out of range")
-    scalar = not isinstance(z, np.ndarray)
-    w = np.asarray(_tocomplex(z) if scalar else z, dtype=complex)
-    for j, acc in _tail_sums(anchors, w):
-        if j == k:
-            return complex(acc) if scalar else acc
 
 
 def poisson_angular_mean(anchor, r: float, n: int = 2048) -> float:

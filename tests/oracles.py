@@ -1,19 +1,22 @@
 """Reference functions shared by the tests.
 
 They build test integrands with known closed-form norms and zero sets,
-weighted Bergman norms by direct quadrature, zero targets, target files,
-sampled arcs and a rescanning random-Carleson sampler; the library itself
-has no use for them.
+products B * g that remember both parts, quotients by B, weighted Bergman
+norms by direct quadrature, the pointwise division bound, local zero
+counts, the tail kernel sums beta, zero targets, target files, sampled
+arcs and a rescanning random-Carleson sampler; the library itself has no
+use for them.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from blaschke_lab.bergman import AnalyticFunction, QuadratureGrid, area_integral
-from blaschke_lab.blaschke import BlaschkeProduct, evaluate, log_abs_evaluate
+from blaschke_lab.bergman import AnalyticFunction, QuadratureGrid, area_integral, constant_fn
+from blaschke_lab.blaschke import BlaschkeProduct, evaluate, log_abs_composed, log_abs_evaluate
 from blaschke_lab.carleson import carleson_norm
-from blaschke_lab.disk import FiniteSequence, _tocomplex
+from blaschke_lab.disk import FiniteSequence, MoebiusMap, _tocomplex, psh_distance_pairwise
 from blaschke_lab.geninterp import HermiteJet
 
 
@@ -48,18 +51,57 @@ def conformal_density(center, power: float) -> AnalyticFunction:
     return AnalyticFunction(ev, f"|phi'_{c:.3g}|^{power:.3g}")
 
 
-def times_blaschke(g: AnalyticFunction, b: BlaschkeProduct, label: str = "") -> AnalyticFunction:
+@dataclass(frozen=True)
+class BlaschkeMultiple:
+    """The analytic function B * cofactor (no cofactor stands for 1), with
+    both parts kept so that quotients by B cancel exactly and |B|^p comes
+    from the cancellation-free log-modulus."""
+
+    product: BlaschkeProduct
+    cofactor: AnalyticFunction | None = None
+    label: str = ""
+
+    def __call__(self, z):
+        out = evaluate(self.product, z)
+        return out if self.cofactor is None else out * self.cofactor(z)
+
+
+def times_blaschke(g: AnalyticFunction, b: BlaschkeProduct, label: str = "") -> BlaschkeMultiple:
     """The product B*g, remembering both parts for exact later division."""
-    return AnalyticFunction(lambda z: evaluate(b, z) * g(z),
-                            label or f"B*{g.label}", blaschke_factor=b, cofactor=g)
+    return BlaschkeMultiple(b, g, label or f"B*{g.label}")
 
 
-def _abs_power(f: AnalyticFunction, z: np.ndarray, p: float) -> np.ndarray:
-    """|f(z)|^p; for f stored as B * cofactor, |B|^p comes from the
+def quotient(f, b: BlaschkeProduct):
+    """The quotient f / B.
+
+    Exact (symbolic cancellation) when f is a BlaschkeMultiple of the same
+    product.  Otherwise the quotient is formed numerically; evaluation
+    points that collide with a zero of B are nudged by 1e-7, so generic
+    quotients are approximate near zeros.
+    """
+    if isinstance(f, BlaschkeMultiple) and f.product.zeros == b.zeros:
+        return f.cofactor if f.cofactor is not None else constant_fn(1.0)
+    zs = b.zeros.zs
+
+    def ev(z):
+        arr = isinstance(z, np.ndarray)
+        w = np.asarray(z, dtype=complex).copy()
+        if len(zs):
+            bad = np.min(np.abs(w[..., None] - zs), axis=-1) < 1e-12
+            if bad.any():
+                w = np.where(bad, w + 1e-7 * np.exp(0.4j), w)
+        out = f(w) / evaluate(b, w)
+        return out if arr else complex(out)
+
+    return AnalyticFunction(ev, f"({f.label})/B")
+
+
+def _abs_power(f, z: np.ndarray, p: float) -> np.ndarray:
+    """|f(z)|^p; for a BlaschkeMultiple, |B|^p comes from the
     cancellation-free log-modulus of the Blaschke product."""
-    if f.blaschke_factor is None:
+    if not isinstance(f, BlaschkeMultiple):
         return np.abs(f(z)) ** p
-    out = np.exp(p * log_abs_evaluate(f.blaschke_factor, z))
+    out = np.exp(p * log_abs_evaluate(f.product, z))
     return out if f.cofactor is None else out * np.abs(f.cofactor(z)) ** p
 
 
@@ -77,6 +119,63 @@ def ap_norm(f: AnalyticFunction, p: float, alpha: float = 0.0,
         val = area_integral(
             lambda z: _abs_power(f, z, p) * (1.0 - np.abs(z) ** 2) ** alpha, g)
     return val ** (1.0 / p)
+
+
+@dataclass(frozen=True)
+class DivisionBound:
+    holds: bool
+    margin: float
+    lhs: float
+    rhs: float
+
+
+def pointwise_division_bound(f, b: BlaschkeProduct, zeta, p: float, C: float,
+                             g: QuadratureGrid | None = None) -> DivisionBound:
+    """Check |f(zeta)/B(zeta)|^(p/2) <= (e^(C p/2)/pi) * integral of
+    |f|^(p/2) times the area-distortion kernel of phi_zeta.
+
+    The integral is taken as the integral of |f o phi_zeta|^(p/2) dA; for a
+    BlaschkeMultiple the zeros of B move by phi_zeta and the nodes stay,
+    and only the cofactor is evaluated at phi_zeta(w).  C should dominate
+    the transformed zero-mass sums of b's zero sequence (the uniform
+    Blaschke supremum).
+    """
+    phi = MoebiusMap(zeta)
+    q = p / 2.0
+
+    def field(z):
+        if not isinstance(f, BlaschkeMultiple):
+            return np.abs(f(phi(z))) ** q
+        out = np.exp(q * log_abs_composed(f.product, [zeta], z)[0])
+        return out if f.cofactor is None else out * np.abs(f.cofactor(phi(z))) ** q
+
+    rhs = math.exp(C * q) * area_integral(field, g) / np.pi
+    lhs = abs(quotient(f, b)(_tocomplex(zeta))) ** q
+    return DivisionBound(lhs <= rhs * (1.0 + 1e-12) + 1e-300, rhs - lhs, lhs, rhs)
+
+
+def local_zero_count(b: BlaschkeProduct, center, r: float) -> int:
+    """Zeros (with multiplicity) at pseudohyperbolic distance < r from center."""
+    if not 0 < r < 1:
+        raise ValueError("radius must lie in (0, 1)")
+    dist = psh_distance_pairwise(np.array([_tocomplex(center)]), b.zeros.zs)[0]
+    return int(b.zeros.mults[dist < r].sum())
+
+
+def beta(part, k: int, z):
+    """Tail kernel sum over anchors j >= k (0-based, anchor order):
+    sum (1-|a_j|^2)(1 + conj(a_j) z)/(1 - conj(a_j) z), summed from the
+    last anchor down.  Re beta > 0."""
+    anchors = part.anchors
+    if not 0 <= k < len(anchors):
+        raise IndexError("cluster index out of range")
+    scalar = not isinstance(z, np.ndarray)
+    w = np.asarray(_tocomplex(z) if scalar else z, dtype=complex)
+    acc = np.zeros_like(w)
+    for a in anchors[k:][::-1]:
+        ca = a.conjugate()
+        acc = acc + (1.0 - abs(a) ** 2) * (1.0 + ca * w) / (1.0 - ca * w)
+    return complex(acc) if scalar else acc
 
 
 def _dyadic_ints(values):

@@ -5,7 +5,7 @@ import pytest
 
 from blaschke_lab import bergman as bg
 from blaschke_lab.analysis import analysis_grid, analyze_sequence
-from blaschke_lab.blaschke import BlaschkeProduct, log_abs_evaluate
+from blaschke_lab.blaschke import BlaschkeProduct, evaluate, log_abs_evaluate
 from blaschke_lab.carleson import uniform_blaschke_sup
 from blaschke_lab.disk import DiskPoint, FiniteSequence, MoebiusMap
 from blaschke_lab.generators import (
@@ -13,7 +13,15 @@ from blaschke_lab.generators import (
     gen_radial_geometric,
     gen_random_carleson,
 )
-from oracles import ap_norm, conformal_density, poly_from_zeros, times_blaschke
+from oracles import (
+    BlaschkeMultiple,
+    ap_norm,
+    conformal_density,
+    pointwise_division_bound,
+    poly_from_zeros,
+    quotient,
+    times_blaschke,
+)
 
 LIGHT = bg.QuadratureGrid.build(rings=200, min_gap=1e-7, max_angular=4096)
 
@@ -26,12 +34,12 @@ def test_grid_tiles_the_disk():
 
 
 def test_hp_norm_oracles():
-    f = bg.analytic(lambda z: z**3)
+    f = bg.AnalyticFunction(lambda z: z**3)
     radii = (0.5, 0.99, 0.99999)
     assert bg.hp_norm(f, np.inf, radii) == pytest.approx(0.99999**3)
     assert bg.hp_norm(bg.constant_fn(2 - 1j), 1, radii) == pytest.approx(abs(2 - 1j))
     # square-summable coefficients: 1/(1 - z/2) has norm sqrt(4/3)
-    g = bg.analytic(lambda z: 1.0 / (1.0 - 0.5 * z))
+    g = bg.AnalyticFunction(lambda z: 1.0 / (1.0 - 0.5 * z))
     assert bg.hp_norm(g, 2, radii) == pytest.approx(np.sqrt(4 / 3), rel=1e-5)
     with pytest.raises(ValueError):
         bg.hp_norm(f, 0.0)
@@ -43,9 +51,9 @@ def test_hp_sup_submultiplicative():
     rng = np.random.default_rng(0)
     for _ in range(5):
         a, b = rng.uniform(-0.5, 0.5, 2)
-        f = bg.analytic(lambda z, a=a: 1.0 / (1.0 - a * z) + z)
-        g = bg.analytic(lambda z, b=b: np.exp(b * z))
-        fg = bg.analytic(lambda z, f=f, g=g: f(z) * g(z))
+        f = bg.AnalyticFunction(lambda z, a=a: 1.0 / (1.0 - a * z) + z)
+        g = bg.AnalyticFunction(lambda z, b=b: np.exp(b * z))
+        fg = bg.AnalyticFunction(lambda z, f=f, g=g: f(z) * g(z))
         assert bg.hp_norm(fg, np.inf) <= (
             bg.hp_norm(f, np.inf) * bg.hp_norm(g, np.inf) + 1e-9
         )
@@ -53,7 +61,7 @@ def test_hp_sup_submultiplicative():
 
 def test_ap_norm_oracles():
     assert ap_norm(bg.constant_fn(1.0), 2, 0.0, LIGHT) == pytest.approx(np.sqrt(np.pi))
-    idf = bg.analytic(lambda z: z)
+    idf = bg.AnalyticFunction(lambda z: z)
     assert ap_norm(idf, 2, 0.0, LIGHT) == pytest.approx(np.sqrt(np.pi / 2))
     # conformal density has Bergman-2 norm sqrt(pi) for every center
     for c in (0.0, 0.5, 0.37 + 0.2j):
@@ -93,7 +101,7 @@ def test_jensen_residual():
 
 
 def test_jensen_multiplicity():
-    f = bg.analytic(lambda z: (z - 0.4) ** 2 * (1.0 + 0.2 * z))
+    f = bg.AnalyticFunction(lambda z: (z - 0.4) ** 2 * (1.0 + 0.2 * z))
     zeros = FiniteSequence.from_complex([0.4], [2])
     assert abs(bg.jensen_area_residual(f, zeros, LIGHT)) <= 1e-6
 
@@ -103,28 +111,28 @@ def test_division_bound():
     b = BlaschkeProduct.from_complex(zs)
     s = b.zeros
     C = uniform_blaschke_sup(s, s.zs)
-    f = bg.blaschke_fn(b)
-    out = bg.pointwise_division_bound(f, b, 0.1 + 0.1j, 2.0, C, LIGHT)
+    f = BlaschkeMultiple(b)
+    out = pointwise_division_bound(f, b, 0.1 + 0.1j, 2.0, C, LIGHT)
     assert out.holds and out.lhs == pytest.approx(1.0)
     zero = bg.constant_fn(0.0)
-    out0 = bg.pointwise_division_bound(zero, b, 0.1, 2.0, C, LIGHT)
+    out0 = pointwise_division_bound(zero, b, 0.1, 2.0, C, LIGHT)
     assert out0.holds and out0.margin == pytest.approx(0.0)
-    g = bg.analytic(lambda z: 1.0 - 0.5 * z)
+    g = bg.AnalyticFunction(lambda z: 1.0 - 0.5 * z)
     fg = times_blaschke(g, b)
-    out2 = bg.pointwise_division_bound(fg, b, 0.5, 2.0, C, LIGHT)
+    out2 = pointwise_division_bound(fg, b, 0.5, 2.0, C, LIGHT)
     assert out2.holds
     assert out2.lhs == pytest.approx(abs(g(0.5)))  # p/2 = 1
 
 
 def test_quotients():
     b = BlaschkeProduct.from_complex([0.3, -0.5j])
-    g = bg.analytic(lambda z: np.exp(0.3 * z), "exp")
+    g = bg.AnalyticFunction(lambda z: np.exp(0.3 * z), "exp")
     f = times_blaschke(g, b)
-    q = bg.divide_by_blaschke(f, b)
+    q = quotient(f, b)
     assert q is f.cofactor
     # generic quotient agrees away from zeros
-    f2 = bg.analytic(lambda z: bg.evaluate(b, z) * (1.0 + z))
-    q2 = bg.divide_by_blaschke(f2, b)
+    f2 = bg.AnalyticFunction(lambda z: evaluate(b, z) * (1.0 + z))
+    q2 = quotient(f2, b)
     for z in (0.1 + 0.2j, -0.4, 0.6j):
         assert q2(z) == pytest.approx(1.0 + z, rel=1e-9)
     assert np.isfinite(q2(0.3))  # nudged, not NaN
@@ -135,7 +143,7 @@ def test_universal_divisor_ratio():
     ratio = bg.universal_divisor_ratio(b, [0.0], 2.0, 0.0, LIGHT)
     assert ratio >= 1.0
     # |B| <= 1 so multiplication contracts norms at the grid level
-    g = bg.analytic(lambda z: 1.0 + 0.3 * z)
+    g = bg.AnalyticFunction(lambda z: 1.0 + 0.3 * z)
     bf = times_blaschke(g, b)
     assert ap_norm(bf, 2, 0.0, LIGHT) <= ap_norm(g, 2, 0.0, LIGHT) + 1e-12
     # separated radial family: bounded ratio across truncations
@@ -160,40 +168,50 @@ def test_mb_lower_probe():
 
 
 def test_recentred_probe_matches_direct_quotient(monkeypatch):
-    # the recentred mean against ||B h|| / ||h|| with |h|^2 = |phi_c'|^2,
+    # the recentred mean against ||B h|| / ||h|| with |h|^p = |phi_c'|^(2+alpha),
     # integrated directly with B in complex arithmetic; p = 2 keeps both
     # integrands smooth at the zeros
     monkeypatch.setenv("BLASCHKE_LAB_THREADS", "2")
     b = BlaschkeProduct.from_complex([0.5, -0.3 + 0.6j])
     c = 0.6 + 0.5j
-    h = bg.analytic(lambda z: (1.0 - abs(c) ** 2) / (1.0 - np.conj(c) * z) ** 2)
-    bh = bg.analytic(lambda z: bg.evaluate(b, z) * h(z))
     for alpha in (0.0, 1.0):
+        h = conformal_density(c, (2.0 + alpha) / 2.0)
+        bh = bg.AnalyticFunction(lambda z, h=h: evaluate(b, z) * h(z))
         direct = ap_norm(bh, 2.0, alpha) / ap_norm(h, 2.0, alpha)
         recentred = 1.0 / bg.universal_divisor_ratio(b, [c], 2.0, alpha)
         assert abs(recentred - direct) <= 1e-6 * direct
 
 
-@pytest.mark.parametrize("name", ["random-carleson", "escalating-12", "escalating-6", "radial"])
-def test_divisor_ratio_converged_on_analysis_grid(monkeypatch, name):
+@pytest.mark.parametrize("name, alpha", [
+    pytest.param(name, 0.0, id=name)
+    for name in ("random-carleson", "escalating-12", "escalating-6", "radial")
+] + [
+    pytest.param(name, 1.0, id=f"{name}-alpha1") for name in ("escalating-4", "escalating-6")
+])
+def test_divisor_ratio_converged_on_analysis_grid(monkeypatch, name, alpha):
     # two threads: the integrals on the fine grid set this test's time
     monkeypatch.setenv("BLASCHKE_LAB_THREADS", "2")
     s = {
         "random-carleson": lambda: gen_random_carleson(11, 40, 4.0),
         "escalating-12": lambda: gen_escalating_multiplicity(12),
         "escalating-6": lambda: gen_escalating_multiplicity(6),
+        "escalating-4": lambda: gen_escalating_multiplicity(4),
         "radial": lambda: gen_radial_geometric(0.5, 46, (0.0, np.pi)),
     }[name]()
     b = BlaschkeProduct(s)
     centers = [0.0, s.zs[np.argmax(np.abs(s.zs))]]
-    got = bg.universal_divisor_ratio(b, centers, 0.5, 0.0, analysis_grid())
+    got = bg.universal_divisor_ratio(b, centers, 0.5, alpha, analysis_grid())
     # twice the rings and twice the angles per ring
     fine = bg.QuadratureGrid.build(rings=240, min_gap=1e-7, base_angular=128,
                                    max_angular=4096, angular_factor=32.0)
     assert fine.angular_counts.sum() >= 3.9 * analysis_grid().angular_counts.sum()
-    want = bg.universal_divisor_ratio(b, centers, 0.5, 0.0, fine)
+    want = bg.universal_divisor_ratio(b, centers, 0.5, alpha, fine)
     assert abs(got - want) <= 1e-3 * want
-    if name == "escalating-6":
+    if alpha == 1.0:
+        # the weight rides on the band areas: no peak at the center to miss
+        assert abs(got - want) <= 1e-4 * want
+        assert analyze_sequence(s, alpha=alpha).divisor_ratio == got
+    elif name == "escalating-6":
         rep = analyze_sequence(s)
         assert rep.divisor_ratio == got
         deepest = sorted(s.zs, key=lambda z: -abs(z))[:4]

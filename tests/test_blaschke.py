@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blaschke_lab import blaschke
+from blaschke_lab import disk
 from blaschke_lab.analysis import analysis_grid, union_separation
 from blaschke_lab.blaschke import (
     BlaschkeProduct,
@@ -9,7 +9,6 @@ from blaschke_lab.blaschke import (
     deleted_product,
     derivative,
     evaluate,
-    local_zero_count,
     log_abs_composed,
     log_abs_evaluate,
     max_local_count,
@@ -31,6 +30,7 @@ from blaschke_lab.generators import (
     gen_radial_geometric,
     gen_union,
 )
+from oracles import local_zero_count
 
 
 def random_sequence(seed, n=12, r_max=0.95):
@@ -222,9 +222,9 @@ def reference_product(zeros, mults, z):
     ([0.1 + 0.2j, -0.5, 0.7j, 0.3 - 0.6j, -0.2 - 0.2j, 0.85, -0.6 + 0.6j],
      [1, 2, 1, 1, 3, 1, 1]),                                # a short last row tile
 ])
-@pytest.mark.parametrize("block", [blaschke._BLOCK, 5])
+@pytest.mark.parametrize("block", [disk._BLOCK, 5])
 def test_evaluate_matches_reference_loop(monkeypatch, zeros, mults, block):
-    monkeypatch.setattr(blaschke, "_BLOCK", block)  # 5 tiles both axes or rows
+    monkeypatch.setattr(disk, "_BLOCK", block)  # 5 tiles both axes or rows
     b = BlaschkeProduct.from_complex(zeros, mults)
     rng = np.random.default_rng(8)
     z = rng.uniform(0, 0.97, (6, 7)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (6, 7)))
@@ -259,7 +259,7 @@ def test_evaluate_many_zeros_matches_reference_loop():
 def test_separation_report_tiles_match_single_tile(monkeypatch, s):
     whole = separation_report(BlaschkeProduct(s))
     # 5-element tiles, the last row tile short
-    monkeypatch.setattr(blaschke, "_BLOCK", 5)
+    monkeypatch.setattr(disk, "_BLOCK", 5)
     tiled = separation_report(BlaschkeProduct(s))
     assert np.allclose(tiled.per_point, whole.per_point, rtol=1e-13, atol=0)
     assert tiled.delta == pytest.approx(whole.delta, rel=1e-13)

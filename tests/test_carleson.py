@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blaschke_lab import blaschke
+from blaschke_lab import disk
 from blaschke_lab import geninterp as gi
 from blaschke_lab.bergman import constant_fn, reproducing_family
 from blaschke_lab.blaschke import BlaschkeProduct
@@ -129,7 +129,7 @@ def test_uniform_blaschke_sup_tiles_match_single_tile(monkeypatch, n_zeros):
     whole = uniform_blaschke_sup(s, centers)
     # 5-element tiles: 5 x 1 with a short last row tile for 17 zeros, 2 x 2
     # with a short last column tile for 2 zeros
-    monkeypatch.setattr(blaschke, "_BLOCK", 5)
+    monkeypatch.setattr(disk, "_BLOCK", 5)
     assert uniform_blaschke_sup(s, centers) == pytest.approx(whole, rel=1e-13)
 
 

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, silently on stderr."""
 
 import os
 import subprocess
@@ -17,10 +17,12 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo, tmp_path):
+    # every warning is an error, numpy's floating-point warnings included
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    run = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stderr == ""

@@ -8,7 +8,7 @@ from blaschke_lab.carleson import CircleArc, lp_sequence_norm
 from blaschke_lab.disk import FiniteSequence, InvariantViolation, psh_distance_pairwise
 from blaschke_lab.generators import gen_perturbed, gen_radial_geometric
 from blaschke_lab.hermite import jet_exp
-from oracles import zero_jet
+from oracles import beta, zero_jet
 from test_acceptance import _interpolation_problem
 
 
@@ -130,20 +130,20 @@ def test_singleton_xp_matches_weighted_lp():
 
 def test_beta():
     part = gi.cluster_sequence(FiniteSequence.from_complex([0.0, 0.5]), 0.05, 0.6)
-    val = gi.beta(part, 0, 0.0)
+    val = beta(part, 0, 0.0)
     assert val.imag == pytest.approx(0.0)
     assert val == pytest.approx((1 - 0) + (1 - 0.25))
     single = gi.cluster_sequence(FiniteSequence.from_complex([0.3 + 0.2j]), 0.05, 0.6)
     a = 0.3 + 0.2j
     z = 0.2 + 0.1j
     expected = (1 - abs(a) ** 2) * (1 + np.conj(a) * z) / (1 - np.conj(a) * z)
-    assert gi.beta(single, 0, z) == pytest.approx(expected)
+    assert beta(single, 0, z) == pytest.approx(expected)
     with pytest.raises(IndexError):
-        gi.beta(part, 5, 0.0)
+        beta(part, 5, 0.0)
     # positive real part everywhere
     rng = np.random.default_rng(1)
     zs = rng.uniform(0, 0.98, 50) * np.exp(1j * rng.uniform(0, 2 * np.pi, 50))
-    assert (gi.beta(part, 0, zs).real > 0).all()
+    assert (beta(part, 0, zs).real > 0).all()
 
 
 def test_anchor_tail_sums_bounded():
@@ -156,7 +156,7 @@ def test_anchor_tail_sums_bounded():
         part = gi.cluster_sequence(s, 0.05, 0.6)
         cn = carleson_norm(s).norm
         worst = max(
-            gi.beta(part, k, complex(a)).real for k, a in enumerate(part.anchors)
+            beta(part, k, complex(a)).real for k, a in enumerate(part.anchors)
         )
         assert worst <= 2.0 * (1.0 + cn)
 
@@ -195,7 +195,7 @@ def summand_reference(problem, w):
     part = problem.partition
     q, s = gi._exponents(problem.p)
     anchors = part.anchors
-    beta_anchor = np.array([gi.beta(part, k, complex(a)) for k, a in enumerate(anchors)])
+    beta_anchor = np.array([beta(part, k, complex(a)) for k, a in enumerate(anchors)])
 
     def h(k, z):
         others = [c for j, c in enumerate(part.clusters) if j != k]
@@ -204,7 +204,7 @@ def summand_reference(problem, w):
             tuple(m for c in others for m in c.points.multiplicities)))
         a = anchors[k]
         kernel = ((1 - abs(a) ** 2) / (1 - np.conj(a) * z)) ** q \
-            * np.exp((beta_anchor[k] - gi.beta(part, k, z)) / s)
+            * np.exp((beta_anchor[k] - beta(part, k, z)) / s)
         return evaluate(b_other, z) * kernel
 
     values = np.concatenate([h(k, c.points.zs) for k, c in enumerate(part.clusters)])
