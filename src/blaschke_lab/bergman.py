@@ -21,7 +21,9 @@ near 0 instead, and ||h||^p to pi/(1+alpha); so both probes are taken from
 one recentred mean (_recentred_means).  There the zeros move and the
 nodes stay: |B o phi_c| is evaluated from the zeros moved by phi_c at the
 grid's own nodes, exact however deep c lies, and one pass over the nodes
-serves every center.
+serves every center.  The nodes come in blocks of up to disk._BLOCK
+spanning several rings, so that blaschke's treecode can group each block
+into compact boxes once for all centers.
 """
 
 from __future__ import annotations
@@ -32,15 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import disk
 from .blaschke import BlaschkeProduct, _log_abs_moved, _moved
-from .disk import MoebiusMap, DiskPoint, FiniteSequence, _coords, _one_minus_abs2, _tocomplex
+from .disk import MoebiusMap, DiskPoint, FiniteSequence, _one_minus_abs2, _tocomplex
 from .util import worker_count
 
 DEFAULT_RADII = (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999)
-
-# Quadrature nodes per integrand call in area_integral
-_RING_BLOCK = 2048
-
 
 @dataclass(frozen=True)
 class AnalyticFunction:
@@ -109,11 +108,11 @@ def default_grid() -> QuadratureGrid:
 
 def _ring_blocks(counts: np.ndarray) -> list:
     """(first, stop) ring index pairs grouping consecutive rings into blocks
-    of at most _RING_BLOCK nodes; a larger ring forms a block by itself."""
+    of at most disk._BLOCK nodes; a larger ring forms a block by itself."""
     blocks = []
     first = size = 0
     for j, n in enumerate(counts.tolist()):
-        if size and size + n > _RING_BLOCK:
+        if size and size + n > disk._BLOCK:
             blocks.append((first, j))
             first = j
             size = 0
@@ -126,36 +125,37 @@ def _ring_blocks(counts: np.ndarray) -> list:
 def area_integral(fn, g: QuadratureGrid | None = None):
     """Integral over the disk of a real-valued field fn(z_array) -> array.
 
-    The integrand is evaluated once per block of consecutive rings.  Block
-    sums are accumulated with exact summation, so the result does not
-    depend on evaluation order; blocks may be processed by worker threads
-    (capped by BLASCHKE_LAB_THREADS).  An integrand that returns one row
-    per field, shape (fields, nodes), gets an array of the integrals.
+    The integrand is evaluated once per block of consecutive rings.  Each
+    ring contributes its node sum times its weight, and these terms are
+    accumulated with exact summation, so the result depends neither on
+    the blocks nor on evaluation order, and each row of a stacked
+    integrand gets the bits it would get alone.  Blocks may be processed
+    by worker threads (capped by BLASCHKE_LAB_THREADS).  An integrand that
+    returns one row per field, shape (fields, nodes), gets an array of
+    the integrals.
     """
     g = g or default_grid()
 
-    def block_sum(block) -> float:
+    def ring_terms(block) -> np.ndarray:
         first, stop = block
         counts = g.angular_counts[first:stop]
         starts = np.cumsum(counts) - counts
-        ring = np.repeat(np.arange(stop - first), counts)
-        n = counts[ring]
-        theta = 2.0 * np.pi * (np.arange(len(ring)) - starts[ring] + 0.5) / n
-        nodes = g.radii[first:stop][ring] * np.exp(1j * theta)
-        ring_sums = np.add.reduceat(fn(nodes), starts, axis=-1)
-        return ring_sums @ (g.band_areas[first:stop] / counts)
+        nodes = np.empty(counts.sum(), dtype=complex)
+        for r, n, i in zip(g.radii[first:stop], counts.tolist(), starts.tolist()):
+            nodes[i:i + n] = r * np.exp(1j * (2.0 * np.pi * (np.arange(n) + 0.5) / n))
+        return np.add.reduceat(fn(nodes), starts, axis=-1) * (g.band_areas[first:stop] / counts)
 
     blocks = _ring_blocks(g.angular_counts)
     workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(block_sum, blocks))
+            terms = list(pool.map(ring_terms, blocks))
     else:
-        sums = [block_sum(b) for b in blocks]
-    sums = np.array(sums)
-    if sums.ndim == 1:
-        return math.fsum(sums)
-    return np.array([math.fsum(row) for row in sums.T])
+        terms = [ring_terms(b) for b in blocks]
+    terms = np.concatenate(terms, axis=-1)
+    if terms.ndim == 1:
+        return math.fsum(terms)
+    return np.array([math.fsum(row) for row in terms])
 
 
 def hp_norm(f: AnalyticFunction, p, radii=DEFAULT_RADII) -> float:
@@ -207,7 +207,13 @@ def _recentred_means(b: BlaschkeProduct, centers, p: float, alpha: float,
     weighted = QuadratureGrid(g.radii, g.band_areas * _one_minus_abs2(g.radii) ** alpha,
                               g.angular_counts)
     moved = [_moved(b, _tocomplex(c)) for c in centers]
-    sums = area_integral(lambda z: np.exp(p * _log_abs_moved(b, moved, _coords(z))), weighted)
+
+    def powers(z):
+        rows = _log_abs_moved(b, moved, z)
+        rows *= p
+        return np.exp(rows, out=rows)
+
+    sums = area_integral(powers, weighted)
     norm = np.pi / (1.0 + alpha)
     return [float(v) / norm for v in sums]
 
@@ -245,10 +251,11 @@ def jensen_area_residual(f: AnalyticFunction, zeros: FiniteSequence,
 
     def regular_log(z):
         w = z
-        if len(zs):
-            collide = np.min(np.abs(w[..., None] - zs), axis=-1) < 1e-13
-            if collide.any():
-                w = np.where(collide, w + 1e-7 * np.exp(0.3j), w)
+        collide = np.zeros(z.shape, dtype=bool)
+        for a in zs:  # one zero at a time: temporaries the size of the block
+            collide |= np.abs(w - a) < 1e-13
+        if collide.any():
+            w = np.where(collide, w + 1e-7 * np.exp(0.3j), w)
         out = np.log(np.abs(f(w)))
         for a, m in zip(zs, mults):
             out = out - m * np.log(np.abs(w - a))

@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="probe exponent, at least 1e-10: below it the probes "
                         "keep no digits")
     a.add_argument("--alpha", type=float, default=0.0,
-                   help="probe weight (1-|z|^2)^alpha, alpha > -1")
+                   help="probe weight (1-|z|^2)^alpha, alpha finite and > -1")
     a.add_argument("--probe-grid", type=float, default=0.0,
                    help="hyperbolic pitch for extra probe centers (0 = off)")
     a.add_argument("-o", "--output", default=None)
@@ -149,8 +149,8 @@ def _cmd_analyze(args) -> int:
     # powers keep no digits: at 1e-16 the divisor ratio reads below 1
     if not 1e-10 <= args.p < np.inf:
         raise fio.ParseError(f"p must lie in [1e-10, inf), got {args.p}")
-    if not args.alpha > -1.0:
-        raise fio.ParseError(f"alpha must exceed -1, got {args.alpha}")
+    if not -1.0 < args.alpha < np.inf:
+        raise fio.ParseError(f"alpha must lie in (-1, inf), got {args.alpha}")
     if not (args.probe_grid == 0.0 or 0.0 < args.probe_grid < 1.0):
         raise fio.ParseError(f"probe-grid must be 0 (off) or lie in (0, 1), got {args.probe_grid}")
     seq = fio.read_sequence(args.file)

@@ -83,13 +83,22 @@ def _tiles(m: int, k: int):
 
 
 def _coords(z: np.ndarray) -> np.ndarray:
-    """Kernel coordinates of a flat complex array: rows re, im, 1 - |z|^2."""
-    return np.stack([z.real, z.imag, _one_minus_abs2(z)])
+    """Kernel coordinates of a flat complex array: rows re, im, 1 - |z|^2.
+    The depths are formed a tile at a time, so their temporaries stay
+    within _BLOCK elements."""
+    out = np.empty((3, len(z)))
+    out[0] = z.real
+    out[1] = z.imag
+    step = max(1, _BLOCK // 8)
+    for i in range(0, len(z), step):
+        out[2, i:i + step] = _one_minus_abs2(z[i:i + step])
+    return out
 
 
 def _log_rho2(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """log rho^2(a_i, z_j) for points a (rows) against points z (columns),
-    both given by their kernel coordinates.
+    both given by their kernel coordinates.  z may also hold one row of
+    points per point of a, shape (3, rows, columns).
 
     rho = |(a - z) / (1 - conj(a) z)| is the pseudohyperbolic distance, and
     the modulus of the Blaschke factor with zero a.
@@ -98,12 +107,12 @@ def _log_rho2(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     log rho^2 = -log1p(da dz / |a - z|^2) in real arithmetic, free of the
     cancellation in 1 - conj(a) z near the circle; -inf where z = a.
     """
-    dx = np.subtract.outer(a[0], z[0])
-    dy = np.subtract.outer(a[1], z[1])
+    dx = a[0][:, None] - z[0]
+    dy = a[1][:, None] - z[1]
     dx *= dx
     dy *= dy
     dx += dy
-    out = np.multiply.outer(a[2], z[2])
+    out = a[2][:, None] * z[2]
     with np.errstate(divide="ignore"):
         out /= dx
     np.log1p(out, out=out)

@@ -237,6 +237,30 @@ def test_thread_cap_env(monkeypatch):
     assert ap_norm(f, 2, 0.0, LIGHT) == pytest.approx(single, rel=1e-12)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_stacked_rows_match_single_integrals_bitwise(monkeypatch, threads):
+    # each row's ring terms are formed and summed exactly on their own, so
+    # stacking rows changes no bit; the analysis grid's blocks span rings
+    monkeypatch.setenv("BLASCHKE_LAB_THREADS", threads)
+    g = analysis_grid()
+    phi = MoebiusMap(DiskPoint(0.7, -0.2))
+    fields = [
+        lambda z: np.abs(1.0 + z + z * z) ** 1.5,
+        lambda z: phi.jacobian(z),
+        lambda z: np.cos(3.0 * z.real) * z.imag,
+    ]
+    rows = bg.area_integral(lambda z: np.stack([fn(z) for fn in fields]), g)
+    for got, fn in zip(rows, fields):
+        assert got == bg.area_integral(fn, g)
+    # the recentred means, on the tree path (40 zeros) and the direct one
+    for s in (gen_random_carleson(11, 40, 4.0), gen_escalating_multiplicity(6)):
+        b = BlaschkeProduct(s)
+        centers = [0.0, *sorted(s.zs, key=lambda z: -abs(z))[:4]]
+        means = bg._recentred_means(b, centers, 0.5, 0.0, g)
+        for k in (1, 2):
+            assert means[:k] == bg._recentred_means(b, centers[:k], 0.5, 0.0, g)
+
+
 def ring_by_ring(fn, g):
     """Reference quadrature: one integrand call per ring, exact summation."""
     terms = []

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from blaschke_lab import disk
+from blaschke_lab import blaschke, disk
 from blaschke_lab.analysis import analysis_grid, union_separation
+from blaschke_lab.bergman import area_integral
 from blaschke_lab.blaschke import (
     BlaschkeProduct,
     compose_min_on_compact,
@@ -28,6 +31,7 @@ from blaschke_lab.generators import (
     GeneratorSpec,
     gen_escalating_multiplicity,
     gen_radial_geometric,
+    gen_random_carleson,
     gen_union,
 )
 from oracles import local_zero_count
@@ -327,6 +331,88 @@ def test_log_abs_composed_against_mpmath(name):
         want = np.array([float(mp_log_abs_composed(mpmath, s.zs, s.mults, c, w))
                          for w in nodes])
         assert np.abs(got[k] - want).max() <= 1e-13
+
+
+def analysis_blocks() -> list:
+    """The node blocks that area_integral passes to its integrand on the
+    analysis grid."""
+    blocks = []
+    area_integral(lambda z: blocks.append(z.copy()) or np.zeros(len(z)), analysis_grid())
+    return blocks
+
+
+def direct_rows(b, moved, z) -> np.ndarray:
+    pts = disk._coords(z)
+    return np.array([blaschke._log_abs(coords, b._table[1], pts) for coords in moved])
+
+
+TREE_INPUTS = {
+    "random-carleson n=200": lambda: gen_random_carleson(11, 200, 4.0),
+    **DEEP,
+}
+
+
+@pytest.mark.parametrize("name", list(TREE_INPUTS))
+def test_tree_matches_direct_kernel(name):
+    # the recentred probes' rows at the four deepest centres, on every node
+    # block of the analysis grid: far zeros by local expansion, near ones direct
+    s = TREE_INPUTS[name]()
+    b = BlaschkeProduct(s)
+    assert len(s) >= blaschke._TREE_ZEROS
+    moved = [blaschke._moved(b, c) for c in sorted(s.zs, key=lambda z: -abs(z))[:4]]
+    blocks = analysis_blocks()
+    assert min(len(z) for z in blocks) >= blaschke._TREE_POINTS
+    for z in blocks:
+        got = blaschke._log_abs_moved(b, moved, z)
+        assert np.abs(got - direct_rows(b, moved, z)).max() <= 1e-13
+
+
+def test_tree_near_and_far_boxes_against_mpmath():
+    # the deepest centre of the rays at 0 and pi (depth 2.8e-14) moves the
+    # zeros down to depth 2e-28; nodes of the second block (1 - r from
+    # 3.4e-4 to 2.6e-3) in a box with near zeros and in one with none
+    mpmath = pytest.importorskip("mpmath")
+    s = DEEP["radial rays 0,pi"]()
+    b = BlaschkeProduct(s)
+    c = s.zs[np.argmax(np.abs(s.zs))]
+    moved = blaschke._moved(b, c)
+    z = analysis_blocks()[1]
+    boxes = blaschke._Boxes(z)
+    near = boxes._expansions(moved, b._table[1])[2]
+    near_boxes = np.unique(near[:, 1])
+    far_box = np.setdiff1d(np.arange(len(boxes.centers)), near_boxes)[0]
+    assert near_boxes.size and boxes.radii[far_box] > 0
+    picks = np.concatenate([boxes.order[near_boxes[0], ::43], boxes.order[far_box, ::43]])
+    got = blaschke._log_abs_moved(b, [moved], z)[0, picks]
+    want = np.array([float(mp_log_abs_composed(mpmath, s.zs, s.mults, c, w)) for w in z[picks]])
+    assert np.abs(got - want).max() <= 1e-13
+
+
+def test_tree_at_a_moved_zero_is_minus_inf_without_warnings():
+    s = random_sequence(7, n=30, r_max=0.9)
+    b = BlaschkeProduct(s)
+    rng = np.random.default_rng(2)
+    w = rng.uniform(0, 0.99, 4096) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4096))
+    w[100] = -s.zs[5]  # phi_0 moves zero a to -a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_abs_composed(b, [0.0], w)[0]
+    assert got[100] == -np.inf
+    rest = np.arange(len(w)) != 100
+    assert np.isfinite(got[rest]).all()
+    want = direct_rows(b, [blaschke._moved(b, 0.0)], w)[0]
+    assert np.abs(got[rest] - want[rest]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, points", [(15, 4096), (30, 2047)])
+def test_below_crossover_is_the_direct_kernel(n, points):
+    s = random_sequence(9, n=n, r_max=0.95)
+    b = BlaschkeProduct(s)
+    assert n < blaschke._TREE_ZEROS or points < blaschke._TREE_POINTS
+    rng = np.random.default_rng(4)
+    w = rng.uniform(0, 0.999, points) * np.exp(1j * rng.uniform(0, 2 * np.pi, points))
+    moved = [blaschke._moved(b, c) for c in (0.0, s.zs[0], 0.3 - 0.9j)]
+    assert np.array_equal(blaschke._log_abs_moved(b, moved, w), direct_rows(b, moved, w))
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0])

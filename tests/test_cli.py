@@ -103,6 +103,7 @@ def test_analyze_parse_failure(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--p", "0"), ("--p", "inf"), ("--p", "1e-16"), ("--p", "1e-300"), ("--alpha", "-1"),
+    ("--alpha", "inf"),
     ("--probe-grid", "1.5"), ("--probe-grid", "nan"), ("--probe-grid", "-0.2"),
 ])
 def test_analyze_bad_exponent_exit_2(tmp_path, capsys, flag, value):
