@@ -7,6 +7,18 @@ Each indicator gets a direction flag against a desk-scale threshold; a
 sequence behaves like a finite union of interpolating sequences when all
 flags point the same way.  The thresholds are documented heuristics for
 the generator families shipped here, not theorems.
+
+The composition probe (nonzero_probe) is the least, over the zeros c, of
+compose_min_on_compact(b, c, 1/2), and is found by a pruned search that
+returns the same float as one full call per zero
+(blaschke._least_compose_max): every 16th of the 512 samples of each
+circle gives each center a lower bound, and the centers are then visited
+with the full call in increasing bound until the next bound exceeds the
+least value found.  Each bound is lowered by 4 (n + 16) 2^-53 of its
+magnitude, twice what the rounding of a sum of n terms m log rho^2 <= 0
+can move a computed log max, so no center whose full value is smaller is
+skipped.  On the benchmark's random Carleson clouds (n = 200 and 800)
+one center gets the full call.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from . import bergman as bg
 from .blaschke import (
     BlaschkeProduct,
     _greedy_parts,
-    compose_min_on_compact,
+    _least_compose_max,
     max_local_count,
     separation_report,
 )
@@ -126,7 +138,7 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
         centers = np.concatenate([zs, hyperbolic_grid(float(np.abs(zs).max()), probe_pitch)])
     ubs = uniform_blaschke_sup(s, centers)
     ncount = max_local_count(b, 0.5)
-    nonzero = min(compose_min_on_compact(b, z, 0.5) for z in zs)
+    nonzero = _least_compose_max(b, zs, 0.5)
     # the divisor probe recentres at 0 and at the deepest zero, the
     # multiplication probe at the deepest few zeros: one mean per center
     probe_centers = sorted(zs, key=lambda z: -abs(z))[:max_probe_centers]

@@ -106,17 +106,40 @@ def _log_rho2(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     |1 - conj(a) z|^2 = |a - z|^2 + da dz gives
     log rho^2 = -log1p(da dz / |a - z|^2) in real arithmetic, free of the
     cancellation in 1 - conj(a) z near the circle; -inf where z = a.
+
+    Below |a - z| = 1.5e-154 the square |a - z|^2 underflows and the
+    quotient can overflow.  A tile whose floating-point flags report either
+    is formed again, those pairs from logarithms (_log_rho2_tiny).
     """
     dx = a[0][:, None] - z[0]
     dy = a[1][:, None] - z[1]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    out = a[2][:, None] * z[2]
-    with np.errstate(divide="ignore"):
-        out /= dx
+    try:
+        with np.errstate(divide="ignore", over="raise", under="raise"):
+            dx *= dx
+            dy *= dy
+            dx += dy
+            out = a[2][:, None] * z[2]
+            out /= dx
+    except FloatingPointError:
+        return _log_rho2_tiny(a, z)
     np.log1p(out, out=out)
     return np.negative(out, out=out)
+
+
+def _log_rho2_tiny(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """_log_rho2 for a tile whose flags fired.  Where |a - z|^2 falls below
+    the least normal double, log rho^2 = 2 log|a - z| - log(da dz) -
+    log1p(|a - z|^2/(da dz)) with |a - z| from hypot, which neither
+    underflows nor overflows; the other pairs as in _log_rho2, bit for bit."""
+    dx = a[0][:, None] - z[0]
+    dy = a[1][:, None] - z[1]
+    depth = a[2][:, None] * z[2]
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        out = -np.log1p(depth / (dx * dx + dy * dy))
+        tiny = dx * dx + dy * dy < np.finfo(float).tiny
+        h, depth = np.hypot(dx[tiny], dy[tiny]), depth[tiny]
+        out[tiny] = 2.0 * np.log(h) - np.log(depth) - np.log1p(h / depth * h)
+    return out
 
 
 @dataclass(frozen=True)

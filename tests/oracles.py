@@ -4,7 +4,8 @@ They build test integrands with known closed-form norms and zero sets,
 products B * g that remember both parts, quotients by B, weighted Bergman
 norms by direct quadrature, the pointwise division bound, local zero
 counts, the tail kernel sums beta, zero targets, target files, sampled
-arcs and a rescanning random-Carleson sampler; the library itself has no
+arcs, a rescanning random-Carleson sampler and the uniformly-nonzero probe
+by one full call per zero and on a finer circle; the library itself has no
 use for them.
 """
 
@@ -14,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from blaschke_lab.bergman import AnalyticFunction, QuadratureGrid, area_integral, constant_fn
-from blaschke_lab.blaschke import BlaschkeProduct, evaluate, log_abs_composed, log_abs_evaluate
+from blaschke_lab.blaschke import (
+    _PROBE_GRID,
+    BlaschkeProduct,
+    _circle,
+    compose_min_on_compact,
+    evaluate,
+    log_abs_composed,
+    log_abs_evaluate,
+)
 from blaschke_lab.carleson import carleson_norm
 from blaschke_lab.disk import FiniteSequence, MoebiusMap, _tocomplex, psh_distance_pairwise
 from blaschke_lab.geninterp import HermiteJet
@@ -298,3 +307,18 @@ def rescanning_random_carleson(seed: int, n: int, target_norm: float,
             f"sampling budget exhausted: norm {norm:.3f} above 1.2 * target"
         )
     return seq
+
+
+def exhaustive_nonzero_probe(b: BlaschkeProduct, zs) -> float:
+    """The uniformly-nonzero probe as the plain minimum of one full
+    compose_min_on_compact call per zero."""
+    return min(compose_min_on_compact(b, z, 0.5) for z in zs)
+
+
+def dense_composed_log_max(b: BlaschkeProduct, c, refine: int = 64) -> float:
+    """log of the max of |B o phi_c| over refine times the probe's samples of
+    |z| = 1/2, taken as refine rotated copies of its grid.  Copy 0 holds
+    the probe's samples bit for bit (index refine * j), evaluated in the
+    same call shape, so the result is never below the probe's own."""
+    circle = _circle(0.5, _PROBE_GRID * refine)
+    return max(float(log_abs_composed(b, [c], circle[k::refine]).max()) for k in range(refine))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blaschke_lab import blaschke, disk
-from blaschke_lab.analysis import analysis_grid, union_separation
+from blaschke_lab.analysis import analysis_grid, analyze_sequence, union_separation
 from blaschke_lab.bergman import area_integral
 from blaschke_lab.blaschke import (
     BlaschkeProduct,
@@ -34,7 +34,7 @@ from blaschke_lab.generators import (
     gen_random_carleson,
     gen_union,
 )
-from oracles import local_zero_count
+from oracles import dense_composed_log_max, exhaustive_nonzero_probe, local_zero_count
 
 
 def random_sequence(seed, n=12, r_max=0.95):
@@ -425,6 +425,84 @@ def test_compose_probe_at_deepest_zero_against_mpmath(theta):
                                 for w in circle)))
     got = compose_min_on_compact(BlaschkeProduct(s), c, 0.5)
     assert abs(got - want) <= 1e-13 * want
+
+
+SEARCH_INPUTS = {
+    "random-carleson n=40": lambda: gen_random_carleson(11, 40, 4.0),
+    "random-carleson n=200": lambda: gen_random_carleson(11, 200, 4.0),
+    "radial rays 0,pi": DEEP["radial rays 0,pi"],
+    "radial rays 1,1+pi": DEEP["radial rays 1,1+pi"],
+    "escalating n_max=8 split": lambda: gen_escalating_multiplicity(8, split=True),
+    "escalating n_max=12 split": DEEP["escalating n_max=12 split"],
+    "single zero": lambda: FiniteSequence.from_complex([0.3 + 0.1j]),
+    # every centre ties
+    "24 zeros on |z|=0.9": lambda: FiniteSequence.from_complex(
+        0.9 * np.exp(2j * np.pi * np.arange(24) / 24)),
+    # at centre 0 the zero -1/2 moves onto the sample 1/2: the minimum is 0
+    "a sample on a moved zero": lambda: FiniteSequence.from_complex([0.0, -0.5]),
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCH_INPUTS))
+def test_pruned_probe_is_the_exhaustive_minimum(name):
+    s = SEARCH_INPUTS[name]()
+    b = BlaschkeProduct(s)
+    assert blaschke._least_compose_max(b, s.zs, 0.5) == exhaustive_nonzero_probe(b, s.zs)
+
+
+BENCH_INPUTS = {
+    "random-carleson n=200": lambda: gen_random_carleson(11, 200, 4.0),
+    "escalating n_max=8": lambda: gen_escalating_multiplicity(8),
+    "escalating n_max=12": lambda: gen_escalating_multiplicity(12),
+    "escalating n_max=8 split": lambda: gen_escalating_multiplicity(8, split=True),
+    **DEEP,
+}
+
+
+@pytest.mark.parametrize("name", list(BENCH_INPUTS))
+def test_probe_bounds_lie_below_the_full_values(name):
+    s = BENCH_INPUTS[name]()
+    b = BlaschkeProduct(s)
+    bounds = blaschke._probe_bounds(b, s.zs, 0.5)
+    full = np.array([compose_min_on_compact(b, z, 0.5) for z in s.zs])
+    assert (np.exp(bounds) <= full).all()
+
+
+def test_pruned_probe_evaluates_few_centres(monkeypatch):
+    s = gen_random_carleson(11, 200, 4.0)
+    calls = []
+    full = blaschke.compose_min_on_compact
+    monkeypatch.setattr(blaschke, "compose_min_on_compact",
+                        lambda *args: calls.append(args) or full(*args))
+    blaschke._least_compose_max(BlaschkeProduct(s), s.zs, 0.5)
+    assert 1 <= len(calls) <= 5
+
+
+# ref / printed - 1 read 1.1e-7, 2.6e-5 and 1.1e-7 on these inputs
+NONZERO_TOL = 1e-4
+ORACLE_INPUTS = {
+    "random-carleson n=40": lambda: gen_random_carleson(11, 40, 4.0),
+    "escalating n_max=4": lambda: gen_escalating_multiplicity(4),
+    "radial q=1/2 n=20 rays 0,2": lambda: gen_radial_geometric(0.5, 20, (0.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_INPUTS))
+def test_nonzero_probe_against_a_finer_circle(name):
+    # the printed probe is a max over 512 samples, so it may only lie below
+    # the max over 32,768 samples of the same circle
+    mpmath = pytest.importorskip("mpmath")
+    s = ORACLE_INPUTS[name]()
+    b = BlaschkeProduct(s)
+    got = analyze_sequence(s).nonzero_probe
+    want = float(np.exp(min(dense_composed_log_max(b, c) for c in s.zs)))
+    assert got <= want <= got * (1.0 + NONZERO_TOL)
+    # |B o phi_c| at the winning centre and sample, at 50 digits
+    c = s.zs[np.argmin([compose_min_on_compact(b, z, 0.5) for z in s.zs])]
+    circle = blaschke._circle(0.5, blaschke._PROBE_GRID)
+    w = circle[np.argmax(log_abs_composed(b, [c], circle)[0])]
+    exact = float(mpmath.exp(mp_log_abs_composed(mpmath, s.zs, s.mults, c, w)))
+    assert abs(got - exact) <= 2e-15 * exact
 
 
 def reference_greedy(zs, sep):

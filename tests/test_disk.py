@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blaschke_lab import disk
+from blaschke_lab.blaschke import BlaschkeProduct, separation_report
 from blaschke_lab.disk import (
     BOUNDARY_FLOOR,
     DiskPoint,
@@ -53,6 +55,26 @@ def test_pairwise_distance_against_mpmath(name):
                 worst = max(worst, abs(float(want - got[i, j])), abs(float(want - got[j, i])))
     assert (np.diagonal(got) == 0.0).all()
     assert worst <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, z", [(1e-160, 3e-160), (1e-170, 3e-170), (3e-200 - 1e-200j, 0.0)])
+def test_distance_of_subnormal_square_against_mpmath(a, z):
+    # |a - z|^2 underflows: the kernel read -inf, with an overflow warning
+    # at 1e-160, and 0 for psh_distance
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ma, mz = mpmath.mpc(a), mpmath.mpc(z)
+        want = mpmath.log(abs(ma - mz) ** 2 / abs(1 - mpmath.conj(ma) * mz) ** 2)
+    pts = [np.array([v], dtype=complex) for v in (a, z)]
+    got = float(disk._log_rho2(disk._coords(pts[0]), disk._coords(pts[1]))[0, 0])
+    assert abs(got - float(want)) <= 1e-15 * abs(float(want))
+    assert psh_distance(a, z) == pytest.approx(float(mpmath.exp(want / 2)), rel=1e-15)
+    rep = separation_report(BlaschkeProduct.from_complex([a, z, 0.5]))
+    assert rep.discreteness == pytest.approx(float(mpmath.exp(want / 2)), rel=1e-15)
+    assert rep.delta > 0.0
+    coincident = disk._coords(np.array([a, a], dtype=complex))
+    assert disk._log_rho2(coincident[:, :1], coincident)[0].tolist() == [-np.inf, -np.inf]
 
 
 def test_moebius_examples():
