@@ -402,22 +402,19 @@ def _local_counts(b: BlaschkeProduct, centers: np.ndarray, r: float) -> np.ndarr
     return counts
 
 
-def max_local_count(b: BlaschkeProduct, r: float, extra_centers=()) -> int:
-    """Max over the zeros themselves plus optional centers of the number of
-    zeros (with multiplicity) at pseudohyperbolic distance < r.
+def max_local_count(b: BlaschkeProduct, r: float) -> int:
+    """Max over the zeros themselves of the number of zeros (with
+    multiplicity) at pseudohyperbolic distance < r.
 
     Searching centers in the zero set is a certified lower bound for the
     supremum over the whole disk: a disk D(c, r) holding k zeros contains a
-    zero z* whose doubled disk D(z*, 2r/(1+r^2)) holds the same k.  Pass a
-    fine grid through ``extra_centers`` to tighten the search.
+    zero z* whose doubled disk D(z*, 2r/(1+r^2)) holds the same k.
     """
     if not 0 < r < 1:
         raise ValueError("radius must lie in (0, 1)")
     if len(b.zeros) == 0:
         return 0
-    centers = np.concatenate([b._table[0],
-                              np.array([_tocomplex(c) for c in extra_centers], dtype=complex)])
-    return int(_local_counts(b, centers, r).max())
+    return int(_local_counts(b, b._table[0], r).max())
 
 
 def _greedy_parts(zs: np.ndarray, sep: float) -> list:

@@ -5,11 +5,9 @@ to total measure 1) is S_I = { z : z/|z| in I, 1 - |z| < m(I) }.  The
 Carleson norm of a measure is the supremum of mu(S_I)/m(I).
 
 For the discrete measures attached to zero sequences the supremum is
-searched over an explicit finite family of squares: arcs anchored at the
-atoms, at dyadic scales and at scales just above each atom's own depth.
-The reported value is exact for the visited family and within a constant
-factor of the true supremum (an arc holding mass can be recentered at a
-contained atom at twice the length).
+exact: every square that holds mass can be turned to start at an atom and
+shrunk to a scale just above one atom's angular offset or depth, so one
+sort per atom finds it.
 
 For arc-length measure on a family of circle arcs the mass of every arc
 inside a square is exact: the arc is cut where it crosses the circle
@@ -35,8 +33,6 @@ from .disk import (
     _tiles,
     _tocomplex,
 )
-
-ANCHOR_ETAS = (0.001, 0.1, 1.0)
 
 # arc_carleson_constant drops a box of squares once its upper bound is
 # within this relative gap of the best square found, and stops after
@@ -73,7 +69,7 @@ class DiscreteMeasure:
 class CarlesonNormReport:
     norm: float
     maximizing_square: CarlesonSquare | None
-    method: str  # "dyadic" | "point-anchored" | "n/a"
+    method: str  # "point-anchored" | "n/a"
 
 
 def mu_z_measure(s: FiniteSequence) -> DiscreteMeasure:
@@ -82,69 +78,62 @@ def mu_z_measure(s: FiniteSequence) -> DiscreteMeasure:
     return DiscreteMeasure(zs, s.mults * _one_minus_abs2(zs))
 
 
-def _dyadic_levels(depths: np.ndarray) -> int:
-    """Smallest L with 2^-L below half the shallowest atom depth, capped."""
-    if depths.size == 0:
-        return 0
-    return int(min(60, np.ceil(np.log2(2.0 / depths.min())) + 1))
-
-
 def _wrap(x):
     """Angles reduced to [-pi, pi)."""
     return (x + np.pi) % (2 * np.pi) - np.pi
 
 
-def _search_squares(angles, depths, weights, center_angles, scales):
-    """Max of mass/scale over arcs centered at center_angles with the given scales.
+def _square_sup(angles, depths, weights):
+    """Supremum of mass/scale over all squares, for atoms of depth in
+    (0, 1), and a square whose ratio is within a few roundings of it.
 
-    Membership in the square of center c and scale m is
-    |angle - c| <= pi*m (wrapped) and depth < m.  Returns
-    (best_ratio, best_center, best_scale).
+    Square (c, m) holds atom k iff |wrap(angle_k - c)| <= pi m and
+    depth_k < m.  A square holding atoms turns, losing none, until its arc
+    starts at the first atom it holds, so only arcs starting at an atom i
+    matter.  With o_k the offset of atom k from atom i counter-clockwise,
+    in turns, and tau_k = max(o_k, depth_k), a scale just above tau_k
+    holds exactly the atoms with tau <= tau_k, and between consecutive
+    tau the mass is constant while the ratio falls.  The supremum is the
+    max over i and over tau_k < 1 of (mass with tau <= tau_k) / tau_k,
+    taken by one sort and one cumulative sum per row i, in tiles of
+    _BLOCK elements; a limit from above when the depth binds.
+
+    The square starts at atom i with scale one float above tau_k, widened
+    to the rounded angles of the atoms it must hold, so it holds them.
     """
-    scales = np.unique(np.clip(np.asarray(scales, dtype=float), 0.0, 1.0))
-    scales = scales[scales > 0]
-    if len(scales) == 0 or len(angles) == 0:
-        return 0.0, None, None
-    best = (0.0, None, None)
-    for c in center_angles:
-        d = np.abs(_wrap(angles - c))
-        # the angular test d/pi <= m is inclusive while the depth test is
-        # strict; nudging the angular key down one float merges both into
-        # the single strict comparison m > tau.
-        tau = np.maximum(np.nextafter(d / np.pi, -np.inf), depths)
-        order = np.argsort(tau)
-        csum = np.concatenate([[0.0], np.cumsum(weights[order])])
-        idx = np.searchsorted(tau[order], scales, side="left")
-        ratios = csum[idx] / scales
-        k = int(np.argmax(ratios))
-        if ratios[k] > best[0]:
-            best = (float(ratios[k]), float(c), float(scales[k]))
-    return best
+    n = len(angles)
+    turns = angles / (2 * np.pi)
+    best = (0.0, 0, 1.0, None)
+    rows = max(1, _BLOCK // n)
+    for i in range(0, n, rows):
+        tau = np.maximum((turns - turns[i:i + rows, None]) % 1.0, depths)
+        order = np.argsort(tau, axis=1)
+        tau = np.take_along_axis(tau, order, axis=1)
+        ratio = np.where(tau < 1.0, np.cumsum(weights[order], axis=1) / tau, 0.0)
+        r, k = np.unravel_index(np.argmax(ratio), ratio.shape)
+        if ratio[r, k] > best[0]:
+            best = (float(ratio[r, k]), i + r, float(tau[r, k]), order[r, :k + 1])
+    sup, i, tau, held = best
+    center = float((angles[i] + np.pi * tau) % (2 * np.pi))
+    reach = np.abs(_wrap(angles[held] - center)).max() / np.pi * (1.0 + 4 * np.finfo(float).eps)
+    scale = min(max(float(np.nextafter(tau, 2.0)), float(reach)), 1.0)
+    return sup, CarlesonSquare(center, scale)
 
 
 def carleson_norm(s: FiniteSequence) -> CarlesonNormReport:
-    """Carleson norm estimate of the sequence measure mu_Z.
+    """Carleson norm of the sequence measure mu_Z: the exact supremum of
+    mu_Z(S)/m over all squares S of scale m (see _square_sup).
 
-    The square family: arcs centered at each atom's angle, with scales
-    2^-l for l = 0..L (L fine enough to isolate the deepest atom) together
-    with (1 - |z_k|)(1 + eta) for every atom k and eta in ANCHOR_ETAS.
-    Anchoring positions at the atoms keeps the search family covariant
-    under rotation of the whole configuration.
+    Depths 1 - |z| are taken as (1 - |z|^2) / (1 + |z|), accurate near
+    the circle; atoms at 0 lie in no square.
     """
-    if len(s) == 0:
-        return CarlesonNormReport(0.0, None, "n/a")
     mu = mu_z_measure(s)
-    angles = np.angle(mu.atoms)
-    depths = 1.0 - np.abs(mu.atoms)
-    L = _dyadic_levels(depths)
-    dyadic = set(float(2.0 ** (-l)) for l in range(L + 1))
-    anchored = [min(1.0, d * (1.0 + eta)) for d in depths for eta in ANCHOR_ETAS]
-    scales = sorted(dyadic.union(anchored))
-    ratio, center, scale = _search_squares(angles, depths, mu.weights, angles, scales)
-    if center is None:
+    depths = _one_minus_abs2(mu.atoms) / (1.0 + np.abs(mu.atoms))
+    keep = depths < 1.0
+    if not keep.any():
         return CarlesonNormReport(0.0, None, "n/a")
-    method = "dyadic" if scale in dyadic else "point-anchored"
-    return CarlesonNormReport(ratio, CarlesonSquare(center % (2 * np.pi), scale), method)
+    sup, square = _square_sup(np.angle(mu.atoms[keep]), depths[keep], mu.weights[keep])
+    return CarlesonNormReport(sup, square, "point-anchored")
 
 
 def uniform_blaschke_sup(s: FiniteSequence, probe_centers) -> float:

@@ -233,7 +233,7 @@ def _cmd_verify(args) -> int:
     structural_ok = True
     if args.level == "full" and len(seq) and seq.is_simple():
         parts = partition_separated(seq, 0.5)
-        bound = max_local_count(BlaschkeProduct(seq), 0.5)
+        bound = rep.max_count_half
         union_total = sum(len(p) for p in parts)
         structural_ok = union_total == len(seq) and len(parts) <= bound
         sections["structure"] = {

@@ -126,7 +126,7 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
     Points draw a dyadic depth level and a uniform angle; a candidate is
     accepted only while the squares it lands in keep mass/size below a
     safety fraction of the target.  The final norm is then asserted against
-    the full square family.
+    the exact supremum.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -134,7 +134,7 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
         raise ValueError("target_norm must be positive and finite")
     rng = np.random.default_rng(seed)
     # cap every dyadic square at 0.3 * target: the covering argument then
-    # bounds the full-family norm by 1.2 * target unconditionally.
+    # bounds the exact supremum by 1.2 * target unconditionally.
     margin = 0.3 * target_norm
     # each dyadic level-l cell admits mass about margin * 2^-l while one
     # atom at that level weighs about 1.5 * 2^-l, so the levels must be

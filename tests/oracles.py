@@ -4,13 +4,15 @@ They build test integrands with known closed-form norms and zero sets,
 products B * g that remember both parts, quotients by B, weighted Bergman
 norms by direct quadrature, the pointwise division bound, local zero
 counts, the tail kernel sums beta, zero targets, target files, sampled
-arcs, a rescanning random-Carleson sampler and the uniformly-nonzero probe
-by one full call per zero and on a finer circle; the library itself has no
-use for them.
+arcs, a rescanning random-Carleson sampler, the uniformly-nonzero probe
+by one full call per zero and on a finer circle, the anchored square
+family carleson_norm once searched and a brute-force Carleson norm; the
+library itself has no use for them.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -322,3 +324,68 @@ def dense_composed_log_max(b: BlaschkeProduct, c, refine: int = 64) -> float:
     same call shape, so the result is never below the probe's own."""
     circle = _circle(0.5, _PROBE_GRID * refine)
     return max(float(log_abs_composed(b, [c], circle[k::refine]).max()) for k in range(refine))
+
+
+ANCHOR_ETAS = (0.001, 0.1, 1.0)
+
+
+def _dyadic_levels(depths: np.ndarray) -> int:
+    """Smallest L with 2^-L below half the shallowest atom depth, capped."""
+    if depths.size == 0:
+        return 0
+    return int(min(60, np.ceil(np.log2(2.0 / depths.min())) + 1))
+
+
+def _wrap(x):
+    """Angles reduced to [-pi, pi)."""
+    return (x + np.pi) % (2 * np.pi) - np.pi
+
+
+def _search_squares(angles, depths, weights, center_angles, scales):
+    """Max of mass/scale over arcs centered at center_angles with the given scales.
+
+    Membership in the square of center c and scale m is
+    |angle - c| <= pi*m (wrapped) and depth < m.  Returns
+    (best_ratio, best_center, best_scale).
+    """
+    scales = np.unique(np.clip(np.asarray(scales, dtype=float), 0.0, 1.0))
+    scales = scales[scales > 0]
+    if len(scales) == 0 or len(angles) == 0:
+        return 0.0, None, None
+    best = (0.0, None, None)
+    for c in center_angles:
+        d = np.abs(_wrap(angles - c))
+        # the angular test d/pi <= m is inclusive while the depth test is
+        # strict; nudging the angular key down one float merges both into
+        # the single strict comparison m > tau.
+        tau = np.maximum(np.nextafter(d / np.pi, -np.inf), depths)
+        order = np.argsort(tau)
+        csum = np.concatenate([[0.0], np.cumsum(weights[order])])
+        idx = np.searchsorted(tau[order], scales, side="left")
+        ratios = csum[idx] / scales
+        k = int(np.argmax(ratios))
+        if ratios[k] > best[0]:
+            best = (float(ratios[k]), float(c), float(scales[k]))
+    return best
+
+
+def brute_carleson_norm(s: FiniteSequence) -> float:
+    """Carleson norm of mu_Z by brute force: every arc from atom i to atom
+    j, with every atom depth as threshold, scores the mass of the atoms in
+    the arc no deeper than the threshold over max(arc / 2 pi, threshold).
+    The weights 1 - |z|^2 are rounded once from exact fractions."""
+    zs = np.asarray(s.zs)
+    exact = [Fraction(1) - Fraction(z.real) ** 2 - Fraction(z.imag) ** 2 for z in zs.tolist()]
+    weights = s.mults * np.array([float(q) for q in exact])
+    depths = np.array([float(q) for q in exact]) / (1.0 + np.abs(zs))
+    keep = depths < 1.0
+    angles, depths, weights = np.angle(zs[keep]), depths[keep], weights[keep]
+    held = (depths[:, None] <= depths[None, :]) * weights[:, None]  # atom k x threshold t
+    best = 0.0
+    for start in angles:
+        offsets = (angles - start) % (2 * np.pi)
+        in_arc = offsets[None, :] <= offsets[:, None]  # arc end j x atom k
+        mass = in_arc @ held
+        scale = np.maximum(offsets[:, None] / (2 * np.pi), depths[None, :])
+        best = max(best, float((mass / scale).max()))
+    return best

@@ -6,13 +6,10 @@ from blaschke_lab import geninterp as gi
 from blaschke_lab.bergman import constant_fn, reproducing_family
 from blaschke_lab.blaschke import BlaschkeProduct
 from blaschke_lab.carleson import (
-    ANCHOR_ETAS,
     CarlesonSquare,
     CircleArc,
     _ArcTable,
-    _dyadic_levels,
     _region_mass,
-    _search_squares,
     arc_carleson_constant,
     carleson_embedding_probe,
     carleson_norm,
@@ -21,8 +18,12 @@ from blaschke_lab.carleson import (
     uniform_blaschke_sup,
 )
 from blaschke_lab.disk import FiniteSequence, InvariantViolation
-from blaschke_lab.generators import gen_escalating_multiplicity, gen_radial_geometric
-from oracles import arc_samples
+from blaschke_lab.generators import (
+    gen_escalating_multiplicity,
+    gen_radial_geometric,
+    gen_random_carleson,
+)
+from oracles import ANCHOR_ETAS, _dyadic_levels, _search_squares, arc_samples, brute_carleson_norm
 from test_acceptance import _interpolation_problem
 
 
@@ -68,7 +69,7 @@ def test_mu_z():
 
 def test_carleson_norm_examples():
     rep = carleson_norm(FiniteSequence.from_complex([0.5]))
-    assert rep.norm == pytest.approx(0.75 / (0.5 * (1 + ANCHOR_ETAS[0])))
+    assert rep.norm == pytest.approx(1.5)  # 1 + r for one atom at radius r
     assert rep.method == "point-anchored"
     assert rep.maximizing_square is not None
     assert carleson_norm(FiniteSequence()).norm == 0.0
@@ -76,6 +77,44 @@ def test_carleson_norm_examples():
     for n in (5, 10, 20):
         s = gen_radial_geometric(0.5, n)
         assert carleson_norm(s).norm <= 4.0
+
+
+def depth_held_ratio(s, square) -> float:
+    """Mass over scale of the square, with depths (1 - |z|^2) / (1 + |z|)
+    as carleson_norm takes them: the naive 1 - |z| rounds by more than the
+    square's one-float margin."""
+    mu = mu_z_measure(s)
+    z = mu.atoms
+    depth = disk._one_minus_abs2(z) / (1.0 + np.abs(z))
+    angle = np.abs((np.angle(z) - square.arc_center + np.pi) % (2 * np.pi) - np.pi)
+    inside = (angle <= np.pi * square.arc_length) & (depth < square.arc_length)
+    return float(mu.weights[inside].sum()) / square.arc_length
+
+
+@pytest.mark.parametrize("s", [
+    gen_random_carleson(11, 40, 4.0),
+    gen_radial_geometric(0.5, 20, (0.0, 2.0)),
+    gen_escalating_multiplicity(8),
+    gen_radial_geometric(0.5, 20),
+    FiniteSequence.from_complex([0.5]),
+], ids=["random-carleson n=40", "rays 0 and 2", "escalating 8", "one ray", "one atom"])
+def test_carleson_norm_is_the_brute_force_supremum(s):
+    rep = carleson_norm(s)
+    assert rep.norm == pytest.approx(brute_carleson_norm(s), rel=1e-12)
+    assert rep.method == "point-anchored"
+    assert depth_held_ratio(s, rep.maximizing_square) == pytest.approx(rep.norm, rel=1e-12)
+
+
+def test_single_atom_norm_against_mpmath():
+    # one atom: the ratio (1 - |z|^2) / m rises to 1 + |z| as m falls to 1 - |z|
+    mpmath = pytest.importorskip("mpmath")
+    for depth in (None, *np.geomspace(1.1e-14, 1e-12, 5)):
+        for theta in (0.0, 1.0, 2.5, -3.0):
+            z = (0.5 if depth is None else 1.0 - depth) * np.exp(1j * theta)
+            got = carleson_norm(FiniteSequence.from_complex([z])).norm
+            with mpmath.workdps(50):
+                want = 1 + mpmath.sqrt(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2)
+                assert abs(float((got - want) / want)) <= 1e-15, (depth, theta)
 
 
 def test_norm_report_consistency():
