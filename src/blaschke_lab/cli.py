@@ -107,6 +107,8 @@ def _cmd_gen(args) -> int:
         raise fio.ParseError(f"target-norm must lie in (0, inf), got {args.target_norm}")
     if min(args.n, args.n_max, args.m) < 1 or min(args.satellites, args.doubles) < 0:
         raise fio.ParseError("n, n-max and m must be positive; satellites and doubles >= 0")
+    if args.seed < 0:
+        raise fio.ParseError(f"seed must be non-negative, got {args.seed}")
     try:
         rays = tuple(float(t) for t in args.rays.split(",") if t.strip())
     except ValueError:

@@ -10,6 +10,8 @@ inputs reproduce the same sequence bit for bit.  Families:
   multiplicity n, so transformed zero masses grow linearly with the level
   while the plain zero mass stays summable;
 * Carleson-controlled random clouds, rejection-sampled square by square;
+  each candidate takes three doubles of the seeded stream, drawn in
+  blocks, and the clouds are bit-identical to per-candidate draws;
 * perturbed variants: satellites at small pseudohyperbolic distance and
   occasional doubled points, for clustered interpolation problems.
 """
@@ -22,6 +24,9 @@ import numpy as np
 
 from .carleson import carleson_norm
 from .disk import FiniteSequence, InvariantViolation
+
+# candidates of the random-Carleson sampler drawn per call to the generator
+_DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,12 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
     accepted only while the squares it lands in keep mass/size below a
     safety fraction of the target.  The final norm is then asserted against
     the exact supremum.
+
+    Each candidate takes three doubles of the seeded stream, the ones that
+    ``rng.choice(4, p=...)``, ``rng.uniform()`` and ``rng.uniform(0, 2 pi)``
+    would take; they are drawn in blocks of ``_DRAW_BLOCK`` candidates, so
+    the clouds are bit-identical to per-candidate draws.  Every point gets
+    ``max_tries_per_point`` candidates, across block boundaries.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -141,31 +152,51 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
     # deep enough that the cells can hold n points between them (and the
     # whole-circle cell caps the total mass at margin).
     base_level = max(1, int(np.ceil(np.log2(max(2.0 * n / margin, 2.0)))) - 1)
-    level_probs = np.array([1.0, 2.0, 4.0, 8.0]) / 15.0
     deepest = base_level + 3
-    # mass[l, cell]: weight of the accepted atoms with depth < 2^-l in the
-    # level-l dyadic cell, held only for cells that hold an atom (a small
+    # rng.choice(4, p=level_probs) searches this cdf for one uniform draw
+    level_probs = np.array([1.0, 2.0, 4.0, 8.0]) / 15.0
+    cdf = level_probs.cumsum()
+    cdf /= cdf[-1]
+    half_sizes = np.array([2.0 ** (-l - 1) for l in range(base_level, deepest + 1)])
+    sizes = [2.0 ** -k for k in range(deepest + 1)]
+    counts = np.array([2.0 ** k for k in range(deepest + 1)])
+    two_pi = 2.0 * np.pi
+
+    def candidates():
+        """(levels visited, weight, radius, angle, cell per level) of each
+        candidate, in the order of the stream."""
+        while True:
+            u = rng.random((_DRAW_BLOCK, 3))
+            depth = half_sizes[cdf.searchsorted(u[:, 0], side="right")] * (1.0 + u[:, 1])
+            ang = two_pi * u[:, 2]
+            r = 1.0 - depth
+            # the squares through a candidate are those of the levels k
+            # with depth < 2^-k; cell 2^k (an angle of 2 pi) wraps to 0
+            visits = (depth[:, None] < sizes).sum(axis=1)
+            cells = np.floor(ang[:, None] / two_pi * counts) % counts
+            yield from zip(visits.tolist(), (1.0 - r * r).tolist(), r.tolist(),
+                           ang.tolist(), cells.tolist())
+
+    # mass[k][cell]: weight of the accepted atoms with depth < 2^-k in the
+    # level-k dyadic cell, held only for cells that hold an atom (a small
     # target makes the levels deep and a full table huge).  Controlling
     # every dyadic square at every insertion dominates the full arc family:
     # any arc is covered by two adjacent dyadic arcs of at most twice its
     # length, so the true norm stays below 4x the dyadic cap.
-    mass = {}
+    mass = [{} for _ in range(deepest + 1)]
+    draws = candidates()
     pts = []
     for _ in range(n):
-        for attempt in range(max_tries_per_point):
-            l = base_level + int(rng.choice(4, p=level_probs))
-            depth = 2.0 ** (-l - 1) * (1.0 + rng.uniform())
-            ang = rng.uniform(0.0, 2.0 * np.pi)
-            r = 1.0 - depth
-            wgt = 1.0 - r * r
-            # the squares through the candidate; cell 2^k (an angle of
-            # 2 pi) wraps to cell 0
-            cells = [(k, int(ang / (2.0 * np.pi) * 2**k) % 2**k)
-                     for k in range(deepest + 1) if depth < 2.0 ** -k]
-            if all((mass.get((k, c), 0.0) + wgt) / 2.0 ** -k <= margin
-                   for k, c in cells):
-                for k, c in cells:
-                    mass[k, c] = mass.get((k, c), 0.0) + wgt
+        # range before draws: zip stops without taking a candidate past
+        # the budget, so the next point starts on it
+        for _attempt, (visits, wgt, r, ang, cells) in zip(range(max_tries_per_point), draws):
+            # the deepest square is the likeliest to overflow: test it first
+            for k in range(visits - 1, -1, -1):
+                if (mass[k].get(cells[k], 0.0) + wgt) / sizes[k] > margin:
+                    break
+            else:
+                for k in range(visits):
+                    mass[k][cells[k]] = mass[k].get(cells[k], 0.0) + wgt
                 pts.append(r * np.exp(1j * ang))
                 break
         else:

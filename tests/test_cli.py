@@ -146,6 +146,9 @@ def test_interpolate_bad_flag_exit_2(tmp_path, capsys, flag, value):
     ["perturbed", "--satellites", "-1"],
     ["perturbed", "--doubles", "-1"],
     ["perturbed", "--n", "5", "--satellites", "4", "--doubles", "2"],
+    ["random-carleson", "--seed", "-1"],
+    ["union", "--seed", "-1"],
+    ["perturbed", "--seed", "-1"],
 ])
 def test_gen_bad_flag_exit_2(tmp_path, capsys, args):
     out = tmp_path / "x.txt"

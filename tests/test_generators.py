@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blaschke_lab import generators
 from blaschke_lab.blaschke import BlaschkeProduct, separation_report
 from blaschke_lab.carleson import carleson_norm
 from blaschke_lab.disk import psh_distance
@@ -102,13 +103,21 @@ def test_random_carleson_matches_rescanning_sampler(n, target):
 def test_random_carleson_angle_of_two_pi_lies_in_cell_zero(monkeypatch):
     # a uniform draw on [0, 2 pi) divided by 2 pi stays below 1, so no
     # seeded cloud reaches the wrap; a stub generator turns every other
-    # angle draw below 1/2 into exactly 2 pi and the rest into angles below
-    # 5e-5, so that the rescan's wrapped cells crowd both into cell 0
+    # angle below 1/2 into exactly 2 pi and the rest into angles below
+    # 5e-5, so that the rescan's wrapped cells crowd both into cell 0.  The
+    # rescan draws its angles one by one and the sampler in blocks of
+    # three doubles per candidate (the angle is 2 pi times the third); a
+    # draw of 1.0 is 2 pi on both paths, and scaling by 2^-14 is exact, so
+    # both paths see the same angles
     seeded = np.random.default_rng
 
     class Wrapping:
         def __init__(self, seed):
             self.rng, self.small = seeded(seed), 0
+
+        def _wrap(self, u, unit):
+            self.small += 1
+            return unit if self.small % 2 else u * 2.0**-14
 
         def choice(self, *args, **kwargs):
             return self.rng.choice(*args, **kwargs)
@@ -116,8 +125,14 @@ def test_random_carleson_angle_of_two_pi_lies_in_cell_zero(monkeypatch):
         def uniform(self, low=0.0, high=1.0):
             u = self.rng.uniform(low, high)
             if high == 2.0 * np.pi and u < 0.5:
-                self.small += 1
-                return 2.0 * np.pi if self.small % 2 else u * 1e-4
+                return self._wrap(u, 2.0 * np.pi)
+            return u
+
+        def random(self, size=None):
+            u = self.rng.random(size)
+            for row in u:
+                if 2.0 * np.pi * row[2] < 0.5:
+                    row[2] = self._wrap(row[2], 1.0)
             return u
 
     monkeypatch.setattr(np.random, "default_rng", Wrapping)
@@ -127,6 +142,27 @@ def test_random_carleson_angle_of_two_pi_lies_in_cell_zero(monkeypatch):
         assert not isinstance(want, str) and np.array_equal(got, want), seed
         at_two_pi = (want.imag < 0) & (want.imag > -1e-15)
         assert at_two_pi.any() and (~at_two_pi & (abs(want.imag) < 0.4)).any(), seed
+
+
+@pytest.mark.parametrize("tries", [1, 2, 3, 7])
+@pytest.mark.parametrize("n", [40, 200])
+def test_random_carleson_budget_counts_attempts_across_blocks(monkeypatch, n, tries):
+    # the candidates come in blocks, but each point still gets exactly
+    # `tries` of them, wherever a block ends; blocks of 5 put a block end
+    # inside most budgets.  At target 12 small budgets give both finished
+    # clouds and exhausted ones
+    def sampler(sample):
+        return lambda seed, n, target: sample(seed, n, target, max_tries_per_point=tries)
+
+    for seed in range(20):
+        want = _draw(sampler(rescanning_random_carleson), seed, n, 12.0)
+        for block in (generators._DRAW_BLOCK, 5):
+            monkeypatch.setattr(generators, "_DRAW_BLOCK", block)
+            got = _draw(sampler(gen_random_carleson), seed, n, 12.0)
+            if isinstance(want, str):
+                assert got == want, (seed, block)
+            else:
+                assert not isinstance(got, str) and np.array_equal(got, want), (seed, block)
 
 
 def test_random_carleson_tiny_target_matches_rescanning_sampler():
