@@ -142,6 +142,12 @@ def _log_rho2_tiny(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def inside_floor(z) -> bool:
+    """True when |z| < 1 - BOUNDARY_FLOOR, the test by which DiskPoint
+    accepts a point."""
+    return abs(z) < 1.0 - BOUNDARY_FLOOR
+
+
 @dataclass(frozen=True)
 class DiskPoint:
     """A point of the open unit disk, kept strictly inside the conditioning floor."""
@@ -152,7 +158,7 @@ class DiskPoint:
     def __post_init__(self):
         if not (np.isfinite(self.re) and np.isfinite(self.im)):
             raise InvariantViolation("disk point coordinates must be finite")
-        if abs(self.z) >= 1.0 - BOUNDARY_FLOOR:
+        if not inside_floor(self.z):
             raise InvariantViolation(
                 f"point {self.re}+{self.im}j too close to the unit circle "
                 f"(need 1 - |z| >= {BOUNDARY_FLOOR})"

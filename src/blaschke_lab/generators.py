@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .carleson import carleson_norm
-from .disk import FiniteSequence, InvariantViolation
+from .disk import FiniteSequence, InvariantViolation, inside_floor
 
 # candidates of the random-Carleson sampler drawn per call to the generator
 _DRAW_BLOCK = 256
@@ -130,8 +130,9 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
 
     Points draw a dyadic depth level and a uniform angle; a candidate is
     accepted only while the squares it lands in keep mass/size below a
-    safety fraction of the target.  The final norm is then asserted against
-    the exact supremum.
+    safety fraction of the target and its point keeps 1 - |z| above the
+    disk's boundary floor; a refused candidate counts against the budget.
+    The final norm is then asserted against the exact supremum.
 
     Each candidate takes three doubles of the seeded stream, the ones that
     ``rng.choice(4, p=...)``, ``rng.uniform()`` and ``rng.uniform(0, 2 pi)``
@@ -151,15 +152,18 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
     # atom at that level weighs about 1.5 * 2^-l, so the levels must be
     # deep enough that the cells can hold n points between them (and the
     # whole-circle cell caps the total mass at margin).
-    base_level = max(1, int(np.ceil(np.log2(max(2.0 * n / margin, 2.0)))) - 1)
-    deepest = base_level + 3
+    try:
+        base_level = max(1, int(np.ceil(np.log2(max(2.0 * n / margin, 2.0)))) - 1)
+        deepest = base_level + 3
+        half_sizes = np.array([2.0 ** (-l - 1) for l in range(base_level, deepest + 1)])
+        sizes = [2.0 ** -k for k in range(deepest + 1)]
+        counts = np.array([2.0 ** k for k in range(deepest + 1)])
+    except (OverflowError, ZeroDivisionError):  # levels past 2^1023, or margin 0
+        raise RuntimeError("sampling budget exhausted") from None
     # rng.choice(4, p=level_probs) searches this cdf for one uniform draw
     level_probs = np.array([1.0, 2.0, 4.0, 8.0]) / 15.0
     cdf = level_probs.cumsum()
     cdf /= cdf[-1]
-    half_sizes = np.array([2.0 ** (-l - 1) for l in range(base_level, deepest + 1)])
-    sizes = [2.0 ** -k for k in range(deepest + 1)]
-    counts = np.array([2.0 ** k for k in range(deepest + 1)])
     two_pi = 2.0 * np.pi
 
     def candidates():
@@ -195,9 +199,12 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
                 if (mass[k].get(cells[k], 0.0) + wgt) / sizes[k] > margin:
                     break
             else:
+                z = r * np.exp(1j * ang)
+                if not inside_floor(z):
+                    continue
                 for k in range(visits):
                     mass[k][cells[k]] = mass[k].get(cells[k], 0.0) + wgt
-                pts.append(r * np.exp(1j * ang))
+                pts.append(z)
                 break
         else:
             raise RuntimeError("sampling budget exhausted")

@@ -3,7 +3,8 @@
 They build test integrands with known closed-form norms and zero sets,
 products B * g that remember both parts, quotients by B, weighted Bergman
 norms by direct quadrature, the pointwise division bound, local zero
-counts, the tail kernel sums beta, zero targets, target files, sampled
+counts, the tail kernel sums beta, the interpolant's reverse pass in
+separate per-cluster steps, zero targets, target files, sampled
 arcs, a rescanning random-Carleson sampler, the uniformly-nonzero probe
 by one full call per zero and on a finer circle, the anchored square
 family carleson_norm once searched and a brute-force Carleson norm; the
@@ -28,7 +29,7 @@ from blaschke_lab.blaschke import (
 )
 from blaschke_lab.carleson import carleson_norm
 from blaschke_lab.disk import FiniteSequence, MoebiusMap, _tocomplex, psh_distance_pairwise
-from blaschke_lab.geninterp import HermiteJet
+from blaschke_lab.geninterp import HermiteJet, _exponents
 
 
 def poly_from_zeros(zeros, lead=1.0) -> AnalyticFunction:
@@ -187,6 +188,43 @@ def beta(part, k: int, z):
         ca = a.conjugate()
         acc = acc + (1.0 - abs(a) ** 2) * (1.0 + ca * w) / (1.0 - ca * w)
     return complex(acc) if scalar else acc
+
+
+def _tail_sums(anchors, w):
+    """Yield (k, beta_k(w)) for k from the last anchor down to 0, as a
+    running sum of the tail terms."""
+    acc = np.zeros_like(w)
+    for k in range(len(anchors) - 1, -1, -1):
+        ca = anchors[k].conjugate()
+        acc = acc + (1.0 - abs(anchors[k]) ** 2) * (1.0 + ca * w) / (1.0 - ca * w)
+        yield k, acc
+
+
+def summed_by_rows(problem, w, weights):
+    """sum_k weights[k](w) B~_k(w) kernel_k(w) over the clusters k whose
+    weight is not None, by the reverse pass over the clusters in three
+    separate steps per cluster, each with its own 1 - conj(a_k) w: the
+    running tail sum beta_k(w), the kernel
+    ((1-|a_k|^2)/(1 - conj(a_k) w))^q exp((beta_k(a_k) - beta_k(w))/s)
+    through np.power, and the own-cluster product through evaluate."""
+    part = problem.partition
+    q, s = _exponents(problem.p)
+    anchors = part.anchors
+    beta_anchor = np.empty(len(anchors), dtype=complex)
+    for k, acc in _tail_sums(anchors, anchors):
+        beta_anchor[k] = acc[k]
+    out = np.zeros_like(w)
+    after = np.ones_like(w)
+    for k, beta_w in _tail_sums(anchors, w):
+        a = anchors[k]
+        kern = np.power((1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * w), q) \
+            * np.exp((beta_anchor[k] - beta_w) / s)
+        own = evaluate(BlaschkeProduct(part.clusters[k].points), w)
+        out *= own
+        if weights[k] is not None:
+            out += weights[k](w) * after * kern
+        after *= own
+    return out
 
 
 def _dyadic_ints(values):

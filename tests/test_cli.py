@@ -137,6 +137,19 @@ def test_interpolate_bad_flag_exit_2(tmp_path, capsys, flag, value):
     assert "parse error" in capsys.readouterr().err
 
 
+# q = 2/p overflows the kernel (1e-320: q = inf); the jet check fails on the
+# nan residual instead of passing it or ending in a warning or a traceback
+@pytest.mark.parametrize("p", ["1e-6", "1e-16", "1e-300", "1e-320", "5e-324"])
+def test_interpolate_tiny_p_exit_1(tmp_path, capsys, p):
+    seq_file = tmp_path / "seq.txt"
+    seq_file.write_text("0.0 0.0 1\n0.5 0.0 1\n")
+    targets = tmp_path / "targets.txt"
+    targets.write_text("0 0 0 1.0 0.0\n1 0 0 2.0 0.0\n")
+    assert run_cli("interpolate", str(seq_file), str(targets), "--p", p) == 1
+    assert capsys.readouterr().err == (
+        "blaschke-lab: construction failed: jet residual nan exceeds 1e-6\n")
+
+
 @pytest.mark.parametrize("args", [
     ["radial-geometric", "--rays", "0,abc"],
     ["radial-geometric", "--rays", "0,inf"],
@@ -160,6 +173,16 @@ def test_gen_bad_flag_exit_2(tmp_path, capsys, args):
 def test_gen_construction_failure_exit_1(tmp_path, capsys):
     out = tmp_path / "x.txt"
     assert run_cli("gen", "random-carleson", "--n", "60", "--target-norm", "0.05",
+                   "-o", str(out)) == 1
+    assert capsys.readouterr().err == "blaschke-lab: sampling budget exhausted\n"
+    assert not out.exists()
+
+
+# depths below the boundary floor (1e-30), and dyadic levels past 2^1023
+@pytest.mark.parametrize("target", ["1e-30", "1e-310"])
+def test_gen_tiny_target_exit_1(tmp_path, capsys, target):
+    out = tmp_path / "x.txt"
+    assert run_cli("gen", "random-carleson", "--n", "3", "--target-norm", target,
                    "-o", str(out)) == 1
     assert capsys.readouterr().err == "blaschke-lab: sampling budget exhausted\n"
     assert not out.exists()

@@ -8,7 +8,7 @@ from blaschke_lab.carleson import CircleArc, lp_sequence_norm
 from blaschke_lab.disk import FiniteSequence, InvariantViolation, psh_distance_pairwise
 from blaschke_lab.generators import gen_perturbed, gen_radial_geometric
 from blaschke_lab.hermite import jet_exp
-from oracles import beta, zero_jet
+from oracles import beta, summed_by_rows, zero_jet
 from test_acceptance import _interpolation_problem
 
 
@@ -299,6 +299,35 @@ def test_summand_jets_match_mpmath():
             scale = (1 - abs(z0) ** 2) ** np.arange(m)
             err = (np.abs(got - want) * scale).max() / (np.abs(want) * scale).max()
             assert err <= 1e-10, (p, i, err)
+
+
+def test_fused_pass_matches_per_cluster_reference():
+    """_summands against the reverse pass in separate per-cluster steps, on
+    hp_norm's circle r = 0.99999, the Cauchy rings of _extract_jets and the
+    cluster points, at p = 1/2, 2/3, 0.7 (q = 4, 3, 20/7), 2 and inf: the
+    bench-shaped problems (satellites, a double point, a cardinality-3
+    cluster) and the first of them with a singleton at 0 (unit -1)."""
+    problems = [_interpolation_problem(seed) for seed in range(3)]
+    seq = problems[0][0].all_points()
+    part = gi.cluster_sequence(FiniteSequence.from_complex(
+        np.append(0.0, seq.zs), np.append(1, seq.mults)), 0.05, 0.6)
+    assert part.clusters[0].points.zs.tolist() == [0.0]
+    problems.append((part, tuple(zero_jet(c) for c in part.clusters)))
+    circle = 0.99999 * np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14))
+    ring = np.exp(2j * np.pi * np.arange(128) / 128)
+    for part, jets in problems:
+        points = part.all_points().zs
+        rings = (points[:, None] + 0.1 * (1.0 - np.abs(points))[:, None] * ring).ravel()
+        weights = [None if k % 4 == 1 else (lambda z, k=k: 1.0 + 0.5j * k * z)
+                   for k in range(len(part.clusters))]
+        for p in (0.5, 2.0 / 3.0, 0.7, 2.0, np.inf):
+            problem = gi.InterpolationProblem(part, jets, p)
+            summed = gi._summands(problem)
+            for w in (circle, rings, points):
+                got = summed(w, weights)
+                want = summed_by_rows(problem, w, weights)
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= 1e-13, (len(points), p, len(w), err)
 
 
 def test_kernel_bound_matches_stacked_formula():
