@@ -17,7 +17,6 @@ from blaschke_lab import (
     evaluate,
     gen_radial_geometric,
     gen_union,
-    GeneratorSpec,
     max_local_count,
     partition_separated,
     separation_report,
@@ -35,7 +34,8 @@ print(f"  |B| at a zero: {abs(evaluate(b, s.zs[3])):.1e}")
 
 rep = separation_report(b)
 print(f"  delta (min deleted product)  = {rep.delta:.6f}")
-print(f"  delta' (derivative form)     = {rep.delta_prime:.6f}")
+delta_prime = min((1 - abs(z) ** 2) * abs(derivative(b, z)) for z in s.zs)
+print(f"  delta' (derivative form)     = {delta_prime:.6f}")
 print(f"  discreteness (min pair dist) = {rep.discreteness:.6f}")
 j = int(np.argmin(rep.per_point))
 lhs = (1 - abs(s.zs[j]) ** 2) * abs(derivative(b, s.zs[j]))
@@ -45,7 +45,7 @@ print()
 print("=" * 60)
 print("Partition into separated parts")
 print("=" * 60)
-u = gen_union(3, GeneratorSpec("radial_geometric", {"q": 0.5, "n": 8}, seed=2))
+u = gen_union(3, gen_radial_geometric(0.5, 8), seed=2)
 parts = partition_separated(u, 0.5)
 bound = max_local_count(BlaschkeProduct(u), 0.5)
 print(f"  union of 3 rotated rays, {len(u)} points")
@@ -60,7 +60,7 @@ print("The composition probe")
 print("=" * 60)
 print("Recentring the product at a zero and measuring its size on |z| <= 1/2:")
 for z in s.zs[[0, 4, 7]]:
-    val = compose_min_on_compact(b, z, 0.5)
+    val = compose_min_on_compact(b, z)
     print(f"  center {z.real:.5f}: sup |B o phi| on the half disk = {val:.4f}")
 print("Small values would flag zeros piling up near the center; this")
 print("separated family stays comfortably positive.")

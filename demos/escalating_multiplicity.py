@@ -31,7 +31,7 @@ for n in range(1, 9):
     b = BlaschkeProduct(seq)
     zn = 1.0 - 0.25**n
     ubs = uniform_blaschke_sup(seq, [zn])
-    comp = compose_min_on_compact(b, zn, 0.5)
+    comp = compose_min_on_compact(b, zn)
     udr = universal_divisor_ratio(b, [zn], P, 0.0, GRID)
     mb = mb_lower_probe(b, [zn], P, GRID)
     cn = carleson_norm(seq).norm

@@ -7,8 +7,6 @@ constructive solver for clustered (multiple-point) interpolation.
 
 from .analysis import AnalysisReport, analyze_sequence, direction_agreement
 from .bergman import (
-    AnalyticFunction,
-    DEFAULT_RADII,
     QuadratureGrid,
     constant_fn,
     default_grid,
@@ -36,7 +34,6 @@ from .carleson import (
     CarlesonNormReport,
     CarlesonSquare,
     CircleArc,
-    DiscreteMeasure,
     arc_carleson_constant,
     carleson_embedding_probe,
     carleson_norm,
@@ -55,7 +52,6 @@ from .disk import (
     psh_distance_pairwise,
 )
 from .generators import (
-    GeneratorSpec,
     gen_escalating_multiplicity,
     gen_perturbed,
     gen_radial_geometric,

@@ -9,7 +9,7 @@ flags point the same way.  The thresholds are documented heuristics for
 the generator families shipped here, not theorems.
 
 The composition probe (nonzero_probe) is the least, over the zeros c, of
-compose_min_on_compact(b, c, 1/2), and is found by a pruned search that
+compose_min_on_compact(b, c), and is found by a pruned search that
 returns the same float as one full call per zero
 (blaschke._least_compose_max): every 16th of the 512 samples of each
 circle gives each center a lower bound, and the centers are then visited
@@ -97,7 +97,6 @@ class AnalysisReport:
     n_listed: int
     total_count: int
     delta: float
-    delta_prime: float
     discreteness: float
     union_parts: int
     part_delta: float
@@ -113,9 +112,7 @@ class AnalysisReport:
 
 
 def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
-                     probe_pitch: float = 0.0,
-                     grid: bg.QuadratureGrid | None = None,
-                     max_probe_centers: int = 4) -> AnalysisReport:
+                     probe_pitch: float = 0.0) -> AnalysisReport:
     """Run the full battery; probe_pitch > 0 adds a hyperbolic probe grid
     to the transformed-mass supremum search.
 
@@ -125,9 +122,8 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
     probes contrast most sharply.
     """
     if len(s) == 0:
-        return AnalysisReport(0, 0, 0.0, 0.0, 0.0, 0, 0.0, 0.0, "n/a",
+        return AnalysisReport(0, 0, 0.0, 0.0, 0, 0.0, 0.0, "n/a",
                               0.0, 0, 0.0, 0.0, 0.0, {}, "n/a")
-    grid = grid or analysis_grid()
     b = BlaschkeProduct(s)
     sep = separation_report(b)
     n_parts, part_delta = union_separation(s)
@@ -138,11 +134,11 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
         centers = np.concatenate([zs, hyperbolic_grid(float(np.abs(zs).max()), probe_pitch)])
     ubs = uniform_blaschke_sup(s, centers)
     ncount = max_local_count(b, 0.5)
-    nonzero = _least_compose_max(b, zs, 0.5)
+    nonzero = _least_compose_max(b, zs)
     # the divisor probe recentres at 0 and at the deepest zero, the
-    # multiplication probe at the deepest few zeros: one mean per center
-    probe_centers = sorted(zs, key=lambda z: -abs(z))[:max_probe_centers]
-    means = bg._recentred_means(b, [0.0, *probe_centers], p, alpha, grid)
+    # multiplication probe at the deepest four zeros: one mean per center
+    probe_centers = sorted(zs, key=lambda z: -abs(z))[:4]
+    means = bg._recentred_means(b, [0.0, *probe_centers], p, alpha, analysis_grid())
     divisor = bg._inverse_root(means[:2], p)
     mb = min(means[1:]) ** (1.0 / p)
 
@@ -159,7 +155,7 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
     }
     verdict = "pass" if all(flags.values()) else "fail"
     return AnalysisReport(
-        len(s), s.total_count, sep.delta, sep.delta_prime, sep.discreteness,
+        len(s), s.total_count, sep.delta, sep.discreteness,
         n_parts, part_delta, cn.norm, cn.method, ubs, ncount, nonzero,
         divisor, mb, flags, verdict,
     )
@@ -183,7 +179,9 @@ def report_sections(rep: AnalysisReport) -> dict:
         },
         "separation": {
             "delta": rep.delta,
-            "delta_prime": rep.delta_prime,
+            # delta' = min (1 - |z_j|^2)|B'(z_j)| equals delta by the
+            # identity of blaschke.separation_report; the key stays in the schema
+            "delta_prime": rep.delta,
             "discreteness": rep.discreteness,
             "union_parts": rep.union_parts,
             "part_delta": rep.part_delta,

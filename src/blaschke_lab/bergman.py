@@ -39,29 +39,14 @@ from .blaschke import BlaschkeProduct, _log_abs_moved, _moved
 from .disk import MoebiusMap, DiskPoint, FiniteSequence, _one_minus_abs2, _tocomplex
 from .util import worker_count
 
-DEFAULT_RADII = (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999)
-
-@dataclass(frozen=True)
-class AnalyticFunction:
-    """Black-box analytic function on the disk.
-
-    The evaluator must accept complex scalars and numpy arrays of complex
-    and be safe for concurrent calls.
-    """
-
-    evaluator: object
-    label: str = ""
-
-    def __call__(self, z):
-        if isinstance(z, DiskPoint):
-            z = z.z
-        return self.evaluator(z)
+# the circle hp_norm samples
+_HARDY_RADIUS = 0.99999
 
 
-def constant_fn(c) -> AnalyticFunction:
+def constant_fn(c):
     c = complex(c)
-    return AnalyticFunction(lambda z: np.full_like(np.asarray(z, dtype=complex), c)
-                            if isinstance(z, np.ndarray) else c, f"const {c}")
+    return lambda z: (np.full_like(np.asarray(z, dtype=complex), c)
+                      if isinstance(z, np.ndarray) else c)
 
 
 @dataclass(frozen=True)
@@ -130,9 +115,9 @@ def area_integral(fn, g: QuadratureGrid | None = None):
     accumulated with exact summation, so the result depends neither on
     the blocks nor on evaluation order, and each row of a stacked
     integrand gets the bits it would get alone.  Blocks may be processed
-    by worker threads (capped by BLASCHKE_LAB_THREADS).  An integrand that
-    returns one row per field, shape (fields, nodes), gets an array of
-    the integrals.
+    by worker threads (capped by BLASCHKE_LAB_THREADS), so fn must be safe
+    for concurrent calls.  An integrand that returns one row per field,
+    shape (fields, nodes), gets an array of the integrals.
     """
     g = g or default_grid()
 
@@ -158,23 +143,16 @@ def area_integral(fn, g: QuadratureGrid | None = None):
     return np.array([math.fsum(row) for row in terms])
 
 
-def hp_norm(f: AnalyticFunction, p, radii=DEFAULT_RADII) -> float:
-    """Hardy norm: max over the radii of the circle mean M_p(f, r).
+def hp_norm(f, p) -> float:
+    """Hardy norm: the circle mean M_p(f, r) at r = _HARDY_RADIUS.
 
     M_p is nondecreasing in r for analytic f (Hardy's convexity theorem),
-    so the maximum is the mean at the largest radius, and only that circle
-    is sampled; every radius is still checked to lie in [0, 1).  For
-    p = inf the value is the sup over the angular samples.
+    so no smaller circle gives a larger mean.  For p = inf the value is
+    the sup over the angular samples.
     """
     if p != np.inf and not p > 0:
         raise ValueError("p must be positive or inf")
-    radii = sorted(radii)
-    for r in radii:
-        if not 0 <= r < 1:
-            raise ValueError("radii must lie in [0, 1)")
-    if not radii:
-        return 0.0
-    r = radii[-1]
+    r = _HARDY_RADIUS
     n = int(np.clip(np.ceil(8.0 / (1.0 - r)), 64, 1 << 14))
     theta = 2.0 * np.pi * np.arange(n) / n
     vals = np.abs(f(r * np.exp(1j * theta)))
@@ -234,7 +212,7 @@ def kernel_mass(zeta, g: QuadratureGrid | None = None) -> float:
     return area_integral(lambda z: phi.jacobian(z), g)
 
 
-def jensen_area_residual(f: AnalyticFunction, zeros: FiniteSequence,
+def jensen_area_residual(f, zeros: FiniteSequence,
                          g: QuadratureGrid | None = None) -> float:
     """Defect of the area Jensen identity for f against a listed zero set.
 
@@ -309,5 +287,5 @@ def reproducing_family(s: FiniteSequence, p: float) -> list:
             out = np.exp((2.0 / p) * (amp - np.log(v)))
             return out if isinstance(z, np.ndarray) else complex(out)
 
-        fam.append(AnalyticFunction(ev, f"kernel test at {a:.3g}"))
+        fam.append(ev)
     return fam

@@ -73,14 +73,13 @@ class BlaschkeProduct:
 class SeparationReport:
     """Separation constants of a zero sequence.
 
-    delta        min over j of |B_j(z_j)| (deleted products)
-    delta_prime  min over j of (1 - |z_j|^2) |B'(z_j)|
+    delta        min over j of |B_j(z_j)| (deleted products), which is also
+                 min over j of (1 - |z_j|^2) |B'(z_j)|
     discreteness min pairwise pseudohyperbolic distance (0 with repeated points)
     per_point    the individual |B_j(z_j)| values
     """
 
     delta: float
-    delta_prime: float
     discreteness: float
     per_point: np.ndarray
 
@@ -367,9 +366,9 @@ def separation_report(b: BlaschkeProduct) -> SeparationReport:
     """Compute all separation constants of the zero sequence.
 
     One pass over the pairwise log rho^2 matrix, its diagonal masked, gives
-    the deleted products and the discreteness.  delta_prime follows from
-    the identity (1 - |z_j|^2)|B'(z_j)| = |B_j(z_j)| at a simple zero
-    (the derivative vanishes at a multiple one), so it equals delta.
+    the deleted products and the discreteness.  By the identity
+    (1 - |z_j|^2)|B'(z_j)| = |B_j(z_j)| at a simple zero (the derivative
+    vanishes at a multiple one) delta is also the derivative form delta'.
     """
     n = len(b.zeros)
     if n == 0:
@@ -388,7 +387,7 @@ def separation_report(b: BlaschkeProduct) -> SeparationReport:
     # log rho^2 < 0 off the diagonal, so the masked zeros never win the min
     # and a lone point keeps discreteness 1
     discreteness = float(np.exp(0.5 * nearest)) if b.zeros.is_simple() else 0.0
-    return SeparationReport(delta, delta, discreteness, per_point)
+    return SeparationReport(delta, discreteness, per_point)
 
 
 def _local_counts(b: BlaschkeProduct, centers: np.ndarray, r: float) -> np.ndarray:
@@ -467,27 +466,22 @@ def partition_separated(s: FiniteSequence, sep: float):
     ]
 
 
-# samples of the composition probe's circle
+# radius and samples of the composition probe's circle
+_PROBE_RHO = 0.5
 _PROBE_GRID = 512
 
 
-def compose_min_on_compact(
-    b: BlaschkeProduct, center, rho: float, grid: int = _PROBE_GRID
-) -> float:
+def compose_min_on_compact(b: BlaschkeProduct, center) -> float:
     """Size of B composed with the automorphism swapping 0 and center,
-    measured as the max of |B(phi_center(z))| over a grid on |z| <= rho.
+    measured as the max of |B(phi_center(z))| over a grid on |z| <= 1/2.
 
     The modulus of an analytic function peaks on the bounding circle, so the
-    grid samples |z| = rho; the circle stays fixed and the zeros move
-    (log_abs_composed).  A small value certifies that this composition
-    is nearly 0 on the compact set, the failure mode of the 'uniformly
-    nonzero' property.
+    grid samples _PROBE_GRID points of |z| = _PROBE_RHO; the circle stays
+    fixed and the zeros move (log_abs_composed).  A small value certifies
+    that this composition is nearly 0 on the compact set, the failure mode
+    of the 'uniformly nonzero' property.
     """
-    if not 0 < rho < 1:
-        raise ValueError("rho must lie in (0, 1)")
-    if grid < 8:
-        raise ValueError("need at least 8 grid samples")
-    return float(np.exp(log_abs_composed(b, [center], _circle(rho, grid)).max()))
+    return float(np.exp(log_abs_composed(b, [center], _circle(_PROBE_RHO, _PROBE_GRID)).max()))
 
 
 def _circle(rho: float, grid: int) -> np.ndarray:
@@ -504,8 +498,8 @@ def _circle(rho: float, grid: int) -> np.ndarray:
 _COARSE = 16
 
 
-def _probe_bounds(b: BlaschkeProduct, centers: np.ndarray, rho: float) -> np.ndarray:
-    """Per center c, a lower bound on log compose_min_on_compact(b, c, rho)
+def _probe_bounds(b: BlaschkeProduct, centers: np.ndarray) -> np.ndarray:
+    """Per center c, a lower bound on log compose_min_on_compact(b, c)
     as that call computes it, from every _COARSE-th of its samples.
 
     The samples are a subset of the call's own, so their exact log max L*
@@ -518,7 +512,7 @@ def _probe_bounds(b: BlaschkeProduct, centers: np.ndarray, rho: float) -> np.nda
     L (1 + 4 (n + 16) 2^-53) <= F with room for the rounding of the product.
     Centers go in chunks whose moved zeros stay within the kernel's tile.
     """
-    coarse = _circle(rho, _PROBE_GRID)[::_COARSE]
+    coarse = _circle(_PROBE_RHO, _PROBE_GRID)[::_COARSE]
     out = np.empty(len(centers))
     step = max(1, disk._BLOCK // len(b.zeros))
     for i in range(0, len(centers), step):
@@ -527,8 +521,8 @@ def _probe_bounds(b: BlaschkeProduct, centers: np.ndarray, rho: float) -> np.nda
     return out
 
 
-def _least_compose_max(b: BlaschkeProduct, centers: np.ndarray, rho: float) -> float:
-    """min over centers of compose_min_on_compact(b, c, rho), by a pruned
+def _least_compose_max(b: BlaschkeProduct, centers: np.ndarray) -> float:
+    """min over centers of compose_min_on_compact(b, c), by a pruned
     search that returns the same float.
 
     The centers are visited in increasing _probe_bounds, each with the full
@@ -536,10 +530,10 @@ def _least_compose_max(b: BlaschkeProduct, centers: np.ndarray, rho: float) -> f
     exp is monotone, so no center left can fall below it.  A value of 0
     (a sample on a moved zero) ends the search at once.
     """
-    bounds = _probe_bounds(b, centers, rho)
+    bounds = _probe_bounds(b, centers)
     best = np.inf
     for i in np.argsort(bounds, kind="stable"):
         if best == 0.0 or np.exp(bounds[i]) > best:
             break
-        best = min(best, compose_min_on_compact(b, centers[i], rho))
+        best = min(best, compose_min_on_compact(b, centers[i]))
     return float(best)

@@ -55,27 +55,16 @@ class CarlesonSquare:
 
 
 @dataclass(frozen=True)
-class DiscreteMeasure:
-    """Atomic measure: complex atom positions with positive weights."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-
-@dataclass(frozen=True)
 class CarlesonNormReport:
     norm: float
     maximizing_square: CarlesonSquare | None
     method: str  # "point-anchored" | "n/a"
 
 
-def mu_z_measure(s: FiniteSequence) -> DiscreteMeasure:
-    """The measure with weight mult * (1 - |z_j|^2) at each listed point."""
-    zs = s.zs
-    return DiscreteMeasure(zs, s.mults * _one_minus_abs2(zs))
+def mu_z_measure(s: FiniteSequence) -> np.ndarray:
+    """The weights mult * (1 - |z_j|^2) of the measure mu_Z at its atoms,
+    the listed points s.zs."""
+    return s.mults * _one_minus_abs2(s.zs)
 
 
 def _wrap(x):
@@ -127,12 +116,13 @@ def carleson_norm(s: FiniteSequence) -> CarlesonNormReport:
     Depths 1 - |z| are taken as (1 - |z|^2) / (1 + |z|), accurate near
     the circle; atoms at 0 lie in no square.
     """
-    mu = mu_z_measure(s)
-    depths = _one_minus_abs2(mu.atoms) / (1.0 + np.abs(mu.atoms))
+    zs = s.zs
+    d2 = _one_minus_abs2(zs)
+    depths = d2 / (1.0 + np.abs(zs))
     keep = depths < 1.0
     if not keep.any():
         return CarlesonNormReport(0.0, None, "n/a")
-    sup, square = _square_sup(np.angle(mu.atoms[keep]), depths[keep], mu.weights[keep])
+    sup, square = _square_sup(np.angle(zs[keep]), depths[keep], (s.mults * d2)[keep])
     return CarlesonNormReport(sup, square, "point-anchored")
 
 
@@ -322,19 +312,19 @@ def arc_carleson_constant(arcs) -> float:
 def carleson_embedding_probe(s: FiniteSequence, p: float, family) -> float:
     """Max over test functions of (sum weights |f(z_j)|^p) / ||f||_Hp^p.
 
-    The family entries are analytic-function objects from the norms module;
-    their Hardy norms are computed numerically.
+    The family entries are callables analytic on the disk; their Hardy
+    norms are computed numerically (bergman.hp_norm).
     """
-    from .bergman import DEFAULT_RADII, hp_norm
+    from .bergman import hp_norm
 
     if len(s) == 0:
         return 0.0
     if not p > 0:
         raise ValueError("p must be positive")
-    mu = mu_z_measure(s)
+    zs, weights = s.zs, mu_z_measure(s)
     best = 0.0
     for f in family:
-        num = float((mu.weights * np.abs(f(mu.atoms)) ** p).sum())
-        den = hp_norm(f, p, DEFAULT_RADII) ** p
+        num = float((weights * np.abs(f(zs)) ** p).sum())
+        den = hp_norm(f, p) ** p
         best = max(best, num / den)
     return best

@@ -22,7 +22,13 @@ from . import io as fio
 from .analysis import analyze_sequence, direction_agreement, report_sections
 from .blaschke import BlaschkeProduct, max_local_count, partition_separated
 from .disk import InvariantViolation, psh_distance_pairwise
-from .generators import GeneratorSpec, gen_union
+from .generators import (
+    gen_escalating_multiplicity,
+    gen_perturbed,
+    gen_radial_geometric,
+    gen_random_carleson,
+    gen_union,
+)
 from .geninterp import InterpolationProblem, cluster_sequence, vgh_interpolate
 
 
@@ -57,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="run the diagnostic battery")
     a.add_argument("file")
     a.add_argument("--p", type=float, default=0.5,
-                   help="probe exponent, at least 1e-10: below it the probes "
+                   help="probe exponent in [1e-10, 1e8]: outside it the probes "
                         "keep no digits")
     a.add_argument("--alpha", type=float, default=0.0,
                    help="probe weight (1-|z|^2)^alpha, alpha finite and > -1")
@@ -115,42 +121,29 @@ def _cmd_gen(args) -> int:
         raise fio.ParseError(f"rays must be comma separated numbers, got {args.rays!r}") from None
     if not np.isfinite(rays).all():
         raise fio.ParseError(f"rays must be finite, got {args.rays!r}")
-    if args.family == "radial-geometric":
-        spec = GeneratorSpec("radial_geometric",
-                             {"q": args.q, "n": args.n, "ray_angles": rays},
-                             args.seed)
-        seq = spec.build()
-    elif args.family == "union":
-        base = GeneratorSpec("radial_geometric",
-                             {"q": args.q, "n": args.n, "ray_angles": rays},
-                             args.seed)
-        seq = gen_union(args.m, base)
-    elif args.family == "counterexample":
-        seq = GeneratorSpec("escalating_multiplicity",
-                            {"n_max": args.n_max, "base_gap": args.base_gap,
-                             "split": args.split}, args.seed).build()
+    if args.family == "counterexample":
+        seq = gen_escalating_multiplicity(args.n_max, args.base_gap, args.split)
     elif args.family == "random-carleson":
-        seq = GeneratorSpec("random_carleson",
-                            {"n": args.n, "target_norm": args.target_norm},
-                            args.seed).build()
+        seq = gen_random_carleson(args.seed, args.n, args.target_norm)
     else:
-        base = GeneratorSpec("radial_geometric",
-                             {"q": args.q, "n": args.n, "ray_angles": rays},
-                             args.seed).build()
-        if args.satellites + args.doubles > len(base):
-            raise fio.ParseError("not enough base points to perturb")
-        seq = GeneratorSpec("perturbed",
-                            {"base": base, "n_satellites": args.satellites,
-                             "n_doubles": args.doubles}, args.seed).build()
+        seq = gen_radial_geometric(args.q, args.n, rays)
+        if args.family == "union":
+            seq = gen_union(args.m, seq, args.seed)
+        elif args.family == "perturbed":
+            if args.satellites + args.doubles > len(seq):
+                raise fio.ParseError("not enough base points to perturb")
+            seq = gen_perturbed(seq, args.satellites, args.doubles, args.seed)
     fio.write_sequence(seq, args.output)
     return 0
 
 
 def _cmd_analyze(args) -> int:
     # below 1e-10 the means |B o phi_c|^p round toward 1 and their 1/p-th
-    # powers keep no digits: at 1e-16 the divisor ratio reads below 1
-    if not 1e-10 <= args.p < np.inf:
-        raise fio.ParseError(f"p must lie in [1e-10, inf), got {args.p}")
+    # powers keep no digits: at 1e-16 the divisor ratio reads below 1.
+    # Above 1e8 they underflow toward 0 (mb_probe 0, divisor_ratio inf):
+    # the escalating family at n_max = 12 collapses from p = 1.5e9 on
+    if not 1e-10 <= args.p <= 1e8:
+        raise fio.ParseError(f"p must lie in [1e-10, 1e8], got {args.p}")
     if not -1.0 < args.alpha < np.inf:
         raise fio.ParseError(f"alpha must lie in (-1, inf), got {args.alpha}")
     if not (args.probe_grid == 0.0 or 0.0 < args.probe_grid < 1.0):

@@ -18,8 +18,6 @@ inputs reproduce the same sequence bit for bit.  Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .carleson import carleson_norm
@@ -27,30 +25,12 @@ from .disk import FiniteSequence, InvariantViolation, inside_floor
 
 # candidates of the random-Carleson sampler drawn per call to the generator
 _DRAW_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative recipe: family tag, family parameters, seed."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-
-    def build(self) -> FiniteSequence:
-        if self.family == "radial_geometric":
-            return gen_radial_geometric(**self.params)
-        if self.family == "escalating_multiplicity":
-            return gen_escalating_multiplicity(**self.params)
-        if self.family == "random_carleson":
-            return gen_random_carleson(self.seed, **self.params)
-        if self.family == "perturbed":
-            kw = dict(self.params)
-            base = kw.pop("base")
-            if isinstance(base, GeneratorSpec):
-                base = base.build()
-            return gen_perturbed(base, seed=self.seed, **kw)
-        raise ValueError(f"unknown family {self.family!r}")
+# jitter draws of gen_union before it gives up on a colliding union
+_UNION_ATTEMPTS = 16
+# pseudohyperbolic spacing of the split escalating points, and distance of
+# the perturbed family's satellites (well below cluster scale)
+_SPLIT_SPACING = 1e-4
+_SATELLITE_PSH = 0.09
 
 
 def gen_radial_geometric(q: float, n: int, ray_angles=(0.0,)) -> FiniteSequence:
@@ -67,44 +47,38 @@ def gen_radial_geometric(q: float, n: int, ray_angles=(0.0,)) -> FiniteSequence:
     return FiniteSequence.from_complex(pts)
 
 
-def gen_union(m: int, base: GeneratorSpec, max_attempts: int = 16) -> FiniteSequence:
-    """Union of m rotated and jittered copies of the base family.
+def gen_union(m: int, base: FiniteSequence, seed: int) -> FiniteSequence:
+    """Union of m rotated and jittered copies of the base sequence.
 
-    Copy j rotates by 2*pi*j/m plus a small seeded jitter.  If two copies
-    collide exactly the whole draw regenerates with the next seed.
+    Copy j rotates by 2*pi*j/m plus a small jitter drawn from seed.  If two
+    copies collide exactly the jitter is drawn again with seed + attempt.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    seed = base.seed
-    for _ in range(max_attempts):
-        rng = np.random.default_rng(seed)
-        base_seq = GeneratorSpec(base.family, base.params, seed).build()
-        zs = base_seq.zs
-        mults = list(base_seq.multiplicities)
+    zs = base.zs
+    mults = list(base.multiplicities) * m
+    for attempt in range(_UNION_ATTEMPTS):
+        rng = np.random.default_rng(seed + attempt)
         pts = []
-        all_mults = []
         for j in range(m):
             jitter = rng.uniform(-np.pi / (8 * m), np.pi / (8 * m)) if m > 1 else 0.0
-            rot = np.exp(1j * (2.0 * np.pi * j / m + jitter))
-            pts.extend(zs * rot)
-            all_mults.extend(mults)
+            pts.extend(zs * np.exp(1j * (2.0 * np.pi * j / m + jitter)))
         try:
-            return FiniteSequence.from_complex(pts, all_mults)
+            return FiniteSequence.from_complex(pts, mults)
         except InvariantViolation:
-            seed += 1
+            pass
     raise RuntimeError("union generator kept colliding; widen the jitter")
 
 
 def gen_escalating_multiplicity(n_max: int, base_gap: float = 0.25,
-                            split: bool = False,
-                            split_spacing: float = 1e-4) -> FiniteSequence:
+                                split: bool = False) -> FiniteSequence:
     """Escalating multiplicity family: depth gap^n with multiplicity n.
 
     The transformed zero mass probed at level n's point is at least n while
     sum n * gap^n stays finite, so separation-flavored diagnostics fail in
     a controlled way as n_max grows.  With split=True each level's repeated
     point becomes n distinct points at pseudohyperbolic spacing about
-    split_spacing, for operations requiring simple zeros.
+    _SPLIT_SPACING, for operations requiring simple zeros.
     """
     if not 0 < base_gap < 1:
         raise ValueError("base_gap must lie in (0, 1)")
@@ -119,7 +93,7 @@ def gen_escalating_multiplicity(n_max: int, base_gap: float = 0.25,
             mults.append(n)
         else:
             for j in range(n):
-                pts.append(zn + 1j * j * split_spacing * (1.0 - zn**2))
+                pts.append(zn + 1j * j * _SPLIT_SPACING * (1.0 - zn**2))
                 mults.append(1)
     return FiniteSequence.from_complex(pts, mults)
 
@@ -218,13 +192,12 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
 
 
 def gen_perturbed(base: FiniteSequence, n_satellites: int = 0,
-                  satellite_psh: float = 0.09, n_doubles: int = 0,
-                  seed: int = 0) -> FiniteSequence:
+                  n_doubles: int = 0, seed: int = 0) -> FiniteSequence:
     """Satellites at small pseudohyperbolic distance plus doubled points.
 
     Satellites attach to distinct seeded base points at distance about
-    satellite_psh (well below cluster scale); doubled points raise the
-    multiplicity of further distinct points to 2.
+    _SATELLITE_PSH; doubled points raise the multiplicity of further
+    distinct points to 2.
     """
     rng = np.random.default_rng(seed)
     zs = list(base.zs)
@@ -235,7 +208,7 @@ def gen_perturbed(base: FiniteSequence, n_satellites: int = 0,
     chosen = rng.choice(n_base, size=n_satellites + n_doubles, replace=False)
     for i in chosen[:n_satellites]:
         z = zs[i]
-        zs.append(z + satellite_psh * (1.0 - abs(z) ** 2)
+        zs.append(z + _SATELLITE_PSH * (1.0 - abs(z) ** 2)
                   * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
         mults.append(1)
     for i in chosen[n_satellites:]:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import DEFAULT_RADII, AnalyticFunction, hp_norm
+from .bergman import hp_norm
 from .blaschke import BlaschkeProduct, evaluate, log_abs_evaluate, max_local_count
 from .carleson import CircleArc, arc_carleson_constant
 from .disk import (
@@ -67,6 +67,8 @@ from .disk import (
 from .hermite import hermite_interpolant, jet_exp, jet_from_derivatives, jet_mul
 
 EPS_HALVINGS = 5  # eps floor is eps / 2**EPS_HALVINGS
+_CIRCLE_SAMPLES = 256  # samples per circle of a cluster's eps-neighborhood
+_CAUCHY_NODES = 128  # nodes per Cauchy circle of the jet check
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,7 @@ class InterpolationProblem:
 @dataclass(frozen=True)
 class InterpolationSolution:
     problem: InterpolationProblem
-    function: AnalyticFunction
+    function: object  # z -> f(z) on complex scalars and arrays
     achieved_norm: float
     jet_residual: float
     norm_ratio: float
@@ -261,13 +263,13 @@ def _components(adj: np.ndarray) -> np.ndarray:
     return labels
 
 
-def cluster_region_samples(cluster: Cluster, eps: float, per_circle: int = 256) -> np.ndarray:
+def cluster_region_samples(cluster: Cluster, eps: float) -> np.ndarray:
     """Sample points of the eps-neighborhood: each constituent circle plus
     the cluster points and disk centers."""
     samples = [p.z for p in cluster.points.points]
     for p in cluster.points.points:
         c, r = _euclid_disk(p.z, eps)
-        theta = 2.0 * np.pi * np.arange(per_circle) / per_circle
+        theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
         samples.append(np.atleast_1d(c))
         samples.append(c + r * np.exp(1j * theta))
     return np.concatenate([np.atleast_1d(np.asarray(x, dtype=complex)) for x in samples])
@@ -330,29 +332,29 @@ def _anchor_rows(anchors: np.ndarray, w: np.ndarray, q: float, s: float):
         yield k, kern
 
 
-def poisson_angular_mean(anchor, r: float, n: int = 2048) -> float:
-    """Angular mean of (1-|a|^2)/|1 - conj(a) r e^(i theta)|^2; equals
-    (1-|a|^2)/(1-r^2|a|^2) <= 1 in closed form, so the sampled mean
-    certifies the kernel's row bound."""
+def poisson_angular_mean(anchor, r: float) -> float:
+    """Angular mean of (1-|a|^2)/|1 - conj(a) r e^(i theta)|^2 over 2048
+    angles; equals (1-|a|^2)/(1-r^2|a|^2) <= 1 in closed form, so the
+    sampled mean certifies the kernel's row bound."""
     a = _tocomplex(anchor)
-    theta = 2.0 * np.pi * np.arange(n) / n
+    theta = 2.0 * np.pi * np.arange(2048) / 2048
     vals = (1.0 - abs(a) ** 2) / np.abs(1.0 - a.conjugate() * r * np.exp(1j * theta)) ** 2
     return float(vals.mean())
 
 
-def vgh_kernel_bound(part: ClusterPartition, grid, check_radii=(0.5, 0.9, 0.99)) -> float:
+def vgh_kernel_bound(part: ClusterPartition, grid) -> float:
     """Max over the grid of the summed kernel sum_k |kernel_k(z)| at
     (q, s) = (2, 1), that is
     sum_k |(1-|a_k|^2)/(1 - conj(a_k) z)|^2 exp(Re(beta_k(a_k) - beta_k(z))).
 
     Also certifies the angular-mean bound (<= 1 + 1e-8) for every anchor at
-    the check radii, failing loudly if the sampled mean exceeds it.
+    r = 0.5, 0.9 and 0.99, failing loudly if the sampled mean exceeds it.
     """
     anchors = part.anchors
     if len(anchors) == 0:
         return 0.0
     for a in anchors:
-        for r in check_radii:
+        for r in (0.5, 0.9, 0.99):
             if poisson_angular_mean(a, r) > 1.0 + 1e-8:
                 raise RuntimeError(f"angular mean above 1 at anchor {a}, r={r}")
     w = np.asarray([_tocomplex(g) for g in grid], dtype=complex)
@@ -480,13 +482,13 @@ def _solution_evaluator(problem: InterpolationProblem):
     return ev
 
 
-def _extract_jets(fn, centers, orders, n_nodes: int = 128) -> list:
+def _extract_jets(fn, centers, orders) -> list:
     """Derivatives f, f', ..., f^(order-1) at every center by Cauchy-circle
     means, from one call of fn on the stacked circles of radius
     0.1 (1 - |z0|) about the centers."""
     centers = np.asarray(centers, dtype=complex)
     rho = 0.1 * (1.0 - np.abs(centers))
-    ring = np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
+    ring = np.exp(2j * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
     vals = fn(centers[:, None] + rho[:, None] * ring)
     jets = []
     for row, r, order in zip(vals, rho, orders):
@@ -514,7 +516,6 @@ def vgh_interpolate(problem: InterpolationProblem) -> InterpolationSolution:
     # leaves give a nan residual, which fails the check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ev = _solution_evaluator(problem)
-    fn = AnalyticFunction(ev, f"interpolant p={problem.p}")
 
     target_scale = 1.0
     for jet in problem.jets:
@@ -536,14 +537,13 @@ def vgh_interpolate(problem: InterpolationProblem) -> InterpolationSolution:
             f"construction failed: jet residual {worst:.3e} exceeds 1e-6"
         )
 
-    achieved = hp_norm(fn, problem.p, DEFAULT_RADII)
+    achieved = hp_norm(ev, problem.p)
     xp = xp_norm(part, problem.jets, problem.p)
     ratio = achieved / xp if xp > 0 else 0.0
-    return InterpolationSolution(problem, fn, achieved, worst, ratio, xp)
+    return InterpolationSolution(problem, ev, achieved, worst, ratio, xp)
 
 
-def hinf_bound_estimate(part: ClusterPartition, b: BlaschkeProduct,
-                        per_circle: int = 256) -> float:
+def hinf_bound_estimate(part: ClusterPartition, b: BlaschkeProduct) -> float:
     """Sup-norm interpolation bound C/delta from contour data.
 
     The contour around each cluster is the outer boundary of the union of
@@ -551,7 +551,7 @@ def hinf_bound_estimate(part: ClusterPartition, b: BlaschkeProduct,
     the constituent circles.  C is the Carleson constant of arc length on
     the whole family, within a factor 1 + 1e-3 of the supremum over all
     squares (arc_carleson_constant).  delta is the min of |b| over
-    per_circle samples of each circle, so it can sit above the true
+    _CIRCLE_SAMPLES samples of each circle, so it can sit above the true
     minimum and C/delta below the true bound.
     """
     if len(part.clusters) == 0:
@@ -561,9 +561,9 @@ def hinf_bound_estimate(part: ClusterPartition, b: BlaschkeProduct,
     for cluster in part.clusters:
         disks = [_euclid_disk(p.z, part.eps) for p in cluster.points.points]
         for j, (cj, rj) in enumerate(disks):
-            theta = 2.0 * np.pi * (np.arange(per_circle) + 0.5) / per_circle
+            theta = 2.0 * np.pi * (np.arange(_CIRCLE_SAMPLES) + 0.5) / _CIRCLE_SAMPLES
             pts = cj + rj * np.exp(1j * theta)
-            keep = np.ones(per_circle, dtype=bool)
+            keep = np.ones(_CIRCLE_SAMPLES, dtype=bool)
             for i, (ci, ri) in enumerate(disks):
                 if i != j:
                     keep &= np.abs(pts - ci) >= ri

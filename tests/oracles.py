@@ -2,10 +2,10 @@
 
 They build test integrands with known closed-form norms and zero sets,
 products B * g that remember both parts, quotients by B, weighted Bergman
-norms by direct quadrature, the pointwise division bound, local zero
-counts, the tail kernel sums beta, the interpolant's reverse pass in
-separate per-cluster steps, zero targets, target files, sampled
-arcs, a rescanning random-Carleson sampler, the uniformly-nonzero probe
+norms by direct quadrature, Hardy circle means, the pointwise division
+bound, local zero counts, the tail kernel sums beta, the interpolant's
+reverse pass in separate per-cluster steps, zero targets, target files,
+sampled arcs, a rescanning random-Carleson sampler, the uniformly-nonzero probe
 by one full call per zero and on a finer circle, the anchored square
 family carleson_norm once searched and a brute-force Carleson norm; the
 library itself has no use for them.
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from blaschke_lab.bergman import AnalyticFunction, QuadratureGrid, area_integral, constant_fn
+from blaschke_lab.bergman import QuadratureGrid, area_integral, constant_fn
 from blaschke_lab.blaschke import (
     _PROBE_GRID,
     BlaschkeProduct,
@@ -32,7 +32,7 @@ from blaschke_lab.disk import FiniteSequence, MoebiusMap, _tocomplex, psh_distan
 from blaschke_lab.geninterp import HermiteJet, _exponents
 
 
-def poly_from_zeros(zeros, lead=1.0) -> AnalyticFunction:
+def poly_from_zeros(zeros, lead=1.0):
     """The polynomial lead * prod (z - a_j)."""
     zs = [complex(a) for a in zeros]
     lead = complex(lead)
@@ -43,10 +43,10 @@ def poly_from_zeros(zeros, lead=1.0) -> AnalyticFunction:
             out = out * (z - a)
         return out
 
-    return AnalyticFunction(ev, f"poly deg {len(zs)}")
+    return ev
 
 
-def conformal_density(center, power: float) -> AnalyticFunction:
+def conformal_density(center, power: float):
     """Analytic function with modulus |phi_center'|^power.
 
     Computed as ((1-|c|^2)/(1 - conj(c) z)^2)^power with principal logs;
@@ -60,7 +60,7 @@ def conformal_density(center, power: float) -> AnalyticFunction:
         out = np.exp(power * (amp - 2.0 * np.log(v)))
         return out if isinstance(z, np.ndarray) else complex(out)
 
-    return AnalyticFunction(ev, f"|phi'_{c:.3g}|^{power:.3g}")
+    return ev
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,16 @@ class BlaschkeMultiple:
     from the cancellation-free log-modulus."""
 
     product: BlaschkeProduct
-    cofactor: AnalyticFunction | None = None
-    label: str = ""
+    cofactor: object = None  # a callable, or None for 1
 
     def __call__(self, z):
         out = evaluate(self.product, z)
         return out if self.cofactor is None else out * self.cofactor(z)
 
 
-def times_blaschke(g: AnalyticFunction, b: BlaschkeProduct, label: str = "") -> BlaschkeMultiple:
+def times_blaschke(g, b: BlaschkeProduct) -> BlaschkeMultiple:
     """The product B*g, remembering both parts for exact later division."""
-    return BlaschkeMultiple(b, g, label or f"B*{g.label}")
+    return BlaschkeMultiple(b, g)
 
 
 def quotient(f, b: BlaschkeProduct):
@@ -105,7 +104,7 @@ def quotient(f, b: BlaschkeProduct):
         out = f(w) / evaluate(b, w)
         return out if arr else complex(out)
 
-    return AnalyticFunction(ev, f"({f.label})/B")
+    return ev
 
 
 def _abs_power(f, z: np.ndarray, p: float) -> np.ndarray:
@@ -117,7 +116,7 @@ def _abs_power(f, z: np.ndarray, p: float) -> np.ndarray:
     return out if f.cofactor is None else out * np.abs(f.cofactor(z)) ** p
 
 
-def ap_norm(f: AnalyticFunction, p: float, alpha: float = 0.0,
+def ap_norm(f, p: float, alpha: float = 0.0,
             g: QuadratureGrid | None = None) -> float:
     """Weighted Bergman norm (integral of |f|^p (1-|z|^2)^alpha dA)^(1/p),
     integrated directly on the grid."""
@@ -131,6 +130,22 @@ def ap_norm(f: AnalyticFunction, p: float, alpha: float = 0.0,
         val = area_integral(
             lambda z: _abs_power(f, z, p) * (1.0 - np.abs(z) ** 2) ** alpha, g)
     return val ** (1.0 / p)
+
+
+# radii of the Hardy convexity check: M_p(f, r) is nondecreasing in r
+HARDY_RADII = (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999)
+
+
+def circle_mean(f, p, r: float) -> float:
+    """The Hardy circle mean M_p(f, r) on the angular samples hp_norm
+    takes at radius r (8 / (1 - r) of them, clipped to [64, 2^14]); the
+    max over them at p = inf."""
+    n = int(np.clip(np.ceil(8.0 / (1.0 - r)), 64, 1 << 14))
+    theta = 2.0 * np.pi * np.arange(n) / n
+    vals = np.abs(f(r * np.exp(1j * theta)))
+    if p == np.inf:
+        return float(vals.max())
+    return float(np.mean(vals**p) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -352,7 +367,7 @@ def rescanning_random_carleson(seed: int, n: int, target_norm: float,
 def exhaustive_nonzero_probe(b: BlaschkeProduct, zs) -> float:
     """The uniformly-nonzero probe as the plain minimum of one full
     compose_min_on_compact call per zero."""
-    return min(compose_min_on_compact(b, z, 0.5) for z in zs)
+    return min(compose_min_on_compact(b, z) for z in zs)
 
 
 def dense_composed_log_max(b: BlaschkeProduct, c, refine: int = 64) -> float:

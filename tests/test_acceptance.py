@@ -36,7 +36,6 @@ from blaschke_lab.disk import (
     psh_distance_pairwise,
 )
 from blaschke_lab.generators import (
-    GeneratorSpec,
     gen_escalating_multiplicity,
     gen_perturbed,
     gen_radial_geometric,
@@ -127,9 +126,8 @@ def test_criterion_02_derivative_identity():
     seqs = []
     for seed in range(16):
         rays = 3 + seed % 5
-        seqs.append(gen_union(
-            rays, GeneratorSpec("radial_geometric", {"q": 0.5, "n": 6 + seed}, seed)))
-    seqs.append(gen_union(25, GeneratorSpec("radial_geometric", {"q": 0.5, "n": 20}, 99)))
+        seqs.append(gen_union(rays, gen_radial_geometric(0.5, 6 + seed), seed))
+    seqs.append(gen_union(25, gen_radial_geometric(0.5, 20), 99))
     seqs.append(gen_radial_geometric(0.4, 25))
     seqs.append(gen_random_carleson(5, 120, 5.0))
     seqs.append(gen_random_carleson(6, 60, 5.0))
@@ -194,7 +192,7 @@ def test_criterion_05_counterexample_battery():
         ubs = uniform_blaschke_sup(seq, [zn])
         if not ubs >= n:
             failures.append(f"level {n}: transformed mass {ubs:.3f} < {n}")
-        comp = compose_min_on_compact(bn, zn, 0.5)
+        comp = compose_min_on_compact(bn, zn)
         if not comp <= 0.5**n + 1e-9:
             failures.append(f"level {n}: composition probe {comp:.3e} > 2^-{n}")
         probes.append(bg.mb_lower_probe(bn, [zn], p, LIGHT))

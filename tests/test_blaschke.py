@@ -28,7 +28,6 @@ from blaschke_lab.disk import (
     psh_distance_pairwise,
 )
 from blaschke_lab.generators import (
-    GeneratorSpec,
     gen_escalating_multiplicity,
     gen_radial_geometric,
     gen_random_carleson,
@@ -123,11 +122,25 @@ def test_separation_report():
         separation_report(BlaschkeProduct.from_complex([]))
 
 
+# per_point against (1 - |z_j|^2)|B'(z_j)| read 2.2e-15 relative at worst
+DERIVATIVE_FORM_TOL = 1e-14
+
+
 def test_delta_below_discreteness():
+    # delta' = min (1 - |z_j|^2)|B'(z_j)| by another route: B' as the
+    # Cauchy-circle mean of evaluate (the complex factors) on 128 nodes of
+    # radius 0.1 (1 - |z_j|), against the kernel's deleted products
+    ring = np.exp(2j * np.pi * np.arange(128) / 128)
     for seed in range(4):
-        rep = separation_report(BlaschkeProduct(random_sequence(seed)))
+        s = random_sequence(seed)
+        b = BlaschkeProduct(s)
+        rep = separation_report(b)
         assert rep.delta <= rep.discreteness + 1e-15
-        assert rep.delta == pytest.approx(rep.delta_prime, rel=1e-10)
+        zs = s.zs
+        r = 0.1 * (1.0 - np.abs(zs))
+        db = (evaluate(b, zs[:, None] + r[:, None] * ring) * ring.conj()).mean(axis=1) / r
+        derivative_form = (1.0 - np.abs(zs) ** 2) * np.abs(db)
+        assert np.allclose(rep.per_point, derivative_form, rtol=DERIVATIVE_FORM_TOL, atol=0)
 
 
 def test_local_zero_count():
@@ -165,7 +178,7 @@ def test_partition_separated():
 
 def test_partition_properties():
     for seed in (0, 3):
-        s = gen_union(3, GeneratorSpec("radial_geometric", {"q": 0.5, "n": 8}, seed))
+        s = gen_union(3, gen_radial_geometric(0.5, 8), seed)
         for sep in (0.3, 0.5):
             parts = partition_separated(s, sep)
             all_pts = sorted((z.real, z.imag) for q in parts for z in q.zs)
@@ -179,23 +192,21 @@ def test_partition_properties():
 
 def test_compose_probe():
     assert compose_min_on_compact(
-        BlaschkeProduct.from_complex([0.3]), 0.3, 0.5
+        BlaschkeProduct.from_complex([0.3]), 0.3
     ) == pytest.approx(0.5, rel=1e-10)
     ce = gen_escalating_multiplicity(6)
     b = BlaschkeProduct(ce)
-    vals = [compose_min_on_compact(b, z.z, 0.5) for z in ce.points]
+    vals = [compose_min_on_compact(b, z.z) for z in ce.points]
     for n, v in enumerate(vals, start=1):
         assert v <= 0.5**n + 1e-9
     # decay along the truncation family: each level's own product probed at
     # its deepest point
     level_vals = [
         compose_min_on_compact(BlaschkeProduct(gen_escalating_multiplicity(n)),
-                               1.0 - 0.25**n, 0.5)
+                               1.0 - 0.25**n)
         for n in range(1, 7)
     ]
     assert all(b2 < a2 for a2, b2 in zip(level_vals, level_vals[1:]))
-    with pytest.raises(ValueError):
-        compose_min_on_compact(b, 0.0, 1.2)
 
 
 def test_moebius_covariance():
@@ -287,7 +298,7 @@ def test_separation_per_point_against_mpmath():
                 exact = mpmath.sqrt(prod)
                 assert 1 - abs(s.zs[j]) >= BOUNDARY_FLOOR
                 assert abs(rep.per_point[j] - exact) <= 1e-12 * exact
-        assert rep.delta == rep.delta_prime == rep.per_point.min()
+        assert rep.delta == rep.per_point.min()
 
 
 def mp_log_abs_composed(mpmath, zs, mults, c, w):
@@ -423,7 +434,7 @@ def test_compose_probe_at_deepest_zero_against_mpmath(theta):
     circle = 0.5 * np.exp(1j * (2.0 * np.pi * np.arange(512) / 512))  # the probe's own samples
     want = float(mpmath.exp(max(mp_log_abs_composed(mpmath, s.zs, s.mults, c, w)
                                 for w in circle)))
-    got = compose_min_on_compact(BlaschkeProduct(s), c, 0.5)
+    got = compose_min_on_compact(BlaschkeProduct(s), c)
     assert abs(got - want) <= 1e-13 * want
 
 
@@ -447,7 +458,7 @@ SEARCH_INPUTS = {
 def test_pruned_probe_is_the_exhaustive_minimum(name):
     s = SEARCH_INPUTS[name]()
     b = BlaschkeProduct(s)
-    assert blaschke._least_compose_max(b, s.zs, 0.5) == exhaustive_nonzero_probe(b, s.zs)
+    assert blaschke._least_compose_max(b, s.zs) == exhaustive_nonzero_probe(b, s.zs)
 
 
 BENCH_INPUTS = {
@@ -463,8 +474,8 @@ BENCH_INPUTS = {
 def test_probe_bounds_lie_below_the_full_values(name):
     s = BENCH_INPUTS[name]()
     b = BlaschkeProduct(s)
-    bounds = blaschke._probe_bounds(b, s.zs, 0.5)
-    full = np.array([compose_min_on_compact(b, z, 0.5) for z in s.zs])
+    bounds = blaschke._probe_bounds(b, s.zs)
+    full = np.array([compose_min_on_compact(b, z) for z in s.zs])
     assert (np.exp(bounds) <= full).all()
 
 
@@ -474,7 +485,7 @@ def test_pruned_probe_evaluates_few_centres(monkeypatch):
     full = blaschke.compose_min_on_compact
     monkeypatch.setattr(blaschke, "compose_min_on_compact",
                         lambda *args: calls.append(args) or full(*args))
-    blaschke._least_compose_max(BlaschkeProduct(s), s.zs, 0.5)
+    blaschke._least_compose_max(BlaschkeProduct(s), s.zs)
     assert 1 <= len(calls) <= 5
 
 
@@ -498,7 +509,7 @@ def test_nonzero_probe_against_a_finer_circle(name):
     want = float(np.exp(min(dense_composed_log_max(b, c) for c in s.zs)))
     assert got <= want <= got * (1.0 + NONZERO_TOL)
     # |B o phi_c| at the winning centre and sample, at 50 digits
-    c = s.zs[np.argmin([compose_min_on_compact(b, z, 0.5) for z in s.zs])]
+    c = s.zs[np.argmin([compose_min_on_compact(b, z) for z in s.zs])]
     circle = blaschke._circle(0.5, blaschke._PROBE_GRID)
     w = circle[np.argmax(log_abs_composed(b, [c], circle)[0])]
     exact = float(mpmath.exp(mp_log_abs_composed(mpmath, s.zs, s.mults, c, w)))
@@ -521,7 +532,7 @@ def reference_greedy(zs, sep):
 
 def test_greedy_partition_matches_reference_loop():
     seqs = [random_sequence(seed, n=40) for seed in range(3)]
-    seqs.append(gen_union(3, GeneratorSpec("radial_geometric", {"q": 0.5, "n": 8}, 1)))
+    seqs.append(gen_union(3, gen_radial_geometric(0.5, 8), 1))
     for s in seqs:
         for sep in (0.3, 0.5):
             got = [list(q.zs) for q in partition_separated(s, sep)]

@@ -35,10 +35,10 @@ def contains(square, z) -> bool:
     return d <= np.pi * square.arc_length and 1.0 - abs(z) < square.arc_length
 
 
-def mass_in(measure, square) -> float:
-    """Brute-force mass of the measure inside the Carleson square."""
-    inside = np.array([contains(square, a) for a in measure.atoms], dtype=bool)
-    return float(measure.weights[inside].sum())
+def mass_in(s, square) -> float:
+    """Brute-force mass of mu_Z inside the Carleson square."""
+    inside = np.array([contains(square, a) for a in s.zs], dtype=bool)
+    return float(mu_z_measure(s)[inside].sum())
 
 
 def random_sequence(seed, n=20, r_max=0.97):
@@ -58,13 +58,11 @@ def test_square_membership():
 
 
 def test_mu_z():
-    mu = mu_z_measure(FiniteSequence.from_complex([0.0]))
-    assert mu.total_mass() == pytest.approx(1.0)
-    mu2 = mu_z_measure(FiniteSequence.from_complex([0.5]))
-    assert mu2.total_mass() == pytest.approx(0.75)
+    assert mu_z_measure(FiniteSequence.from_complex([0.0])).sum() == pytest.approx(1.0)
+    assert mu_z_measure(FiniteSequence.from_complex([0.5])).sum() == pytest.approx(0.75)
     ce = gen_escalating_multiplicity(5)
     expected = sum(n * (1 - (1 - 0.25**n) ** 2) for n in range(1, 6))
-    assert mu_z_measure(ce).total_mass() == pytest.approx(expected)
+    assert mu_z_measure(ce).sum() == pytest.approx(expected)
 
 
 def test_carleson_norm_examples():
@@ -83,12 +81,11 @@ def depth_held_ratio(s, square) -> float:
     """Mass over scale of the square, with depths (1 - |z|^2) / (1 + |z|)
     as carleson_norm takes them: the naive 1 - |z| rounds by more than the
     square's one-float margin."""
-    mu = mu_z_measure(s)
-    z = mu.atoms
+    z = s.zs
     depth = disk._one_minus_abs2(z) / (1.0 + np.abs(z))
     angle = np.abs((np.angle(z) - square.arc_center + np.pi) % (2 * np.pi) - np.pi)
     inside = (angle <= np.pi * square.arc_length) & (depth < square.arc_length)
-    return float(mu.weights[inside].sum()) / square.arc_length
+    return float(mu_z_measure(s)[inside].sum()) / square.arc_length
 
 
 @pytest.mark.parametrize("s", [
@@ -120,8 +117,7 @@ def test_single_atom_norm_against_mpmath():
 def test_norm_report_consistency():
     s = random_sequence(3)
     rep = carleson_norm(s)
-    mu = mu_z_measure(s)
-    assert rep.norm >= mass_in(mu, rep.maximizing_square) / rep.maximizing_square.arc_length - 1e-12
+    assert rep.norm >= mass_in(s, rep.maximizing_square) / rep.maximizing_square.arc_length - 1e-12
 
 
 def test_monotone_and_subadditive():
@@ -326,7 +322,7 @@ def test_arc_carleson_dominates_sampled_squares(monkeypatch):
 
 def test_embedding_probe():
     s = FiniteSequence.from_complex([0.2, 0.5 + 0.2j, -0.7])
-    mass = mu_z_measure(s).total_mass()
+    mass = mu_z_measure(s).sum()
     assert carleson_embedding_probe(s, 2.0, [constant_fn(1.0)]) == pytest.approx(
         mass, rel=1e-4
     )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blaschke_lab import io as fio
+from blaschke_lab.analysis import analyze_sequence, report_sections
 from blaschke_lab.cli import main
 from blaschke_lab.generators import gen_random_carleson
 from blaschke_lab.geninterp import (
@@ -102,8 +103,8 @@ def test_analyze_parse_failure(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--p", "0"), ("--p", "inf"), ("--p", "1e-16"), ("--p", "1e-300"), ("--alpha", "-1"),
-    ("--alpha", "inf"),
+    ("--p", "0"), ("--p", "inf"), ("--p", "1e-16"), ("--p", "1e-300"), ("--p", "2e8"),
+    ("--p", "1e300"), ("--alpha", "-1"), ("--alpha", "inf"),
     ("--probe-grid", "1.5"), ("--probe-grid", "nan"), ("--probe-grid", "-0.2"),
 ])
 def test_analyze_bad_exponent_exit_2(tmp_path, capsys, flag, value):
@@ -114,14 +115,17 @@ def test_analyze_bad_exponent_exit_2(tmp_path, capsys, flag, value):
 
 
 def test_analyze_huge_exponent_reports_infinite_divisor(tmp_path):
-    # |B|^p underflows to 0 on every node: the divisor ratio is inf, not a crash
+    # the CLI takes p up to 1e8, where the divisor ratio is still finite;
+    # past it the battery still ends in values: |B|^p underflows to 0 on
+    # every node and the divisor ratio is inf, not a crash
     seq_file = tmp_path / "seq.txt"
     report = tmp_path / "r.txt"
     run_cli("gen", "radial-geometric", "--q", "0.5", "--n", "3", "-o", str(seq_file))
-    assert run_cli("analyze", str(seq_file), "--p", "1e300", "-o", str(report)) == 0
-    sections = fio.parse_report(report.read_text())
-    assert float(sections["probes"]["divisor_ratio"]) == np.inf
-    assert sections["flags"]["universal_divisor"] == "fail"
+    assert run_cli("analyze", str(seq_file), "--p", "1e8", "-o", str(report)) == 0
+    assert np.isfinite(float(fio.parse_report(report.read_text())["probes"]["divisor_ratio"]))
+    rep = analyze_sequence(read_sequence(seq_file), p=1e300)
+    assert rep.divisor_ratio == np.inf
+    assert report_sections(rep)["flags"]["universal_divisor"] is False
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -4,9 +4,8 @@ import pytest
 from blaschke_lab import generators
 from blaschke_lab.blaschke import BlaschkeProduct, separation_report
 from blaschke_lab.carleson import carleson_norm
-from blaschke_lab.disk import psh_distance
+from blaschke_lab.disk import FiniteSequence, psh_distance
 from blaschke_lab.generators import (
-    GeneratorSpec,
     gen_escalating_multiplicity,
     gen_perturbed,
     gen_radial_geometric,
@@ -36,13 +35,20 @@ def test_radial_separation_limit():
 
 
 def test_union():
-    base = GeneratorSpec("radial_geometric", {"q": 0.5, "n": 6}, seed=3)
-    assert np.array_equal(gen_union(1, base).zs, base.build().zs)
-    u = gen_union(3, base)
+    base = gen_radial_geometric(0.5, 6)
+    assert np.array_equal(gen_union(1, base, 3).zs, base.zs)
+    u = gen_union(3, base, 3)
     assert len(u) == 18
     assert len(set(u.zs)) == 18
     with pytest.raises(ValueError):
-        gen_union(0, base)
+        gen_union(0, base, 3)
+
+
+def test_union_collision_raises():
+    # every rotated copy of 0 is 0: each jitter draw collides
+    base = FiniteSequence.from_complex([0.0, 0.5])
+    with pytest.raises(RuntimeError, match="kept colliding"):
+        gen_union(2, base, 0)
 
 
 def test_counterexample():
@@ -194,17 +200,10 @@ def test_perturbed():
         gen_perturbed(base, n_satellites=-1, n_doubles=2)
 
 
-def test_spec_dispatch():
-    spec = GeneratorSpec("escalating_multiplicity", {"n_max": 3}, seed=0)
-    assert spec.build().total_count == 6
-    with pytest.raises(ValueError, match="unknown family"):
-        GeneratorSpec("bogus", {}, 0).build()
-
-
 def test_family_properties_hold():
     # documented battery: separation and carleson bounds across seeds
     for seed in range(3):
-        u = gen_union(2, GeneratorSpec("radial_geometric", {"q": 0.5, "n": 8}, seed))
+        u = gen_union(2, gen_radial_geometric(0.5, 8), seed)
         rep = separation_report(BlaschkeProduct(u))
         assert rep.delta > 1e-4
         assert carleson_norm(u).norm < 10.0

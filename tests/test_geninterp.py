@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from blaschke_lab import geninterp as gi
-from blaschke_lab.bergman import DEFAULT_RADII, hp_norm
+from blaschke_lab.bergman import hp_norm
 from blaschke_lab.blaschke import BlaschkeProduct, evaluate
 from blaschke_lab.carleson import CircleArc, lp_sequence_norm
 from blaschke_lab.disk import FiniteSequence, InvariantViolation, psh_distance_pairwise
 from blaschke_lab.generators import gen_perturbed, gen_radial_geometric
 from blaschke_lab.hermite import jet_exp
-from oracles import beta, summed_by_rows, zero_jet
+from oracles import HARDY_RADII, beta, circle_mean, summed_by_rows, zero_jet
 from test_acceptance import _interpolation_problem
 
 
@@ -378,12 +378,14 @@ def test_stacked_jets_match_per_point_extraction():
 
 
 def test_hp_norm_is_max_over_radii():
+    # Hardy's convexity theorem: M_p(f, r) is nondecreasing in r, so the
+    # mean hp_norm reads at its one radius is the max over all six
     part, jets = _interpolation_problem(0)
     for p in (0.5, 1.0, 2.0, np.inf):
         fn = gi.vgh_interpolate(gi.InterpolationProblem(part, jets, p)).function
-        each = [hp_norm(fn, p, (r,)) for r in DEFAULT_RADII]
-        assert hp_norm(fn, p, DEFAULT_RADII) == max(each)
-        assert hp_norm(fn, p, DEFAULT_RADII[::-1]) == max(each)
+        means = [circle_mean(fn, p, r) for r in HARDY_RADII]
+        assert means == sorted(means)
+        assert hp_norm(fn, p) == max(means)
 
 
 def test_interpolate_two_singletons():
