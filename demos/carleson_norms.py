@@ -23,10 +23,10 @@ from blaschke_lab import (
 print("=" * 60)
 print("Single atoms and radial families")
 print("=" * 60)
-one = FiniteSequence.from_complex([0.5])
+one = FiniteSequence([0.5])
 rep = carleson_norm(one)
 print(f"  point 0.5: mass {mu_z_measure(one).sum():.4f}, "
-      f"norm {rep.norm:.4f} ({rep.method})")
+      f"norm {rep.norm:.4f}")
 for n in (5, 10, 20, 40):
     s = gen_radial_geometric(0.5, n)
     print(f"  radial n={n:2d}: norm {carleson_norm(s).norm:.4f}  "
@@ -54,7 +54,7 @@ print()
 print("=" * 60)
 print("Embedding probe")
 print("=" * 60)
-small = FiniteSequence.from_complex([0.2, 0.5 + 0.2j, -0.7, 0.85j])
+small = FiniteSequence([0.2, 0.5 + 0.2j, -0.7, 0.85j])
 mass = mu_z_measure(small).sum()
 flat = carleson_embedding_probe(small, 2.0, [constant_fn(1.0)])
 peaked = carleson_embedding_probe(small, 2.0, reproducing_family(small, 2.0))

@@ -46,16 +46,16 @@ print("=" * 60)
 jets = []
 for c in part.clusters:
     rows = []
-    for p, m in zip(c.points.points, c.points.multiplicities):
+    for z, m in zip(c.seq.zs.tolist(), c.seq.mults.tolist()):
         row = [complex(rng.standard_normal(), rng.standard_normal())]
         for i in range(1, m):
             row.append(complex(rng.standard_normal(), rng.standard_normal())
-                       / (1 - abs(p.z) ** 2) ** i)
+                       / (1 - abs(z) ** 2) ** i)
         rows.append(tuple(row))
     jets.append(HermiteJet(tuple(rows)))
 jets = tuple(jets)
 double = max(range(len(part.clusters)),
-             key=lambda k: max(part.clusters[k].points.multiplicities))
+             key=lambda k: part.clusters[k].seq.mults.max())
 print(f"  cluster {double} carries a derivative target: "
       f"{np.round(jets[double].derivatives[0], 3)}")
 print(f"  class norm there: {class_norm(part.clusters[double], jets[double], part.eps):.4f}")

@@ -54,7 +54,7 @@ print()
 print("=" * 60)
 print("Diameters and metric grids")
 print("=" * 60)
-seq = FiniteSequence.from_complex([0, 0.3, 0.7, 0.5j])
+seq = FiniteSequence([0, 0.3, 0.7, 0.5j])
 print(f"  diameter of {{0, 0.3, 0.7, 0.5j}} = {psh_diameter(seq):.6f}")
 grid = hyperbolic_grid(0.9, 0.25)
 print(f"  hyperbolic grid to |z| <= 0.9 at pitch 0.25: {len(grid)} centers")

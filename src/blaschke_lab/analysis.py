@@ -8,17 +8,7 @@ sequence behaves like a finite union of interpolating sequences when all
 flags point the same way.  The thresholds are documented heuristics for
 the generator families shipped here, not theorems.
 
-The composition probe (nonzero_probe) is the least, over the zeros c, of
-compose_min_on_compact(b, c), and is found by a pruned search that
-returns the same float as one full call per zero
-(blaschke._least_compose_max): every 16th of the 512 samples of each
-circle gives each center a lower bound, and the centers are then visited
-with the full call in increasing bound until the next bound exceeds the
-least value found.  Each bound is lowered by 4 (n + 16) 2^-53 of its
-magnitude, twice what the rounding of a sum of n terms m log rho^2 <= 0
-can move a computed log max, so no center whose full value is smaller is
-skipped.  On the benchmark's random Carleson clouds (n = 200 and 800)
-one center gets the full call.
+The composition probe's pruned search: see blaschke._least_compose_max.
 """
 
 from __future__ import annotations
@@ -62,7 +52,7 @@ def union_separation(s: FiniteSequence, sep: float = 0.3):
     parts = _greedy_parts(zs, sep)
     min_delta = 1.0
     for part in parts:
-        rep = separation_report(BlaschkeProduct(FiniteSequence.from_complex(zs[part])))
+        rep = separation_report(BlaschkeProduct(FiniteSequence(zs[part])))
         min_delta = min(min_delta, rep.delta)
     return len(parts), min_delta
 
@@ -101,7 +91,6 @@ class AnalysisReport:
     union_parts: int
     part_delta: float
     carleson: float
-    carleson_method: str
     blaschke_sup: float
     max_count_half: int
     nonzero_probe: float
@@ -122,8 +111,7 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
     probes contrast most sharply.
     """
     if len(s) == 0:
-        return AnalysisReport(0, 0, 0.0, 0.0, 0, 0.0, 0.0, "n/a",
-                              0.0, 0, 0.0, 0.0, 0.0, {}, "n/a")
+        return AnalysisReport(0, 0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, {}, "n/a")
     b = BlaschkeProduct(s)
     sep = separation_report(b)
     n_parts, part_delta = union_separation(s)
@@ -156,7 +144,7 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
     verdict = "pass" if all(flags.values()) else "fail"
     return AnalysisReport(
         len(s), s.total_count, sep.delta, sep.discreteness,
-        n_parts, part_delta, cn.norm, cn.method, ubs, ncount, nonzero,
+        n_parts, part_delta, cn.norm, ubs, ncount, nonzero,
         divisor, mb, flags, verdict,
     )
 
@@ -188,7 +176,9 @@ def report_sections(rep: AnalysisReport) -> dict:
         },
         "carleson": {
             "norm": rep.carleson,
-            "method": rep.carleson_method,
+            # the supremum is attained at a point-anchored square exactly
+            # when some atom has depth below 1, that is when it is positive
+            "method": "point-anchored" if rep.carleson > 0 else "n/a",
             "blaschke_sup": rep.blaschke_sup,
         },
         "probes": {

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import disk
 from .blaschke import BlaschkeProduct, _log_abs_moved, _moved
-from .disk import MoebiusMap, DiskPoint, FiniteSequence, _one_minus_abs2, _tocomplex
+from .disk import FiniteSequence, MoebiusMap, _one_minus_abs2
 from .util import worker_count
 
 # the circle hp_norm samples
@@ -184,7 +184,7 @@ def _recentred_means(b: BlaschkeProduct, centers, p: float, alpha: float,
     g = g or default_grid()
     weighted = QuadratureGrid(g.radii, g.band_areas * _one_minus_abs2(g.radii) ** alpha,
                               g.angular_counts)
-    moved = [_moved(b, _tocomplex(c)) for c in centers]
+    moved = [_moved(b, complex(c)) for c in centers]
 
     def powers(z):
         rows = _log_abs_moved(b, moved, z)
@@ -208,7 +208,7 @@ def kernel_mass(zeta, g: QuadratureGrid | None = None) -> float:
     Equals pi for every center by change of variables; the quadrature value
     certifies grid accuracy.
     """
-    phi = MoebiusMap(DiskPoint.from_complex(zeta))
+    phi = MoebiusMap(zeta)
     return area_integral(lambda z: phi.jacobian(z), g)
 
 
@@ -278,8 +278,7 @@ def reproducing_family(s: FiniteSequence, p: float) -> list:
     """Normalized reproducing-kernel style test functions anchored at the
     points of s: f_a(z) = ((1-|a|^2)/(1 - conj(a) z))^(2/p)."""
     fam = []
-    for pt in s.points:
-        a = pt.z
+    for a in s.zs.tolist():
         amp = math.log(1.0 - abs(a) ** 2)
 
         def ev(z, a=a, amp=amp):

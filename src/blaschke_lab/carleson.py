@@ -31,7 +31,6 @@ from .disk import (
     _log_rho2,
     _one_minus_abs2,
     _tiles,
-    _tocomplex,
 )
 
 # arc_carleson_constant drops a box of squares once its upper bound is
@@ -58,7 +57,6 @@ class CarlesonSquare:
 class CarlesonNormReport:
     norm: float
     maximizing_square: CarlesonSquare | None
-    method: str  # "point-anchored" | "n/a"
 
 
 def mu_z_measure(s: FiniteSequence) -> np.ndarray:
@@ -121,25 +119,23 @@ def carleson_norm(s: FiniteSequence) -> CarlesonNormReport:
     depths = d2 / (1.0 + np.abs(zs))
     keep = depths < 1.0
     if not keep.any():
-        return CarlesonNormReport(0.0, None, "n/a")
+        return CarlesonNormReport(0.0, None)
     sup, square = _square_sup(np.angle(zs[keep]), depths[keep], (s.mults * d2)[keep])
-    return CarlesonNormReport(sup, square, "point-anchored")
+    return CarlesonNormReport(sup, square)
 
 
 def uniform_blaschke_sup(s: FiniteSequence, probe_centers) -> float:
     """Max over probe centers c of sum_j mult_j (1 - |phi_c(z_j)|^2).
 
     Each term is 1 - rho^2(c, z_j), taken as -expm1 of the Blaschke
-    factor kernel's log rho^2 over blocks of centers.  The centers are a
-    complex array, or any iterable of points (complex or DiskPoint).
+    factor kernel's log rho^2 over blocks of centers, an array-like of
+    complex.
     """
     if len(s) == 0:
         return 0.0
     zeros = _coords(s.zs)
     mults = s.mults.astype(float)
-    if not isinstance(probe_centers, np.ndarray):
-        probe_centers = np.array([_tocomplex(c) for c in probe_centers], dtype=complex)
-    centers = _coords(probe_centers.astype(complex, copy=False).ravel())
+    centers = _coords(np.asarray(probe_centers, dtype=complex).ravel())
     sums = np.zeros(centers.shape[1])
     for r, c in _tiles(len(s), centers.shape[1]):
         sums[c] += mults[r] @ -np.expm1(_log_rho2(zeros[:, r], centers[:, c]))

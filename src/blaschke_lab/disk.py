@@ -1,9 +1,9 @@
 """Pseudohyperbolic geometry of the open unit disk.
 
-Points, finite point sequences with multiplicities, the disk automorphisms
-``(c - z) / (1 - conj(c) z)``, the metric ``rho = |(z - w) / (1 - conj(w) z)|``,
-and small grid helpers.  Everything here is immutable after construction
-and every operation is a pure function.
+Points, finite point sequences with multiplicities (two read-only arrays),
+the disk automorphisms ``(c - z) / (1 - conj(c) z)``, the metric
+``rho = |(z - w) / (1 - conj(w) z)|``, and small grid helpers.  Everything
+here is immutable after construction and every operation is a pure function.
 
 The metric comes from one kernel for log rho^2 between a tile of points
 and another, in real arithmetic and free of cancellation near the circle
@@ -13,7 +13,8 @@ the other modules use the same kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +33,6 @@ _BLOCK = 1 << 15
 
 class InvariantViolation(ValueError):
     """A domain invariant was broken (point outside disk, duplicate entry, ...)."""
-
-
-def _tocomplex(z) -> complex:
-    """Accept DiskPoint, complex or real and return a plain complex number."""
-    if isinstance(z, DiskPoint):
-        return z.z
-    return complex(z)
 
 
 def _one_minus_abs2(z):
@@ -143,9 +137,20 @@ def _log_rho2_tiny(a: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def inside_floor(z) -> bool:
-    """True when |z| < 1 - BOUNDARY_FLOOR, the test by which DiskPoint
-    accepts a point."""
+    """True when |z| < 1 - BOUNDARY_FLOOR, the test by which points are
+    accepted.  It takes Python's abs of a scalar: numpy's vectorised
+    modulus can differ from it in the last bit, and does at the floor."""
     return abs(z) < 1.0 - BOUNDARY_FLOOR
+
+
+def _check_point(z: complex) -> None:
+    if not cmath.isfinite(z):
+        raise InvariantViolation("disk point coordinates must be finite")
+    if not inside_floor(z):
+        raise InvariantViolation(
+            f"point {z.real}+{z.imag}j too close to the unit circle "
+            f"(need 1 - |z| >= {BOUNDARY_FLOOR})"
+        )
 
 
 @dataclass(frozen=True)
@@ -156,89 +161,73 @@ class DiskPoint:
     im: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.re) and np.isfinite(self.im)):
-            raise InvariantViolation("disk point coordinates must be finite")
-        if not inside_floor(self.z):
-            raise InvariantViolation(
-                f"point {self.re}+{self.im}j too close to the unit circle "
-                f"(need 1 - |z| >= {BOUNDARY_FLOOR})"
-            )
+        _check_point(self.z)
 
     @property
     def z(self) -> complex:
         return complex(self.re, self.im)
 
-    @classmethod
-    def from_complex(cls, z) -> "DiskPoint":
-        z = complex(z)
-        return cls(z.real, z.imag)
-
-    def __abs__(self) -> float:
-        return abs(self.z)
+    def __complex__(self) -> complex:
+        return self.z
 
 
-@dataclass(frozen=True)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteSequence:
     """A finite list of distinct disk points with positive multiplicities.
 
-    Repetition is expressed only through ``multiplicities``; two listed
-    entries are never equal as complex numbers.
+    zs (complex128) and mults (int64, all ones by default) are parallel
+    1-D arrays, validated once and read-only.  Repetition is expressed
+    only through mults; two listed entries are never equal as complex
+    numbers.  The total count fits int64, so sums of mults never wrap.
     """
 
-    points: tuple = field(default_factory=tuple)
-    multiplicities: tuple = field(default_factory=tuple)
+    zs: np.ndarray
+    mults: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = tuple(
-            p if isinstance(p, DiskPoint) else DiskPoint.from_complex(p)
-            for p in self.points
-        )
-        mults = tuple(self.multiplicities) if self.multiplicities else (1,) * len(pts)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "multiplicities", mults)
-        if len(mults) != len(pts):
-            raise InvariantViolation("multiplicities must parallel points")
-        for m in mults:
-            if not isinstance(m, (int, np.integer)) or m < 1:
-                raise InvariantViolation(f"multiplicity {m!r} is not a positive integer")
-        zs = [p.z for p in pts]
-        if len(set(zs)) != len(zs):
+        zs = np.array(self.zs, dtype=complex)
+        if zs.ndim != 1:
+            raise InvariantViolation("points must form a 1-D array")
+        values = zs.tolist()
+        for z in values:
+            _check_point(z)
+        if self.mults is None:
+            mults = np.ones(len(zs), dtype=np.int64)
+        else:
+            ms = list(self.mults)
+            if len(ms) != len(zs):
+                raise InvariantViolation("multiplicities must parallel points")
+            for m in ms:
+                if not isinstance(m, (int, np.integer)) or m < 1:
+                    raise InvariantViolation(f"multiplicity {m!r} is not a positive integer")
+            total = sum(int(m) for m in ms)
+            if total > _INT64_MAX:
+                raise InvariantViolation(f"total multiplicity {total} exceeds the int64 limit")
+            mults = np.array(ms, dtype=np.int64)
+        if len(set(values)) != len(values):
             raise InvariantViolation("duplicate points; use multiplicities for repetition")
-
-    @classmethod
-    def from_complex(cls, values, multiplicities=None) -> "FiniteSequence":
-        pts = tuple(DiskPoint.from_complex(v) for v in values)
-        mults = tuple(int(m) for m in multiplicities) if multiplicities is not None else None
-        return cls(pts, mults if mults is not None else ())
-
-    @property
-    def zs(self) -> np.ndarray:
-        """Listed points as a complex array (no multiplicity expansion)."""
-        return np.array([p.z for p in self.points], dtype=complex)
-
-    @property
-    def mults(self) -> np.ndarray:
-        return np.array(self.multiplicities, dtype=int)
+        zs.flags.writeable = False
+        mults.flags.writeable = False
+        object.__setattr__(self, "zs", zs)
+        object.__setattr__(self, "mults", mults)
 
     @property
     def total_count(self) -> int:
         """Number of points counted with multiplicity."""
-        return int(sum(self.multiplicities))
+        return int(self.mults.sum())
 
     def expanded(self) -> np.ndarray:
         """Points repeated according to multiplicity."""
-        if not self.points:
-            return np.zeros(0, dtype=complex)
         return np.repeat(self.zs, self.mults)
 
     def is_simple(self) -> bool:
-        return all(m == 1 for m in self.multiplicities)
+        return bool((self.mults == 1).all())
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
+        return len(self.zs)
 
 
 @dataclass(frozen=True)
@@ -252,14 +241,15 @@ class MoebiusMap:
 
     def __post_init__(self):
         if not isinstance(self.center, DiskPoint):
-            object.__setattr__(self, "center", DiskPoint.from_complex(self.center))
+            c = complex(self.center)
+            object.__setattr__(self, "center", DiskPoint(c.real, c.imag))
 
     def __call__(self, z):
         """Apply the map; accepts scalars or complex arrays, returns the same."""
         c = self.center.z
         if isinstance(z, np.ndarray):
             return (c - z) / (1.0 - np.conj(c) * z)
-        w = _tocomplex(z)
+        w = complex(z)
         return (c - w) / (1.0 - c.conjugate() * w)
 
     def jacobian(self, w) -> float:
@@ -268,13 +258,13 @@ class MoebiusMap:
         depth = float(_one_minus_abs2(c))
         if isinstance(w, np.ndarray):
             return depth**2 / np.abs(1.0 - np.conj(c) * w) ** 4
-        v = _tocomplex(w)
+        v = complex(w)
         return depth**2 / abs(1.0 - c.conjugate() * v) ** 4
 
 
 def psh_distance(z, w) -> float:
     """Pseudohyperbolic distance |(z - w) / (1 - conj(w) z)| in [0, 1)."""
-    return float(psh_distance_pairwise(np.array([_tocomplex(z)]), np.array([_tocomplex(w)]))[0, 0])
+    return float(psh_distance_pairwise(np.array([complex(z)]), np.array([complex(w)]))[0, 0])
 
 
 def psh_distance_pairwise(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:

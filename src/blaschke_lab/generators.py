@@ -23,8 +23,10 @@ import numpy as np
 from .carleson import carleson_norm
 from .disk import FiniteSequence, InvariantViolation, inside_floor
 
-# candidates of the random-Carleson sampler drawn per call to the generator
+# candidates of the random-Carleson sampler drawn per call to the generator,
+# and the candidates each point may take before the sampler gives up
 _DRAW_BLOCK = 256
+_TRIES_PER_POINT = 400
 # jitter draws of gen_union before it gives up on a colliding union
 _UNION_ATTEMPTS = 16
 # pseudohyperbolic spacing of the split escalating points, and distance of
@@ -44,7 +46,7 @@ def gen_radial_geometric(q: float, n: int, ray_angles=(0.0,)) -> FiniteSequence:
         rot = np.exp(1j * float(th))
         for k in range(1, n + 1):
             pts.append((1.0 - q**k) * rot)
-    return FiniteSequence.from_complex(pts)
+    return FiniteSequence(pts)
 
 
 def gen_union(m: int, base: FiniteSequence, seed: int) -> FiniteSequence:
@@ -56,7 +58,7 @@ def gen_union(m: int, base: FiniteSequence, seed: int) -> FiniteSequence:
     if m < 1:
         raise ValueError("m must be positive")
     zs = base.zs
-    mults = list(base.multiplicities) * m
+    mults = np.tile(base.mults, m)
     for attempt in range(_UNION_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         pts = []
@@ -64,7 +66,7 @@ def gen_union(m: int, base: FiniteSequence, seed: int) -> FiniteSequence:
             jitter = rng.uniform(-np.pi / (8 * m), np.pi / (8 * m)) if m > 1 else 0.0
             pts.extend(zs * np.exp(1j * (2.0 * np.pi * j / m + jitter)))
         try:
-            return FiniteSequence.from_complex(pts, mults)
+            return FiniteSequence(pts, mults)
         except InvariantViolation:
             pass
     raise RuntimeError("union generator kept colliding; widen the jitter")
@@ -95,11 +97,10 @@ def gen_escalating_multiplicity(n_max: int, base_gap: float = 0.25,
             for j in range(n):
                 pts.append(zn + 1j * j * _SPLIT_SPACING * (1.0 - zn**2))
                 mults.append(1)
-    return FiniteSequence.from_complex(pts, mults)
+    return FiniteSequence(pts, mults)
 
 
-def gen_random_carleson(seed: int, n: int, target_norm: float,
-                        max_tries_per_point: int = 400) -> FiniteSequence:
+def gen_random_carleson(seed: int, n: int, target_norm: float) -> FiniteSequence:
     """Random cloud whose Carleson norm stays below 1.2 * target_norm.
 
     Points draw a dyadic depth level and a uniform angle; a candidate is
@@ -112,7 +113,7 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
     ``rng.choice(4, p=...)``, ``rng.uniform()`` and ``rng.uniform(0, 2 pi)``
     would take; they are drawn in blocks of ``_DRAW_BLOCK`` candidates, so
     the clouds are bit-identical to per-candidate draws.  Every point gets
-    ``max_tries_per_point`` candidates, across block boundaries.
+    ``_TRIES_PER_POINT`` candidates, across block boundaries.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -167,7 +168,7 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
     for _ in range(n):
         # range before draws: zip stops without taking a candidate past
         # the budget, so the next point starts on it
-        for _attempt, (visits, wgt, r, ang, cells) in zip(range(max_tries_per_point), draws):
+        for _attempt, (visits, wgt, r, ang, cells) in zip(range(_TRIES_PER_POINT), draws):
             # the deepest square is the likeliest to overflow: test it first
             for k in range(visits - 1, -1, -1):
                 if (mass[k].get(cells[k], 0.0) + wgt) / sizes[k] > margin:
@@ -182,7 +183,7 @@ def gen_random_carleson(seed: int, n: int, target_norm: float,
                 break
         else:
             raise RuntimeError("sampling budget exhausted")
-    seq = FiniteSequence.from_complex(pts)
+    seq = FiniteSequence(pts)
     norm = carleson_norm(seq).norm
     if norm > 1.2 * target_norm:
         raise RuntimeError(
@@ -200,8 +201,8 @@ def gen_perturbed(base: FiniteSequence, n_satellites: int = 0,
     distinct points to 2.
     """
     rng = np.random.default_rng(seed)
-    zs = list(base.zs)
-    mults = list(base.multiplicities)
+    zs = list(base.zs)  # numpy scalars: their abs below is numpy's
+    mults = base.mults.tolist()
     n_base = len(zs)
     if min(n_satellites, n_doubles) < 0 or n_satellites + n_doubles > n_base:
         raise ValueError("satellite and double counts must be >= 0 and fit the base points")
@@ -213,4 +214,4 @@ def gen_perturbed(base: FiniteSequence, n_satellites: int = 0,
         mults.append(1)
     for i in chosen[n_satellites:]:
         mults[i] = 2
-    return FiniteSequence.from_complex(zs, mults)
+    return FiniteSequence(zs, mults)

@@ -56,12 +56,10 @@ from .bergman import hp_norm
 from .blaschke import BlaschkeProduct, evaluate, log_abs_evaluate, max_local_count
 from .carleson import CircleArc, arc_carleson_constant
 from .disk import (
-    DiskPoint,
     FiniteSequence,
     InvariantViolation,
     _one_minus_abs2,
     _tiles,
-    _tocomplex,
     psh_distance_pairwise,
 )
 from .hermite import hermite_interpolant, jet_exp, jet_from_derivatives, jet_mul
@@ -73,14 +71,14 @@ _CAUCHY_NODES = 128  # nodes per Cauchy circle of the jet check
 
 @dataclass(frozen=True)
 class Cluster:
-    """A finite cluster of points together with its chosen anchor."""
+    """A finite cluster of points together with its chosen anchor point."""
 
-    points: FiniteSequence
-    anchor: DiskPoint
+    seq: FiniteSequence
+    anchor: complex
 
     @property
     def cardinality(self) -> int:
-        return self.points.total_count
+        return self.seq.total_count
 
 
 @dataclass(frozen=True)
@@ -122,15 +120,13 @@ class ClusterPartition:
 
     @property
     def anchors(self) -> np.ndarray:
-        return np.array([c.anchor.z for c in self.clusters], dtype=complex)
+        return np.array([c.anchor for c in self.clusters], dtype=complex)
 
     def all_points(self) -> FiniteSequence:
-        pts = []
-        mults = []
-        for c in self.clusters:
-            pts.extend(c.points.points)
-            mults.extend(c.points.multiplicities)
-        return FiniteSequence(tuple(pts), tuple(mults))
+        if not self.clusters:
+            return FiniteSequence([])
+        return FiniteSequence(np.concatenate([c.seq.zs for c in self.clusters]),
+                              np.concatenate([c.seq.mults for c in self.clusters]))
 
 
 def _cluster_distances(clusters):
@@ -138,9 +134,9 @@ def _cluster_distances(clusters):
     pseudohyperbolic diameter of cluster k (0 for a single point) and
     gaps[i, j] the least distance between points of clusters i and j,
     both read block-wise off one pairwise matrix of all listed points."""
-    sizes = [len(c.points) for c in clusters]
+    sizes = [len(c.seq) for c in clusters]
     starts = np.cumsum([0] + sizes[:-1])
-    zs = np.concatenate([c.points.zs for c in clusters])
+    zs = np.concatenate([c.seq.zs for c in clusters])
     dist = psh_distance_pairwise(zs, zs)
     gaps = np.minimum.reduceat(np.minimum.reduceat(dist, starts, axis=0), starts, axis=1)
     widest = np.maximum.reduceat(np.maximum.reduceat(dist, starts, axis=0), starts, axis=1)
@@ -175,9 +171,9 @@ class InterpolationProblem:
         if len(self.jets) != len(self.partition.clusters):
             raise InvariantViolation("jets must parallel clusters")
         for jet, cluster in zip(self.jets, self.partition.clusters):
-            if len(jet.derivatives) != len(cluster.points):
+            if len(jet.derivatives) != len(cluster.seq):
                 raise InvariantViolation("jet rows must parallel cluster points")
-            for row, m in zip(jet.derivatives, cluster.points.multiplicities):
+            for row, m in zip(jet.derivatives, cluster.seq.mults.tolist()):
                 if len(row) != m:
                     raise InvariantViolation("jet order must equal point multiplicity")
 
@@ -220,6 +216,7 @@ def cluster_sequence(s: FiniteSequence, eps: float, R_max: float) -> ClusterPart
     if len(s) == 0:
         return ClusterPartition((), eps, (), R_max)
     zs = s.zs
+    points = zs.tolist()  # scalar moduli, as in blaschke._greedy_parts
     dist = psh_distance_pairwise(zs, zs)
     cur = float(eps)
     for _ in range(EPS_HALVINGS + 1):
@@ -230,13 +227,11 @@ def cluster_sequence(s: FiniteSequence, eps: float, R_max: float) -> ClusterPart
         if all(dm <= R_max for dm in diams):
             clusters = []
             for g in groups:
-                pts = tuple(s.points[i] for i in g)
-                mults = tuple(s.multiplicities[i] for i in g)
-                anchor = min(pts, key=lambda q: (abs(q.z), np.angle(q.z)))
-                clusters.append(Cluster(FiniteSequence(pts, mults), anchor))
-            clusters.sort(key=lambda c: (abs(c.anchor.z), np.angle(c.anchor.z)))
+                anchor = min((points[i] for i in g), key=lambda z: (abs(z), np.angle(z)))
+                clusters.append(Cluster(FiniteSequence(zs[g], s.mults[g]), anchor))
+            clusters.sort(key=lambda c: (abs(c.anchor), np.angle(c.anchor)))
             d = tuple(
-                1.0 - max(_outer_modulus(p.z, cur) for p in c.points.points)
+                1.0 - max(_outer_modulus(z, cur) for z in c.seq.zs.tolist())
                 for c in clusters
             )
             return ClusterPartition(tuple(clusters), cur, d, R_max)
@@ -266,9 +261,9 @@ def _components(adj: np.ndarray) -> np.ndarray:
 def cluster_region_samples(cluster: Cluster, eps: float) -> np.ndarray:
     """Sample points of the eps-neighborhood: each constituent circle plus
     the cluster points and disk centers."""
-    samples = [p.z for p in cluster.points.points]
-    for p in cluster.points.points:
-        c, r = _euclid_disk(p.z, eps)
+    samples = cluster.seq.zs.tolist()
+    for z in cluster.seq.zs.tolist():
+        c, r = _euclid_disk(z, eps)
         theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
         samples.append(np.atleast_1d(c))
         samples.append(c + r * np.exp(1j * theta))
@@ -284,10 +279,8 @@ def class_norm(cluster: Cluster, jet: HermiteJet, eps: float) -> float:
     representative is equivalent for diameters bounded away from 1 and
     reduces to |value| on simple singletons.
     """
-    pts = [p.z for p in cluster.points.points]
-    mults = list(cluster.points.multiplicities)
     jets = [jet_from_derivatives(row) for row in jet.derivatives]
-    P = hermite_interpolant(pts, mults, jets)
+    P = hermite_interpolant(cluster.seq.zs, cluster.seq.mults, jets)
     return float(np.abs(P(cluster_region_samples(cluster, eps))).max())
 
 
@@ -336,7 +329,7 @@ def poisson_angular_mean(anchor, r: float) -> float:
     """Angular mean of (1-|a|^2)/|1 - conj(a) r e^(i theta)|^2 over 2048
     angles; equals (1-|a|^2)/(1-r^2|a|^2) <= 1 in closed form, so the
     sampled mean certifies the kernel's row bound."""
-    a = _tocomplex(anchor)
+    a = complex(anchor)
     theta = 2.0 * np.pi * np.arange(2048) / 2048
     vals = (1.0 - abs(a) ** 2) / np.abs(1.0 - a.conjugate() * r * np.exp(1j * theta)) ** 2
     return float(vals.mean())
@@ -357,7 +350,7 @@ def vgh_kernel_bound(part: ClusterPartition, grid) -> float:
         for r in (0.5, 0.9, 0.99):
             if poisson_angular_mean(a, r) > 1.0 + 1e-8:
                 raise RuntimeError(f"angular mean above 1 at anchor {a}, r={r}")
-    w = np.asarray([_tocomplex(g) for g in grid], dtype=complex)
+    w = np.asarray([complex(g) for g in grid], dtype=complex)
     total = np.zeros(w.shape)
     for _, kern in _anchor_rows(anchors, w, 2.0, 1.0):
         total += np.abs(kern)
@@ -377,7 +370,7 @@ def _summands(problem: InterpolationProblem):
     part = problem.partition
     q, s = _exponents(problem.p)
     anchors = part.anchors
-    b_own = [BlaschkeProduct(c.points) for c in part.clusters]
+    b_own = [BlaschkeProduct(c.seq) for c in part.clusters]
 
     def summed(w, weights):
         out = np.zeros_like(w)
@@ -408,7 +401,7 @@ def _log_coefficients(part: ClusterPartition, q: float, s: float) -> np.ndarray:
     """
     seq = part.all_points()
     z0, mults = seq.zs, seq.mults
-    labels = np.repeat(np.arange(len(part.clusters)), [len(c.points) for c in part.clusters])
+    labels = np.repeat(np.arange(len(part.clusters)), [len(c.seq) for c in part.clusters])
     out = np.zeros((mults.max(initial=1) - 1, len(z0)), dtype=complex)
     if not out.size:
         return out
@@ -451,7 +444,7 @@ def _multiplier_polynomials(problem: InterpolationProblem, values: np.ndarray) -
     polys = []
     start = 0
     for cluster, target in zip(part.clusters, problem.jets):
-        mults = cluster.points.multiplicities
+        mults = cluster.seq.mults.tolist()
         rows = range(start, start + len(mults))
         start += len(mults)
         if target.is_zero():
@@ -462,7 +455,7 @@ def _multiplier_polynomials(problem: InterpolationProblem, values: np.ndarray) -
             / values[i]
             for i, m, row in zip(rows, mults, target.derivatives)
         ]
-        polys.append(hermite_interpolant(cluster.points.zs, mults, quotient_jets))
+        polys.append(hermite_interpolant(cluster.seq.zs, mults, quotient_jets))
     return polys
 
 
@@ -475,7 +468,7 @@ def _solution_evaluator(problem: InterpolationProblem):
 
     def ev(z):
         scalar = not isinstance(z, np.ndarray)
-        w = np.asarray(_tocomplex(z) if scalar else z, dtype=complex).ravel()
+        w = np.asarray(complex(z) if scalar else z, dtype=complex).ravel()
         out = summed(w, polys)
         return complex(out[0]) if scalar else out.reshape(np.shape(z))
 
@@ -522,12 +515,11 @@ def vgh_interpolate(problem: InterpolationProblem) -> InterpolationSolution:
         for row in jet.derivatives:
             for v in row:
                 target_scale = max(target_scale, abs(v))
-    centers = [p.z for c in part.clusters for p in c.points.points]
-    orders = [m for c in part.clusters for m in c.points.multiplicities]
+    seq = part.all_points()
     rows = [row for jet in problem.jets for row in jet.derivatives]
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        got_jets = _extract_jets(ev, centers, orders)
+        got_jets = _extract_jets(ev, seq.zs, seq.mults.tolist())
     for got, row in zip(got_jets, rows):
         for g, t in zip(got, row):
             denom = max(abs(t), 0.01 * target_scale)
@@ -559,7 +551,7 @@ def hinf_bound_estimate(part: ClusterPartition, b: BlaschkeProduct) -> float:
     fragments = []
     log_min = np.inf
     for cluster in part.clusters:
-        disks = [_euclid_disk(p.z, part.eps) for p in cluster.points.points]
+        disks = [_euclid_disk(z, part.eps) for z in cluster.seq.zs.tolist()]
         for j, (cj, rj) in enumerate(disks):
             theta = 2.0 * np.pi * (np.arange(_CIRCLE_SAMPLES) + 0.5) / _CIRCLE_SAMPLES
             pts = cj + rj * np.exp(1j * theta)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .disk import DiskPoint, FiniteSequence
+from .disk import FiniteSequence
 from .geninterp import ClusterPartition, HermiteJet
 
 
@@ -21,8 +21,9 @@ class ParseError(ValueError):
 
 def format_sequence(s: FiniteSequence) -> str:
     lines = ["# re im mult"]
-    for p, m in zip(s.points, s.multiplicities):
-        lines.append(f"{p.re!r} {p.im!r} {m}")
+    # through tolist: the repr of a numpy scalar is not its number
+    for z, m in zip(s.zs.tolist(), s.mults.tolist()):
+        lines.append(f"{z.real!r} {z.imag!r} {m}")
     return "\n".join(lines) + "\n"
 
 
@@ -46,9 +47,9 @@ def parse_sequence(text: str) -> FiniteSequence:
             mult = int(parts[2])
         except ValueError as exc:
             raise ParseError(f"line {ln}: {exc}") from None
-        pts.append(DiskPoint(re_, im_))  # InvariantViolation propagates
+        pts.append(complex(re_, im_))
         mults.append(mult)
-    return FiniteSequence(tuple(pts), tuple(mults))
+    return FiniteSequence(pts, mults)  # InvariantViolation propagates
 
 
 def read_sequence(path) -> FiniteSequence:
@@ -59,7 +60,7 @@ def read_sequence(path) -> FiniteSequence:
 def parse_targets(text: str, part: ClusterPartition):
     """Jets for the given partition; unspecified entries default to zero."""
     rows = [
-        [[0.0 + 0.0j] * m for m in c.points.multiplicities]
+        [[0.0 + 0.0j] * m for m in c.seq.mults.tolist()]
         for c in part.clusters
     ]
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -79,12 +80,12 @@ def parse_targets(text: str, part: ClusterPartition):
         if not 0 <= k < len(part.clusters):
             raise ParseError(f"line {ln}: cluster index {k} out of range")
         cluster = part.clusters[k]
-        if not 0 <= i < len(cluster.points):
+        if not 0 <= i < len(cluster.seq):
             raise ParseError(f"line {ln}: point index {i} out of range")
-        if not 0 <= order < cluster.points.multiplicities[i]:
+        if not 0 <= order < cluster.seq.mults[i]:
             raise ParseError(
                 f"line {ln}: derivative order {order} at multiplicity "
-                f"{cluster.points.multiplicities[i]}"
+                f"{cluster.seq.mults[i]}"
             )
         rows[k][i][order] = val
     return tuple(

@@ -28,7 +28,7 @@ from blaschke_lab.blaschke import (
     log_abs_evaluate,
 )
 from blaschke_lab.carleson import carleson_norm
-from blaschke_lab.disk import FiniteSequence, MoebiusMap, _tocomplex, psh_distance_pairwise
+from blaschke_lab.disk import FiniteSequence, MoebiusMap, psh_distance_pairwise
 from blaschke_lab.geninterp import HermiteJet, _exponents
 
 
@@ -52,7 +52,7 @@ def conformal_density(center, power: float):
     Computed as ((1-|c|^2)/(1 - conj(c) z)^2)^power with principal logs;
     1 - conj(c) z has positive real part on the disk so the branch is safe.
     """
-    c = _tocomplex(center)
+    c = complex(center)
     amp = math.log(1.0 - abs(c) ** 2)
 
     def ev(z):
@@ -177,7 +177,7 @@ def pointwise_division_bound(f, b: BlaschkeProduct, zeta, p: float, C: float,
         return out if f.cofactor is None else out * np.abs(f.cofactor(phi(z))) ** q
 
     rhs = math.exp(C * q) * area_integral(field, g) / np.pi
-    lhs = abs(quotient(f, b)(_tocomplex(zeta))) ** q
+    lhs = abs(quotient(f, b)(complex(zeta))) ** q
     return DivisionBound(lhs <= rhs * (1.0 + 1e-12) + 1e-300, rhs - lhs, lhs, rhs)
 
 
@@ -185,7 +185,7 @@ def local_zero_count(b: BlaschkeProduct, center, r: float) -> int:
     """Zeros (with multiplicity) at pseudohyperbolic distance < r from center."""
     if not 0 < r < 1:
         raise ValueError("radius must lie in (0, 1)")
-    dist = psh_distance_pairwise(np.array([_tocomplex(center)]), b.zeros.zs)[0]
+    dist = psh_distance_pairwise(np.array([complex(center)]), b.zeros.zs)[0]
     return int(b.zeros.mults[dist < r].sum())
 
 
@@ -197,7 +197,7 @@ def beta(part, k: int, z):
     if not 0 <= k < len(anchors):
         raise IndexError("cluster index out of range")
     scalar = not isinstance(z, np.ndarray)
-    w = np.asarray(_tocomplex(z) if scalar else z, dtype=complex)
+    w = np.asarray(complex(z) if scalar else z, dtype=complex)
     acc = np.zeros_like(w)
     for a in anchors[k:][::-1]:
         ca = a.conjugate()
@@ -234,7 +234,7 @@ def summed_by_rows(problem, w, weights):
         a = anchors[k]
         kern = np.power((1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * w), q) \
             * np.exp((beta_anchor[k] - beta_w) / s)
-        own = evaluate(BlaschkeProduct(part.clusters[k].points), w)
+        own = evaluate(BlaschkeProduct(part.clusters[k].seq), w)
         out *= own
         if weights[k] is not None:
             out += weights[k](w) * after * kern
@@ -286,7 +286,7 @@ def deleted_product_moduli(zs, digits=50):
 
 def zero_jet(cluster) -> HermiteJet:
     """The all-zero target on a cluster."""
-    return HermiteJet(tuple((0.0,) * m for m in cluster.points.multiplicities))
+    return HermiteJet(tuple((0.0,) * m for m in cluster.seq.mults.tolist()))
 
 
 def format_targets(jets) -> str:
@@ -355,7 +355,7 @@ def rescanning_random_carleson(seed: int, n: int, target_norm: float,
                 break
         else:
             raise RuntimeError("sampling budget exhausted")
-    seq = FiniteSequence.from_complex(pts)
+    seq = FiniteSequence(pts)
     norm = carleson_norm(seq).norm
     if norm > 1.2 * target_norm:
         raise RuntimeError(

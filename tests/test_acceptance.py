@@ -30,7 +30,6 @@ from blaschke_lab.blaschke import (
 from blaschke_lab.carleson import carleson_norm, lp_sequence_norm, uniform_blaschke_sup
 from blaschke_lab.cli import main as cli_main
 from blaschke_lab.disk import (
-    DiskPoint,
     FiniteSequence,
     MoebiusMap,
     psh_distance_pairwise,
@@ -67,18 +66,18 @@ def _interpolation_problem(seed):
     s = gen_perturbed(base, n_satellites=4, n_doubles=1, seed=seed)
     # attach one satellite to a doubled point: cardinality-3 cluster
     zs = list(s.zs)
-    mults = list(s.multiplicities)
+    mults = s.mults.tolist()
     dbl = mults.index(2)
     z = zs[dbl]
     zs.append(z + 0.08 * (1 - abs(z) ** 2) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
     mults.append(1)
-    seq = FiniteSequence.from_complex(zs, mults)
+    seq = FiniteSequence(zs, mults)
     part = gi.cluster_sequence(seq, 0.05, 0.6)
     jets = []
     for c in part.clusters:
         rows = []
-        for p, m in zip(c.points.points, c.points.multiplicities):
-            scale = 1.0 / (1 - abs(p.z) ** 2)
+        for z, m in zip(c.seq.zs.tolist(), c.seq.mults.tolist()):
+            scale = 1.0 / (1 - abs(z) ** 2)
             row = [complex(rng.standard_normal(), rng.standard_normal())]
             for i in range(1, m):
                 row.append(complex(rng.standard_normal(), rng.standard_normal())
@@ -108,7 +107,7 @@ def test_criterion_01_geometry():
         failures.append(f"involution worst {np.abs(back - z).max():.2e}")
     h = 1e-5
     for k in range(200):
-        m = MoebiusMap(DiskPoint.from_complex(c[k] * 0.95))
+        m = MoebiusMap(c[k] * 0.95)
         wk = w[k] * 0.9
         du = (m(wk + h) - m(wk - h)) / (2 * h)
         dv = (m(wk + 1j * h) - m(wk - 1j * h)) / (2 * h)
@@ -137,8 +136,8 @@ def test_criterion_02_derivative_identity():
         deleted, depth = deleted_product_moduli(s.zs)
         b = BlaschkeProduct(s)
         with mpmath.workdps(50):
-            for j, p in enumerate(s.points):
-                lhs = depth[j] * abs(derivative(b, p.z))
+            for j, z in enumerate(s.zs.tolist()):
+                lhs = depth[j] * abs(derivative(b, z))
                 if abs(lhs - deleted[j]) > 1e-10 * deleted[j]:
                     failures.append(
                         f"identity off at n={s.total_count} j={j}: "
@@ -167,12 +166,12 @@ def test_criterion_04_jensen_equality():
         zeros = rng.uniform(0.05, 0.8, deg) * np.exp(1j * rng.uniform(0, 2 * np.pi, deg))
         lead = complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
         f = poly_from_zeros(zeros, lead)
-        res = bg.jensen_area_residual(f, FiniteSequence.from_complex(zeros), LIGHT)
+        res = bg.jensen_area_residual(f, FiniteSequence(zeros), LIGHT)
         if abs(res) > 1e-6:
             failures.append(f"trial {trial}: |residual| {abs(res):.2e}")
         if deg > 1:
             res2 = bg.jensen_area_residual(
-                f, FiniteSequence.from_complex(zeros[:-1]), LIGHT)
+                f, FiniteSequence(zeros[:-1]), LIGHT)
             if not res2 < 0:
                 failures.append(f"trial {trial}: withheld residual {res2:.2e} not < 0")
     _verdict("criterion 4 (jensen equality)", failures, t0)
@@ -282,9 +281,9 @@ def test_criterion_08_singleton_reduction():
         vals = rng.standard_normal(len(part.clusters)) \
             + 1j * rng.standard_normal(len(part.clusters))
         jets = tuple(gi.HermiteJet(((v,),)) for v in vals)
-        anchor_vals = {c.points.points[0].z: v for c, v in zip(part.clusters, vals)}
+        anchor_vals = {c.seq.zs[0]: v for c, v in zip(part.clusters, vals)}
         seq = part.all_points()
-        ordered = [anchor_vals[p.z] for p in seq.points]
+        ordered = [anchor_vals[z] for z in seq.zs]
         for p in (1.0, 2.0, np.inf):
             ratio = gi.xp_norm(part, jets, p) / lp_sequence_norm(seq, ordered, p)
             if not 0.5 <= ratio <= 2.0:
@@ -327,7 +326,7 @@ def test_criterion_10_cli_contract(tmp_path):
         s = gen_random_carleson(seed, 20, 6.0)
         back = fio.parse_sequence(fio.format_sequence(s))
         if not (np.array_equal(back.zs, s.zs)
-                and back.multiplicities == s.multiplicities):
+                and back.mults.tolist() == s.mults.tolist()):
             failures.append(f"round-trip mismatch at seed {seed}")
             break
     seq = tmp_path / "seq.txt"

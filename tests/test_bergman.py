@@ -83,29 +83,29 @@ def test_jensen_residual():
     rng = np.random.default_rng(5)
     zeros = rng.uniform(0.1, 0.8, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
     f = poly_from_zeros(zeros, lead=1.7 - 0.3j)
-    res = bg.jensen_area_residual(f, FiniteSequence.from_complex(zeros), LIGHT)
+    res = bg.jensen_area_residual(f, FiniteSequence(zeros), LIGHT)
     assert abs(res) <= 1e-6
     # withholding one zero drives the residual strictly negative by the
     # closed-form amount for that zero
     withheld = zeros[-1]
-    res2 = bg.jensen_area_residual(f, FiniteSequence.from_complex(zeros[:-1]), LIGHT)
+    res2 = bg.jensen_area_residual(f, FiniteSequence(zeros[:-1]), LIGHT)
     expected = -(np.log(1.0 / abs(withheld)) - (1 - abs(withheld) ** 2) / 2)
     assert res2 == pytest.approx(expected, abs=1e-3)
     assert res2 < 0
-    assert bg.jensen_area_residual(bg.constant_fn(2.5), FiniteSequence(), LIGHT) == pytest.approx(0.0, abs=1e-12)
+    assert bg.jensen_area_residual(bg.constant_fn(2.5), FiniteSequence([]), LIGHT) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError, match="shift"):
-        bg.jensen_area_residual(poly_from_zeros([0.0]), FiniteSequence(), LIGHT)
+        bg.jensen_area_residual(poly_from_zeros([0.0]), FiniteSequence([]), LIGHT)
 
 
 def test_jensen_multiplicity():
     f = lambda z: (z - 0.4) ** 2 * (1.0 + 0.2 * z)
-    zeros = FiniteSequence.from_complex([0.4], [2])
+    zeros = FiniteSequence([0.4], [2])
     assert abs(bg.jensen_area_residual(f, zeros, LIGHT)) <= 1e-6
 
 
 def test_division_bound():
     zs = [0.5, -0.3 + 0.2j]
-    b = BlaschkeProduct.from_complex(zs)
+    b = BlaschkeProduct(FiniteSequence(zs))
     s = b.zeros
     C = uniform_blaschke_sup(s, s.zs)
     f = BlaschkeMultiple(b)
@@ -122,7 +122,7 @@ def test_division_bound():
 
 
 def test_quotients():
-    b = BlaschkeProduct.from_complex([0.3, -0.5j])
+    b = BlaschkeProduct(FiniteSequence([0.3, -0.5j]))
     g = lambda z: np.exp(0.3 * z)
     f = times_blaschke(g, b)
     q = quotient(f, b)
@@ -136,7 +136,7 @@ def test_quotients():
 
 
 def test_universal_divisor_ratio():
-    b = BlaschkeProduct.from_complex([0.4, -0.2 + 0.3j])
+    b = BlaschkeProduct(FiniteSequence([0.4, -0.2 + 0.3j]))
     ratio = bg.universal_divisor_ratio(b, [0.0], 2.0, 0.0, LIGHT)
     assert ratio >= 1.0
     # |B| <= 1 so multiplication contracts norms at the grid level
@@ -152,11 +152,11 @@ def test_universal_divisor_ratio():
 
 
 def test_mb_lower_probe():
-    assert bg.mb_lower_probe(BlaschkeProduct.from_complex([]), [0.0], 2.0, LIGHT) == 1.0
-    v = bg.mb_lower_probe(BlaschkeProduct.from_complex([0.0]), [0.0], 2.0, LIGHT)
+    assert bg.mb_lower_probe(BlaschkeProduct(FiniteSequence([])), [0.0], 2.0, LIGHT) == 1.0
+    v = bg.mb_lower_probe(BlaschkeProduct(FiniteSequence([0.0])), [0.0], 2.0, LIGHT)
     assert v == pytest.approx(np.sqrt(0.5), rel=1e-9)
     # always at most 1, strictly below for nonempty products
-    b = BlaschkeProduct.from_complex([0.3, 0.6j])
+    b = BlaschkeProduct(FiniteSequence([0.3, 0.6j]))
     val = bg.mb_lower_probe(b, [0.0, 0.3], 2.0, LIGHT)
     assert val <= 1.0
     assert val < 1.0 - 1e-6
@@ -169,7 +169,7 @@ def test_recentred_probe_matches_direct_quotient(monkeypatch):
     # integrated directly with B in complex arithmetic; p = 2 keeps both
     # integrands smooth at the zeros
     monkeypatch.setenv("BLASCHKE_LAB_THREADS", "2")
-    b = BlaschkeProduct.from_complex([0.5, -0.3 + 0.6j])
+    b = BlaschkeProduct(FiniteSequence([0.5, -0.3 + 0.6j]))
     c = 0.6 + 0.5j
     for alpha in (0.0, 1.0):
         h = conformal_density(c, (2.0 + alpha) / 2.0)
@@ -270,7 +270,7 @@ def ring_by_ring(fn, g):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_area_integral_matches_ring_by_ring(monkeypatch, threads):
     monkeypatch.setenv("BLASCHKE_LAB_THREADS", threads)
-    b = BlaschkeProduct.from_complex([0.5, -0.3 + 0.6j, 0.9j], [1, 2, 1])
+    b = BlaschkeProduct(FiniteSequence([0.5, -0.3 + 0.6j, 0.9j], [1, 2, 1]))
     phi = MoebiusMap(DiskPoint(0.7, -0.2))
     fields = [
         lambda z: np.abs(1.0 + z + z * z) ** 1.5,

@@ -42,16 +42,16 @@ def random_sequence(seed, n=12, r_max=0.95):
     while len(pts) < n:
         z = rng.uniform(0.05, r_max) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         pts.add(complex(z))
-    return FiniteSequence.from_complex(sorted(pts, key=abs))
+    return FiniteSequence(sorted(pts, key=abs))
 
 
 def test_evaluate_examples():
-    assert evaluate(BlaschkeProduct.from_complex([0.0]), 0.5) == pytest.approx(0.5)
-    assert evaluate(BlaschkeProduct.from_complex([0.5]), 0.0) == pytest.approx(0.5)
-    b = BlaschkeProduct.from_complex([0.3 + 0.1j, -0.4], [2, 1])
+    assert evaluate(BlaschkeProduct(FiniteSequence([0.0])), 0.5) == pytest.approx(0.5)
+    assert evaluate(BlaschkeProduct(FiniteSequence([0.5])), 0.0) == pytest.approx(0.5)
+    b = BlaschkeProduct(FiniteSequence([0.3 + 0.1j, -0.4], [2, 1]))
     assert evaluate(b, 0.3 + 0.1j) == 0.0
     assert evaluate(b, -0.4) == 0.0
-    assert evaluate(BlaschkeProduct.from_complex([]), 0.3) == 1.0
+    assert evaluate(BlaschkeProduct(FiniteSequence([])), 0.3) == 1.0
 
 
 def test_modulus_bounded_and_boundary():
@@ -71,23 +71,23 @@ def test_log_abs_matches_evaluate():
     direct = np.abs(evaluate(b, z))
     logs = np.exp(log_abs_evaluate(b, z))
     assert np.allclose(direct, logs, rtol=1e-12)
-    assert log_abs_evaluate(b, b.zeros.points[0].z) == -np.inf
+    assert log_abs_evaluate(b, b.zeros.zs[0]) == -np.inf
 
 
 def test_deleted_product_examples():
-    b = BlaschkeProduct.from_complex([0.0, 0.5])
+    b = BlaschkeProduct(FiniteSequence([0.0, 0.5]))
     assert abs(deleted_product(b, 0)) == pytest.approx(0.5)
-    assert deleted_product(BlaschkeProduct.from_complex([0.3]), 0) == 1.0
-    assert deleted_product(BlaschkeProduct.from_complex([0.3], [2]), 0) == 0.0
+    assert deleted_product(BlaschkeProduct(FiniteSequence([0.3])), 0) == 1.0
+    assert deleted_product(BlaschkeProduct(FiniteSequence([0.3], [2])), 0) == 0.0
     with pytest.raises(IndexError):
         deleted_product(b, 5)
 
 
 def test_derivative_examples():
-    assert derivative(BlaschkeProduct.from_complex([0.0]), 0.7 + 0.1j) == pytest.approx(1.0)
-    b = BlaschkeProduct.from_complex([0.0, 0.5])
+    assert derivative(BlaschkeProduct(FiniteSequence([0.0])), 0.7 + 0.1j) == pytest.approx(1.0)
+    b = BlaschkeProduct(FiniteSequence([0.0, 0.5]))
     assert abs(derivative(b, 0.0)) == pytest.approx(0.5)
-    assert derivative(BlaschkeProduct.from_complex([0.4], [3]), 0.4) == 0.0
+    assert derivative(BlaschkeProduct(FiniteSequence([0.4], [3])), 0.4) == 0.0
 
 
 def test_derivative_finite_differences():
@@ -105,21 +105,21 @@ def test_derivative_finite_differences():
 def test_derivative_identity_at_zeros():
     for seed in range(5):
         b = BlaschkeProduct(random_sequence(seed, n=15))
-        for j, p in enumerate(b.zeros.points):
-            lhs = (1.0 - abs(p.z) ** 2) * abs(derivative(b, p.z))
+        for j, z in enumerate(b.zeros.zs.tolist()):
+            lhs = (1.0 - abs(z) ** 2) * abs(derivative(b, z))
             assert lhs == pytest.approx(abs(deleted_product(b, j)), rel=1e-10)
 
 
 def test_separation_report():
-    rep = separation_report(BlaschkeProduct.from_complex([0.0, 0.5]))
+    rep = separation_report(BlaschkeProduct(FiniteSequence([0.0, 0.5])))
     assert rep.delta == pytest.approx(0.5)
     assert rep.discreteness == pytest.approx(0.5)
-    assert separation_report(BlaschkeProduct.from_complex([0.3])).delta == 1.0
-    rep2 = separation_report(BlaschkeProduct.from_complex([0.3, 0.5], [2, 1]))
+    assert separation_report(BlaschkeProduct(FiniteSequence([0.3]))).delta == 1.0
+    rep2 = separation_report(BlaschkeProduct(FiniteSequence([0.3, 0.5], [2, 1])))
     assert rep2.delta == 0.0
     assert rep2.discreteness == 0.0
     with pytest.raises(InvariantViolation):
-        separation_report(BlaschkeProduct.from_complex([]))
+        separation_report(BlaschkeProduct(FiniteSequence([])))
 
 
 # per_point against (1 - |z_j|^2)|B'(z_j)| read 2.2e-15 relative at worst
@@ -144,34 +144,34 @@ def test_delta_below_discreteness():
 
 
 def test_local_zero_count():
-    b = BlaschkeProduct.from_complex([0.0, 0.1])
+    b = BlaschkeProduct(FiniteSequence([0.0, 0.1]))
     assert local_zero_count(b, 0.0, 0.5) == 2
     assert local_zero_count(b, -0.9, 0.3) == 0
     ce = gen_escalating_multiplicity(5)
     bce = BlaschkeProduct(ce)
-    assert local_zero_count(bce, ce.points[-1].z, 0.5) >= 5
+    assert local_zero_count(bce, ce.zs[-1], 0.5) >= 5
     with pytest.raises(ValueError):
         local_zero_count(b, 0.0, 1.5)
 
 
 def test_max_local_count():
-    b = BlaschkeProduct.from_complex([0.0, 0.1, 0.2])
+    b = BlaschkeProduct(FiniteSequence([0.0, 0.1, 0.2]))
     assert max_local_count(b, 0.5) == 3
-    spread = BlaschkeProduct.from_complex([0.0, 0.9, -0.9])
+    spread = BlaschkeProduct(FiniteSequence([0.0, 0.9, -0.9]))
     assert max_local_count(spread, 0.3) == 1
-    assert max_local_count(BlaschkeProduct.from_complex([]), 0.5) == 0
+    assert max_local_count(BlaschkeProduct(FiniteSequence([])), 0.5) == 0
     for n in (3, 6):
         assert max_local_count(BlaschkeProduct(gen_escalating_multiplicity(n)), 0.5) >= n
 
 
 def test_partition_separated():
-    s = FiniteSequence.from_complex([0, 0.1, 0.9])
+    s = FiniteSequence([0, 0.1, 0.9])
     parts = partition_separated(s, 0.5)
-    assert [sorted(p.z.real for p in q.points) for q in parts] == [[0, 0.9], [0.1]]
-    one = partition_separated(FiniteSequence.from_complex([0, 0.9]), 0.5)
+    assert [sorted(q.zs.real.tolist()) for q in parts] == [[0, 0.9], [0.1]]
+    one = partition_separated(FiniteSequence([0, 0.9]), 0.5)
     assert len(one) == 1
     with pytest.raises(InvariantViolation, match="inseparable"):
-        partition_separated(FiniteSequence.from_complex([0.5], [2]), 0.5)
+        partition_separated(FiniteSequence([0.5], [2]), 0.5)
     with pytest.raises(ValueError):
         partition_separated(s, 1.2)
 
@@ -192,11 +192,11 @@ def test_partition_properties():
 
 def test_compose_probe():
     assert compose_min_on_compact(
-        BlaschkeProduct.from_complex([0.3]), 0.3
+        BlaschkeProduct(FiniteSequence([0.3])), 0.3
     ) == pytest.approx(0.5, rel=1e-10)
     ce = gen_escalating_multiplicity(6)
     b = BlaschkeProduct(ce)
-    vals = [compose_min_on_compact(b, z.z) for z in ce.points]
+    vals = [compose_min_on_compact(b, z) for z in ce.zs]
     for n, v in enumerate(vals, start=1):
         assert v <= 0.5**n + 1e-9
     # decay along the truncation family: each level's own product probed at
@@ -213,7 +213,7 @@ def test_moebius_covariance():
     b = BlaschkeProduct(random_sequence(21, n=6, r_max=0.7))
     zeta = DiskPoint(0.35, -0.2)
     phi = MoebiusMap(zeta)
-    transformed = BlaschkeProduct(FiniteSequence.from_complex(phi(b.zeros.zs)))
+    transformed = BlaschkeProduct(FiniteSequence(phi(b.zeros.zs)))
     rng = np.random.default_rng(4)
     z = rng.uniform(0, 0.9, 100) * np.exp(1j * rng.uniform(0, 2 * np.pi, 100))
     lhs = np.abs(evaluate(b, phi(z)))
@@ -240,7 +240,7 @@ def reference_product(zeros, mults, z):
 @pytest.mark.parametrize("block", [disk._BLOCK, 5])
 def test_evaluate_matches_reference_loop(monkeypatch, zeros, mults, block):
     monkeypatch.setattr(disk, "_BLOCK", block)  # 5 tiles both axes or rows
-    b = BlaschkeProduct.from_complex(zeros, mults)
+    b = BlaschkeProduct(FiniteSequence(zeros, mults))
     rng = np.random.default_rng(8)
     z = rng.uniform(0, 0.97, (6, 7)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (6, 7)))
     want = reference_product(b.zeros.zs, b.zeros.mults, z)
@@ -354,7 +354,7 @@ def analysis_blocks() -> list:
 
 def direct_rows(b, moved, z) -> np.ndarray:
     pts = disk._coords(z)
-    return np.array([blaschke._log_abs(coords, b._table[1], pts) for coords in moved])
+    return np.array([blaschke._log_abs(coords, b._table[0], pts) for coords in moved])
 
 
 TREE_INPUTS = {
@@ -389,7 +389,7 @@ def test_tree_near_and_far_boxes_against_mpmath():
     moved = blaschke._moved(b, c)
     z = analysis_blocks()[1]
     boxes = blaschke._Boxes(z)
-    near = boxes._expansions(moved, b._table[1])[2]
+    near = boxes._expansions(moved, b._table[0])[2]
     near_boxes = np.unique(near[:, 1])
     far_box = np.setdiff1d(np.arange(len(boxes.centers)), near_boxes)[0]
     assert near_boxes.size and boxes.radii[far_box] > 0
@@ -445,12 +445,12 @@ SEARCH_INPUTS = {
     "radial rays 1,1+pi": DEEP["radial rays 1,1+pi"],
     "escalating n_max=8 split": lambda: gen_escalating_multiplicity(8, split=True),
     "escalating n_max=12 split": DEEP["escalating n_max=12 split"],
-    "single zero": lambda: FiniteSequence.from_complex([0.3 + 0.1j]),
+    "single zero": lambda: FiniteSequence([0.3 + 0.1j]),
     # every centre ties
-    "24 zeros on |z|=0.9": lambda: FiniteSequence.from_complex(
+    "24 zeros on |z|=0.9": lambda: FiniteSequence(
         0.9 * np.exp(2j * np.pi * np.arange(24) / 24)),
     # at centre 0 the zero -1/2 moves onto the sample 1/2: the minimum is 0
-    "a sample on a moved zero": lambda: FiniteSequence.from_complex([0.0, -0.5]),
+    "a sample on a moved zero": lambda: FiniteSequence([0.0, -0.5]),
 }
 
 

@@ -44,7 +44,7 @@ def mass_in(s, square) -> float:
 def random_sequence(seed, n=20, r_max=0.97):
     rng = np.random.default_rng(seed)
     zs = rng.uniform(0.05, r_max, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    return FiniteSequence.from_complex(zs)
+    return FiniteSequence(zs)
 
 
 def test_square_membership():
@@ -58,19 +58,18 @@ def test_square_membership():
 
 
 def test_mu_z():
-    assert mu_z_measure(FiniteSequence.from_complex([0.0])).sum() == pytest.approx(1.0)
-    assert mu_z_measure(FiniteSequence.from_complex([0.5])).sum() == pytest.approx(0.75)
+    assert mu_z_measure(FiniteSequence([0.0])).sum() == pytest.approx(1.0)
+    assert mu_z_measure(FiniteSequence([0.5])).sum() == pytest.approx(0.75)
     ce = gen_escalating_multiplicity(5)
     expected = sum(n * (1 - (1 - 0.25**n) ** 2) for n in range(1, 6))
     assert mu_z_measure(ce).sum() == pytest.approx(expected)
 
 
 def test_carleson_norm_examples():
-    rep = carleson_norm(FiniteSequence.from_complex([0.5]))
+    rep = carleson_norm(FiniteSequence([0.5]))
     assert rep.norm == pytest.approx(1.5)  # 1 + r for one atom at radius r
-    assert rep.method == "point-anchored"
     assert rep.maximizing_square is not None
-    assert carleson_norm(FiniteSequence()).norm == 0.0
+    assert carleson_norm(FiniteSequence([])).norm == 0.0
     # geometric radial stays bounded independent of truncation
     for n in (5, 10, 20):
         s = gen_radial_geometric(0.5, n)
@@ -93,12 +92,11 @@ def depth_held_ratio(s, square) -> float:
     gen_radial_geometric(0.5, 20, (0.0, 2.0)),
     gen_escalating_multiplicity(8),
     gen_radial_geometric(0.5, 20),
-    FiniteSequence.from_complex([0.5]),
+    FiniteSequence([0.5]),
 ], ids=["random-carleson n=40", "rays 0 and 2", "escalating 8", "one ray", "one atom"])
 def test_carleson_norm_is_the_brute_force_supremum(s):
     rep = carleson_norm(s)
     assert rep.norm == pytest.approx(brute_carleson_norm(s), rel=1e-12)
-    assert rep.method == "point-anchored"
     assert depth_held_ratio(s, rep.maximizing_square) == pytest.approx(rep.norm, rel=1e-12)
 
 
@@ -108,7 +106,7 @@ def test_single_atom_norm_against_mpmath():
     for depth in (None, *np.geomspace(1.1e-14, 1e-12, 5)):
         for theta in (0.0, 1.0, 2.5, -3.0):
             z = (0.5 if depth is None else 1.0 - depth) * np.exp(1j * theta)
-            got = carleson_norm(FiniteSequence.from_complex([z])).norm
+            got = carleson_norm(FiniteSequence([z])).norm
             with mpmath.workdps(50):
                 want = 1 + mpmath.sqrt(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2)
                 assert abs(float((got - want) / want)) <= 1e-15, (depth, theta)
@@ -124,14 +122,14 @@ def test_monotone_and_subadditive():
     rng = np.random.default_rng(9)
     s = random_sequence(5, n=25)
     base = carleson_norm(s).norm
-    bigger = FiniteSequence.from_complex(list(s.zs) + [0.91 + 0.01j])
+    bigger = FiniteSequence(list(s.zs) + [0.91 + 0.01j])
     assert carleson_norm(bigger).norm >= base - 1e-12
     for seed in range(3):
         mask = rng.uniform(size=len(s)) < 0.5
         if mask.all() or not mask.any():
             continue
-        s1 = FiniteSequence.from_complex(s.zs[mask])
-        s2 = FiniteSequence.from_complex(s.zs[~mask])
+        s1 = FiniteSequence(s.zs[mask])
+        s2 = FiniteSequence(s.zs[~mask])
         assert carleson_norm(s).norm <= (
             carleson_norm(s1).norm + carleson_norm(s2).norm + 1e-12
         )
@@ -141,25 +139,25 @@ def test_rotation_invariance():
     s = random_sequence(11, n=30)
     n1 = carleson_norm(s).norm
     for theta in (0.7, 2.9):
-        n2 = carleson_norm(FiniteSequence.from_complex(s.zs * np.exp(1j * theta))).norm
+        n2 = carleson_norm(FiniteSequence(s.zs * np.exp(1j * theta))).norm
         assert n2 == pytest.approx(n1, abs=1e-10)
 
 
 def test_uniform_blaschke_sup():
-    assert uniform_blaschke_sup(FiniteSequence.from_complex([0.0]), [0.0]) == pytest.approx(1.0)
+    assert uniform_blaschke_sup(FiniteSequence([0.0]), [0.0]) == pytest.approx(1.0)
     s = random_sequence(2, n=10)
     assert uniform_blaschke_sup(s, s.zs) >= 1.0
     ce = gen_escalating_multiplicity(6)
     for n in (2, 4, 6):
         zn = 1.0 - 0.25**n
         assert uniform_blaschke_sup(ce, [zn]) >= n
-    assert uniform_blaschke_sup(FiniteSequence(), [0.0]) == 0.0
+    assert uniform_blaschke_sup(FiniteSequence([]), [0.0]) == 0.0
 
 
 @pytest.mark.parametrize("n_zeros", [17, 2])
 def test_uniform_blaschke_sup_tiles_match_single_tile(monkeypatch, n_zeros):
     s = random_sequence(6, n=n_zeros)
-    s = FiniteSequence.from_complex(s.zs, [1] * (n_zeros - 1) + [3])
+    s = FiniteSequence(s.zs, [1] * (n_zeros - 1) + [3])
     centers = list(random_sequence(7, n=19).zs) + [0.0]
     whole = uniform_blaschke_sup(s, centers)
     # 5-element tiles: 5 x 1 with a short last row tile for 17 zeros, 2 x 2
@@ -178,9 +176,9 @@ def test_uniform_blaschke_sup_truncation_trend():
 
 
 def test_lp_sequence_norm():
-    s = FiniteSequence.from_complex([0.5])
+    s = FiniteSequence([0.5])
     assert lp_sequence_norm(s, [0.0], 2) == 0.0
-    assert lp_sequence_norm(FiniteSequence.from_complex([0.0]), [2.0], 2) == pytest.approx(2.0)
+    assert lp_sequence_norm(FiniteSequence([0.0]), [2.0], 2) == pytest.approx(2.0)
     assert lp_sequence_norm(s, [1.0], 1) == pytest.approx(0.75)
     assert lp_sequence_norm(s, [3.0 + 4.0j], np.inf) == pytest.approx(5.0)
     with pytest.raises(ValueError):
@@ -200,8 +198,7 @@ def test_arc_carleson():
     for n in (6, 12):
         s = gen_radial_geometric(0.5, n)
         arcs = []
-        for p in s.points:
-            z = p.z
+        for z in s.zs.tolist():
             rho = 0.1 * (1 - abs(z) ** 2)
             arcs.append(CircleArc(z, rho, 0.0, 2 * np.pi))
         norms.append(arc_carleson_constant(arcs))
@@ -297,7 +294,7 @@ def bench_shape(rng, rays, levels):
     mults[chosen[4]] = 2
     for _ in range(2 * sum(mults)):  # the benchmark draws the targets next
         rng.standard_normal()
-    return gi.cluster_sequence(FiniteSequence.from_complex(zs, mults), 0.05, 0.6)
+    return gi.cluster_sequence(FiniteSequence(zs, mults), 0.05, 0.6)
 
 
 def contour_arcs(part, monkeypatch):
@@ -321,7 +318,7 @@ def test_arc_carleson_dominates_sampled_squares(monkeypatch):
 
 
 def test_embedding_probe():
-    s = FiniteSequence.from_complex([0.2, 0.5 + 0.2j, -0.7])
+    s = FiniteSequence([0.2, 0.5 + 0.2j, -0.7])
     mass = mu_z_measure(s).sum()
     assert carleson_embedding_probe(s, 2.0, [constant_fn(1.0)]) == pytest.approx(
         mass, rel=1e-4
@@ -329,4 +326,4 @@ def test_embedding_probe():
     fam = reproducing_family(s, 2.0)
     ratio = carleson_embedding_probe(s, 2.0, fam)
     assert ratio >= 1.0 - 1e-6  # the anchored term alone contributes about 1
-    assert carleson_embedding_probe(FiniteSequence(), 2.0, fam) == 0.0
+    assert carleson_embedding_probe(FiniteSequence([]), 2.0, fam) == 0.0

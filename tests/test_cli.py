@@ -35,7 +35,7 @@ def test_gen_counterexample_mult_column(tmp_path):
     out = tmp_path / "ce.txt"
     assert run_cli("gen", "counterexample", "--n-max", "4", "-o", str(out)) == 0
     seq = read_sequence(out)
-    assert seq.multiplicities == (1, 2, 3, 4)
+    assert seq.mults.tolist() == [1, 2, 3, 4]
 
 
 def test_gen_bad_params(tmp_path):
@@ -183,7 +183,7 @@ def test_gen_construction_failure_exit_1(tmp_path, capsys):
 
 
 # depths below the boundary floor (1e-30), and dyadic levels past 2^1023
-@pytest.mark.parametrize("target", ["1e-30", "1e-310"])
+@pytest.mark.parametrize("target", ["1e-30", "1e-310", "5e-324"])
 def test_gen_tiny_target_exit_1(tmp_path, capsys, target):
     out = tmp_path / "x.txt"
     assert run_cli("gen", "random-carleson", "--n", "3", "--target-norm", target,
@@ -217,6 +217,18 @@ def test_analyze_invariant_violation(tmp_path):
     bad = tmp_path / "outside.txt"
     bad.write_text("1.0 0.0 1\n")
     assert run_cli("analyze", str(bad)) == 3
+
+
+@pytest.mark.parametrize("text", [
+    "0.5 0.0 99999999999999999999\n",
+    "0.5 0.0 9223372036854775807\n0.1 0.0 1\n",
+])
+def test_analyze_multiplicity_past_int64_exit_3(tmp_path, capsys, text):
+    seq_file = tmp_path / "seq.txt"
+    seq_file.write_text(text)
+    assert run_cli("analyze", str(seq_file)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("blaschke-lab: invariant violation: ") and err.count("\n") == 1
 
 
 def test_empty_sequence_report(tmp_path):

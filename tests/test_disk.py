@@ -70,7 +70,7 @@ def test_distance_of_subnormal_square_against_mpmath(a, z):
     got = float(disk._log_rho2(disk._coords(pts[0]), disk._coords(pts[1]))[0, 0])
     assert abs(got - float(want)) <= 1e-15 * abs(float(want))
     assert psh_distance(a, z) == pytest.approx(float(mpmath.exp(want / 2)), rel=1e-15)
-    rep = separation_report(BlaschkeProduct.from_complex([a, z, 0.5]))
+    rep = separation_report(BlaschkeProduct(FiniteSequence([a, z, 0.5])))
     assert rep.discreteness == pytest.approx(float(mpmath.exp(want / 2)), rel=1e-15)
     assert rep.delta > 0.0
     coincident = disk._coords(np.array([a, a], dtype=complex))
@@ -101,20 +101,20 @@ def test_metric_triangle(z, w, v):
 
 @given(disk_points(0.999), disk_points(0.999))
 def test_involution(z, c):
-    m = MoebiusMap(DiskPoint.from_complex(c))
+    m = MoebiusMap(c)
     assert abs(m(m(z)) - z) <= 1e-12
 
 
 @given(disk_points(0.99), disk_points(0.99), disk_points(0.99))
 def test_moebius_invariance(z, w, c):
-    m = MoebiusMap(DiskPoint.from_complex(c))
+    m = MoebiusMap(c)
     assert abs(psh_distance(m(z), m(w)) - psh_distance(z, w)) <= 1e-12
 
 
 @settings(max_examples=30)
 @given(disk_points(0.95), disk_points(0.9))
 def test_jacobian_matches_finite_differences(c, w):
-    m = MoebiusMap(DiskPoint.from_complex(c))
+    m = MoebiusMap(c)
     h = 1e-5
     du = (m(w + h) - m(w - h)) / (2 * h)
     dv = (m(w + 1j * h) - m(w - 1j * h)) / (2 * h)
@@ -123,11 +123,11 @@ def test_jacobian_matches_finite_differences(c, w):
 
 
 def test_diameter():
-    assert psh_diameter(FiniteSequence.from_complex([0.3])) == 0.0
-    assert psh_diameter(FiniteSequence.from_complex([0, 0.5])) == pytest.approx(0.5)
-    assert psh_diameter(FiniteSequence.from_complex([0, 0.3, 0.7])) == pytest.approx(0.7)
+    assert psh_diameter(FiniteSequence([0.3])) == 0.0
+    assert psh_diameter(FiniteSequence([0, 0.5])) == pytest.approx(0.5)
+    assert psh_diameter(FiniteSequence([0, 0.3, 0.7])) == pytest.approx(0.7)
     with pytest.raises(InvariantViolation, match="empty"):
-        psh_diameter(FiniteSequence())
+        psh_diameter(FiniteSequence([]))
 
 
 def test_point_invariants():
@@ -142,16 +142,60 @@ def test_point_invariants():
 
 def test_sequence_invariants():
     with pytest.raises(InvariantViolation, match="duplicate"):
-        FiniteSequence.from_complex([0.5, 0.5])
+        FiniteSequence([0.5, 0.5])
     with pytest.raises(InvariantViolation, match="positive integer"):
-        FiniteSequence.from_complex([0.5], [0])
+        FiniteSequence([0.5], [0])
     with pytest.raises(InvariantViolation, match="parallel"):
-        FiniteSequence.from_complex([0.5], [1, 2])
-    s = FiniteSequence.from_complex([0.5, 0.2j], [2, 1])
+        FiniteSequence([0.5], [1, 2])
+    s = FiniteSequence([0.5, 0.2j], [2, 1])
     assert s.total_count == 3
     assert len(s.expanded()) == 3
     assert not s.is_simple()
-    assert FiniteSequence().total_count == 0
+    assert FiniteSequence([]).total_count == 0
+
+
+def test_sequence_floor_is_the_scalar_test():
+    # at 1 - |z| = BOUNDARY_FLOOR numpy's vectorised modulus and Python's
+    # abs disagree in the last bit on some points; the constructor accepts
+    # exactly the points inside_floor accepts
+    floor = 1.0 - BOUNDARY_FLOOR
+    radii = floor + np.arange(-3, 4)[:, None] * np.spacing(floor)
+    theta = 2 * np.pi * np.random.default_rng(0).random((7, 300))
+    zs = (radii * np.exp(1j * theta)).ravel().tolist()
+    inside = [disk.inside_floor(z) for z in zs]
+    disagree = [z for z, ok in zip(zs, inside) if (np.abs(z) < floor) != ok]
+    if not disagree:
+        pytest.skip("numpy's modulus agrees with abs on every sample here")
+    for z in disagree:
+        if disk.inside_floor(z):
+            FiniteSequence([z])
+        else:
+            with pytest.raises(InvariantViolation, match="too close"):
+                FiniteSequence([z])
+    kept = [z for z, ok in zip(zs, inside) if ok]
+    assert FiniteSequence(kept).zs.tolist() == kept
+
+
+def test_sequence_arrays_are_read_only_copies():
+    src = np.array([0.5, 0.2j])
+    s = FiniteSequence(src, [2, 1])
+    src[0] = 0.9
+    assert s.zs.tolist() == [0.5, 0.2j]
+    assert s.zs.dtype == np.complex128 and s.mults.dtype == np.int64
+    with pytest.raises(ValueError):
+        s.zs[0] = 0.1
+    with pytest.raises(ValueError):
+        s.mults[0] = 5
+    assert FiniteSequence([0.5, 0.2j]).mults.tolist() == [1, 1]
+
+
+def test_total_count_is_exact_near_int64_limit():
+    s = FiniteSequence([0.1, 0.2], [2**62 + 7, 2**62 - 9])
+    assert s.total_count == 2**63 - 2 and type(s.total_count) is int
+    with pytest.raises(InvariantViolation, match="total multiplicity"):
+        FiniteSequence([0.1, 0.2], [2**62, 2**62])
+    with pytest.raises(InvariantViolation, match="int64"):
+        FiniteSequence([0.1], [2**63])
 
 
 def test_hyperbolic_grid():

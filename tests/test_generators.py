@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -46,14 +48,14 @@ def test_union():
 
 def test_union_collision_raises():
     # every rotated copy of 0 is 0: each jitter draw collides
-    base = FiniteSequence.from_complex([0.0, 0.5])
+    base = FiniteSequence([0.0, 0.5])
     with pytest.raises(RuntimeError, match="kept colliding"):
         gen_union(2, base, 0)
 
 
 def test_counterexample():
     s = gen_escalating_multiplicity(2, 0.25)
-    assert [(p.z.real, m) for p, m in zip(s.points, s.multiplicities)] == [
+    assert [(z.real, m) for z, m in zip(s.zs.tolist(), s.mults.tolist())] == [
         (0.75, 1), (0.9375, 2),
     ]
     split = gen_escalating_multiplicity(3, 0.25, split=True)
@@ -157,14 +159,13 @@ def test_random_carleson_budget_counts_attempts_across_blocks(monkeypatch, n, tr
     # `tries` of them, wherever a block ends; blocks of 5 put a block end
     # inside most budgets.  At target 12 small budgets give both finished
     # clouds and exhausted ones
-    def sampler(sample):
-        return lambda seed, n, target: sample(seed, n, target, max_tries_per_point=tries)
-
+    monkeypatch.setattr(generators, "_TRIES_PER_POINT", tries)
+    oracle = functools.partial(rescanning_random_carleson, max_tries_per_point=tries)
     for seed in range(20):
-        want = _draw(sampler(rescanning_random_carleson), seed, n, 12.0)
+        want = _draw(oracle, seed, n, 12.0)
         for block in (generators._DRAW_BLOCK, 5):
             monkeypatch.setattr(generators, "_DRAW_BLOCK", block)
-            got = _draw(sampler(gen_random_carleson), seed, n, 12.0)
+            got = _draw(gen_random_carleson, seed, n, 12.0)
             if isinstance(want, str):
                 assert got == want, (seed, block)
             else:

@@ -21,8 +21,8 @@ def ray_problem(seed, rays=4, levels=6, eps=0.05, r_max=0.6, satellites=3, doubl
     jets = []
     for c in part.clusters:
         rows = []
-        for p, m in zip(c.points.points, c.points.multiplicities):
-            scale = 1.0 / (1 - abs(p.z) ** 2)
+        for z, m in zip(c.seq.zs.tolist(), c.seq.mults.tolist()):
+            scale = 1.0 / (1 - abs(z) ** 2)
             row = [complex(rng.standard_normal(), rng.standard_normal())]
             for i in range(1, m):
                 row.append(complex(rng.standard_normal(), rng.standard_normal()) * scale**i)
@@ -32,19 +32,19 @@ def ray_problem(seed, rays=4, levels=6, eps=0.05, r_max=0.6, satellites=3, doubl
 
 
 def test_cluster_sequence_examples():
-    s = FiniteSequence.from_complex([0, 0.05, 0.9])
+    s = FiniteSequence([0, 0.05, 0.9])
     part = gi.cluster_sequence(s, 0.1, 0.6)
-    groups = [sorted(p.z.real for p in c.points.points) for c in part.clusters]
+    groups = [sorted(c.seq.zs.real.tolist()) for c in part.clusters]
     assert groups == [[0.0, 0.05], [0.9]]
     assert part.eps == 0.1
     # all pairwise psh > 2 eps: every cluster a singleton
-    s2 = FiniteSequence.from_complex([0, 0.5, -0.5])
+    s2 = FiniteSequence([0, 0.5, -0.5])
     part2 = gi.cluster_sequence(s2, 0.05, 0.6)
-    assert all(len(c.points) == 1 for c in part2.clusters)
+    assert all(len(c.seq) == 1 for c in part2.clusters)
     # anchors sorted by modulus
-    mods = [abs(c.anchor.z) for c in part2.clusters]
+    mods = [abs(c.anchor) for c in part2.clusters]
     assert mods == sorted(mods)
-    assert gi.cluster_sequence(FiniteSequence(), 0.1, 0.5).clusters == ()
+    assert gi.cluster_sequence(FiniteSequence([]), 0.1, 0.5).clusters == ()
 
 
 def test_cluster_eps_halving_and_floor():
@@ -55,12 +55,12 @@ def test_cluster_eps_halving_and_floor():
     for _ in range(12):
         z = (z + 0.18) / (1 + z * 0.18)
         pts.append(z)
-    s = FiniteSequence.from_complex(pts)
+    s = FiniteSequence(pts)
     part = gi.cluster_sequence(s, 0.1, 0.4)
     assert part.eps < 0.1
     for c in part.clusters:
-        if len(c.points) > 1:
-            d = psh_distance_pairwise(c.points.zs, c.points.zs).max()
+        if len(c.seq) > 1:
+            d = psh_distance_pairwise(c.seq.zs, c.seq.zs).max()
             assert d <= 0.4
     # chain spaced at the floor scale stays connected through every halving
     # and keeps an inadmissible diameter
@@ -71,7 +71,7 @@ def test_cluster_eps_halving_and_floor():
         z = (z + floor_gap) / (1 + z * floor_gap)
         tight.append(z)
     with pytest.raises(InvariantViolation, match="eps floor"):
-        gi.cluster_sequence(FiniteSequence.from_complex(tight), 0.1, 0.05)
+        gi.cluster_sequence(FiniteSequence(tight), 0.1, 0.05)
 
 
 def test_cluster_invariants():
@@ -80,21 +80,21 @@ def test_cluster_invariants():
     for i in range(len(part.clusters)):
         for j in range(i + 1, len(part.clusters)):
             dij = psh_distance_pairwise(
-                part.clusters[i].points.zs, part.clusters[j].points.zs
+                part.clusters[i].seq.zs, part.clusters[j].seq.zs
             ).min()
             assert dij > 2 * part.eps
 
 
 def test_class_norm():
-    part = gi.cluster_sequence(FiniteSequence.from_complex([0, 0.1]), 0.06, 0.6)
+    part = gi.cluster_sequence(FiniteSequence([0, 0.1]), 0.06, 0.6)
     cluster = part.clusters[0]
     assert gi.class_norm(cluster, zero_jet(cluster), part.eps) == 0.0
-    single = gi.cluster_sequence(FiniteSequence.from_complex([0.4]), 0.05, 0.6)
+    single = gi.cluster_sequence(FiniteSequence([0.4]), 0.05, 0.6)
     w = 2.0 - 1.0j
     assert gi.class_norm(
         single.clusters[0], gi.HermiteJet(((w,),)), single.eps
     ) == pytest.approx(abs(w))
-    if len(cluster.points) == 2:
+    if len(cluster.seq) == 2:
         val = gi.class_norm(cluster, gi.HermiteJet(((1.0,), (1.0,))), part.eps)
         assert val == pytest.approx(1.0, abs=0.15)  # 1 + O(eps)
 
@@ -120,20 +120,20 @@ def test_singleton_xp_matches_weighted_lp():
     assert all(c.cardinality == 1 for c in part.clusters)
     vals = rng.standard_normal(len(part.clusters)) + 1j * rng.standard_normal(len(part.clusters))
     jets = tuple(gi.HermiteJet(((v,),)) for v in vals)
-    anchor_vals = {c.points.points[0].z: v for c, v in zip(part.clusters, vals)}
+    anchor_vals = {c.seq.zs[0]: v for c, v in zip(part.clusters, vals)}
     seq = part.all_points()
-    ordered = [anchor_vals[p.z] for p in seq.points]
+    ordered = [anchor_vals[z] for z in seq.zs]
     for p in (1.0, 2.0):
         ratio = gi.xp_norm(part, jets, p) / lp_sequence_norm(seq, ordered, p)
         assert 0.5 <= ratio <= 2.0
 
 
 def test_beta():
-    part = gi.cluster_sequence(FiniteSequence.from_complex([0.0, 0.5]), 0.05, 0.6)
+    part = gi.cluster_sequence(FiniteSequence([0.0, 0.5]), 0.05, 0.6)
     val = beta(part, 0, 0.0)
     assert val.imag == pytest.approx(0.0)
     assert val == pytest.approx((1 - 0) + (1 - 0.25))
-    single = gi.cluster_sequence(FiniteSequence.from_complex([0.3 + 0.2j]), 0.05, 0.6)
+    single = gi.cluster_sequence(FiniteSequence([0.3 + 0.2j]), 0.05, 0.6)
     a = 0.3 + 0.2j
     z = 0.2 + 0.1j
     expected = (1 - abs(a) ** 2) * (1 + np.conj(a) * z) / (1 - np.conj(a) * z)
@@ -180,9 +180,9 @@ def test_poisson_mean_and_kernel_bound():
     for a in (0.0, 0.5, 0.9 * np.exp(1.3j)):
         for r in (0.5, 0.9, 0.99):
             assert gi.poisson_angular_mean(a, r) <= 1.0 + 1e-8
-    empty = gi.cluster_sequence(FiniteSequence(), 0.05, 0.6)
+    empty = gi.cluster_sequence(FiniteSequence([]), 0.05, 0.6)
     assert gi.vgh_kernel_bound(empty, [0.1]) == 0.0
-    single = gi.cluster_sequence(FiniteSequence.from_complex([0.0]), 0.05, 0.6)
+    single = gi.cluster_sequence(FiniteSequence([0.0]), 0.05, 0.6)
     grid = 0.8 * np.exp(2j * np.pi * np.arange(64) / 64)
     assert gi.vgh_kernel_bound(single, grid) <= np.e
 
@@ -200,14 +200,14 @@ def summand_reference(problem, w):
     def h(k, z):
         others = [c for j, c in enumerate(part.clusters) if j != k]
         b_other = BlaschkeProduct(FiniteSequence(
-            tuple(p for c in others for p in c.points.points),
-            tuple(m for c in others for m in c.points.multiplicities)))
+            np.concatenate([c.seq.zs for c in others]),
+            np.concatenate([c.seq.mults for c in others])))
         a = anchors[k]
         kernel = ((1 - abs(a) ** 2) / (1 - np.conj(a) * z)) ** q \
             * np.exp((beta_anchor[k] - beta(part, k, z)) / s)
         return evaluate(b_other, z) * kernel
 
-    values = np.concatenate([h(k, c.points.zs) for k, c in enumerate(part.clusters)])
+    values = np.concatenate([h(k, c.seq.zs) for k, c in enumerate(part.clusters)])
     polys = gi._multiplier_polynomials(problem, values)
     total = np.zeros(np.shape(w), dtype=complex)
     for k, poly in enumerate(polys):
@@ -218,7 +218,7 @@ def summand_reference(problem, w):
 
 def test_evaluator_matches_summand_reference():
     part, jets = ray_problem(8, rays=3, levels=4, satellites=2, doubles=1)
-    assert any(max(c.points.multiplicities) > 1 for c in part.clusters)
+    assert any(c.seq.mults.max() > 1 for c in part.clusters)
     jets = (zero_jet(part.clusters[0]),) + jets[1:]
     grid = np.outer([0.0, 0.3, 0.7, 0.95], np.exp(2j * np.pi * np.arange(16) / 16))
     points = part.all_points().zs
@@ -235,7 +235,7 @@ def test_evaluator_matches_summand_reference():
         assert abs(ev(z) - summand_reference(problem, np.array([z]))[0]) \
             <= 1e-12 * abs(ev(z))
         # the zero-jet cluster's points are zeros of every summand
-        first = part.clusters[0].points.zs
+        first = part.clusters[0].seq.zs
         assert np.all(ev(first) == 0)
 
 
@@ -246,8 +246,8 @@ def deep_clusters():
     r8, r14 = np.sqrt(1 - d8), np.sqrt(1 - d14)
     zs = [0.0, 0.3, 0.33, r8 * np.exp(1j), r8 * np.exp(1j * (1 + 0.04 * d8)),
           r14 * np.exp(2.5j), r14 * np.exp(1j * (2.5 + 0.05 * d14)), 0.7 * np.exp(-2j)]
-    part = gi.cluster_sequence(FiniteSequence.from_complex(zs, [1, 2, 1, 3, 1, 4, 2, 4]), 0.05, 0.6)
-    assert part.clusters[0].points.zs.tolist() == [0.0]
+    part = gi.cluster_sequence(FiniteSequence(zs, [1, 2, 1, 3, 1, 4, 2, 4]), 0.05, 0.6)
+    assert part.clusters[0].seq.zs.tolist() == [0.0]
     return part
 
 
@@ -259,8 +259,8 @@ def mp_summand(part, k, q, s):
         return (1 - abs(a) ** 2) * (1 + mpmath.conj(a) * z) / (1 - mpmath.conj(a) * z)
 
     anchors = [mpmath.mpc(a.real, a.imag) for a in part.anchors]
-    zeros = [(mpmath.mpc(p.z.real, p.z.imag), m) for j, c in enumerate(part.clusters)
-             if j != k for p, m in zip(c.points.points, c.points.multiplicities)]
+    zeros = [(mpmath.mpc(z.real, z.imag), m) for j, c in enumerate(part.clusters)
+             if j != k for z, m in zip(c.seq.zs.tolist(), c.seq.mults.tolist())]
     ak = anchors[k]
     beta_anchor = sum(tail(a, ak) for a in anchors[k:])
 
@@ -283,7 +283,7 @@ def test_summand_jets_match_mpmath():
     mpmath = pytest.importorskip("mpmath")
     part = deep_clusters()
     seq = part.all_points()
-    labels = np.repeat(np.arange(len(part.clusters)), [len(c.points) for c in part.clusters])
+    labels = np.repeat(np.arange(len(part.clusters)), [len(c.seq) for c in part.clusters])
     assert max(seq.mults) == 4 and min(1 - np.abs(seq.zs) ** 2) < 2.0 ** -13
     ones = [np.ones_like] * len(part.clusters)
     for p in (0.5, 2.0, np.inf):
@@ -309,9 +309,9 @@ def test_fused_pass_matches_per_cluster_reference():
     cluster) and the first of them with a singleton at 0 (unit -1)."""
     problems = [_interpolation_problem(seed) for seed in range(3)]
     seq = problems[0][0].all_points()
-    part = gi.cluster_sequence(FiniteSequence.from_complex(
+    part = gi.cluster_sequence(FiniteSequence(
         np.append(0.0, seq.zs), np.append(1, seq.mults)), 0.05, 0.6)
-    assert part.clusters[0].points.zs.tolist() == [0.0]
+    assert part.clusters[0].seq.zs.tolist() == [0.0]
     problems.append((part, tuple(zero_jet(c) for c in part.clusters)))
     circle = 0.99999 * np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14))
     ring = np.exp(2j * np.pi * np.arange(128) / 128)
@@ -367,8 +367,8 @@ def cauchy_jet(fn, z0, order, n_nodes=128):
 def test_stacked_jets_match_per_point_extraction():
     part, jets = ray_problem(4, satellites=4, doubles=2)
     ev = gi._solution_evaluator(gi.InterpolationProblem(part, jets, 2.0))
-    centers = [p.z for c in part.clusters for p in c.points.points]
-    orders = [m for c in part.clusters for m in c.points.multiplicities]
+    centers = part.all_points().zs
+    orders = part.all_points().mults.tolist()
     assert max(orders) == 2
     for got, z0, m in zip(gi._extract_jets(ev, centers, orders), centers, orders):
         want = cauchy_jet(ev, z0, m)
@@ -389,7 +389,7 @@ def test_hp_norm_is_max_over_radii():
 
 
 def test_interpolate_two_singletons():
-    part = gi.cluster_sequence(FiniteSequence.from_complex([0.0, 0.5]), 0.05, 0.6)
+    part = gi.cluster_sequence(FiniteSequence([0.0, 0.5]), 0.05, 0.6)
     jets = (gi.HermiteJet(((1.0,),)), gi.HermiteJet(((0.0,),)))
     sol = gi.vgh_interpolate(gi.InterpolationProblem(part, jets, 2.0))
     assert sol.function(0.0 + 0j) == pytest.approx(1.0, abs=1e-10)
@@ -398,7 +398,7 @@ def test_interpolate_two_singletons():
 
 
 def test_interpolate_single_cluster_all_p():
-    part = gi.cluster_sequence(FiniteSequence.from_complex([0.3 + 0.2j]), 0.05, 0.6)
+    part = gi.cluster_sequence(FiniteSequence([0.3 + 0.2j]), 0.05, 0.6)
     jets = (gi.HermiteJet(((1.0,),)),)
     for p in (0.5, 1.0, 2.0, np.inf):
         sol = gi.vgh_interpolate(gi.InterpolationProblem(part, jets, p))
@@ -415,7 +415,7 @@ def test_interpolate_zero_targets():
 
 
 def test_interpolate_empty_partition():
-    part = gi.cluster_sequence(FiniteSequence(), 0.05, 0.6)
+    part = gi.cluster_sequence(FiniteSequence([]), 0.05, 0.6)
     assert gi._log_coefficients(part, 2.0, 1.0).shape == (0, 0)
     sol = gi.vgh_interpolate(gi.InterpolationProblem(part, (), 2.0))
     assert sol.function(0.3j) == 0.0
@@ -423,12 +423,12 @@ def test_interpolate_empty_partition():
 
 
 def test_interpolate_with_multiplicity():
-    s = FiniteSequence.from_complex([0.2, -0.5], [2, 1])
+    s = FiniteSequence([0.2, -0.5], [2, 1])
     part = gi.cluster_sequence(s, 0.05, 0.6)
     # find the double cluster and set value + derivative targets
     jets = []
     for c in part.clusters:
-        if c.points.multiplicities[0] == 2:
+        if c.seq.mults[0] == 2:
             jets.append(gi.HermiteJet(((1.5 - 0.5j, 2.0 + 1.0j),)))
         else:
             jets.append(gi.HermiteJet(((0.7,),)))
@@ -452,25 +452,25 @@ def test_interpolation_battery():
 
 
 def test_partition_rejects_overlapping_clusters():
-    c1 = gi.Cluster(FiniteSequence.from_complex([0.0]), gi.DiskPoint(0.0, 0.0))
-    c2 = gi.Cluster(FiniteSequence.from_complex([0.05]), gi.DiskPoint(0.05, 0.0))
+    c1 = gi.Cluster(FiniteSequence([0.0]), 0.0)
+    c2 = gi.Cluster(FiniteSequence([0.05]), 0.05)
     with pytest.raises(InvariantViolation, match="overlap"):
         gi.ClusterPartition((c1, c2), 0.1, (0.9, 0.85), 0.6)
 
 
 def test_partition_rejects_oversized_cluster():
-    wide = gi.Cluster(FiniteSequence.from_complex([0.0, 0.8]), gi.DiskPoint(0.0, 0.0))
+    wide = gi.Cluster(FiniteSequence([0.0, 0.8]), 0.0)
     with pytest.raises(InvariantViolation, match="diameter"):
         gi.ClusterPartition((wide,), 0.01, (0.15,), 0.5)
 
 
 def test_hinf_bound():
-    part = gi.cluster_sequence(FiniteSequence.from_complex([0.0]), 0.5, 0.6)
+    part = gi.cluster_sequence(FiniteSequence([0.0]), 0.5, 0.6)
     b = BlaschkeProduct(part.all_points())
     bound = gi.hinf_bound_estimate(part, b)
     assert bound == pytest.approx(np.pi / 0.5, rel=1e-2)
-    empty = gi.cluster_sequence(FiniteSequence(), 0.05, 0.6)
-    assert gi.hinf_bound_estimate(empty, BlaschkeProduct.from_complex([])) == 0.0
+    empty = gi.cluster_sequence(FiniteSequence([]), 0.05, 0.6)
+    assert gi.hinf_bound_estimate(empty, BlaschkeProduct(FiniteSequence([]))) == 0.0
 
 
 def test_hinf_contour_touching_zeros():
@@ -549,7 +549,7 @@ def test_arcs_from_mask_matches_loop():
 
 
 def test_verify_facts():
-    single = gi.cluster_sequence(FiniteSequence.from_complex([0.4]), 0.05, 0.6)
+    single = gi.cluster_sequence(FiniteSequence([0.4]), 0.05, 0.6)
     rep = gi.verify_facts(single, [])
     assert rep.separation_ok and rep.cardinality_ok and rep.subsequence_ok
     part, jets = ray_problem(6, rays=3, levels=4, satellites=2, doubles=1)
