@@ -8,11 +8,15 @@ sequence behaves like a finite union of interpolating sequences when all
 flags point the same way.  The thresholds are documented heuristics for
 the generator families shipped here, not theorems.
 
-The composition probe's pruned search: see blaschke._least_compose_max.
+delta, discreteness, the transformed mass at the zeros and the local
+count come from one pass over the pairs of zeros (blaschke._pair_sums);
+probe-grid centres go through uniform_blaschke_sup alone.  The
+composition probe's pruned search: see blaschke._least_compose_max.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +26,8 @@ from .blaschke import (
     BlaschkeProduct,
     _greedy_parts,
     _least_compose_max,
-    max_local_count,
+    _pair_sums,
+    _separation,
     separation_report,
 )
 from .carleson import carleson_norm, uniform_blaschke_sup
@@ -39,27 +44,27 @@ THRESHOLDS = {
     "divisor_max": 16.0,
     "mb_min": 5e-2,
 }
+# the direction flags, in report order
+_FLAG_NAMES = ("union_separation", "carleson", "blaschke_sup", "local_count",
+              "uniformly_nonzero", "universal_divisor", "mult_bounded_below")
 
 
 def union_separation(s: FiniteSequence, sep: float = 0.3):
-    """Greedy split of the multiplicity-expanded points into parts with
-    pairwise distance > sep; returns (part count, min per-part delta).
+    """Greedy split of the points, counted with multiplicity, into parts
+    with pairwise distance > sep; returns (part count, min per-part delta).
 
-    Repeated points land in distinct parts, so bounded multiplicity still
-    reads as a small finite union while escalating multiplicity does not.
+    The copies of a repeated point land in distinct parts, so bounded
+    multiplicity still reads as a small finite union while escalating
+    multiplicity does not.  Parts with the same points share a delta, and
+    a lone point's is 1.
     """
-    zs = s.expanded()
-    parts = _greedy_parts(zs, sep)
-    min_delta = 1.0
-    for part in parts:
-        rep = separation_report(BlaschkeProduct(FiniteSequence(zs[part])))
-        min_delta = min(min_delta, rep.delta)
-    return len(parts), min_delta
+    parts = _greedy_parts(s.zs, sep, s.mults)
+    deltas = (separation_report(BlaschkeProduct(FiniteSequence(s.zs[list(p)]))).delta
+              for p in {tuple(p) for p in parts if len(p) > 1})
+    return len(parts), min(deltas, default=1.0)
 
 
-_GRID: list = []
-
-
+@functools.cache
 def analysis_grid() -> bg.QuadratureGrid:
     """Lighter quadrature for batch diagnostics: 191,235 nodes.
 
@@ -76,10 +81,7 @@ def analysis_grid() -> bg.QuadratureGrid:
     Integrands peaked near the circle are not resolved: the kernel mass
     misses pi by 1e-5 at |c| = 0.9 and by 35% at |c| = 0.999.
     """
-    if not _GRID:
-        _GRID.append(bg.QuadratureGrid.build(rings=120, min_gap=1e-7,
-                                             max_angular=2048))
-    return _GRID[0]
+    return bg.QuadratureGrid.build(rings=120, min_gap=1e-7, max_angular=2048)
 
 
 @dataclass(frozen=True)
@@ -113,15 +115,17 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
     if len(s) == 0:
         return AnalysisReport(0, 0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, {}, "n/a")
     b = BlaschkeProduct(s)
-    sep = separation_report(b)
+    zs = s.zs
+    # the one pass over the pairs of zeros; the local count at radius 1/2
+    at_zeros = _pair_sums(b, zs, 0.5)
+    sep = _separation(b, at_zeros)
     n_parts, part_delta = union_separation(s)
     cn = carleson_norm(s)
-    zs = s.zs
-    centers = zs
+    ubs = float(at_zeros.mass.max())
     if probe_pitch > 0:
-        centers = np.concatenate([zs, hyperbolic_grid(float(np.abs(zs).max()), probe_pitch)])
-    ubs = uniform_blaschke_sup(s, centers)
-    ncount = max_local_count(b, 0.5)
+        grid = hyperbolic_grid(float(np.abs(zs).max()), probe_pitch)
+        ubs = max(ubs, uniform_blaschke_sup(s, grid))
+    ncount = int(at_zeros.count.max())
     nonzero = _least_compose_max(b, zs)
     # the divisor probe recentres at 0 and at the deepest zero, the
     # multiplication probe at the deepest four zeros: one mean per center
@@ -131,16 +135,15 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
     mb = min(means[1:]) ** (1.0 / p)
 
     t = THRESHOLDS
-    flags = {
-        "union_separation": (n_parts <= t["union_parts_max"]
-                             and part_delta >= t["part_delta_min"]),
-        "carleson": cn.norm <= t["carleson_max"],
-        "blaschke_sup": ubs <= t["ubs_max"],
-        "local_count": ncount <= t["count_max"],
-        "uniformly_nonzero": nonzero >= t["nonzero_min"],
-        "universal_divisor": divisor <= t["divisor_max"],
-        "mult_bounded_below": mb >= t["mb_min"],
-    }
+    flags = dict(zip(_FLAG_NAMES, (
+        n_parts <= t["union_parts_max"] and part_delta >= t["part_delta_min"],
+        cn.norm <= t["carleson_max"],
+        ubs <= t["ubs_max"],
+        ncount <= t["count_max"],
+        nonzero >= t["nonzero_min"],
+        divisor <= t["divisor_max"],
+        mb >= t["mb_min"],
+    )))
     verdict = "pass" if all(flags.values()) else "fail"
     return AnalysisReport(
         len(s), s.total_count, sep.delta, sep.discreteness,
@@ -187,12 +190,7 @@ def report_sections(rep: AnalysisReport) -> dict:
             "divisor_ratio": rep.divisor_ratio,
             "mb_probe": rep.mb_probe,
         },
-        "flags": {k: bool(v) for k, v in rep.flags.items()} or {
-            k: "n/a" for k in (
-                "union_separation", "carleson", "blaschke_sup", "local_count",
-                "uniformly_nonzero", "universal_divisor", "mult_bounded_below",
-            )
-        },
+        "flags": {k: bool(v) for k, v in rep.flags.items()} or dict.fromkeys(_FLAG_NAMES, "n/a"),
         "verdict": {
             "interpolating_union": rep.verdict,
             "direction_agreement": "pass" if direction_agreement(rep) else "fail",

@@ -28,6 +28,7 @@ into compact boxes once for all centers.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,8 +40,9 @@ from .blaschke import BlaschkeProduct, _log_abs_moved, _moved
 from .disk import FiniteSequence, MoebiusMap, _one_minus_abs2
 from .util import worker_count
 
-# the circle hp_norm samples
+# hp_norm's circle and the number of its equally spaced samples
 _HARDY_RADIUS = 0.99999
+_HARDY_SAMPLES = 1 << 14
 
 
 def constant_fn(c):
@@ -82,13 +84,9 @@ class QuadratureGrid:
         return cls(radii, areas, counts)
 
 
-_DEFAULT_GRID: list = []
-
-
+@functools.cache
 def default_grid() -> QuadratureGrid:
-    if not _DEFAULT_GRID:
-        _DEFAULT_GRID.append(QuadratureGrid.build())
-    return _DEFAULT_GRID[0]
+    return QuadratureGrid.build()
 
 
 def _ring_blocks(counts: np.ndarray) -> list:
@@ -152,10 +150,8 @@ def hp_norm(f, p) -> float:
     """
     if p != np.inf and not p > 0:
         raise ValueError("p must be positive or inf")
-    r = _HARDY_RADIUS
-    n = int(np.clip(np.ceil(8.0 / (1.0 - r)), 64, 1 << 14))
-    theta = 2.0 * np.pi * np.arange(n) / n
-    vals = np.abs(f(r * np.exp(1j * theta)))
+    theta = 2.0 * np.pi * np.arange(_HARDY_SAMPLES) / _HARDY_SAMPLES
+    vals = np.abs(f(_HARDY_RADIUS * np.exp(1j * theta)))
     if p == np.inf:
         return float(vals.max())
     return float(np.mean(vals**p) ** (1.0 / p))

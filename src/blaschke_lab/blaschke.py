@@ -14,7 +14,10 @@ Every modulus (log|B|, the separation constants, zero counts) comes from
 the metric's kernel for log rho^2 between a tile of zeros and a tile of
 points (disk._log_rho2), in real arithmetic and free of cancellation near
 the circle; complex values come from the factors in complex arithmetic
-over the same tiles.
+over the same tiles.  The per-point sums over the zeros that the battery
+reads (sum m log rho^2 for the deleted products, the nearest zero, the
+transformed mass sum m (1 - rho^2) and the zero count in a metric disk)
+come from one pass over the pairs of zeros and points (_pair_sums).
 
 log|B o phi_c| at many points (the recentred probes' quadrature nodes)
 is a logarithmic potential of the moved zeros, and from _TREE_ZEROS
@@ -26,6 +29,7 @@ the near ones go through the kernel.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,11 +102,10 @@ def evaluate(b: BlaschkeProduct, z):
     zs = b.zeros.zs
     mults, _, units = b._table
     res = np.ones(len(w), dtype=complex)
-    if len(zs):
-        simple = b.zeros.is_simple()
-        for r, c in _tiles(len(zs), len(w)):
-            f = _factors(zs[r], units[r], w[c])
-            res[c] *= (f if simple else f ** mults[r, None]).prod(axis=0)
+    simple = b.zeros.is_simple()
+    for r, c in _tiles(len(zs), len(w)):
+        f = _factors(zs[r], units[r], w[c])
+        res[c] *= (f if simple else f ** mults[r, None]).prod(axis=0)
     return complex(res[0]) if scalar else res.reshape(np.shape(z))
 
 
@@ -110,10 +113,9 @@ def _log_abs(coords: np.ndarray, mults: np.ndarray, pts: np.ndarray) -> np.ndarr
     """sum of mults * log rho for zeros (coords) at points (pts), both
     given by their kernel coordinates."""
     res = np.zeros(pts.shape[1])
-    if coords.shape[1]:
-        for r, c in _tiles(coords.shape[1], pts.shape[1]):
-            res[c] += mults[r] @ _log_rho2(coords[:, r], pts[:, c])
-        res *= 0.5
+    for r, c in _tiles(coords.shape[1], pts.shape[1]):
+        res[c] += mults[r] @ _log_rho2(coords[:, r], pts[:, c])
+    res *= 0.5
     return res
 
 
@@ -323,18 +325,19 @@ def deleted_product(b: BlaschkeProduct, j: int) -> complex:
     """B_j(z_j): the product over all other zeros, evaluated at zero j.
 
     Returns 0 when zero j is repeated, 1 for a lone zero (empty product).
-    The modulus comes from the log rho^2 kernel, as in separation_report;
-    the argument is the sum of the complex factors' arguments.
+    The modulus comes from the pass over the pairs of zeros (_pair_sums),
+    as in separation_report; the argument is the sum of the complex
+    factors' arguments.
     """
     n = len(b.zeros)
     if not 0 <= j < n:
         raise IndexError(f"zero index {j} out of range for {n} listed zeros")
     zs = b.zeros.zs
-    mults, coords, units = b._table
+    mults, _, units = b._table
     if mults[j] > 1:
         return 0.0 + 0.0j
     a, m, unit = (np.delete(v, j) for v in (zs, mults, units))
-    log_mod = 0.5 * m @ _log_rho2(np.delete(coords, j, axis=1), coords[:, j:j + 1])[:, 0]
+    log_mod = 0.5 * _pair_sums(b, zs[j:j + 1]).logs[0]
     arg = m @ np.angle(_factors(a, unit, zs[j:j + 1])[:, 0])
     return complex(np.exp(log_mod + 1j * arg))
 
@@ -361,43 +364,56 @@ def derivative(b: BlaschkeProduct, z) -> complex:
     return evaluate(b, w) * complex(logd)
 
 
+_PairSums = namedtuple("_PairSums", "logs least mass count")
+
+
+def _pair_sums(b: BlaschkeProduct, w, r: float = 0.5) -> _PairSums:
+    """Sums over the listed zeros z_j at each point of w (an array-like of
+    complex), from one pass over the pairs in tiles of the log rho^2 kernel:
+
+    logs   sum of m_j log rho^2(w, z_j)
+    least  min of log rho^2(w, z_j), 0 when no zero is left
+    mass   sum of m_j (1 - rho^2(w, z_j)), each term -expm1(log rho^2)
+    count  sum of m_j over the zeros with rho(w, z_j) < r
+
+    A zero at w itself (where the kernel is -inf) counts in mass and count,
+    not in logs or least, so at the zeros logs gives the deleted products
+    and least the nearest pair.
+    """
+    mults, coords, _ = b._table
+    pts = _coords(np.asarray(w, dtype=complex).ravel())
+    logs, least, mass, count = (np.zeros(pts.shape[1]) for _ in range(4))
+    bound = 2.0 * np.log(r)
+    for rows, cols in _tiles(len(mults), pts.shape[1]):
+        lr = _log_rho2(coords[:, rows], pts[:, cols])
+        m = mults[rows]
+        mass[cols] += m @ -np.expm1(lr)
+        count[cols] += m @ (lr < bound)
+        lr[lr == -np.inf] = 0.0
+        logs[cols] += m @ lr
+        np.minimum(least[cols], lr.min(axis=0), out=least[cols])
+    return _PairSums(logs, least, mass, count)
+
+
 def separation_report(b: BlaschkeProduct) -> SeparationReport:
     """Compute all separation constants of the zero sequence.
 
-    One pass over the pairwise log rho^2 matrix, its diagonal masked, gives
-    the deleted products and the discreteness.  By the identity
+    One pass over the pairs of zeros (_pair_sums at the zeros) gives the
+    deleted products and the discreteness.  By the identity
     (1 - |z_j|^2)|B'(z_j)| = |B_j(z_j)| at a simple zero (the derivative
     vanishes at a multiple one) delta is also the derivative form delta'.
     """
-    n = len(b.zeros)
-    if n == 0:
+    if len(b.zeros) == 0:
         raise InvariantViolation("separation report needs a nonempty sequence")
-    mults, coords, _ = b._table
-    logs = np.zeros(n)
-    nearest = 0.0
-    for r, c in _tiles(n, n):
-        lr = _log_rho2(coords[:, r], coords[:, c])
-        i = np.arange(max(r.start, c.start), min(r.stop, c.stop))
-        lr[i - r.start, i - c.start] = 0.0
-        logs[c] += mults[r] @ lr
-        nearest = min(nearest, float(lr.min()))
-    per_point = np.where(mults > 1, 0.0, np.exp(0.5 * logs))
-    delta = float(per_point.min())
-    # log rho^2 < 0 off the diagonal, so the masked zeros never win the min
-    # and a lone point keeps discreteness 1
-    discreteness = float(np.exp(0.5 * nearest)) if b.zeros.is_simple() else 0.0
-    return SeparationReport(delta, discreteness, per_point)
+    return _separation(b, _pair_sums(b, b.zeros.zs))
 
 
-def _local_counts(b: BlaschkeProduct, centers: np.ndarray, r: float) -> np.ndarray:
-    """Zeros (with multiplicity) at pseudohyperbolic distance < r from each center."""
-    mults, coords, _ = b._table
-    counts = np.zeros(len(centers))
-    pts = _coords(centers)
-    bound = 2.0 * np.log(r)
-    for rows, cols in _tiles(len(mults), len(centers)):
-        counts[cols] += mults[rows] @ (_log_rho2(coords[:, rows], pts[:, cols]) < bound)
-    return counts
+def _separation(b: BlaschkeProduct, at_zeros: _PairSums) -> SeparationReport:
+    """The separation constants from the pair sums at the zeros."""
+    per_point = np.where(b.zeros.mults > 1, 0.0, np.exp(0.5 * at_zeros.logs))
+    # a lone point keeps discreteness 1
+    discreteness = float(np.exp(0.5 * at_zeros.least.min())) if b.zeros.is_simple() else 0.0
+    return SeparationReport(float(per_point.min()), discreteness, per_point)
 
 
 def max_local_count(b: BlaschkeProduct, r: float) -> int:
@@ -410,41 +426,50 @@ def max_local_count(b: BlaschkeProduct, r: float) -> int:
     """
     if not 0 < r < 1:
         raise ValueError("radius must lie in (0, 1)")
-    if len(b.zeros) == 0:
-        return 0
-    return int(_local_counts(b, b.zeros.zs, r).max())
+    return int(_pair_sums(b, b.zeros.zs, r).count.max(initial=0.0))
 
 
-def _greedy_parts(zs: np.ndarray, sep: float) -> list:
-    """Greedy first fit of the points zs (repeats allowed) into parts with
-    pairwise distance > sep; returns index lists.
+def _greedy_parts(zs: np.ndarray, sep: float, mults=None) -> list:
+    """Greedy first fit of the points zs, each taken mults times (once by
+    default), into parts with pairwise distance > sep; returns index lists.
 
     Points go in order of increasing modulus, then angle, then position;
     each joins the first part all of whose members are farther than sep,
-    else opens a new part.  The kernel coordinates are formed once, and
-    the far rows of a chunk of points (in that order) against all points
-    in one kernel call; part_of holds each placed point's part.
+    else opens a new part.  A point of multiplicity m takes the m lowest
+    parts its earlier near neighbours leave free, as its m adjacent copies
+    would one by one, each blocking the next.  The kernel coordinates are
+    formed once, and the near rows of a chunk of points (in that order)
+    against all points in one kernel call; part_of holds the part of each
+    copy, those of point i at the slots first[i] to first[i + 1] - 1.
     """
+    n = len(zs)
     coords = _coords(zs)
     points = zs.tolist()  # scalar moduli: numpy's vectorised abs can differ in the last bit
-    order = np.array(sorted(range(len(points)),
-                            key=lambda i: (abs(points[i]), np.angle(points[i]))), dtype=int)
-    part_of = np.full(len(points), -1)
+    order = np.array(sorted(range(n), key=lambda i: (abs(points[i]), np.angle(points[i]))),
+                     dtype=int)
+    ms = [1] * n if mults is None else mults.tolist()
+    owner = np.repeat(np.arange(n), ms)  # the point of each slot
+    first = np.cumsum([0] + ms).tolist()
+    part_of = np.full(len(owner), -1)
     count = 0
-    step = max(1, disk._BLOCK // max(1, len(points)))
-    for start in range(0, len(order), step):
+    step = max(1, disk._BLOCK // max(1, len(owner)))
+    for start in range(0, n, step):
         chunk = order[start:start + step]
-        far = np.exp(0.5 * _log_rho2(coords[:, chunk], coords)) > sep
-        for i, row in zip(chunk.tolist(), far):
-            # slots 0..count-1 are the parts, count a new one, and the last
-            # slot absorbs the unplaced points (part -1)
-            blocked = np.zeros(count + 2, dtype=bool)
-            blocked[part_of[~row]] = True
-            part = int(np.argmin(blocked))
-            part_of[i] = part
-            count = max(count, part + 1)
-    placed = part_of[order]
-    return [order[placed == p].tolist() for p in range(count)]
+        near = np.exp(0.5 * _log_rho2(coords[:, chunk], coords)) <= sep
+        if len(owner) > n:
+            near = near[:, owner]
+        for i, row in zip(chunk.tolist(), near):
+            m = ms[i]
+            # slots 0..count+m-1 are the candidate parts, m of them free,
+            # and the last slot absorbs the unplaced copies (part -1)
+            free = np.ones(count + m + 1, dtype=bool)
+            free[part_of[row]] = False
+            parts = free.nonzero()[0][:m]
+            part_of[first[i]:first[i + 1]] = parts
+            count = max(count, int(parts[-1]) + 1)
+    # the members of each part in placement order
+    members = owner[np.lexsort((np.argsort(order)[owner], part_of))]
+    return [p.tolist() for p in np.split(members, np.cumsum(np.bincount(part_of)))[:-1]]
 
 
 def partition_separated(s: FiniteSequence, sep: float):

@@ -23,15 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import (
-    _BLOCK,
-    FiniteSequence,
-    InvariantViolation,
-    _coords,
-    _log_rho2,
-    _one_minus_abs2,
-    _tiles,
-)
+from .blaschke import BlaschkeProduct, _pair_sums
+from .disk import _BLOCK, FiniteSequence, InvariantViolation, _one_minus_abs2
 
 # arc_carleson_constant drops a box of squares once its upper bound is
 # within this relative gap of the best square found, and stops after
@@ -125,21 +118,10 @@ def carleson_norm(s: FiniteSequence) -> CarlesonNormReport:
 
 
 def uniform_blaschke_sup(s: FiniteSequence, probe_centers) -> float:
-    """Max over probe centers c of sum_j mult_j (1 - |phi_c(z_j)|^2).
-
-    Each term is 1 - rho^2(c, z_j), taken as -expm1 of the Blaschke
-    factor kernel's log rho^2 over blocks of centers, an array-like of
-    complex.
-    """
-    if len(s) == 0:
-        return 0.0
-    zeros = _coords(s.zs)
-    mults = s.mults.astype(float)
-    centers = _coords(np.asarray(probe_centers, dtype=complex).ravel())
-    sums = np.zeros(centers.shape[1])
-    for r, c in _tiles(len(s), centers.shape[1]):
-        sums[c] += mults[r] @ -np.expm1(_log_rho2(zeros[:, r], centers[:, c]))
-    return float(sums.max(initial=0.0))
+    """Max over probe centers c (an array-like of complex) of
+    sum_j mult_j (1 - |phi_c(z_j)|^2), the mass of the pass over the pairs
+    of zeros and centers (blaschke._pair_sums)."""
+    return float(_pair_sums(BlaschkeProduct(s), probe_centers).mass.max(initial=0.0))
 
 
 def lp_sequence_norm(s: FiniteSequence, values, p) -> float:

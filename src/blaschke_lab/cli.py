@@ -20,8 +20,8 @@ import numpy as np
 
 from . import io as fio
 from .analysis import analyze_sequence, direction_agreement, report_sections
-from .blaschke import BlaschkeProduct, max_local_count, partition_separated
-from .disk import InvariantViolation, psh_distance_pairwise
+from .blaschke import BlaschkeProduct, max_local_count, partition_separated, separation_report
+from .disk import InvariantViolation
 from .generators import (
     gen_escalating_multiplicity,
     gen_perturbed,
@@ -162,19 +162,16 @@ def _cmd_partition(args) -> int:
     parts = partition_separated(seq, args.sep)
     for i, part in enumerate(parts):
         fio.write_sequence(part, f"{args.output}.part{i}.txt")
-    bound = max_local_count(BlaschkeProduct(seq), args.sep) if len(seq) else 0
-    within = []
-    for part in parts:
-        if len(part) > 1:
-            d = psh_distance_pairwise(part.zs, part.zs)
-            within.append(float(d[~np.eye(len(part), dtype=bool)].min()))
+    bound = max_local_count(BlaschkeProduct(seq), args.sep)
+    # a lone point's discreteness is 1
+    within = (separation_report(BlaschkeProduct(part)).discreteness for part in parts)
     sections = {
         "partition": {
             "parts": len(parts),
             "separation": args.sep,
             "count_bound": bound,
-            "min_within_part_distance": min(within) if within else 1.0,
-            "count_within_bound": len(parts) <= bound if len(seq) else True,
+            "min_within_part_distance": min(within, default=1.0),
+            "count_within_bound": len(parts) <= bound,
         }
     }
     fio.write_report(sections, f"{args.output}.report.txt")

@@ -67,9 +67,9 @@ def _one_minus_abs2(z):
 
 
 def _tiles(m: int, k: int):
-    """Row and column slices covering an m x k array (m, k >= 1) in tiles
-    of at most _BLOCK elements."""
-    rows = min(m, _BLOCK)
+    """Row and column slices covering an m x k array in tiles of at most
+    _BLOCK elements; none when the array is empty."""
+    rows = max(1, min(m, _BLOCK))
     cols = max(1, _BLOCK // rows)
     for i in range(0, m, rows):
         for j in range(0, k, cols):
@@ -273,9 +273,8 @@ def psh_distance_pairwise(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     a = _coords(np.asarray(zs, dtype=complex))
     b = _coords(np.asarray(ws, dtype=complex))
     out = np.empty((a.shape[1], b.shape[1]))
-    if out.size:
-        for r, c in _tiles(*out.shape):
-            out[r, c] = np.exp(0.5 * _log_rho2(a[:, r], b[:, c]))
+    for r, c in _tiles(*out.shape):
+        out[r, c] = np.exp(0.5 * _log_rho2(a[:, r], b[:, c]))
     return out
 
 

@@ -5,10 +5,11 @@ products B * g that remember both parts, quotients by B, weighted Bergman
 norms by direct quadrature, Hardy circle means, the pointwise division
 bound, local zero counts, the tail kernel sums beta, the interpolant's
 reverse pass in separate per-cluster steps, zero targets, target files,
-sampled arcs, a rescanning random-Carleson sampler, the uniformly-nonzero probe
-by one full call per zero and on a finer circle, the anchored square
-family carleson_norm once searched and a brute-force Carleson norm; the
-library itself has no use for them.
+sampled arcs, a rescanning random-Carleson sampler, the uniformly-nonzero
+probe by one full call per zero and on a finer circle, the pairwise rho^2
+table in exact rationals and the report keys it gives, the plain greedy
+partition loop, the anchored square family carleson_norm once searched
+and a brute-force Carleson norm; the library itself has no use for them.
 """
 
 import math
@@ -28,7 +29,12 @@ from blaschke_lab.blaschke import (
     log_abs_evaluate,
 )
 from blaschke_lab.carleson import carleson_norm
-from blaschke_lab.disk import FiniteSequence, MoebiusMap, psh_distance_pairwise
+from blaschke_lab.disk import (
+    FiniteSequence,
+    MoebiusMap,
+    psh_distance,
+    psh_distance_pairwise,
+)
 from blaschke_lab.geninterp import HermiteJet, _exponents
 
 
@@ -282,6 +288,71 @@ def deleted_product_moduli(zs, digits=50):
     with mpmath.workdps(digits):
         return ([mpmath.sqrt(mpmath.ldexp(a, -bits)) for a in out],
                 [mpmath.ldexp(d, -2 * scale) for d in depth])
+
+
+def exact_rho2(zs) -> list:
+    """rho^2(z_j, z_k) between every two listed points, as exact Fractions.
+
+    The coordinates are taken exactly as integers at a common binary scale,
+    as in deleted_product_moduli, and rho^2 = |z_k - z_j|^2 /
+    (|z_k - z_j|^2 + (1 - |z_k|^2)(1 - |z_j|^2)) is formed without rounding.
+    """
+    ints, scale = _dyadic_ints([c for z in zs for c in (z.real, z.imag)])
+    x, y = ints[0::2], ints[1::2]
+    one = 1 << (2 * scale)
+    depth = [one - a * a - b * b for a, b in zip(x, y)]
+    table = []
+    for j in range(len(x)):
+        d2 = [((a - x[j]) ** 2 + (b - y[j]) ** 2) * one for a, b in zip(x, y)]
+        table.append([Fraction(d, d + depth[j] * dk) for d, dk in zip(d2, depth)])
+    return table
+
+
+def exact_pair_keys(s: FiniteSequence, sep: float = 0.3) -> dict:
+    """The analyze keys that sum over pairs of zeros, from exact_rho2 and
+    deleted_product_moduli: delta, discreteness, max_count_half (zeros
+    with rho < 1/2 about each zero, exact), blaschke_sup at the zero
+    centres (sum of m (1 - rho^2), exact, rounded once) and part_delta (the
+    least deleted product over the parts of reference_greedy on the
+    expanded points).  The irrational values come as 50-digit mpmath
+    numbers.
+    """
+    import mpmath
+
+    rho2 = exact_rho2(s.zs)
+    mults = s.mults.tolist()
+    simple = max(mults) == 1
+    nearest = min((r for j, row in enumerate(rho2) for k, r in enumerate(row) if k != j),
+                  default=Fraction(1))
+    quarter = Fraction(1, 4)
+    count = max(sum(m for m, r in zip(mults, row) if r < quarter) for row in rho2)
+    mass = max(sum(m * (1 - r) for m, r in zip(mults, row)) for row in rho2)
+    expanded = s.expanded()
+    part_delta = min(min(deleted_product_moduli(expanded[part])[0])
+                     for part in reference_greedy(expanded, sep))
+    with mpmath.workdps(50):
+        discreteness = mpmath.sqrt(mpmath.mpf(nearest.numerator) / nearest.denominator)
+    return {
+        "delta": min(deleted_product_moduli(s.zs)[0]) if simple else 0,
+        "discreteness": discreteness if simple else 0,
+        "max_count_half": count,
+        "blaschke_sup": float(mass),
+        "part_delta": part_delta,
+    }
+
+
+def reference_greedy(zs, sep):
+    """Plain first-fit loop with scalar distances, as index lists."""
+    order = sorted(range(len(zs)), key=lambda i: (abs(zs[i]), np.angle(zs[i])))
+    parts = []
+    for i in order:
+        for part in parts:
+            if all(psh_distance(zs[i], zs[j]) > sep for j in part):
+                part.append(i)
+                break
+        else:
+            parts.append([i])
+    return parts
 
 
 def zero_jet(cluster) -> HermiteJet:

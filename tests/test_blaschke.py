@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blaschke_lab import blaschke, disk
+from blaschke_lab import analysis, blaschke, carleson, disk
 from blaschke_lab.analysis import analysis_grid, analyze_sequence, union_separation
 from blaschke_lab.bergman import area_integral
 from blaschke_lab.blaschke import (
@@ -24,7 +24,6 @@ from blaschke_lab.disk import (
     InvariantViolation,
     MoebiusMap,
     DiskPoint,
-    psh_distance,
     psh_distance_pairwise,
 )
 from blaschke_lab.generators import (
@@ -33,7 +32,13 @@ from blaschke_lab.generators import (
     gen_random_carleson,
     gen_union,
 )
-from oracles import dense_composed_log_max, exhaustive_nonzero_probe, local_zero_count
+from oracles import (
+    dense_composed_log_max,
+    exact_pair_keys,
+    exhaustive_nonzero_probe,
+    local_zero_count,
+    reference_greedy,
+)
 
 
 def random_sequence(seed, n=12, r_max=0.95):
@@ -516,20 +521,6 @@ def test_nonzero_probe_against_a_finer_circle(name):
     assert abs(got - exact) <= 2e-15 * exact
 
 
-def reference_greedy(zs, sep):
-    """Plain first-fit loop with scalar distances, as index lists."""
-    order = sorted(range(len(zs)), key=lambda i: (abs(zs[i]), np.angle(zs[i])))
-    parts = []
-    for i in order:
-        for part in parts:
-            if all(psh_distance(zs[i], zs[j]) > sep for j in part):
-                part.append(i)
-                break
-        else:
-            parts.append([i])
-    return parts
-
-
 def test_greedy_partition_matches_reference_loop():
     seqs = [random_sequence(seed, n=40) for seed in range(3)]
     seqs.append(gen_union(3, gen_radial_geometric(0.5, 8), 1))
@@ -538,5 +529,59 @@ def test_greedy_partition_matches_reference_loop():
             got = [list(q.zs) for q in partition_separated(s, sep)]
             assert got == [list(s.zs[p]) for p in reference_greedy(s.zs, sep)]
     repeated = gen_escalating_multiplicity(5)
+    expanded = repeated.expanded()
     for sep in (0.3, 0.5):
-        assert union_separation(repeated, sep)[0] == len(reference_greedy(repeated.expanded(), sep))
+        parts = reference_greedy(expanded, sep)
+        part_delta = min(separation_report(BlaschkeProduct(FiniteSequence(expanded[p]))).delta
+                         for p in parts)
+        assert union_separation(repeated, sep) == (len(parts), part_delta)
+
+
+def test_union_separation_reads_only_the_listed_points(monkeypatch):
+    # a point of multiplicity 10,000 next to a simple one: the greedy and
+    # the per-part reports see two points, never the expanded sequence, and
+    # part_delta reads as it did with the expanded greedy (8/19 within an ulp)
+    shapes = []
+    kernel = blaschke._log_rho2
+
+    def recording(a, z):
+        shapes.append((a.shape[1], z.shape[-1]))
+        return kernel(a, z)
+
+    monkeypatch.setattr(blaschke, "_log_rho2", recording)
+    assert union_separation(FiniteSequence([0.5, 0.1], [10_000, 1])) == (10_000, 0.4210526315789474)
+    assert shapes and max(max(shape) for shape in shapes) <= 2
+
+
+def test_analyze_walks_the_zero_pairs_once(monkeypatch):
+    calls = []
+    pair_sums = blaschke._pair_sums
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return pair_sums(*args, **kwargs)
+
+    for module in (analysis, blaschke, carleson):
+        monkeypatch.setattr(module, "_pair_sums", counting)
+    # the per-part reports of union_separation run the pass on each part
+    monkeypatch.setattr(analysis, "union_separation", lambda s: (1, 1.0))
+    analyze_sequence(gen_random_carleson(11, 200, 4.0))
+    assert calls == [200]
+
+
+# measured against exact_pair_keys: delta 7.3e-16, discreteness 2.5e-17,
+# blaschke_sup 1.5e-16 and part_delta 2.0e-16 relative at worst;
+# max_count_half matched exactly
+PAIR_KEY_TOL = {"delta": 3e-15, "discreteness": 1e-16, "blaschke_sup": 1e-15,
+                "part_delta": 1e-15, "max_count_half": 0}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_INPUTS))
+def test_pair_keys_against_exact_table(name):
+    mpmath = pytest.importorskip("mpmath")
+    s = ORACLE_INPUTS[name]()
+    rep = analyze_sequence(s)
+    with mpmath.workdps(50):
+        for key, want in exact_pair_keys(s).items():
+            got = getattr(rep, key)
+            assert abs(got - want) <= PAIR_KEY_TOL[key] * want, key
