@@ -193,10 +193,11 @@ _FAR = 0.2
 _ORDER = 20
 _BOX = 128  # nodes per box
 # From these counts on the boxes beat the direct kernel.  Over the
-# analysis grid with five centres the two tie at about 12 zeros.  At 200
-# zeros they are about 20% ahead on the first 1,024 to 2,048 nodes of a
-# grid block, while on 512 points of |z| = 1/2 every box is so wide that
-# all zeros are near and the boxes take 2.4 times as long.
+# analysis grid with five centres the two tie at 12 to 16 zeros.  At 200
+# zeros the boxes take 0.82 to 0.91 of the kernel's time on 2,048
+# consecutive nodes near the circle and 0.19 on the graded rings near 0,
+# while on 512 points of |z| = 1/2 every box is so wide that all zeros
+# are near and the boxes take 2.4 times as long.
 _TREE_ZEROS = 16
 _TREE_POINTS = 2048
 

@@ -27,7 +27,8 @@ LIGHT = bg.QuadratureGrid.build(rings=200, min_gap=1e-7, max_angular=4096)
 
 
 def test_grid_tiles_the_disk():
-    for g in (bg.default_grid(), LIGHT):
+    # radii increase through the first band's graded bands toward 0 too
+    for g in (bg.default_grid(), LIGHT, analysis_grid()):
         assert g.band_areas.sum() == pytest.approx(np.pi, rel=1e-12)
         assert (g.radii < 1.0).all()
         assert (np.diff(g.radii) > 0).all()
@@ -203,16 +204,31 @@ def test_divisor_ratio_converged_on_analysis_grid(monkeypatch, name, alpha):
                                    max_angular=4096, angular_factor=32.0)
     assert fine.angular_counts.sum() >= 3.9 * analysis_grid().angular_counts.sum()
     want = bg.universal_divisor_ratio(b, centers, 0.5, alpha, fine)
-    assert abs(got - want) <= 1e-3 * want
+    assert abs(got - want) <= 1e-4 * want
     if alpha == 1.0:
         # the weight rides on the band areas: no peak at the center to miss
-        assert abs(got - want) <= 1e-4 * want
         assert analyze_sequence(s, alpha=alpha).divisor_ratio == got
     elif name == "escalating-6":
         rep = analyze_sequence(s)
         assert rep.divisor_ratio == got
         deepest = sorted(s.zs, key=lambda z: -abs(z))[:4]
         assert rep.mb_probe == bg.mb_lower_probe(b, deepest, 0.5, analysis_grid())
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("a", [0.0, 0.5 + 0.3j, 1.0 - 2e-14])
+def test_lone_zero_recentred_mean_closed_form(a, m, p, alpha):
+    # recentred at a lone zero a of multiplicity m the integrand is |w|^(p m),
+    # a cusp at w = 0 at any depth of a, and the mean is
+    # (1+alpha) B(p m/2 + 1, alpha + 1)
+    b = BlaschkeProduct(FiniteSequence([a], [m]))
+    got = bg._recentred_means(b, [a], p, alpha, analysis_grid())[0]
+    s = p * m / 2.0
+    want = (1.0 + alpha) * math.exp(math.lgamma(s + 1.0) + math.lgamma(alpha + 1.0)
+                                    - math.lgamma(s + alpha + 2.0))
+    assert abs(got - want) <= 1e-4 * want
 
 
 def test_counterexample_probe_decay():

@@ -370,8 +370,9 @@ TREE_INPUTS = {
 
 @pytest.mark.parametrize("name", list(TREE_INPUTS))
 def test_tree_matches_direct_kernel(name):
-    # the recentred probes' rows at the four deepest centres, on every node
-    # block of the analysis grid: far zeros by local expansion, near ones direct
+    # the recentred probes' rows at the four deepest centres, on both node
+    # blocks of the analysis grid (0 to 1 - r = 9.6e-5, then on to 2.1e-8):
+    # far zeros by local expansion, near ones direct
     s = TREE_INPUTS[name]()
     b = BlaschkeProduct(s)
     assert len(s) >= blaschke._TREE_ZEROS
@@ -386,7 +387,8 @@ def test_tree_matches_direct_kernel(name):
 def test_tree_near_and_far_boxes_against_mpmath():
     # the deepest centre of the rays at 0 and pi (depth 2.8e-14) moves the
     # zeros down to depth 2e-28; nodes of the second block (1 - r from
-    # 3.4e-4 to 2.6e-3) in a box with near zeros and in one with none
+    # 2.1e-8 to 8.4e-5, 6 of its 244 boxes with near zeros) in a box with
+    # near zeros and in one with none
     mpmath = pytest.importorskip("mpmath")
     s = DEEP["radial rays 0,pi"]()
     b = BlaschkeProduct(s)
