@@ -143,9 +143,10 @@ HARDY_RADII = (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999)
 
 
 def circle_mean(f, p, r: float) -> float:
-    """The Hardy circle mean M_p(f, r) on the angular samples hp_norm
-    takes at radius r (8 / (1 - r) of them, clipped to [64, 2^14]); the
-    max over them at p = inf."""
+    """The Hardy circle mean M_p(f, r) over direct samples of f at
+    8 / (1 - r) equally spaced angles, clipped to [64, 2^14]; the max over
+    them at p = inf.  At r = 0.99999 these are hp_norm's 2^14 nodes, and
+    this is the mean hp_norm falls back on when its FFT does not resolve f."""
     n = int(np.clip(np.ceil(8.0 / (1.0 - r)), 64, 1 << 14))
     theta = 2.0 * np.pi * np.arange(n) / n
     vals = np.abs(f(r * np.exp(1j * theta)))

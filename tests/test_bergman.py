@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from blaschke_lab import bergman as bg
+from blaschke_lab import geninterp as gi
 from blaschke_lab.analysis import analysis_grid, analyze_sequence
 from blaschke_lab.blaschke import BlaschkeProduct, evaluate, log_abs_evaluate
 from blaschke_lab.carleson import uniform_blaschke_sup
@@ -16,12 +18,14 @@ from blaschke_lab.generators import (
 from oracles import (
     BlaschkeMultiple,
     ap_norm,
+    circle_mean,
     conformal_density,
     pointwise_division_bound,
     poly_from_zeros,
     quotient,
     times_blaschke,
 )
+from test_acceptance import _interpolation_problem
 
 LIGHT = bg.QuadratureGrid.build(rings=200, min_gap=1e-7, max_angular=4096)
 
@@ -38,11 +42,87 @@ def test_hp_norm_oracles():
     f = lambda z: z**3
     assert bg.hp_norm(f, np.inf) == pytest.approx(0.99999**3)
     assert bg.hp_norm(bg.constant_fn(2 - 1j), 1) == pytest.approx(abs(2 - 1j))
-    # square-summable coefficients: 1/(1 - z/2) has norm sqrt(4/3)
+    # square-summable coefficients: 1/(1 - z/2) has M_2(r)^2 = 1/(1 - r^2/4)
     g = lambda z: 1.0 / (1.0 - 0.5 * z)
-    assert bg.hp_norm(g, 2) == pytest.approx(np.sqrt(4 / 3), rel=1e-5)
+    r = bg._HARDY_RADIUS
+    assert bg.hp_norm(g, 2) == pytest.approx(np.sqrt(1 / (1 - r * r / 4)), rel=1e-13)
     with pytest.raises(ValueError):
         bg.hp_norm(f, 0.0)
+
+
+def _counted(f):
+    """f, and the list of how many points each of its calls received."""
+    seen = []
+
+    def g(z):
+        seen.append(np.size(z))
+        return f(z)
+
+    return g, seen
+
+
+def _kernel(a):
+    """The normalised Szego kernel k_a = (1 - |a|^2) / (1 - conj(a) z)."""
+    return lambda z: (1 - abs(a) ** 2) / (1 - np.conj(a) * z)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.99j, -0.995])
+def test_hp_norm_kernel_closed_form(a):
+    # M_2(k_a, r)^2 = (1 - |a|^2)^2 / (1 - |a|^2 r^2); resolved at 1,024,
+    # 4,096 and 8,192 nodes.  At |a| = 0.999 the coefficients decay too
+    # slowly for 2^14 nodes, whose direct mean misses this by 6.5e-8.
+    r = bg._HARDY_RADIUS
+    want = (1 - abs(a) ** 2) / math.sqrt(1 - abs(a) ** 2 * r * r)
+    assert bg.hp_norm(_kernel(a), 2) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0, np.inf])
+def test_hp_norm_spectral_gap(p):
+    # 1 + z**2048 is constant on 1,024 and 2,048 nodes.  Its samples carry
+    # too much rounding for the tail test, so it takes the direct mean; with
+    # a tenth of z**2048 the spot checks turn the coarser grids down
+    r = bg._HARDY_RADIUS
+    for f in (lambda z: 1 + z**2048, lambda z: 1 + z**2048 / 10):
+        assert bg.hp_norm(f, p) == pytest.approx(circle_mean(f, p, r), rel=1e-13)
+    f, seen = _counted(lambda z: 1 + z**2048 / 10)
+    bg.hp_norm(f, p)
+    assert seen == [1024 + len(bg._HARDY_CHECKS), 1024, 2048]
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0, np.inf])
+def test_hp_norm_unresolved_is_direct_mean(p):
+    # not analytic, or not resolved by 2^14 nodes: the mean over the
+    # direct samples of every node, bit for bit
+    r = bg._HARDY_RADIUS
+    for f in (np.conj, _kernel(0.999), _kernel(0.9999j)):
+        counted, seen = _counted(f)
+        assert bg.hp_norm(counted, p) == circle_mean(f, p, r)
+        assert sum(seen) == bg._HARDY_SAMPLES
+
+
+def test_hp_norm_point_counts():
+    f, seen = _counted(lambda z: z**3)
+    assert bg.hp_norm(f, 2) == pytest.approx(bg._HARDY_RADIUS**3, rel=1e-14)
+    assert seen == [1024 + len(bg._HARDY_CHECKS)]
+    part, jets = _interpolation_problem(0)
+    for p in (0.5, 2.0, np.inf):
+        fn = gi.vgh_interpolate(gi.InterpolationProblem(part, jets, p)).function
+        f, seen = _counted(fn)
+        bg.hp_norm(f, p)
+        assert sum(seen) <= 8192 + len(bg._HARDY_CHECKS)
+
+
+def test_hp_norm_scalar_and_nonfinite_output():
+    # a scalar output is broadcast to the nodes; a sample that is not
+    # finite sends hp_norm to the direct mean without a numpy warning
+    assert bg.hp_norm(lambda z: 2.0, 2) == 2.0
+    r = bg._HARDY_RADIUS
+    spike = lambda z: np.where(z.real > r * 0.9999999, np.inf, z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (0.5, 2.0, np.inf):
+            assert math.isnan(bg.hp_norm(lambda z: np.full(np.shape(z), np.nan), p))
+            assert bg.hp_norm(spike, p) == math.inf == circle_mean(spike, p, r)
 
 
 def test_hp_sup_submultiplicative():

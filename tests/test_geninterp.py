@@ -379,13 +379,15 @@ def test_stacked_jets_match_per_point_extraction():
 
 def test_hp_norm_is_max_over_radii():
     # Hardy's convexity theorem: M_p(f, r) is nondecreasing in r, so the
-    # mean hp_norm reads at its one radius is the max over all six
+    # mean hp_norm reads at its one radius is the max over all six; hp_norm
+    # takes |f| from the FFT of fewer samples, so it meets the direct mean
+    # to rounding, not bit for bit
     part, jets = _interpolation_problem(0)
     for p in (0.5, 1.0, 2.0, np.inf):
         fn = gi.vgh_interpolate(gi.InterpolationProblem(part, jets, p)).function
         means = [circle_mean(fn, p, r) for r in HARDY_RADII]
         assert means == sorted(means)
-        assert hp_norm(fn, p) == max(means)
+        assert abs(hp_norm(fn, p) / max(means) - 1) <= 1e-12
 
 
 def test_interpolate_two_singletons():
