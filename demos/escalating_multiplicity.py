@@ -15,8 +15,7 @@ from blaschke_lab import (
     QuadratureGrid,
     compose_min_on_compact,
     gen_escalating_multiplicity,
-    mb_lower_probe,
-    universal_divisor_ratio,
+    recentred_means,
     uniform_blaschke_sup,
     carleson_norm,
 )
@@ -32,8 +31,9 @@ for n in range(1, 9):
     zn = 1.0 - 0.25**n
     ubs = uniform_blaschke_sup(seq, [zn])
     comp = compose_min_on_compact(b, zn)
-    udr = universal_divisor_ratio(b, [zn], P, 0.0, GRID)
-    mb = mb_lower_probe(b, [zn], P, GRID)
+    # the multiplication probe, and the divisor ratio as one over it
+    mb = recentred_means(b, [zn], P, 0.0, GRID)[0] ** (1.0 / P)
+    udr = 1.0 / mb
     cn = carleson_norm(seq).norm
     print(f"{n:>5} {cn:>9.3f} {ubs:>13.3f} {comp:>14.3e} {udr:>14.3f} {mb:>11.4f}")
 

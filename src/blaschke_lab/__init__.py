@@ -9,13 +9,9 @@ from .analysis import AnalysisReport, analyze_sequence, direction_agreement
 from .bergman import (
     QuadratureGrid,
     constant_fn,
-    default_grid,
     hp_norm,
-    jensen_area_residual,
-    kernel_mass,
-    mb_lower_probe,
+    recentred_means,
     reproducing_family,
-    universal_divisor_ratio,
 )
 from .blaschke import (
     BlaschkeProduct,
@@ -68,10 +64,8 @@ from .geninterp import (
     class_norm,
     cluster_sequence,
     hinf_bound_estimate,
-    poisson_angular_mean,
     verify_facts,
     vgh_interpolate,
-    vgh_kernel_bound,
     xp_norm,
 )
 

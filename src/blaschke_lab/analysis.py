@@ -17,6 +17,7 @@ composition probe's pruned search: see blaschke._least_compose_max.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +67,7 @@ def union_separation(s: FiniteSequence, sep: float = 0.3):
 
 @functools.cache
 def analysis_grid() -> bg.QuadratureGrid:
-    """Lighter quadrature for batch diagnostics: 63,994 nodes.
+    """The quadrature grid of the batch diagnostics: 63,994 nodes.
 
     The recentred probes (divisor_ratio, mb_probe) integrate functions
     flat near 0 on it, evaluated exactly at its nodes however deep the
@@ -134,8 +135,9 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
     # the divisor probe recentres at 0 and at the deepest zero, the
     # multiplication probe at the deepest four zeros: one mean per center
     probe_centers = sorted(zs, key=lambda z: -abs(z))[:4]
-    means = bg._recentred_means(b, [0.0, *probe_centers], p, alpha, analysis_grid())
-    divisor = bg._inverse_root(means[:2], p)
+    means = bg.recentred_means(b, [0.0, *probe_centers], p, alpha, analysis_grid())
+    low = min(means[:2]) ** (1.0 / p)
+    divisor = 1.0 / low if low > 0.0 else math.inf  # inf once the root underflows
     mb = min(means[1:]) ** (1.0 / p)
 
     t = THRESHOLDS

@@ -1,24 +1,23 @@
-"""Hardy and Bergman norms by quadrature, and division/multiplication probes.
+"""Hardy and Bergman norms by quadrature, and the recentred mean behind
+the division and multiplication probes.
 
 Area integrals over the disk run on a tensor grid whose rings refine
 geometrically toward the boundary, and in the first band toward 0; ring
 bands tile the disk exactly so the weights sum to pi to machine precision.  The Hardy
 circle mean samples f on nested uniform grids until their FFT resolves f.
 
-The probes implemented here measure two operator-theoretic quantities for
-a finite Blaschke product B on the Bergman space with weight
-(1-|z|^2)^alpha, both along the Moebius-invariant test functions h with
-|h|^p = |phi_c'|^(2+alpha), phi_c the disk automorphism swapping 0 and c:
-
-* mb_lower_probe - the empirical constant c in ||Bh|| >= c ||h||;
-* universal_divisor_ratio - how much dividing B h by B can inflate the
-  norm, which is one over the same ratio.
+recentred_means measures, for a finite Blaschke product B on the Bergman
+space with weight (1-|z|^2)^alpha, the ratio ||B h||^p / ||h||^p along the
+Moebius-invariant test functions h with |h|^p = |phi_c'|^(2+alpha), phi_c
+the disk automorphism swapping 0 and c.  Its least value to the power 1/p
+is the empirical lower constant of multiplication by B (analyze's
+mb_probe), and one over it is how much dividing B h by B can inflate the
+norm (divisor_ratio); the callers take both from one call.
 
 Both integrands peak at c, to a width 1 - |c| that a capped grid misses.
 The change of variables by phi_c carries the integral of |B h|^p against
 the weight to the integral of |B o phi_c|^p against the same weight, flat
-near 0 instead, and ||h||^p to pi/(1+alpha); so both probes are taken from
-one recentred mean (_recentred_means).  There the zeros move and the
+near 0 instead, and ||h||^p to pi/(1+alpha).  There the zeros move and the
 nodes stay: |B o phi_c| is evaluated from the zeros moved by phi_c at the
 grid's own nodes, exact however deep c lies, and one pass over the nodes
 serves every center.  The nodes come in blocks of up to disk._BLOCK
@@ -28,17 +27,14 @@ into compact boxes once for all centers.
 
 from __future__ import annotations
 
-import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import disk
 from .blaschke import BlaschkeProduct, _log_abs_moved, _moved
-from .disk import FiniteSequence, MoebiusMap, _one_minus_abs2
-from .util import worker_count
+from .disk import FiniteSequence, _one_minus_abs2
 
 # hp_norm's circle, its node count, first grid, tolerance and spot-check nodes
 _HARDY_RADIUS = 0.99999
@@ -98,11 +94,6 @@ class QuadratureGrid:
         return cls(radii, areas, counts)
 
 
-@functools.cache
-def default_grid() -> QuadratureGrid:
-    return QuadratureGrid.build()
-
-
 def _ring_blocks(counts: np.ndarray) -> list:
     """(first, stop) ring index pairs grouping consecutive rings into blocks
     of at most disk._BLOCK nodes; a larger ring forms a block by itself."""
@@ -119,36 +110,26 @@ def _ring_blocks(counts: np.ndarray) -> list:
     return blocks
 
 
-def area_integral(fn, g: QuadratureGrid | None = None):
+def area_integral(fn, g: QuadratureGrid):
     """Integral over the disk of a real-valued field fn(z_array) -> array.
 
-    The integrand is evaluated once per block of consecutive rings.  Each
-    ring contributes its node sum times its weight, and these terms are
-    accumulated with exact summation, so the result depends neither on
-    the blocks nor on evaluation order, and each row of a stacked
-    integrand gets the bits it would get alone.  Blocks may be processed
-    by worker threads (capped by BLASCHKE_LAB_THREADS), so fn must be safe
-    for concurrent calls.  An integrand that returns one row per field,
-    shape (fields, nodes), gets an array of the integrals.
+    The integrand is evaluated once per block of consecutive rings, one
+    block after another.  Each ring contributes its node sum times its
+    weight, and these terms are accumulated with exact summation, so the
+    result depends neither on the blocks nor on evaluation order, and each
+    row of a stacked integrand gets the bits it would get alone.  An
+    integrand that returns one row per field, shape (fields, nodes), gets
+    an array of the integrals.
     """
-    g = g or default_grid()
-
-    def ring_terms(block) -> np.ndarray:
-        first, stop = block
+    terms = []
+    for first, stop in _ring_blocks(g.angular_counts):
         counts = g.angular_counts[first:stop]
         starts = np.cumsum(counts) - counts
         nodes = np.empty(counts.sum(), dtype=complex)
         for r, n, i in zip(g.radii[first:stop], counts.tolist(), starts.tolist()):
             nodes[i:i + n] = r * np.exp(1j * (2.0 * np.pi * (np.arange(n) + 0.5) / n))
-        return np.add.reduceat(fn(nodes), starts, axis=-1) * (g.band_areas[first:stop] / counts)
-
-    blocks = _ring_blocks(g.angular_counts)
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            terms = list(pool.map(ring_terms, blocks))
-    else:
-        terms = [ring_terms(b) for b in blocks]
+        terms.append(np.add.reduceat(fn(nodes), starts, axis=-1)
+                     * (g.band_areas[first:stop] / counts))
     terms = np.concatenate(terms, axis=-1)
     if terms.ndim == 1:
         return math.fsum(terms)
@@ -198,16 +179,17 @@ def hp_norm(f, p) -> float:
     return float(np.mean(mods**p) ** (1.0 / p))
 
 
-def _recentred_means(b: BlaschkeProduct, centers, p: float, alpha: float,
-                     g: QuadratureGrid | None) -> list:
+def recentred_means(b: BlaschkeProduct, centers, p: float, alpha: float,
+                    g: QuadratureGrid) -> list:
     """For each center c, ((1+alpha)/pi) * integral of |B(phi_c(w))|^p
-    (1-|w|^2)^alpha dA(w).
+    (1-|w|^2)^alpha dA(w) on the grid g.
 
     With |h|^p = |phi_c'|^(2+alpha) and z = phi_c(w), the involution gives
     |h(z)|^p dA(z) = |phi_c'(w)|^-alpha dA(w) and (1-|z|^2)^alpha =
     |phi_c'(w)|^alpha (1-|w|^2)^alpha, so this is ||B h||^p / ||h||^p in
-    the weighted Bergman norm, with ||h||^p = pi/(1+alpha) in closed form.
-    The weight is constant on each ring and rides on the band areas.
+    the weighted Bergman norm, with ||h||^p = pi/(1+alpha) in closed form
+    (h = 1 at c = 0).  The weight is constant on each ring and rides on
+    the band areas.
 
     The nodes stay where they are: |B o phi_c| comes from the zeros moved
     by phi_c (as in blaschke.log_abs_composed).  The integrand has one row
@@ -218,7 +200,6 @@ def _recentred_means(b: BlaschkeProduct, centers, p: float, alpha: float,
         raise ValueError("p must be positive")
     if not alpha > -1:
         raise ValueError("alpha must exceed -1")
-    g = g or default_grid()
     weighted = QuadratureGrid(g.radii, g.band_areas * _one_minus_abs2(g.radii) ** alpha,
                               g.angular_counts)
     moved = [_moved(b, complex(c)) for c in centers]
@@ -233,94 +214,20 @@ def _recentred_means(b: BlaschkeProduct, centers, p: float, alpha: float,
     return [float(v) / norm for v in sums]
 
 
-def _inverse_root(means: list, p: float) -> float:
-    """One over the least mean to the power 1/p; inf once that underflows to 0."""
-    low = min(means) ** (1.0 / p)
-    return 1.0 / low if low > 0.0 else math.inf
-
-
-def kernel_mass(zeta, g: QuadratureGrid | None = None) -> float:
-    """Integral over the disk of the area-distortion kernel of phi_zeta.
-
-    Equals pi for every center by change of variables; the quadrature value
-    certifies grid accuracy.
-    """
-    phi = MoebiusMap(zeta)
-    return area_integral(lambda z: phi.jacobian(z), g)
-
-
-def jensen_area_residual(f, zeros: FiniteSequence,
-                         g: QuadratureGrid | None = None) -> float:
-    """Defect of the area Jensen identity for f against a listed zero set.
-
-    Writes log|f| = log|f_reg| + sum mult * log|w - z_j| and integrates the
-    regular part only; each singular term integrates in closed form to
-    -(1-|z_j|^2)/2 times pi.  Zero when the listed zeros are exactly the
-    zero set of f, strictly negative when some zeros are withheld.
-    """
-    f0 = abs(f(0.0 + 0.0j))
-    if f0 == 0.0:
-        raise ValueError("shift required: f(0) must be nonzero")
-    zs = zeros.zs
-    mults = zeros.mults
-
-    def regular_log(z):
-        w = z
-        collide = np.zeros(z.shape, dtype=bool)
-        for a in zs:  # one zero at a time: temporaries the size of the block
-            collide |= np.abs(w - a) < 1e-13
-        if collide.any():
-            w = np.where(collide, w + 1e-7 * np.exp(0.3j), w)
-        out = np.log(np.abs(f(w)))
-        for a, m in zip(zs, mults):
-            out = out - m * np.log(np.abs(w - a))
-        return out
-
-    quad = area_integral(regular_log, g) / np.pi
-    lhs = math.log(f0) - float((mults * np.log(np.abs(zs))).sum()) if len(zs) else math.log(f0)
-    return lhs - quad
-
-
-def universal_divisor_ratio(b: BlaschkeProduct, centers, p: float,
-                            alpha: float = 0.0,
-                            g: QuadratureGrid | None = None) -> float:
-    """Max of ||f/B|| / ||f|| in the weighted Bergman norm over the
-    functions f = B h with |h|^p = |phi_c'|^(2+alpha), one per center c
-    (h = 1 at c = 0).
-
-    ||f/B|| / ||f|| = ||h|| / ||B h||, one over the recentred mean of
-    |B o phi_c|^p to the power 1/p (inf once that underflows to 0).
-    """
-    return _inverse_root(_recentred_means(b, centers, p, alpha, g), p)
-
-
-def mb_lower_probe(b: BlaschkeProduct, centers, p: float,
-                   g: QuadratureGrid | None = None) -> float:
-    """Empirical lower constant of multiplication by B on the Bergman space.
-
-    For each center c the test function h has |h|^p equal to the area
-    distortion of phi_c; then ||Bh||/||h|| is the recentred mean of
-    |B o phi_c|^p to the power 1/p.  Returns the min over the centers; 1
-    for an empty product.
-    """
-    if not p > 0:
-        raise ValueError("p must be positive")
-    if len(b.zeros) == 0:
-        return 1.0
-    return min(_recentred_means(b, centers, p, 0.0, g),
-               default=math.inf) ** (1.0 / p)
-
-
 def reproducing_family(s: FiniteSequence, p: float) -> list:
     """Normalized reproducing-kernel style test functions anchored at the
-    points of s: f_a(z) = ((1-|a|^2)/(1 - conj(a) z))^(2/p)."""
+    points of s: f_a(z) = ((1-|a|^2)/(1 - conj(a) z))^(2/p).
+
+    With d = 1 - |a|^2 error-free, 1 - conj(a) z = v = d + conj(a)(a - z)
+    and log(v/d) = log(|v|/d) + i arg v, so f_a(a) = 1 exactly, however
+    deep a lies."""
     fam = []
     for a in s.zs.tolist():
-        amp = math.log(1.0 - abs(a) ** 2)
+        d = float(_one_minus_abs2(a))
 
-        def ev(z, a=a, amp=amp):
-            v = 1.0 - np.conj(a) * np.asarray(z, dtype=complex)
-            out = np.exp((2.0 / p) * (amp - np.log(v)))
+        def ev(z, a=a, d=d):
+            v = d + np.conj(a) * (a - np.asarray(z, dtype=complex))
+            out = np.exp((-2.0 / p) * (np.log(np.abs(v) / d) + 1j * np.angle(v)))
             return out if isinstance(z, np.ndarray) else complex(out)
 
         fam.append(ev)

@@ -6,9 +6,6 @@ Exit codes are a stable contract:
   2  usage or parse error
   3  domain invariant violation (point outside disk, duplicates,
      inseparable multiplicity, ...)
-
-The environment variable BLASCHKE_LAB_THREADS caps worker threads used for
-quadrature; unset means single threaded.
 """
 
 from __future__ import annotations

@@ -325,38 +325,6 @@ def _anchor_rows(anchors: np.ndarray, w: np.ndarray, q: float, s: float):
         yield k, kern
 
 
-def poisson_angular_mean(anchor, r: float) -> float:
-    """Angular mean of (1-|a|^2)/|1 - conj(a) r e^(i theta)|^2 over 2048
-    angles; equals (1-|a|^2)/(1-r^2|a|^2) <= 1 in closed form, so the
-    sampled mean certifies the kernel's row bound."""
-    a = complex(anchor)
-    theta = 2.0 * np.pi * np.arange(2048) / 2048
-    vals = (1.0 - abs(a) ** 2) / np.abs(1.0 - a.conjugate() * r * np.exp(1j * theta)) ** 2
-    return float(vals.mean())
-
-
-def vgh_kernel_bound(part: ClusterPartition, grid) -> float:
-    """Max over the grid of the summed kernel sum_k |kernel_k(z)| at
-    (q, s) = (2, 1), that is
-    sum_k |(1-|a_k|^2)/(1 - conj(a_k) z)|^2 exp(Re(beta_k(a_k) - beta_k(z))).
-
-    Also certifies the angular-mean bound (<= 1 + 1e-8) for every anchor at
-    r = 0.5, 0.9 and 0.99, failing loudly if the sampled mean exceeds it.
-    """
-    anchors = part.anchors
-    if len(anchors) == 0:
-        return 0.0
-    for a in anchors:
-        for r in (0.5, 0.9, 0.99):
-            if poisson_angular_mean(a, r) > 1.0 + 1e-8:
-                raise RuntimeError(f"angular mean above 1 at anchor {a}, r={r}")
-    w = np.asarray([complex(g) for g in grid], dtype=complex)
-    total = np.zeros(w.shape)
-    for _, kern in _anchor_rows(anchors, w, 2.0, 1.0):
-        total += np.abs(kern)
-    return float(total.max())
-
-
 def _exponents(p) -> tuple:
     if p == np.inf or p >= 1:
         return 2.0, 1.0

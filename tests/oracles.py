@@ -1,15 +1,18 @@
 """Reference functions shared by the tests.
 
 They build test integrands with known closed-form norms and zero sets,
-products B * g that remember both parts, quotients by B, weighted Bergman
-norms by direct quadrature, Hardy circle means, the pointwise division
-bound, local zero counts, the tail kernel sums beta, the interpolant's
-reverse pass in separate per-cluster steps, zero targets, target files,
-sampled arcs, a rescanning random-Carleson sampler, the uniformly-nonzero
-probe by one full call per zero and on a finer circle, the pairwise rho^2
-table in exact rationals and the report keys it gives, the plain greedy
-partition loop, the anchored square family carleson_norm once searched
-and a brute-force Carleson norm; the library itself has no use for them.
+products B * g that remember both parts, quotients by B, weighted
+Bergman norms by direct quadrature, the fine grid FINE, the kernel mass
+(pi) and the area Jensen residual (0) that certify a grid, Hardy circle
+means, the pointwise division bound, local zero counts, the tail kernel
+sums beta, the interpolant's reverse pass in separate per-cluster steps,
+the Poisson angular mean and the summed kernel bound of the
+interpolation kernel, zero targets, target files, sampled arcs, a
+rescanning random-Carleson sampler, the uniformly-nonzero probe by one
+full call per zero and on a finer circle, the pairwise rho^2 table in
+exact rationals and the report keys it gives, the plain greedy partition
+loop, the anchored square family carleson_norm once searched and a
+brute-force Carleson norm; the library itself has no use for them.
 """
 
 import math
@@ -35,7 +38,11 @@ from blaschke_lab.disk import (
     psh_distance,
     psh_distance_pairwise,
 )
-from blaschke_lab.geninterp import HermiteJet, _exponents
+from blaschke_lab.geninterp import ClusterPartition, HermiteJet, _anchor_rows, _exponents
+
+# the 3,775,327-node grid of QuadratureGrid.build's defaults, for oracles
+# whose integrands peak near the circle
+FINE = QuadratureGrid.build()
 
 
 def poly_from_zeros(zeros, lead=1.0):
@@ -122,8 +129,7 @@ def _abs_power(f, z: np.ndarray, p: float) -> np.ndarray:
     return out if f.cofactor is None else out * np.abs(f.cofactor(z)) ** p
 
 
-def ap_norm(f, p: float, alpha: float = 0.0,
-            g: QuadratureGrid | None = None) -> float:
+def ap_norm(f, p: float, alpha: float, g: QuadratureGrid) -> float:
     """Weighted Bergman norm (integral of |f|^p (1-|z|^2)^alpha dA)^(1/p),
     integrated directly on the grid."""
     if not p > 0:
@@ -136,6 +142,47 @@ def ap_norm(f, p: float, alpha: float = 0.0,
         val = area_integral(
             lambda z: _abs_power(f, z, p) * (1.0 - np.abs(z) ** 2) ** alpha, g)
     return val ** (1.0 / p)
+
+
+def kernel_mass(zeta, g: QuadratureGrid) -> float:
+    """Integral over the disk of the area-distortion kernel of phi_zeta.
+
+    Equals pi for every center by change of variables; the quadrature value
+    certifies grid accuracy.
+    """
+    phi = MoebiusMap(zeta)
+    return area_integral(lambda z: phi.jacobian(z), g)
+
+
+def jensen_area_residual(f, zeros: FiniteSequence, g: QuadratureGrid) -> float:
+    """Defect of the area Jensen identity for f against a listed zero set.
+
+    Writes log|f| = log|f_reg| + sum mult * log|w - z_j| and integrates the
+    regular part only; each singular term integrates in closed form to
+    -(1-|z_j|^2)/2 times pi.  Zero when the listed zeros are exactly the
+    zero set of f, strictly negative when some zeros are withheld.
+    """
+    f0 = abs(f(0.0 + 0.0j))
+    if f0 == 0.0:
+        raise ValueError("shift required: f(0) must be nonzero")
+    zs = zeros.zs
+    mults = zeros.mults
+
+    def regular_log(z):
+        w = z
+        collide = np.zeros(z.shape, dtype=bool)
+        for a in zs:  # one zero at a time: temporaries the size of the block
+            collide |= np.abs(w - a) < 1e-13
+        if collide.any():
+            w = np.where(collide, w + 1e-7 * np.exp(0.3j), w)
+        out = np.log(np.abs(f(w)))
+        for a, m in zip(zs, mults):
+            out = out - m * np.log(np.abs(w - a))
+        return out
+
+    quad = area_integral(regular_log, g) / np.pi
+    lhs = math.log(f0) - float((mults * np.log(np.abs(zs))).sum()) if len(zs) else math.log(f0)
+    return lhs - quad
 
 
 # radii of the Hardy convexity check: M_p(f, r) is nondecreasing in r
@@ -164,7 +211,7 @@ class DivisionBound:
 
 
 def pointwise_division_bound(f, b: BlaschkeProduct, zeta, p: float, C: float,
-                             g: QuadratureGrid | None = None) -> DivisionBound:
+                             g: QuadratureGrid) -> DivisionBound:
     """Check |f(zeta)/B(zeta)|^(p/2) <= (e^(C p/2)/pi) * integral of
     |f|^(p/2) times the area-distortion kernel of phi_zeta.
 
@@ -247,6 +294,38 @@ def summed_by_rows(problem, w, weights):
             out += weights[k](w) * after * kern
         after *= own
     return out
+
+
+def poisson_angular_mean(anchor, r: float) -> float:
+    """Angular mean of (1-|a|^2)/|1 - conj(a) r e^(i theta)|^2 over 2048
+    angles; equals (1-|a|^2)/(1-r^2|a|^2) <= 1 in closed form, so the
+    sampled mean certifies the kernel's row bound."""
+    a = complex(anchor)
+    theta = 2.0 * np.pi * np.arange(2048) / 2048
+    vals = (1.0 - abs(a) ** 2) / np.abs(1.0 - a.conjugate() * r * np.exp(1j * theta)) ** 2
+    return float(vals.mean())
+
+
+def vgh_kernel_bound(part: ClusterPartition, grid) -> float:
+    """Max over the grid of the summed kernel sum_k |kernel_k(z)| at
+    (q, s) = (2, 1), that is
+    sum_k |(1-|a_k|^2)/(1 - conj(a_k) z)|^2 exp(Re(beta_k(a_k) - beta_k(z))).
+
+    Also certifies the angular-mean bound (<= 1 + 1e-8) for every anchor at
+    r = 0.5, 0.9 and 0.99, failing loudly if the sampled mean exceeds it.
+    """
+    anchors = part.anchors
+    if len(anchors) == 0:
+        return 0.0
+    for a in anchors:
+        for r in (0.5, 0.9, 0.99):
+            if poisson_angular_mean(a, r) > 1.0 + 1e-8:
+                raise RuntimeError(f"angular mean above 1 at anchor {a}, r={r}")
+    w = np.asarray([complex(g) for g in grid], dtype=complex)
+    total = np.zeros(w.shape)
+    for _, kern in _anchor_rows(anchors, w, 2.0, 1.0):
+        total += np.abs(kern)
+    return float(total.max())
 
 
 def _dyadic_ints(values):

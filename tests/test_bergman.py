@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from blaschke_lab import bergman as bg
+from blaschke_lab import disk
 from blaschke_lab import geninterp as gi
 from blaschke_lab.analysis import analysis_grid, analyze_sequence
-from blaschke_lab.blaschke import BlaschkeProduct, evaluate, log_abs_evaluate
+from blaschke_lab.blaschke import BlaschkeProduct, _pair_sums, evaluate, log_abs_evaluate
 from blaschke_lab.carleson import uniform_blaschke_sup
 from blaschke_lab.disk import DiskPoint, FiniteSequence, MoebiusMap
 from blaschke_lab.generators import (
@@ -16,10 +17,13 @@ from blaschke_lab.generators import (
     gen_random_carleson,
 )
 from oracles import (
+    FINE,
     BlaschkeMultiple,
     ap_norm,
     circle_mean,
     conformal_density,
+    jensen_area_residual,
+    kernel_mass,
     pointwise_division_bound,
     poly_from_zeros,
     quotient,
@@ -32,7 +36,7 @@ LIGHT = bg.QuadratureGrid.build(rings=200, min_gap=1e-7, max_angular=4096)
 
 def test_grid_tiles_the_disk():
     # radii increase through the first band's graded bands toward 0 too
-    for g in (bg.default_grid(), LIGHT, analysis_grid()):
+    for g in (FINE, LIGHT, analysis_grid()):
         assert g.band_areas.sum() == pytest.approx(np.pi, rel=1e-12)
         assert (g.radii < 1.0).all()
         assert (np.diff(g.radii) > 0).all()
@@ -150,38 +154,38 @@ def test_ap_norm_oracles():
         np.sqrt(np.pi / 2), rel=1e-9
     )
     with pytest.raises(ValueError):
-        ap_norm(idf, 2, -1.0)
+        ap_norm(idf, 2, -1.0, LIGHT)
     with pytest.raises(ValueError):
-        ap_norm(idf, -1.0)
+        ap_norm(idf, -1.0, 0.0, LIGHT)
 
 
 def test_kernel_mass():
     for zeta in (0.0, 0.5, 0.9j, 0.99):
-        assert bg.kernel_mass(zeta) == pytest.approx(np.pi, rel=1e-6)
+        assert kernel_mass(zeta, FINE) == pytest.approx(np.pi, rel=1e-6)
 
 
 def test_jensen_residual():
     rng = np.random.default_rng(5)
     zeros = rng.uniform(0.1, 0.8, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
     f = poly_from_zeros(zeros, lead=1.7 - 0.3j)
-    res = bg.jensen_area_residual(f, FiniteSequence(zeros), LIGHT)
+    res = jensen_area_residual(f, FiniteSequence(zeros), LIGHT)
     assert abs(res) <= 1e-6
     # withholding one zero drives the residual strictly negative by the
     # closed-form amount for that zero
     withheld = zeros[-1]
-    res2 = bg.jensen_area_residual(f, FiniteSequence(zeros[:-1]), LIGHT)
+    res2 = jensen_area_residual(f, FiniteSequence(zeros[:-1]), LIGHT)
     expected = -(np.log(1.0 / abs(withheld)) - (1 - abs(withheld) ** 2) / 2)
     assert res2 == pytest.approx(expected, abs=1e-3)
     assert res2 < 0
-    assert bg.jensen_area_residual(bg.constant_fn(2.5), FiniteSequence([]), LIGHT) == pytest.approx(0.0, abs=1e-12)
+    assert jensen_area_residual(bg.constant_fn(2.5), FiniteSequence([]), LIGHT) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError, match="shift"):
-        bg.jensen_area_residual(poly_from_zeros([0.0]), FiniteSequence([]), LIGHT)
+        jensen_area_residual(poly_from_zeros([0.0]), FiniteSequence([]), LIGHT)
 
 
 def test_jensen_multiplicity():
     f = lambda z: (z - 0.4) ** 2 * (1.0 + 0.2 * z)
     zeros = FiniteSequence([0.4], [2])
-    assert abs(bg.jensen_area_residual(f, zeros, LIGHT)) <= 1e-6
+    assert abs(jensen_area_residual(f, zeros, LIGHT)) <= 1e-6
 
 
 def test_division_bound():
@@ -218,7 +222,7 @@ def test_quotients():
 
 def test_universal_divisor_ratio():
     b = BlaschkeProduct(FiniteSequence([0.4, -0.2 + 0.3j]))
-    ratio = bg.universal_divisor_ratio(b, [0.0], 2.0, 0.0, LIGHT)
+    ratio = 1.0 / min(bg.recentred_means(b, [0.0], 2.0, 0.0, LIGHT)) ** 0.5
     assert ratio >= 1.0
     # |B| <= 1 so multiplication contracts norms at the grid level
     g = lambda z: 1.0 + 0.3 * z
@@ -228,35 +232,36 @@ def test_universal_divisor_ratio():
     vals = []
     for n in (5, 10):
         s = gen_radial_geometric(0.5, n)
-        vals.append(bg.universal_divisor_ratio(BlaschkeProduct(s), [0.0, s.zs[-1]], 2.0, 0.0, LIGHT))
+        means = bg.recentred_means(BlaschkeProduct(s), [0.0, s.zs[-1]], 2.0, 0.0, LIGHT)
+        vals.append(1.0 / min(means) ** 0.5)
     assert vals[1] <= 3.0 * vals[0]
 
 
 def test_mb_lower_probe():
-    assert bg.mb_lower_probe(BlaschkeProduct(FiniteSequence([])), [0.0], 2.0, LIGHT) == 1.0
-    v = bg.mb_lower_probe(BlaschkeProduct(FiniteSequence([0.0])), [0.0], 2.0, LIGHT)
+    # the multiplication probe: the least recentred mean to the power 1/p
+    assert bg.recentred_means(BlaschkeProduct(FiniteSequence([])), [0.0], 2.0, 0.0, LIGHT) == [1.0]
+    v = min(bg.recentred_means(BlaschkeProduct(FiniteSequence([0.0])), [0.0], 2.0, 0.0, LIGHT)) ** 0.5
     assert v == pytest.approx(np.sqrt(0.5), rel=1e-9)
     # always at most 1, strictly below for nonempty products
     b = BlaschkeProduct(FiniteSequence([0.3, 0.6j]))
-    val = bg.mb_lower_probe(b, [0.0, 0.3], 2.0, LIGHT)
+    val = min(bg.recentred_means(b, [0.0, 0.3], 2.0, 0.0, LIGHT)) ** 0.5
     assert val <= 1.0
     assert val < 1.0 - 1e-6
     with pytest.raises(ValueError):
-        bg.mb_lower_probe(b, [0.0], 0.0)
+        bg.recentred_means(b, [0.0], 0.0, 0.0, LIGHT)
 
 
-def test_recentred_probe_matches_direct_quotient(monkeypatch):
+def test_recentred_probe_matches_direct_quotient():
     # the recentred mean against ||B h|| / ||h|| with |h|^p = |phi_c'|^(2+alpha),
     # integrated directly with B in complex arithmetic; p = 2 keeps both
     # integrands smooth at the zeros
-    monkeypatch.setenv("BLASCHKE_LAB_THREADS", "2")
     b = BlaschkeProduct(FiniteSequence([0.5, -0.3 + 0.6j]))
     c = 0.6 + 0.5j
     for alpha in (0.0, 1.0):
         h = conformal_density(c, (2.0 + alpha) / 2.0)
         bh = lambda z, h=h: evaluate(b, z) * h(z)
-        direct = ap_norm(bh, 2.0, alpha) / ap_norm(h, 2.0, alpha)
-        recentred = 1.0 / bg.universal_divisor_ratio(b, [c], 2.0, alpha)
+        direct = ap_norm(bh, 2.0, alpha, FINE) / ap_norm(h, 2.0, alpha, FINE)
+        recentred = bg.recentred_means(b, [c], 2.0, alpha, FINE)[0] ** 0.5
         assert abs(recentred - direct) <= 1e-6 * direct
 
 
@@ -266,9 +271,7 @@ def test_recentred_probe_matches_direct_quotient(monkeypatch):
 ] + [
     pytest.param(name, 1.0, id=f"{name}-alpha1") for name in ("escalating-4", "escalating-6")
 ])
-def test_divisor_ratio_converged_on_analysis_grid(monkeypatch, name, alpha):
-    # two threads: the integrals on the fine grid set this test's time
-    monkeypatch.setenv("BLASCHKE_LAB_THREADS", "2")
+def test_divisor_ratio_converged_on_analysis_grid(name, alpha):
     s = {
         "random-carleson": lambda: gen_random_carleson(11, 40, 4.0),
         "escalating-12": lambda: gen_escalating_multiplicity(12),
@@ -278,12 +281,13 @@ def test_divisor_ratio_converged_on_analysis_grid(monkeypatch, name, alpha):
     }[name]()
     b = BlaschkeProduct(s)
     centers = [0.0, s.zs[np.argmax(np.abs(s.zs))]]
-    got = bg.universal_divisor_ratio(b, centers, 0.5, alpha, analysis_grid())
+    # the divisor ratio: one over the least recentred mean to the power 1/p
+    got = 1.0 / min(bg.recentred_means(b, centers, 0.5, alpha, analysis_grid())) ** 2.0
     # twice the rings and twice the angles per ring
     fine = bg.QuadratureGrid.build(rings=240, min_gap=1e-7, base_angular=128,
                                    max_angular=4096, angular_factor=32.0)
     assert fine.angular_counts.sum() >= 3.9 * analysis_grid().angular_counts.sum()
-    want = bg.universal_divisor_ratio(b, centers, 0.5, alpha, fine)
+    want = 1.0 / min(bg.recentred_means(b, centers, 0.5, alpha, fine)) ** 2.0
     assert abs(got - want) <= 1e-4 * want
     if alpha == 1.0:
         # the weight rides on the band areas: no peak at the center to miss
@@ -292,7 +296,7 @@ def test_divisor_ratio_converged_on_analysis_grid(monkeypatch, name, alpha):
         rep = analyze_sequence(s)
         assert rep.divisor_ratio == got
         deepest = sorted(s.zs, key=lambda z: -abs(z))[:4]
-        assert rep.mb_probe == bg.mb_lower_probe(b, deepest, 0.5, analysis_grid())
+        assert rep.mb_probe == min(bg.recentred_means(b, deepest, 0.5, 0.0, analysis_grid())) ** 2.0
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
@@ -304,11 +308,47 @@ def test_lone_zero_recentred_mean_closed_form(a, m, p, alpha):
     # a cusp at w = 0 at any depth of a, and the mean is
     # (1+alpha) B(p m/2 + 1, alpha + 1)
     b = BlaschkeProduct(FiniteSequence([a], [m]))
-    got = bg._recentred_means(b, [a], p, alpha, analysis_grid())[0]
+    got = bg.recentred_means(b, [a], p, alpha, analysis_grid())[0]
     s = p * m / 2.0
     want = (1.0 + alpha) * math.exp(math.lgamma(s + 1.0) + math.lgamma(alpha + 1.0)
                                     - math.lgamma(s + alpha + 2.0))
     assert abs(got - want) <= 1e-4 * want
+
+
+@pytest.mark.parametrize("name", ["random-carleson", "escalating-8-split", "radial"])
+def test_recentred_means_above_jensen_bound(name):
+    # Jensen's inequality on the normalised area measure: the mean of
+    # |B o phi_c|^p is at least exp(p times the area mean of log|B o phi_c|),
+    # and each moved zero a' contributes -(1 - |a'|^2)/2 to the latter, so
+    # at alpha = 0 every mean is at least exp(-p S(c)/2), S the transformed
+    # mass; 1e-3 leaves room for the quadrature
+    s = {
+        "random-carleson": lambda: gen_random_carleson(11, 40, 4.0),
+        "escalating-8-split": lambda: gen_escalating_multiplicity(8, split=True),
+        "radial": lambda: gen_radial_geometric(0.5, 20, (0.0, np.pi)),
+    }[name]()
+    b = BlaschkeProduct(s)
+    p = 0.5
+    means = np.array(bg.recentred_means(b, s.zs, p, 0.0, analysis_grid()))
+    bound = np.exp(-p * _pair_sums(b, s.zs).mass / 2.0)
+    assert (means >= bound * (1.0 - 1e-3)).all()
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+@pytest.mark.parametrize("depth", [1e-13, 1e-10, 1e-6])
+def test_reproducing_family_is_one_at_its_anchor(depth, p):
+    # f_a(a) = 1: a naive 1 - |a|^2 reads 1 + 2.2e-3 at depth 1e-13, p = 1/2
+    a = (1.0 - depth) * np.exp(0.7j)
+    [f] = bg.reproducing_family(FiniteSequence([a]), p)
+    assert abs(f(a) - 1.0) <= 1e-15
+    assert abs(f(np.array([a]))[0] - 1.0) <= 1e-15
+    # and away from the anchor, against 50-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    z = 0.3 * a + 0.2j
+    with mpmath.workdps(50):
+        am, zm = mpmath.mpc(a), mpmath.mpc(z)
+        want = complex(((1 - abs(am) ** 2) / (1 - mpmath.conj(am) * zm)) ** (2 / mpmath.mpf(p)))
+    assert abs(f(z) - want) <= 1e-14 * abs(want)
 
 
 def test_counterexample_probe_decay():
@@ -316,25 +356,16 @@ def test_counterexample_probe_decay():
     for n in (2, 4):
         ce = gen_escalating_multiplicity(n)
         zn = 1.0 - 0.25**n
-        vals.append(bg.mb_lower_probe(BlaschkeProduct(ce), [zn], 0.5, LIGHT))
+        vals.append(bg.recentred_means(BlaschkeProduct(ce), [zn], 0.5, 0.0, LIGHT)[0] ** 2.0)
     assert vals[1] < vals[0]
 
 
-def test_thread_cap_env(monkeypatch):
-    f = conformal_density(0.4 + 0.1j, 1.0)
-    single = ap_norm(f, 2, 0.0, LIGHT)
-    monkeypatch.setenv("BLASCHKE_LAB_THREADS", "4")
-    threaded = ap_norm(f, 2, 0.0, LIGHT)
-    assert threaded == pytest.approx(single, rel=1e-12)
-    monkeypatch.setenv("BLASCHKE_LAB_THREADS", "not-a-number")
-    assert ap_norm(f, 2, 0.0, LIGHT) == pytest.approx(single, rel=1e-12)
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_stacked_rows_match_single_integrals_bitwise(monkeypatch, threads):
+@pytest.mark.parametrize("shrink", [1, 2])
+def test_stacked_rows_match_single_integrals_bitwise(monkeypatch, shrink):
     # each row's ring terms are formed and summed exactly on their own, so
-    # stacking rows changes no bit; the analysis grid's blocks span rings
-    monkeypatch.setenv("BLASCHKE_LAB_THREADS", threads)
+    # stacking rows changes no bit; the analysis grid's blocks span rings,
+    # at the default block size and at half of it
+    monkeypatch.setattr(disk, "_BLOCK", disk._BLOCK // shrink)
     g = analysis_grid()
     phi = MoebiusMap(DiskPoint(0.7, -0.2))
     fields = [
@@ -349,9 +380,9 @@ def test_stacked_rows_match_single_integrals_bitwise(monkeypatch, threads):
     for s in (gen_random_carleson(11, 40, 4.0), gen_escalating_multiplicity(6)):
         b = BlaschkeProduct(s)
         centers = [0.0, *sorted(s.zs, key=lambda z: -abs(z))[:4]]
-        means = bg._recentred_means(b, centers, 0.5, 0.0, g)
+        means = bg.recentred_means(b, centers, 0.5, 0.0, g)
         for k in (1, 2):
-            assert means[:k] == bg._recentred_means(b, centers[:k], 0.5, 0.0, g)
+            assert means[:k] == bg.recentred_means(b, centers[:k], 0.5, 0.0, g)
 
 
 def ring_by_ring(fn, g):
@@ -363,9 +394,10 @@ def ring_by_ring(fn, g):
     return math.fsum(terms)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_area_integral_matches_ring_by_ring(monkeypatch, threads):
-    monkeypatch.setenv("BLASCHKE_LAB_THREADS", threads)
+@pytest.mark.parametrize("shrink", [1, 2])
+def test_area_integral_matches_ring_by_ring(monkeypatch, shrink):
+    # at the default block size and at half of it: the blocks change no result
+    monkeypatch.setattr(disk, "_BLOCK", disk._BLOCK // shrink)
     b = BlaschkeProduct(FiniteSequence([0.5, -0.3 + 0.6j, 0.9j], [1, 2, 1]))
     phi = MoebiusMap(DiskPoint(0.7, -0.2))
     fields = [
@@ -381,6 +413,7 @@ def test_area_integral_matches_ring_by_ring(monkeypatch, threads):
             want = ring_by_ring(fn, g)
             assert abs(got - want) <= 1e-13 * abs(want)
             assert sum(seen) == g.angular_counts.sum()
+            assert max(seen) <= max(disk._BLOCK, g.angular_counts.max())
         # one row per field: every integral from a single pass over the nodes
         rows = bg.area_integral(lambda z: np.stack([fn(z) for fn in fields]), g)
         assert rows.shape == (len(fields),)

