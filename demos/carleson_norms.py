@@ -24,12 +24,11 @@ print("=" * 60)
 print("Single atoms and radial families")
 print("=" * 60)
 one = FiniteSequence([0.5])
-rep = carleson_norm(one)
 print(f"  point 0.5: mass {mu_z_measure(one).sum():.4f}, "
-      f"norm {rep.norm:.4f}")
+      f"norm {carleson_norm(one):.4f}")
 for n in (5, 10, 20, 40):
     s = gen_radial_geometric(0.5, n)
-    print(f"  radial n={n:2d}: norm {carleson_norm(s).norm:.4f}  "
+    print(f"  radial n={n:2d}: norm {carleson_norm(s):.4f}  "
           f"(bounded as the truncation grows)")
 
 print()
@@ -38,7 +37,7 @@ print("Norm-controlled random clouds")
 print("=" * 60)
 for seed in (1, 2):
     s = gen_random_carleson(seed, 150, 4.0)
-    print(f"  seed {seed}: 150 points, norm {carleson_norm(s).norm:.4f} "
+    print(f"  seed {seed}: 150 points, norm {carleson_norm(s):.4f} "
           f"(target cap 4.0)")
 
 print()

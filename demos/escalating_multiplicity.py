@@ -34,7 +34,7 @@ for n in range(1, 9):
     # the multiplication probe, and the divisor ratio as one over it
     mb = recentred_means(b, [zn], P, 0.0, GRID)[0] ** (1.0 / P)
     udr = 1.0 / mb
-    cn = carleson_norm(seq).norm
+    cn = carleson_norm(seq)
     print(f"{n:>5} {cn:>9.3f} {ubs:>13.3f} {comp:>14.3e} {udr:>14.3f} {mb:>11.4f}")
 
 print()

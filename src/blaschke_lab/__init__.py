@@ -27,9 +27,6 @@ from .blaschke import (
     separation_report,
 )
 from .carleson import (
-    CarlesonNormReport,
-    CarlesonSquare,
-    CircleArc,
     arc_carleson_constant,
     carleson_embedding_probe,
     carleson_norm,

@@ -143,7 +143,7 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
     t = THRESHOLDS
     flags = dict(zip(_FLAG_NAMES, (
         n_parts <= t["union_parts_max"] and part_delta >= t["part_delta_min"],
-        cn.norm <= t["carleson_max"],
+        cn <= t["carleson_max"],
         ubs <= t["ubs_max"],
         ncount <= t["count_max"],
         nonzero >= t["nonzero_min"],
@@ -153,7 +153,7 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
     verdict = "pass" if all(flags.values()) else "fail"
     return AnalysisReport(
         len(s), s.total_count, sep.delta, sep.discreteness,
-        n_parts, part_delta, cn.norm, ubs, ncount, nonzero,
+        n_parts, part_delta, cn, ubs, ncount, nonzero,
         divisor, mb, flags, verdict,
     )
 

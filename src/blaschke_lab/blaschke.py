@@ -52,10 +52,6 @@ class BlaschkeProduct:
 
     zeros: FiniteSequence
 
-    @property
-    def degree(self) -> int:
-        return self.zeros.total_count
-
     @cached_property
     def _table(self):
         """Multiplicities (as floats), kernel coordinates of the listed
@@ -83,10 +79,14 @@ class SeparationReport:
     per_point: np.ndarray
 
 
-def _factors(a, units, z):
+def _factors(a, da, units, z):
     """Factor values units (a - z) / (1 - conj(a) z) for zeros a (rows)
-    against points z (columns), in complex arithmetic."""
-    return units[:, None] * np.subtract.outer(a, z) / (1.0 - np.multiply.outer(np.conj(a), z))
+    against points z (columns), in complex arithmetic, with 1 - conj(a) z
+    as da + conj(a)(a - z) from the error-free da = 1 - |a|^2: no cancelling."""
+    diff = np.subtract.outer(a, z)
+    den = np.conj(a)[:, None] * diff
+    den += da[:, None]
+    return units[:, None] * diff / den
 
 
 def _points(z):
@@ -100,11 +100,11 @@ def evaluate(b: BlaschkeProduct, z):
     """Value of the product at z; scalars map to complex, arrays to arrays."""
     w, scalar = _points(z)
     zs = b.zeros.zs
-    mults, _, units = b._table
+    mults, coords, units = b._table
     res = np.ones(len(w), dtype=complex)
     simple = b.zeros.is_simple()
     for r, c in _tiles(len(zs), len(w)):
-        f = _factors(zs[r], units[r], w[c])
+        f = _factors(zs[r], coords[2, r], units[r], w[c])
         res[c] *= (f if simple else f ** mults[r, None]).prod(axis=0)
     return complex(res[0]) if scalar else res.reshape(np.shape(z))
 
@@ -334,12 +334,12 @@ def deleted_product(b: BlaschkeProduct, j: int) -> complex:
     if not 0 <= j < n:
         raise IndexError(f"zero index {j} out of range for {n} listed zeros")
     zs = b.zeros.zs
-    mults, _, units = b._table
+    mults, coords, units = b._table
     if mults[j] > 1:
         return 0.0 + 0.0j
-    a, m, unit = (np.delete(v, j) for v in (zs, mults, units))
+    a, m, da, unit = (np.delete(v, j) for v in (zs, mults, coords[2], units))
     log_mod = 0.5 * _pair_sums(b, zs[j:j + 1]).logs[0]
-    arg = m @ np.angle(_factors(a, unit, zs[j:j + 1])[:, 0])
+    arg = m @ np.angle(_factors(a, da, unit, zs[j:j + 1])[:, 0])
     return complex(np.exp(log_mod + 1j * arg))
 
 
@@ -352,16 +352,18 @@ def derivative(b: BlaschkeProduct, z) -> complex:
     """
     w = complex(z)
     zs = b.zeros.zs
-    mults, _, units = b._table
+    mults, coords, units = b._table
     hit = np.nonzero(zs == w)[0]
     if hit.size:
         j = int(hit[0])
         if mults[j] > 1:
             return 0.0 + 0.0j
         # the own factor's derivative -unit / (1 - |a|^2), with -unit = 1 at a = 0
-        return deleted_product(b, j) * -units[j] / float(_one_minus_abs2(zs[j]))
-    # the term m (|a|^2 - 1) / ((1 - conj(a) w)(a - w)) is m / w for a = 0
-    logd = (mults * (np.abs(zs) ** 2 - 1.0) / ((1.0 - np.conj(zs) * w) * (zs - w))).sum()
+        return deleted_product(b, j) * -units[j] / coords[2, j]
+    # the term -m (1 - |a|^2) / ((1 - conj(a) w)(a - w)) is m / w for a = 0
+    da = coords[2]
+    diff = zs - w
+    logd = (-mults * da / ((da + np.conj(zs) * diff) * diff)).sum()
     return evaluate(b, w) * complex(logd)
 
 

@@ -7,10 +7,11 @@ Carleson norm of a measure is the supremum of mu(S_I)/m(I).
 For the discrete measures attached to zero sequences the supremum is
 exact: every square that holds mass can be turned to start at an atom and
 shrunk to a scale just above one atom's angular offset or depth, so one
-sort per atom finds it.
+sort per atom finds it.  carleson_norm returns that supremum as a float.
 
-For arc-length measure on a family of circle arcs the mass of every arc
-inside a square is exact: the arc is cut where it crosses the circle
+For arc-length measure on a family of circle arcs, given as four
+parallel arrays (centre, radius, start and end angle), the mass of every
+arc inside a square is exact: the arc is cut where it crosses the circle
 |z| = 1 - m and the two lines through the square's sides, and the pieces
 whose midpoints lie inside are summed.  The supremum over all squares is
 then bracketed by branch and bound over boxes of (centre angle, log
@@ -18,8 +19,6 @@ scale), to a relative gap of _GAP.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,24 +33,6 @@ _GAP = 1e-3
 _MAX_REGIONS = 1 << 17
 
 
-@dataclass(frozen=True)
-class CarlesonSquare:
-    """Square S_I for the arc of given center angle and normalized length."""
-
-    arc_center: float
-    arc_length: float
-
-    def __post_init__(self):
-        if not 0 < self.arc_length <= 1:
-            raise InvariantViolation("arc length must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class CarlesonNormReport:
-    norm: float
-    maximizing_square: CarlesonSquare | None
-
-
 def mu_z_measure(s: FiniteSequence) -> np.ndarray:
     """The weights mult * (1 - |z_j|^2) of the measure mu_Z at its atoms,
     the listed points s.zs."""
@@ -63,9 +44,8 @@ def _wrap(x):
     return (x + np.pi) % (2 * np.pi) - np.pi
 
 
-def _square_sup(angles, depths, weights):
-    """Supremum of mass/scale over all squares, for atoms of depth in
-    (0, 1), and a square whose ratio is within a few roundings of it.
+def _square_sup(angles, depths, weights) -> float:
+    """Supremum of mass/scale over all squares, for atoms of depth in (0, 1).
 
     Square (c, m) holds atom k iff |wrap(angle_k - c)| <= pi m and
     depth_k < m.  A square holding atoms turns, losing none, until its arc
@@ -77,30 +57,21 @@ def _square_sup(angles, depths, weights):
     max over i and over tau_k < 1 of (mass with tau <= tau_k) / tau_k,
     taken by one sort and one cumulative sum per row i, in tiles of
     _BLOCK elements; a limit from above when the depth binds.
-
-    The square starts at atom i with scale one float above tau_k, widened
-    to the rounded angles of the atoms it must hold, so it holds them.
     """
     n = len(angles)
     turns = angles / (2 * np.pi)
-    best = (0.0, 0, 1.0, None)
+    best = 0.0
     rows = max(1, _BLOCK // n)
     for i in range(0, n, rows):
         tau = np.maximum((turns - turns[i:i + rows, None]) % 1.0, depths)
         order = np.argsort(tau, axis=1)
         tau = np.take_along_axis(tau, order, axis=1)
         ratio = np.where(tau < 1.0, np.cumsum(weights[order], axis=1) / tau, 0.0)
-        r, k = np.unravel_index(np.argmax(ratio), ratio.shape)
-        if ratio[r, k] > best[0]:
-            best = (float(ratio[r, k]), i + r, float(tau[r, k]), order[r, :k + 1])
-    sup, i, tau, held = best
-    center = float((angles[i] + np.pi * tau) % (2 * np.pi))
-    reach = np.abs(_wrap(angles[held] - center)).max() / np.pi * (1.0 + 4 * np.finfo(float).eps)
-    scale = min(max(float(np.nextafter(tau, 2.0)), float(reach)), 1.0)
-    return sup, CarlesonSquare(center, scale)
+        best = max(best, float(ratio.max()))
+    return best
 
 
-def carleson_norm(s: FiniteSequence) -> CarlesonNormReport:
+def carleson_norm(s: FiniteSequence) -> float:
     """Carleson norm of the sequence measure mu_Z: the exact supremum of
     mu_Z(S)/m over all squares S of scale m (see _square_sup).
 
@@ -112,9 +83,8 @@ def carleson_norm(s: FiniteSequence) -> CarlesonNormReport:
     depths = d2 / (1.0 + np.abs(zs))
     keep = depths < 1.0
     if not keep.any():
-        return CarlesonNormReport(0.0, None)
-    sup, square = _square_sup(np.angle(zs[keep]), depths[keep], (s.mults * d2)[keep])
-    return CarlesonNormReport(sup, square)
+        return 0.0
+    return _square_sup(np.angle(zs[keep]), depths[keep], (s.mults * d2)[keep])
 
 
 def uniform_blaschke_sup(s: FiniteSequence, probe_centers) -> float:
@@ -137,32 +107,20 @@ def lp_sequence_norm(s: FiniteSequence, values, p) -> float:
     return float((w * np.abs(vals) ** p).sum() ** (1.0 / p))
 
 
-@dataclass(frozen=True)
-class CircleArc:
-    """Arc of the Euclidean circle |z - center| = radius, from t0 to t1
-    radians, t0 <= t1 <= t0 + 2 pi."""
-
-    center: complex
-    radius: float
-    t0: float
-    t1: float
-
-    def length(self) -> float:
-        return self.radius * (self.t1 - self.t0)
-
-
 class _ArcTable:
     """The arcs of positive length as arrays: centre c, rho = |c|,
     gamma = arg c, radius r, start t0, span t1 - t0 and length; the least
     and largest modulus along each arc; and the half-width of its circle's
     angle range about gamma (pi when the circle winds around 0)."""
 
-    def __init__(self, arcs):
-        arcs = [a for a in arcs if a.length() > 0]
-        self.c = np.array([a.center for a in arcs], dtype=complex)
-        self.r = np.array([a.radius for a in arcs], dtype=float)
-        self.t0 = np.array([a.t0 for a in arcs], dtype=float)
-        self.span = np.array([a.t1 - a.t0 for a in arcs], dtype=float)
+    def __init__(self, center, radius, t0, t1):
+        c = np.asarray(center, dtype=complex)
+        r, t0, t1 = (np.asarray(x, dtype=float) for x in (radius, t0, t1))
+        if c.ndim != 1 or not c.shape == r.shape == t0.shape == t1.shape:
+            raise ValueError("arc centres, radii, t0 and t1 must be parallel 1-D arrays")
+        span = t1 - t0
+        kept = r * span > 0
+        self.c, self.r, self.t0, self.span = c[kept], r[kept], t0[kept], span[kept]
         self.length = self.r * self.span
         self.rho = np.abs(self.c)
         self.gamma = np.angle(self.c)
@@ -174,7 +132,7 @@ class _ArcTable:
         sq = self.rho**2 + self.r**2
         self.r_max = np.sqrt(sq + 2 * self.rho * self.r * cos_hi)
         self.r_min = np.sqrt(np.maximum(sq + 2 * self.rho * self.r * cos_lo, 0.0))
-        self.half = np.full(len(arcs), np.pi)
+        self.half = np.full(len(self.r), np.pi)
         off = self.rho > self.r
         self.half[off] = np.arcsin(self.r[off] / self.rho[off])
 
@@ -242,7 +200,7 @@ def _cut_mass(tab: _ArcTable, arc, phi, h, lim) -> np.ndarray:
     return r * (np.diff(cuts, axis=1) * inside).sum(axis=1)
 
 
-def arc_carleson_constant(arcs) -> float:
+def arc_carleson_constant(center, radius, t0, t1) -> float:
     """Carleson norm of arc-length measure on a family of circle arcs.
 
     Branch and bound over boxes [theta_a, theta_b] x [m_a, m_b] of squares
@@ -255,9 +213,11 @@ def arc_carleson_constant(arcs) -> float:
     of the best ratio found, and splits the rest along their relatively
     wider side.  The value returned is the ratio of a real square; unless
     the _MAX_REGIONS budget ran out, no square exceeds it by more than a
-    factor 1 + _GAP.  Arcs must lie in the open disk.
+    factor 1 + _GAP.  Arc i runs along |z - center[i]| = radius[i] from
+    t0[i] to t1[i] radians, t0 <= t1 <= t0 + 2 pi, in the open disk; the
+    four arguments are parallel 1-D arrays, and arcs of length 0 drop out.
     """
-    tab = _ArcTable(arcs)
+    tab = _ArcTable(center, radius, t0, t1)
     if len(tab.r) == 0:
         return 0.0
     if (tab.r_max >= 1.0).any():

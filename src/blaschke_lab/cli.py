@@ -202,14 +202,12 @@ def _cmd_interpolate(args) -> int:
     }
     _emit(sections, args.output)
     if args.table:
+        ring = np.exp(2j * np.pi * np.arange(64) / 64)
+        zs = np.concatenate([[0j]] + [r * ring for r in (0.3, 0.6, 0.85, 0.95)])
         with open(args.table, "w") as fh:
             fh.write("# re im f_re f_im\n")
-            for r in (0.0, 0.3, 0.6, 0.85, 0.95):
-                n = 64 if r else 1
-                for t in range(n):
-                    z = complex(r * np.exp(2j * np.pi * t / n))
-                    w = complex(sol.function(z))
-                    fh.write(f"{z.real!r} {z.imag!r} {w.real!r} {w.imag!r}\n")
+            for z, w in zip(zs.tolist(), sol.function(zs).tolist()):
+                fh.write(f"{z.real!r} {z.imag!r} {w.real!r} {w.imag!r}\n")
     return 0
 
 

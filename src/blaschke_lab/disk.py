@@ -219,10 +219,6 @@ class FiniteSequence:
         """Number of points counted with multiplicity."""
         return int(self.mults.sum())
 
-    def expanded(self) -> np.ndarray:
-        """Points repeated according to multiplicity."""
-        return np.repeat(self.zs, self.mults)
-
     def is_simple(self) -> bool:
         return bool((self.mults == 1).all())
 
@@ -235,6 +231,8 @@ class MoebiusMap:
     """The involutive disk automorphism ``z -> (c - z) / (1 - conj(c) z)``.
 
     It swaps 0 and its center c, and applying it twice is the identity.
+    1 - conj(c) z is formed as (1 - |c|^2) + conj(c)(c - z), with the depth
+    error-free, so it does not cancel near the circle.
     """
 
     center: DiskPoint
@@ -243,23 +241,19 @@ class MoebiusMap:
         if not isinstance(self.center, DiskPoint):
             c = complex(self.center)
             object.__setattr__(self, "center", DiskPoint(c.real, c.imag))
+        object.__setattr__(self, "_depth", float(_one_minus_abs2(self.center.z)))
 
     def __call__(self, z):
         """Apply the map; accepts scalars or complex arrays, returns the same."""
         c = self.center.z
-        if isinstance(z, np.ndarray):
-            return (c - z) / (1.0 - np.conj(c) * z)
-        w = complex(z)
-        return (c - w) / (1.0 - c.conjugate() * w)
+        diff = c - (z if isinstance(z, np.ndarray) else complex(z))
+        return diff / (self._depth + c.conjugate() * diff)
 
     def jacobian(self, w) -> float:
         """Area-distortion factor |d(map)/dz|^2 = (1-|c|^2)^2 / |1 - conj(c) w|^4 at w."""
         c = self.center.z
-        depth = float(_one_minus_abs2(c))
-        if isinstance(w, np.ndarray):
-            return depth**2 / np.abs(1.0 - np.conj(c) * w) ** 4
-        v = complex(w)
-        return depth**2 / abs(1.0 - c.conjugate() * v) ** 4
+        v = w if isinstance(w, np.ndarray) else complex(w)
+        return self._depth**2 / abs(self._depth + c.conjugate() * (c - v)) ** 4
 
 
 def psh_distance(z, w) -> float:

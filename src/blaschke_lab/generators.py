@@ -184,7 +184,7 @@ def gen_random_carleson(seed: int, n: int, target_norm: float) -> FiniteSequence
         else:
             raise RuntimeError("sampling budget exhausted")
     seq = FiniteSequence(pts)
-    norm = carleson_norm(seq).norm
+    norm = carleson_norm(seq)
     if norm > 1.2 * target_norm:
         raise RuntimeError(
             f"sampling budget exhausted: norm {norm:.3f} above 1.2 * target"

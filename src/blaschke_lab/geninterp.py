@@ -44,6 +44,11 @@ second principal-branch power, whose guard stays with the value.
 
 Anchors are ordered by increasing modulus, which empirically keeps
 Re beta_k(a_k) tightest; partitions built by hand may use any order.
+
+The pass multiplies in place in a fixed operand order, so a point's
+value has the same bits in every array call of two or more points.
+hinf_bound_estimate passes the contour arcs to arc_carleson_constant as
+four parallel arrays and takes delta from one kernel call.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import numpy as np
 
 from .bergman import hp_norm
 from .blaschke import BlaschkeProduct, evaluate, log_abs_evaluate, max_local_count
-from .carleson import CircleArc, arc_carleson_constant
+from .carleson import arc_carleson_constant
 from .disk import (
     FiniteSequence,
     InvariantViolation,
@@ -296,35 +301,6 @@ def xp_norm(part: ClusterPartition, jets, p) -> float:
     return float(sum(cn**p * dk for cn, dk in zip(norms, part.d)) ** (1.0 / p))
 
 
-def _anchor_rows(anchors: np.ndarray, w: np.ndarray, q: float, s: float):
-    """Yield (k, kernel_k(w)) for k from the last anchor down to 0 at a 1-D
-    complex array w, on the principal branch, which needs
-    Re(1 - conj(a_k) w) > 0.  The running sum of x = (1-|a_k|^2)/(1 - conj(a_k) w)
-    over the anchors j >= k, carried at the anchors (appended to w) as well,
-    is beta_k/2 up to a constant (see the module docstring).  The yielded
-    array is overwritten by the next step."""
-    n = len(w)
-    wa = np.append(w, anchors)
-    x = np.empty_like(wa)
-    tails = np.zeros_like(wa)
-    kern = np.empty_like(w)
-    pw = np.empty_like(w)
-    xw = x[:n]
-    for k in range(len(anchors) - 1, -1, -1):
-        a = anchors[k]
-        np.multiply(wa, -a.conjugate(), out=x)
-        x += 1.0
-        if not (x.real > 0).all():
-            raise RuntimeError("principal power guard: Re(1 - conj(a) z) <= 0")
-        np.divide(1.0 - abs(a) ** 2, x, out=x)
-        tails += x
-        np.subtract(tails[n + k], tails[:n], out=kern)
-        kern *= 2.0 / s
-        np.exp(kern, out=kern)
-        kern *= np.power(xw, q, out=pw)
-        yield k, kern
-
-
 def _exponents(p) -> tuple:
     if p == np.inf or p >= 1:
         return 2.0, 1.0
@@ -334,16 +310,39 @@ def _exponents(p) -> tuple:
 def _summands(problem: InterpolationProblem):
     """The reverse pass of the module docstring for this problem, as
     summed(w, weights) = sum_k weights[k](w) B~_k(w) kernel_k(w) over the
-    clusters k whose weight is not None, at a 1-D complex array w."""
+    clusters k whose weight is not None, at a 1-D complex array w.
+
+    kernel_k is taken on the principal branch, which needs
+    Re(1 - conj(a_k) w) > 0.  The running sum of x (module docstring) over
+    the anchors j >= k, carried at the anchors (appended to w) as well, is
+    beta_k/2 up to a constant."""
     part = problem.partition
     q, s = _exponents(problem.p)
     anchors = part.anchors
     b_own = [BlaschkeProduct(c.seq) for c in part.clusters]
 
     def summed(w, weights):
+        n = len(w)
+        wa = np.append(w, anchors)
+        x = np.empty_like(wa)
+        tails = np.zeros_like(wa)
+        kern = np.empty_like(w)
+        pw = np.empty_like(w)
+        xw = x[:n]
         out = np.zeros_like(w)
         after = np.ones_like(w)
-        for k, kern in _anchor_rows(anchors, w, q, s):
+        for k in range(len(anchors) - 1, -1, -1):
+            a = anchors[k]
+            np.multiply(wa, -a.conjugate(), out=x)
+            x += 1.0
+            if not (x.real > 0).all():
+                raise RuntimeError("principal power guard: Re(1 - conj(a) z) <= 0")
+            np.divide(1.0 - abs(a) ** 2, x, out=x)
+            tails += x
+            np.subtract(tails[n + k], tails[:n], out=kern)
+            kern *= 2.0 / s
+            np.exp(kern, out=kern)
+            kern *= np.power(xw, q, out=pw)
             own = evaluate(b_own[k], w)
             out *= own
             if weights[k] is not None:
@@ -510,14 +509,14 @@ def hinf_bound_estimate(part: ClusterPartition, b: BlaschkeProduct) -> float:
     pseudohyperbolic eps-disks about its points, realized as kept arcs of
     the constituent circles.  C is the Carleson constant of arc length on
     the whole family, within a factor 1 + 1e-3 of the supremum over all
-    squares (arc_carleson_constant).  delta is the min of |b| over
-    _CIRCLE_SAMPLES samples of each circle, so it can sit above the true
-    minimum and C/delta below the true bound.
+    squares (arc_carleson_constant).  delta is the min of |b| over the kept
+    ones of _CIRCLE_SAMPLES samples of each circle, so it can sit above the
+    true minimum and C/delta below the true bound.
     """
     if len(part.clusters) == 0:
         return 0.0
-    fragments = []
-    log_min = np.inf
+    arcs = ([], [], [], [])  # centres, radii, t0, t1
+    samples = []  # the kept samples of every circle
     for cluster in part.clusters:
         disks = [_euclid_disk(z, part.eps) for z in cluster.seq.zs.tolist()]
         for j, (cj, rj) in enumerate(disks):
@@ -529,22 +528,25 @@ def hinf_bound_estimate(part: ClusterPartition, b: BlaschkeProduct) -> float:
                     keep &= np.abs(pts - ci) >= ri
             if not keep.any():
                 continue
-            log_min = min(log_min, float(log_abs_evaluate(b, pts[keep]).min()))
-            fragments.extend(_arcs_from_mask(cj, rj, theta, keep))
+            samples.append(pts[keep])
+            t0, t1 = _arcs_from_mask(theta, keep)
+            for col, v in zip(arcs, (np.full(len(t0), cj), np.full(len(t0), rj), t0, t1)):
+                col.append(v)
+    log_min = log_abs_evaluate(b, np.concatenate(samples)).min() if samples else -np.inf
     delta = float(np.exp(log_min)) if np.isfinite(log_min) else 0.0
     if delta < 1e-12:
         raise InvariantViolation("contour touches zero set")
-    c_arc = arc_carleson_constant(fragments)
+    c_arc = arc_carleson_constant(*(np.concatenate(col) for col in arcs))
     return c_arc / delta
 
 
-def _arcs_from_mask(center: complex, radius: float, theta: np.ndarray,
-                    keep: np.ndarray) -> list:
-    """Merge consecutive kept samples (circularly) into circle arcs."""
+def _arcs_from_mask(theta: np.ndarray, keep: np.ndarray):
+    """Merge consecutive kept samples (circularly) into arcs of one circle,
+    returned as the arrays (t0, t1) of their start and end angles."""
     n = len(theta)
     step = 2.0 * np.pi / n
     if keep.all():
-        return [CircleArc(center, radius, 0.0, 2.0 * np.pi)]
+        return np.array([0.0]), np.array([2.0 * np.pi])
     # rotate so the run structure has a False at position 0
     shift = int(np.argmin(keep))
     edges = np.diff(np.roll(keep, -shift).astype(np.int8), append=0)
@@ -553,7 +555,7 @@ def _arcs_from_mask(center: complex, radius: float, theta: np.ndarray,
     t0 = theta[firsts] - step / 2.0
     t1 = theta[lasts] + step / 2.0
     t1[t1 < t0] += 2.0 * np.pi
-    return [CircleArc(center, radius, a, b) for a, b in zip(t0, t1)]
+    return t0, t1
 
 
 @dataclass(frozen=True)

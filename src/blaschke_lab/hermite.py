@@ -51,16 +51,14 @@ class HermiteInterpolant:
         self.nodes = np.asarray(nodes_expanded, dtype=complex)
         self.coeffs = np.asarray(coeffs, dtype=complex)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, z):
         scalar = not isinstance(z, np.ndarray)
         w = np.asarray(z, dtype=complex)
         out = np.full_like(w, self.coeffs[-1])
         for i in range(len(self.coeffs) - 2, -1, -1):
-            out = out * (w - self.nodes[i]) + self.coeffs[i]
+            # the temporary goes first, as numpy reuses it in place for large
+            # arrays and its complex product is not commutative in the last bit
+            out = (w - self.nodes[i]) * out + self.coeffs[i]
         return complex(out) if scalar else out
 
 

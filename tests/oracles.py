@@ -38,7 +38,7 @@ from blaschke_lab.disk import (
     psh_distance,
     psh_distance_pairwise,
 )
-from blaschke_lab.geninterp import ClusterPartition, HermiteJet, _anchor_rows, _exponents
+from blaschke_lab.geninterp import ClusterPartition, HermiteJet, _exponents
 
 # the 3,775,327-node grid of QuadratureGrid.build's defaults, for oracles
 # whose integrands peak near the circle
@@ -269,25 +269,30 @@ def _tail_sums(anchors, w):
         yield k, acc
 
 
-def summed_by_rows(problem, w, weights):
-    """sum_k weights[k](w) B~_k(w) kernel_k(w) over the clusters k whose
-    weight is not None, by the reverse pass over the clusters in three
-    separate steps per cluster, each with its own 1 - conj(a_k) w: the
-    running tail sum beta_k(w), the kernel
-    ((1-|a_k|^2)/(1 - conj(a_k) w))^q exp((beta_k(a_k) - beta_k(w))/s)
-    through np.power, and the own-cluster product through evaluate."""
-    part = problem.partition
-    q, s = _exponents(problem.p)
-    anchors = part.anchors
+def _kernels(anchors, w, q, s):
+    """Yield (k, kernel_k(w)) for k from the last anchor down to 0, in
+    closed form: ((1-|a_k|^2)/(1 - conj(a_k) w))^q
+    exp((beta_k(a_k) - beta_k(w))/s) through np.power, with beta from the
+    running tail sums and its own 1 - conj(a_k) w."""
     beta_anchor = np.empty(len(anchors), dtype=complex)
     for k, acc in _tail_sums(anchors, anchors):
         beta_anchor[k] = acc[k]
-    out = np.zeros_like(w)
-    after = np.ones_like(w)
     for k, beta_w in _tail_sums(anchors, w):
         a = anchors[k]
-        kern = np.power((1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * w), q) \
+        yield k, np.power((1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * w), q) \
             * np.exp((beta_anchor[k] - beta_w) / s)
+
+
+def summed_by_rows(problem, w, weights):
+    """sum_k weights[k](w) B~_k(w) kernel_k(w) over the clusters k whose
+    weight is not None, by the reverse pass over the clusters in three
+    separate steps per cluster: the running tail sum beta_k(w), the
+    kernel (_kernels) and the own-cluster product through evaluate."""
+    part = problem.partition
+    q, s = _exponents(problem.p)
+    out = np.zeros_like(w)
+    after = np.ones_like(w)
+    for k, kern in _kernels(part.anchors, w, q, s):
         own = evaluate(BlaschkeProduct(part.clusters[k].seq), w)
         out *= own
         if weights[k] is not None:
@@ -323,7 +328,7 @@ def vgh_kernel_bound(part: ClusterPartition, grid) -> float:
                 raise RuntimeError(f"angular mean above 1 at anchor {a}, r={r}")
     w = np.asarray([complex(g) for g in grid], dtype=complex)
     total = np.zeros(w.shape)
-    for _, kern in _anchor_rows(anchors, w, 2.0, 1.0):
+    for _, kern in _kernels(anchors, w, 2.0, 1.0):
         total += np.abs(kern)
     return float(total.max())
 
@@ -407,7 +412,7 @@ def exact_pair_keys(s: FiniteSequence, sep: float = 0.3) -> dict:
     quarter = Fraction(1, 4)
     count = max(sum(m for m, r in zip(mults, row) if r < quarter) for row in rho2)
     mass = max(sum(m * (1 - r) for m, r in zip(mults, row)) for row in rho2)
-    expanded = s.expanded()
+    expanded = np.repeat(s.zs, s.mults)
     part_delta = min(min(deleted_product_moduli(expanded[part])[0])
                      for part in reference_greedy(expanded, sep))
     with mpmath.workdps(50):
@@ -451,9 +456,11 @@ def format_targets(jets) -> str:
 
 
 def arc_samples(arc, n: int):
-    """Midpoint quadrature: n points along the arc with equal length weights."""
-    t = arc.t0 + (arc.t1 - arc.t0) * (np.arange(n) + 0.5) / n
-    return arc.center + arc.radius * np.exp(1j * t), np.full(n, arc.length() / n)
+    """Midpoint quadrature: n points along the arc (center, radius, t0, t1)
+    with equal length weights."""
+    center, radius, t0, t1 = arc
+    t = t0 + (t1 - t0) * (np.arange(n) + 0.5) / n
+    return center + radius * np.exp(1j * t), np.full(n, radius * (t1 - t0) / n)
 
 
 def _dyadic_ratios_through(angles, depths, weights, cand_angle, cand_depth,
@@ -507,7 +514,7 @@ def rescanning_random_carleson(seed: int, n: int, target_norm: float,
         else:
             raise RuntimeError("sampling budget exhausted")
     seq = FiniteSequence(pts)
-    norm = carleson_norm(seq).norm
+    norm = carleson_norm(seq)
     if norm > 1.2 * target_norm:
         raise RuntimeError(
             f"sampling budget exhausted: norm {norm:.3f} above 1.2 * target"

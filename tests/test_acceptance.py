@@ -225,7 +225,7 @@ def test_criterion_06_positive_family_battery():
     for n in (10, 20, 40):
         s = gen_radial_geometric(0.5, n)
         deltas[n] = separation_report(BlaschkeProduct(s)).delta
-        norms[n] = carleson_norm(s).norm
+        norms[n] = carleson_norm(s)
         parts = partition_separated(s, 0.5)
         for q in parts:
             if len(q) > 1:

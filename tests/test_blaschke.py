@@ -115,6 +115,38 @@ def test_derivative_identity_at_zeros():
             assert lhs == pytest.approx(abs(deleted_product(b, j)), rel=1e-10)
 
 
+@pytest.mark.parametrize("depth", [1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1.5e-14])
+def test_near_circle_values_against_mpmath(depth):
+    # evaluate, derivative and the Moebius map form 1 - conj(a) z from the
+    # error-free depth of a, so next to a zero or centre a at this depth
+    # they keep their digits; the naive 1 - conj(a) z missed by up to 1.1e-2
+    mpmath = pytest.importorskip("mpmath")
+    theta = 0.7
+    zs, mults = [complex((1.0 - depth) * np.exp(1j * theta)), 0.3 + 0.2j], [1, 2]
+    b = BlaschkeProduct(FiniteSequence(zs, mults))
+    phi = MoebiusMap(zs[0])
+    pts = np.array([(1.0 - t * depth) * np.exp(1j * (theta + s * depth))
+                    for t, s in ((0.5, 0.0), (2.0, 1.0), (1.0, -3.0), (3.0, 0.5))])
+    values, maps, jacobians = evaluate(b, pts), phi(pts), phi.jacobian(pts)
+    with mpmath.workdps(50):
+        c = mpmath.mpc(zs[0])
+        for i, z in enumerate(pts.tolist()):
+            zm = mpmath.mpc(z)
+            val, logd = mpmath.mpf(1), mpmath.mpf(0)
+            for a, m in zip(zs, mults):
+                am = mpmath.mpc(a)
+                den = 1 - mpmath.conj(am) * zm
+                val *= (mpmath.conj(am) / abs(am) * (am - zm) / den) ** m
+                logd += m * (abs(am) ** 2 - 1) / (den * (am - zm))
+            den = 1 - mpmath.conj(c) * zm
+            jac = (1 - abs(c) ** 2) ** 2 / abs(den) ** 4
+            checks = [("evaluate", values[i], val), ("derivative", derivative(b, z), val * logd),
+                      ("map", maps[i], (c - zm) / den), ("map, scalar", phi(z), (c - zm) / den),
+                      ("jacobian", jacobians[i], jac), ("jacobian, scalar", phi.jacobian(z), jac)]
+            for name, got, want in checks:
+                assert abs(got - want) <= 1e-14 * abs(want), (name, z)
+
+
 def test_separation_report():
     rep = separation_report(BlaschkeProduct(FiniteSequence([0.0, 0.5])))
     assert rep.delta == pytest.approx(0.5)
@@ -531,7 +563,7 @@ def test_greedy_partition_matches_reference_loop():
             got = [list(q.zs) for q in partition_separated(s, sep)]
             assert got == [list(s.zs[p]) for p in reference_greedy(s.zs, sep)]
     repeated = gen_escalating_multiplicity(5)
-    expanded = repeated.expanded()
+    expanded = np.repeat(repeated.zs, repeated.mults)
     for sep in (0.3, 0.5):
         parts = reference_greedy(expanded, sep)
         part_delta = min(separation_report(BlaschkeProduct(FiniteSequence(expanded[p]))).delta

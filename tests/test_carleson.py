@@ -6,8 +6,6 @@ from blaschke_lab import geninterp as gi
 from blaschke_lab.bergman import constant_fn, reproducing_family
 from blaschke_lab.blaschke import BlaschkeProduct
 from blaschke_lab.carleson import (
-    CarlesonSquare,
-    CircleArc,
     _ArcTable,
     _region_mass,
     arc_carleson_constant,
@@ -27,34 +25,10 @@ from oracles import ANCHOR_ETAS, _dyadic_levels, _search_squares, arc_samples, b
 from test_acceptance import _interpolation_problem
 
 
-def contains(square, z) -> bool:
-    """Brute-force membership of z in the Carleson square."""
-    if z == 0:
-        return False
-    d = abs((np.angle(z) - square.arc_center + np.pi) % (2 * np.pi) - np.pi)
-    return d <= np.pi * square.arc_length and 1.0 - abs(z) < square.arc_length
-
-
-def mass_in(s, square) -> float:
-    """Brute-force mass of mu_Z inside the Carleson square."""
-    inside = np.array([contains(square, a) for a in s.zs], dtype=bool)
-    return float(mu_z_measure(s)[inside].sum())
-
-
 def random_sequence(seed, n=20, r_max=0.97):
     rng = np.random.default_rng(seed)
     zs = rng.uniform(0.05, r_max, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     return FiniteSequence(zs)
-
-
-def test_square_membership():
-    sq = CarlesonSquare(0.0, 0.5)
-    assert contains(sq, 0.9)                      # deep inside, on axis
-    assert not contains(sq, 0.4)                  # too shallow: 1 - |z| = 0.6
-    assert not contains(sq, 0.9 * np.exp(2.0j))   # angle outside the arc
-    assert not contains(sq, 0.0)
-    with pytest.raises(InvariantViolation):
-        CarlesonSquare(0.0, 1.5)
 
 
 def test_mu_z():
@@ -66,25 +40,13 @@ def test_mu_z():
 
 
 def test_carleson_norm_examples():
-    rep = carleson_norm(FiniteSequence([0.5]))
-    assert rep.norm == pytest.approx(1.5)  # 1 + r for one atom at radius r
-    assert rep.maximizing_square is not None
-    assert carleson_norm(FiniteSequence([])).norm == 0.0
+    # 1 + r for one atom at radius r
+    assert carleson_norm(FiniteSequence([0.5])) == pytest.approx(1.5)
+    assert carleson_norm(FiniteSequence([])) == 0.0
     # geometric radial stays bounded independent of truncation
     for n in (5, 10, 20):
         s = gen_radial_geometric(0.5, n)
-        assert carleson_norm(s).norm <= 4.0
-
-
-def depth_held_ratio(s, square) -> float:
-    """Mass over scale of the square, with depths (1 - |z|^2) / (1 + |z|)
-    as carleson_norm takes them: the naive 1 - |z| rounds by more than the
-    square's one-float margin."""
-    z = s.zs
-    depth = disk._one_minus_abs2(z) / (1.0 + np.abs(z))
-    angle = np.abs((np.angle(z) - square.arc_center + np.pi) % (2 * np.pi) - np.pi)
-    inside = (angle <= np.pi * square.arc_length) & (depth < square.arc_length)
-    return float(mu_z_measure(s)[inside].sum()) / square.arc_length
+        assert carleson_norm(s) <= 4.0
 
 
 @pytest.mark.parametrize("s", [
@@ -95,9 +57,7 @@ def depth_held_ratio(s, square) -> float:
     FiniteSequence([0.5]),
 ], ids=["random-carleson n=40", "rays 0 and 2", "escalating 8", "one ray", "one atom"])
 def test_carleson_norm_is_the_brute_force_supremum(s):
-    rep = carleson_norm(s)
-    assert rep.norm == pytest.approx(brute_carleson_norm(s), rel=1e-12)
-    assert depth_held_ratio(s, rep.maximizing_square) == pytest.approx(rep.norm, rel=1e-12)
+    assert carleson_norm(s) == pytest.approx(brute_carleson_norm(s), rel=1e-12)
 
 
 def test_single_atom_norm_against_mpmath():
@@ -106,40 +66,34 @@ def test_single_atom_norm_against_mpmath():
     for depth in (None, *np.geomspace(1.1e-14, 1e-12, 5)):
         for theta in (0.0, 1.0, 2.5, -3.0):
             z = (0.5 if depth is None else 1.0 - depth) * np.exp(1j * theta)
-            got = carleson_norm(FiniteSequence([z])).norm
+            got = carleson_norm(FiniteSequence([z]))
             with mpmath.workdps(50):
                 want = 1 + mpmath.sqrt(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2)
                 assert abs(float((got - want) / want)) <= 1e-15, (depth, theta)
 
 
-def test_norm_report_consistency():
-    s = random_sequence(3)
-    rep = carleson_norm(s)
-    assert rep.norm >= mass_in(s, rep.maximizing_square) / rep.maximizing_square.arc_length - 1e-12
-
-
 def test_monotone_and_subadditive():
     rng = np.random.default_rng(9)
     s = random_sequence(5, n=25)
-    base = carleson_norm(s).norm
+    base = carleson_norm(s)
     bigger = FiniteSequence(list(s.zs) + [0.91 + 0.01j])
-    assert carleson_norm(bigger).norm >= base - 1e-12
+    assert carleson_norm(bigger) >= base - 1e-12
     for seed in range(3):
         mask = rng.uniform(size=len(s)) < 0.5
         if mask.all() or not mask.any():
             continue
         s1 = FiniteSequence(s.zs[mask])
         s2 = FiniteSequence(s.zs[~mask])
-        assert carleson_norm(s).norm <= (
-            carleson_norm(s1).norm + carleson_norm(s2).norm + 1e-12
+        assert carleson_norm(s) <= (
+            carleson_norm(s1) + carleson_norm(s2) + 1e-12
         )
 
 
 def test_rotation_invariance():
     s = random_sequence(11, n=30)
-    n1 = carleson_norm(s).norm
+    n1 = carleson_norm(s)
     for theta in (0.7, 2.9):
-        n2 = carleson_norm(FiniteSequence(s.zs * np.exp(1j * theta))).norm
+        n2 = carleson_norm(FiniteSequence(s.zs * np.exp(1j * theta)))
         assert n2 == pytest.approx(n1, abs=1e-10)
 
 
@@ -187,21 +141,29 @@ def test_lp_sequence_norm():
         lp_sequence_norm(s, [1.0, 2.0], 2)
 
 
+def columns(arcs):
+    """The parallel arrays (centres, radii, t0, t1) of a nonempty list of
+    (center, radius, t0, t1) arcs."""
+    return [np.array(col) for col in zip(*arcs)]
+
+
 def test_arc_carleson():
-    assert arc_carleson_constant([]) == 0.0
-    circle = CircleArc(0j, 0.4, 0.0, 2 * np.pi)
-    assert arc_carleson_constant([circle]) == pytest.approx(2 * np.pi * 0.4, rel=1e-6)
+    assert arc_carleson_constant([], [], [], []) == 0.0
+    circle = (0j, 0.4, 0.0, 2 * np.pi)
+    assert arc_carleson_constant(*columns([circle])) == pytest.approx(2 * np.pi * 0.4, rel=1e-6)
     with pytest.raises(InvariantViolation):
-        arc_carleson_constant([CircleArc(0.9 + 0j, 0.5, 0.0, 2 * np.pi)])
+        arc_carleson_constant(*columns([(0.9 + 0j, 0.5, 0.0, 2 * np.pi)]))
+    # the four arrays must be parallel and one-dimensional
+    with pytest.raises(ValueError):
+        arc_carleson_constant([0j, 0.5], [0.1], [0.0], [1.0])
+    with pytest.raises(ValueError):
+        arc_carleson_constant(0j, 0.4, 0.0, 1.0)
     # circle families around a separated radial sequence stay bounded
     norms = []
     for n in (6, 12):
         s = gen_radial_geometric(0.5, n)
-        arcs = []
-        for z in s.zs.tolist():
-            rho = 0.1 * (1 - abs(z) ** 2)
-            arcs.append(CircleArc(z, rho, 0.0, 2 * np.pi))
-        norms.append(arc_carleson_constant(arcs))
+        rho = 0.1 * (1 - np.abs(s.zs) ** 2)
+        norms.append(arc_carleson_constant(s.zs, rho, np.zeros(n), np.full(n, 2 * np.pi)))
     assert norms[1] <= 3.0 * norms[0]
 
 
@@ -213,7 +175,7 @@ def sampled_mass(arc, phi, h, depth, n=65536):
 
 
 def exact_mass(arc, phi, h, depth):
-    return float(_region_mass(_ArcTable([arc]), np.array([phi]), np.array([h]),
+    return float(_region_mass(_ArcTable(*columns([arc])), np.array([phi]), np.array([h]),
                               np.array([depth]))[0])
 
 
@@ -227,20 +189,20 @@ def region_cases():
         c = rho * np.exp(1j * rng.uniform(-np.pi, np.pi))
         r = rng.uniform(0.2, 0.9) * min(0.02, 1.0 - rho)
         t0 = rng.uniform(-np.pi, np.pi)
-        arc = CircleArc(c, r, t0, t0 + rng.choice([2 * np.pi, rng.uniform(0.5, 6.0)]))
+        arc = (c, r, t0, t0 + rng.choice([2 * np.pi, rng.uniform(0.5, 6.0)]))
         phi = np.angle(c) + rng.uniform(-2.0, 2.0) * r / rho
         yield (arc, phi, rng.uniform(0.0, 2.0) * r / rho,
                1.0 - rho + rng.uniform(-1.2, 1.2) * r)
-    around_zero = CircleArc(0.01 + 0.004j, 0.02, 0.0, 2 * np.pi)
+    around_zero = (0.01 + 0.004j, 0.02, 0.0, 2 * np.pi)
     for phi, h, depth in ((0.3, 1.0, 0.985), (-2.9, 0.2, 0.99), (3.1, 2.5, 0.975)):
         yield around_zero, phi, h, depth
-    across = CircleArc(-0.6 + 0.001j, 0.02, -2.0, 1.5)
+    across = (-0.6 + 0.001j, 0.02, -2.0, 1.5)
     yield across, np.pi - 0.01, 0.02, 0.41
     yield across, -np.pi + 0.005, 0.01, 0.39
-    yield CircleArc(-0.6 - 0.004j, 0.02, 2.5, 4.0), np.pi, 0.015, 0.4
+    yield (-0.6 - 0.004j, 0.02, 2.5, 4.0), np.pi, 0.015, 0.4
     c = 0.7 * np.exp(0.4j)
-    yield CircleArc(c, 0.01, 0.0, 2 * np.pi), 0.4 - 0.01, np.arcsin(0.01 / 0.7) + 0.01 - 1e-9, 0.5
-    yield CircleArc(c, 0.01, 1.0, 4.0), 2.0, 4.0, 0.305
+    yield (c, 0.01, 0.0, 2 * np.pi), 0.4 - 0.01, np.arcsin(0.01 / 0.7) + 0.01 - 1e-9, 0.5
+    yield (c, 0.01, 1.0, 4.0), 2.0, 4.0, 0.305
 
 
 def test_region_mass_matches_sampled_sums():
@@ -298,9 +260,10 @@ def bench_shape(rng, rays, levels):
 
 
 def contour_arcs(part, monkeypatch):
-    """The arcs hinf_bound_estimate passes to arc_carleson_constant."""
+    """The arrays (centres, radii, t0, t1) of the arcs hinf_bound_estimate
+    passes to arc_carleson_constant."""
     seen = []
-    monkeypatch.setattr(gi, "arc_carleson_constant", lambda arcs: seen.append(arcs) or 1.0)
+    monkeypatch.setattr(gi, "arc_carleson_constant", lambda *cols: seen.append(cols) or 1.0)
     gi.hinf_bound_estimate(part, BlaschkeProduct(part.all_points()))
     monkeypatch.undo()
     return seen[0]
@@ -311,8 +274,9 @@ def test_arc_carleson_dominates_sampled_squares(monkeypatch):
     parts = [bench_shape(rng, 4, 5), bench_shape(rng, 5, 6), bench_shape(rng, 6, 7)]
     parts += [_interpolation_problem(seed)[0] for seed in range(4)]
     for part in parts:
-        arcs = contour_arcs(part, monkeypatch)
-        got = arc_carleson_constant(arcs)
+        cols = contour_arcs(part, monkeypatch)
+        got = arc_carleson_constant(*cols)
+        arcs = list(zip(*cols))
         assert got >= (1.0 - 1e-3) * sampled_family_constant(arcs)
         assert got >= (1.0 - 1e-3) * grid_constant(arcs)
 

@@ -275,6 +275,16 @@ def test_interpolate(tmp_path):
     rows = [ln.split() for ln in table.read_text().splitlines() if not ln.startswith("#")]
     assert all(len(r) == 4 for r in rows)
     assert all(np.isfinite(float(v)) for r in rows for v in r)
+    # the table holds 0 and 64 points on each of four circles, and the
+    # values of one array call of the solution at them
+    got = np.array([[complex(float(a), float(b)), complex(float(c), float(d))]
+                    for a, b, c, d in rows])
+    zs = np.concatenate([[0j]] + [r * np.exp(2j * np.pi * np.arange(64) / 64)
+                                  for r in (0.3, 0.6, 0.85, 0.95)])
+    assert np.array_equal(got[:, 0], zs)
+    part = cluster_sequence(read_sequence(seq_file), 0.05, 0.6)
+    sol = vgh_interpolate(InterpolationProblem(part, fio.read_targets(targets, part), 2.0))
+    assert np.array_equal(got[:, 1], sol.function(zs))
     # bad target index -> parse error
     targets.write_text("7 0 0 1.0 0.0\n")
     assert run_cli("interpolate", str(seq_file), str(targets)) == 2

@@ -149,7 +149,6 @@ def test_sequence_invariants():
         FiniteSequence([0.5], [1, 2])
     s = FiniteSequence([0.5, 0.2j], [2, 1])
     assert s.total_count == 3
-    assert len(s.expanded()) == 3
     assert not s.is_simple()
     assert FiniteSequence([]).total_count == 0
 

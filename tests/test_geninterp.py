@@ -4,7 +4,7 @@ import pytest
 from blaschke_lab import geninterp as gi
 from blaschke_lab.bergman import hp_norm
 from blaschke_lab.blaschke import BlaschkeProduct, evaluate
-from blaschke_lab.carleson import CircleArc, lp_sequence_norm
+from blaschke_lab.carleson import lp_sequence_norm
 from blaschke_lab.disk import FiniteSequence, InvariantViolation, psh_distance_pairwise
 from blaschke_lab.generators import gen_perturbed, gen_radial_geometric
 from blaschke_lab.hermite import jet_exp
@@ -162,7 +162,7 @@ def test_anchor_tail_sums_bounded():
     for n in (10, 40):
         s = gen_radial_geometric(0.5, n)
         part = gi.cluster_sequence(s, 0.05, 0.6)
-        cn = carleson_norm(s).norm
+        cn = carleson_norm(s)
         worst = max(
             beta(part, k, complex(a)).real for k, a in enumerate(part.anchors)
         )
@@ -363,6 +363,31 @@ def test_kernel_bound_matches_stacked_formula():
             assert vgh_kernel_bound(part, grid) == pytest.approx(total.max(), rel=1e-12)
 
 
+def test_evaluator_bits_do_not_depend_on_the_call():
+    """The interpolant at the nodes of hp_norm's circle, from calls of
+    different sizes.  hp_norm's nested node sets (every 16th node, then the
+    midpoints at steps 8, 4, 2 and 1) give what one call of 2^14 points
+    gives, bit for bit: numpy's complex product is not commutative in the
+    last bit, and from 2^14 points on numpy reuses an expression's
+    temporary in place, so the Hermite factors keep the temporary as the
+    left operand.  A scalar call runs one-element in-place products,
+    which numpy rounds like Python's complex product, so it agrees to
+    1e-14 relative only."""
+    part, jets = _interpolation_problem(2)  # 6 rays x 7 levels, as the bench's clu6x7
+    n = 1 << 14
+    circle = 0.99999 * np.exp(2j * np.pi * np.arange(n) / n)
+    calls = [np.arange(0, n, 16)] + [np.arange(step, n, 2 * step) for step in (8, 4, 2, 1)]
+    for p in (0.5, 2.0, np.inf):
+        ev = gi._solution_evaluator(gi.InterpolationProblem(part, jets, p))
+        whole = ev(circle)
+        parts = np.empty(n, dtype=complex)
+        for k in calls:
+            parts[k] = ev(circle[k])
+        assert np.array_equal(parts, whole), p
+        for z, want in zip(circle[::1024].tolist(), whole[::1024].tolist()):
+            assert abs(ev(z) - want) <= 1e-14 * abs(want), (p, z)
+
+
 def cauchy_jet(fn, z0, order, n_nodes=128):
     """Derivatives at z0 from fn on its own circle of radius 0.1 (1 - |z0|)."""
     rho = 0.1 * (1.0 - abs(z0))
@@ -503,13 +528,13 @@ def test_hinf_dominates_solution():
     assert sol.achieved_norm <= bound * sup_cn * 1.05
 
 
-def arcs_by_loop(center, radius, theta, keep):
+def arcs_by_loop(theta, keep):
     """Reference: walk the samples one by one from a dropped one and close
-    each run of kept samples into an arc."""
+    each run of kept samples into an arc (t0, t1)."""
     n = len(theta)
     step = 2.0 * np.pi / n
     if keep.all():
-        return [CircleArc(center, radius, 0.0, 2.0 * np.pi)]
+        return [(0.0, 2.0 * np.pi)]
     arcs = []
     start = int(np.argmin(keep))
     order = np.roll(np.arange(n), -start)
@@ -522,14 +547,14 @@ def arcs_by_loop(center, radius, theta, keep):
             t1 = theta[run[-1]] + step / 2.0
             if t1 < t0:
                 t1 += 2.0 * np.pi
-            arcs.append(CircleArc(center, radius, t0, t1))
+            arcs.append((t0, t1))
             run = []
     if run:
         t0 = theta[run[0]] - step / 2.0
         t1 = theta[run[-1]] + step / 2.0
         if t1 < t0:
             t1 += 2.0 * np.pi
-        arcs.append(CircleArc(center, radius, t0, t1))
+        arcs.append((t0, t1))
     return arcs
 
 
@@ -551,11 +576,12 @@ def test_arcs_from_mask_matches_loop():
     for t in range(20):
         masks[f"random {t}"] = rng.random(n) < 0.6
     for name, keep in masks.items():
-        want = arcs_by_loop(0.3 + 0.1j, 0.05, theta, keep)
-        assert gi._arcs_from_mask(0.3 + 0.1j, 0.05, theta, keep) == want, name
-    wrap = gi._arcs_from_mask(0.0, 1.0, theta, masks["across index 0"])
-    assert [(a.t0, a.t1) for a in wrap] == [(theta[6] - np.pi / n, theta[7] + np.pi / n),
-                                            (theta[14] - np.pi / n, theta[2] + np.pi / n + 2 * np.pi)]
+        t0, t1 = gi._arcs_from_mask(theta, keep)
+        assert list(zip(t0.tolist(), t1.tolist())) == arcs_by_loop(theta, keep), name
+    t0, t1 = gi._arcs_from_mask(theta, masks["across index 0"])
+    assert list(zip(t0.tolist(), t1.tolist())) == [
+        (theta[6] - np.pi / n, theta[7] + np.pi / n),
+        (theta[14] - np.pi / n, theta[2] + np.pi / n + 2 * np.pi)]
 
 
 def test_verify_facts():
