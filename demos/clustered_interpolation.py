@@ -14,7 +14,6 @@ import numpy as np
 
 from blaschke_lab import (
     BlaschkeProduct,
-    HermiteJet,
     InterpolationProblem,
     class_norm,
     cluster_sequence,
@@ -34,7 +33,7 @@ print("=" * 60)
 base = gen_radial_geometric(0.5, 6, (0.0, 2 * np.pi / 3, 4 * np.pi / 3))
 seq = gen_perturbed(base, n_satellites=3, n_doubles=1, seed=7)
 part = cluster_sequence(seq, eps=0.05, R_max=0.6)
-sizes = [c.cardinality for c in part.clusters]
+sizes = [c.total_count for c in part.clusters]
 print(f"  {seq.total_count} points -> {len(part.clusters)} clusters, "
       f"sizes {sorted(sizes, reverse=True)[:5]}...")
 print(f"  eps = {part.eps}, shallowest boundary gap = {max(part.d):.4f}")
@@ -46,18 +45,18 @@ print("=" * 60)
 jets = []
 for c in part.clusters:
     rows = []
-    for z, m in zip(c.seq.zs.tolist(), c.seq.mults.tolist()):
+    for z, m in zip(c.zs.tolist(), c.mults.tolist()):
         row = [complex(rng.standard_normal(), rng.standard_normal())]
         for i in range(1, m):
             row.append(complex(rng.standard_normal(), rng.standard_normal())
                        / (1 - abs(z) ** 2) ** i)
         rows.append(tuple(row))
-    jets.append(HermiteJet(tuple(rows)))
+    jets.append(tuple(rows))
 jets = tuple(jets)
 double = max(range(len(part.clusters)),
-             key=lambda k: part.clusters[k].seq.mults.max())
+             key=lambda k: part.clusters[k].mults.max())
 print(f"  cluster {double} carries a derivative target: "
-      f"{np.round(jets[double].derivatives[0], 3)}")
+      f"{np.round(jets[double][0], 3)}")
 print(f"  class norm there: {class_norm(part.clusters[double], jets[double], part.eps):.4f}")
 print(f"  target sequence norm (p=2): {xp_norm(part, jets, 2.0):.4f}")
 

@@ -52,10 +52,8 @@ from .generators import (
     gen_union,
 )
 from .geninterp import (
-    Cluster,
     ClusterPartition,
     FactsReport,
-    HermiteJet,
     InterpolationProblem,
     InterpolationSolution,
     class_norm,

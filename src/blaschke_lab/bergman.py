@@ -42,6 +42,10 @@ _HARDY_SAMPLES = 1 << 14
 _HARDY_FIRST = 1 << 10
 _HARDY_TOL = 1e-13
 _HARDY_CHECKS = np.array([2731, 7919, 11213, 14341])
+# QuadratureGrid.build gives a ring at radius r ceil(_ANGULAR_FACTOR / (1 - r))
+# angles, at least _BASE_ANGULAR and at most its max_angular
+_ANGULAR_FACTOR = 16.0
+_BASE_ANGULAR = 64
 
 
 def constant_fn(c):
@@ -60,8 +64,7 @@ class QuadratureGrid:
 
     @classmethod
     def build(cls, rings: int = 400, min_gap: float = 1e-6,
-              base_angular: int = 64, max_angular: int = 1 << 14,
-              angular_factor: float = 16.0) -> "QuadratureGrid":
+              max_angular: int = 1 << 14) -> "QuadratureGrid":
         """Band edges geometric in 1-r from 1 down to min_gap, plus the
         final sliver band up to r = 1 so band areas sum to pi exactly.
         Each band carries a two-point Gauss rule in the area variable
@@ -89,8 +92,8 @@ class QuadratureGrid:
         areas = np.concatenate([np.pi * half, np.pi * half])
         order = np.argsort(radii)
         radii, areas = radii[order], areas[order]
-        counts = np.clip(np.ceil(angular_factor / (1.0 - radii)),
-                         base_angular, max_angular).astype(int)
+        counts = np.clip(np.ceil(_ANGULAR_FACTOR / (1.0 - radii)),
+                         _BASE_ANGULAR, max_angular).astype(int)
         return cls(radii, areas, counts)
 
 

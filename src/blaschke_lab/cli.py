@@ -178,8 +178,8 @@ def _cmd_partition(args) -> int:
 def _cmd_interpolate(args) -> int:
     if not args.p > 0.0:
         raise fio.ParseError(f"p must be positive, got {args.p}")
-    if not args.eps > 0.0:
-        raise fio.ParseError(f"eps must be positive, got {args.eps}")
+    if not 0.0 < args.eps < 1.0:
+        raise fio.ParseError(f"eps must lie in (0, 1), got {args.eps}")
     if not 0.0 < args.r_max < 1.0:
         raise fio.ParseError(f"r-max must lie in (0, 1), got {args.r_max}")
     seq = fio.read_sequence(args.file)

@@ -46,14 +46,18 @@ Anchors are ordered by increasing modulus, which empirically keeps
 Re beta_k(a_k) tightest; partitions built by hand may use any order.
 
 The pass multiplies in place in a fixed operand order, so a point's
-value has the same bits in every array call of two or more points.
+value has the same bits in every call.  A call of one point runs on two
+copies of it: numpy rounds a one-element in-place product differently.
 hinf_bound_estimate passes the contour arcs to arc_carleson_constant as
 four parallel arrays and takes delta from one kernel call.
+
+A cluster is a FiniteSequence, and its target a tuple of per-point rows
+of raw derivatives f, f', ..., f^(m-1) at a point of multiplicity m.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,41 +78,46 @@ _CIRCLE_SAMPLES = 256  # samples per circle of a cluster's eps-neighborhood
 _CAUCHY_NODES = 128  # nodes per Cauchy circle of the jet check
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """A finite cluster of points together with its chosen anchor point."""
-
-    seq: FiniteSequence
-    anchor: complex
-
-    @property
-    def cardinality(self) -> int:
-        return self.seq.total_count
+def _anchor_key(z: complex) -> tuple:
+    """Sort key of anchors: modulus, then angle."""
+    return abs(z), np.angle(z)
 
 
 @dataclass(frozen=True)
 class ClusterPartition:
-    """Clusters with disjoint eps-neighborhoods, plus their boundary gaps.
+    """Clusters (FiniteSequences) with disjoint eps-neighborhoods.
 
-    d[k] is the Euclidean distance from the eps-neighborhood of cluster k
-    to the unit circle.  Clusters are kept in anchor order; the order fixes
+    Worked out at construction: anchors[k], the least-modulus point of
+    cluster k (ties by angle); d[k], the Euclidean distance from its
+    eps-neighborhood to the unit circle; and the points of all clusters in
+    order (all_points).  Clusters are kept in the given order, which fixes
     the tail sums beta_k.
     """
 
     clusters: tuple
     eps: float
-    d: tuple
     R_max: float
+    anchors: np.ndarray = field(init=False, repr=False, compare=False)
+    d: tuple = field(init=False)
+    _points: FiniteSequence = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.clusters and len(self.d) != len(self.clusters):
-            raise InvariantViolation("boundary gaps must parallel clusters")
-        for dk in self.d:
-            if not 0 < dk <= 1:
-                raise InvariantViolation("boundary gaps must lie in (0, 1]")
+        zs = [c.zs.tolist() for c in self.clusters]
+        if not all(zs):
+            raise InvariantViolation("clusters must be nonempty")
+        anchors = np.array([min(c, key=_anchor_key) for c in zs], dtype=complex)
+        anchors.flags.writeable = False
+        d = tuple(1.0 - max(_outer_modulus(z, self.eps) for z in c) for c in zs)
+        if not all(0 < dk <= 1 for dk in d):
+            raise InvariantViolation("boundary gaps must lie in (0, 1]")
+        points = FiniteSequence(np.concatenate([c.zs for c in self.clusters]),
+                                np.concatenate([c.mults for c in self.clusters])) \
+            if self.clusters else FiniteSequence([])
+        for name, value in (("anchors", anchors), ("d", d), ("_points", points)):
+            object.__setattr__(self, name, value)
         if not self.clusters:
             return
-        diam, gaps = _cluster_distances(self.clusters)
+        diam, gaps = self._distances()
         wide = np.flatnonzero(diam > self.R_max)
         if wide.size:
             i = wide[0]
@@ -123,64 +132,52 @@ class ClusterPartition:
                 "their neighborhoods overlap"
             )
 
-    @property
-    def anchors(self) -> np.ndarray:
-        return np.array([c.anchor for c in self.clusters], dtype=complex)
-
     def all_points(self) -> FiniteSequence:
-        if not self.clusters:
-            return FiniteSequence([])
-        return FiniteSequence(np.concatenate([c.seq.zs for c in self.clusters]),
-                              np.concatenate([c.seq.mults for c in self.clusters]))
+        return self._points
+
+    def labels(self) -> np.ndarray:
+        """The cluster index of each point of all_points."""
+        return np.repeat(np.arange(len(self.clusters)), [len(c) for c in self.clusters])
+
+    def _distances(self):
+        zs = self._points.zs
+        return _cluster_distances(psh_distance_pairwise(zs, zs), self.labels())
 
 
-def _cluster_distances(clusters):
-    """(diam, gaps) for a nonempty tuple of clusters: diam[k] is the
-    pseudohyperbolic diameter of cluster k (0 for a single point) and
-    gaps[i, j] the least distance between points of clusters i and j,
-    both read block-wise off one pairwise matrix of all listed points."""
-    sizes = [len(c.seq) for c in clusters]
-    starts = np.cumsum([0] + sizes[:-1])
-    zs = np.concatenate([c.seq.zs for c in clusters])
-    dist = psh_distance_pairwise(zs, zs)
+def _cluster_distances(dist: np.ndarray, labels: np.ndarray):
+    """(diam, gaps) for points labelled 0 .. K-1 by cluster, read block-wise
+    off their pairwise matrix dist: diam[k] is the pseudohyperbolic
+    diameter of cluster k (0 for a single point) and gaps[i, j] the least
+    distance between points of clusters i and j."""
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    dist = dist[np.ix_(order, order)]
     gaps = np.minimum.reduceat(np.minimum.reduceat(dist, starts, axis=0), starts, axis=1)
     widest = np.maximum.reduceat(np.maximum.reduceat(dist, starts, axis=0), starts, axis=1)
     return np.diagonal(widest), gaps
 
 
 @dataclass(frozen=True)
-class HermiteJet:
-    """Target data on one cluster: per point, derivatives f, f', ...
-    up to order multiplicity - 1 (raw values, not Taylor coefficients)."""
-
-    derivatives: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "derivatives",
-            tuple(tuple(complex(v) for v in row) for row in self.derivatives),
-        )
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.derivatives for v in row)
-
-
-@dataclass(frozen=True)
 class InterpolationProblem:
+    """Targets on a partition: jets[k][i] is the row of raw derivatives at
+    point i of cluster k, as long as its multiplicity."""
+
     partition: ClusterPartition
     jets: tuple
     p: float
 
     def __post_init__(self):
-        if len(self.jets) != len(self.partition.clusters):
+        if self.p != np.inf and not self.p > 0:
+            raise ValueError("p must be positive or inf")
+        jets = tuple(tuple(tuple(complex(v) for v in row) for row in jet) for jet in self.jets)
+        object.__setattr__(self, "jets", jets)
+        if len(jets) != len(self.partition.clusters):
             raise InvariantViolation("jets must parallel clusters")
-        for jet, cluster in zip(self.jets, self.partition.clusters):
-            if len(jet.derivatives) != len(cluster.seq):
+        for jet, cluster in zip(jets, self.partition.clusters):
+            if len(jet) != len(cluster):
                 raise InvariantViolation("jet rows must parallel cluster points")
-            for row, m in zip(jet.derivatives, cluster.seq.mults.tolist()):
-                if len(row) != m:
-                    raise InvariantViolation("jet order must equal point multiplicity")
+            if [len(row) for row in jet] != cluster.mults.tolist():
+                raise InvariantViolation("jet order must equal point multiplicity")
 
 
 @dataclass(frozen=True)
@@ -212,81 +209,62 @@ def cluster_sequence(s: FiniteSequence, eps: float, R_max: float) -> ClusterPart
     components.  If a component's diameter exceeds R_max the whole pass
     retries with eps halved, down to eps / 2**EPS_HALVINGS; beyond that the
     sequence admits no partition at this scale and the call fails.
-    Anchors take the smallest-modulus point; clusters sort by anchor.
+    Clusters sort by anchor (_anchor_key).
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
     if not 0 < R_max < 1:
         raise ValueError("R_max must lie in (0, 1)")
     if len(s) == 0:
-        return ClusterPartition((), eps, (), R_max)
+        return ClusterPartition((), eps, R_max)
     zs = s.zs
     points = zs.tolist()  # scalar moduli, as in blaschke._greedy_parts
     dist = psh_distance_pairwise(zs, zs)
     cur = float(eps)
     for _ in range(EPS_HALVINGS + 1):
-        adj = dist <= 2.0 * cur
-        labels = _components(adj)
-        groups = [np.nonzero(labels == g)[0] for g in range(labels.max() + 1)]
-        diams = [dist[np.ix_(g, g)].max() if len(g) > 1 else 0.0 for g in groups]
-        if all(dm <= R_max for dm in diams):
-            clusters = []
-            for g in groups:
-                anchor = min((points[i] for i in g), key=lambda z: (abs(z), np.angle(z)))
-                clusters.append(Cluster(FiniteSequence(zs[g], s.mults[g]), anchor))
-            clusters.sort(key=lambda c: (abs(c.anchor), np.angle(c.anchor)))
-            d = tuple(
-                1.0 - max(_outer_modulus(z, cur) for z in c.seq.zs.tolist())
-                for c in clusters
-            )
-            return ClusterPartition(tuple(clusters), cur, d, R_max)
+        labels = _components(dist <= 2.0 * cur)
+        diam, _ = _cluster_distances(dist, labels)
+        if (diam <= R_max).all():
+            groups = [np.flatnonzero(labels == g) for g in range(len(diam))]
+            groups.sort(key=lambda g: min(_anchor_key(points[i]) for i in g))
+            return ClusterPartition(
+                tuple(FiniteSequence(zs[g], s.mults[g]) for g in groups), cur, R_max)
         cur /= 2.0
     raise InvariantViolation("no admissible partition at eps floor")
 
 
 def _components(adj: np.ndarray) -> np.ndarray:
-    n = len(adj)
-    labels = np.full(n, -1, dtype=int)
-    count = 0
-    for i in range(n):
-        if labels[i] >= 0:
-            continue
-        stack = [i]
-        labels[i] = count
-        while stack:
-            j = stack.pop()
-            for nb in np.nonzero(adj[j])[0]:
-                if labels[nb] < 0:
-                    labels[nb] = count
-                    stack.append(int(nb))
-        count += 1
-    return labels
+    """Labels 0, 1, ... of the connected components of the reflexive graph
+    adj, in the order of their least indices: each node takes the least
+    label among its neighbours, then the label of the node that names,
+    until no label moves."""
+    labels = np.arange(len(adj))
+    while True:
+        low = np.where(adj, labels, len(adj)).min(axis=1)
+        low = low[low]
+        if np.array_equal(low, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = low
 
 
-def cluster_region_samples(cluster: Cluster, eps: float) -> np.ndarray:
-    """Sample points of the eps-neighborhood: each constituent circle plus
-    the cluster points and disk centers."""
-    samples = cluster.seq.zs.tolist()
-    for z in cluster.seq.zs.tolist():
-        c, r = _euclid_disk(z, eps)
-        theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
-        samples.append(np.atleast_1d(c))
-        samples.append(c + r * np.exp(1j * theta))
-    return np.concatenate([np.atleast_1d(np.asarray(x, dtype=complex)) for x in samples])
-
-
-def class_norm(cluster: Cluster, jet: HermiteJet, eps: float) -> float:
-    """Size of the target class: sup over the sampled eps-neighborhood of
-    the minimal-degree polynomial carrying the jet.
+def class_norm(cluster: FiniteSequence, jet, eps: float) -> float:
+    """Size of the target class: sup of the minimal-degree polynomial
+    carrying the jet over the eps-neighborhood, sampled at the cluster
+    points, the disk centres and each constituent circle.
 
     The true quotient-class norm (inf of sup-norms over all analytic
     representatives) is not finitely computable; the canonical polynomial
     representative is equivalent for diameters bounded away from 1 and
     reduces to |value| on simple singletons.
     """
-    jets = [jet_from_derivatives(row) for row in jet.derivatives]
-    P = hermite_interpolant(cluster.seq.zs, cluster.seq.mults, jets)
-    return float(np.abs(P(cluster_region_samples(cluster, eps))).max())
+    jets = [jet_from_derivatives(row) for row in jet]
+    P = hermite_interpolant(cluster.zs, cluster.mults, jets)
+    theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
+    samples = [cluster.zs]
+    for z in cluster.zs.tolist():
+        c, r = _euclid_disk(z, eps)
+        samples += [np.atleast_1d(c), c + r * np.exp(1j * theta)]
+    return float(np.abs(P(np.concatenate(samples))).max())
 
 
 def xp_norm(part: ClusterPartition, jets, p) -> float:
@@ -299,6 +277,10 @@ def xp_norm(part: ClusterPartition, jets, p) -> float:
     if not p > 0:
         raise ValueError("p must be positive or inf")
     return float(sum(cn**p * dk for cn, dk in zip(norms, part.d)) ** (1.0 / p))
+
+
+def _is_zero(jet) -> bool:
+    return all(v == 0 for row in jet for v in row)
 
 
 def _exponents(p) -> tuple:
@@ -319,7 +301,7 @@ def _summands(problem: InterpolationProblem):
     part = problem.partition
     q, s = _exponents(problem.p)
     anchors = part.anchors
-    b_own = [BlaschkeProduct(c.seq) for c in part.clusters]
+    b_own = [BlaschkeProduct(c) for c in part.clusters]
 
     def summed(w, weights):
         n = len(w)
@@ -368,7 +350,7 @@ def _log_coefficients(part: ClusterPartition, q: float, s: float) -> np.ndarray:
     """
     seq = part.all_points()
     z0, mults = seq.zs, seq.mults
-    labels = np.repeat(np.arange(len(part.clusters)), [len(c.seq) for c in part.clusters])
+    labels = part.labels()
     out = np.zeros((mults.max(initial=1) - 1, len(z0)), dtype=complex)
     if not out.size:
         return out
@@ -408,21 +390,19 @@ def _multiplier_polynomials(problem: InterpolationProblem, values: np.ndarray) -
     the listed points in ``all_points`` order."""
     part = problem.partition
     L = _log_coefficients(part, *_exponents(problem.p))
+    labels = part.labels()
     polys = []
-    start = 0
-    for cluster, target in zip(part.clusters, problem.jets):
-        mults = cluster.seq.mults.tolist()
-        rows = range(start, start + len(mults))
-        start += len(mults)
-        if target.is_zero():
+    for k, (cluster, target) in enumerate(zip(part.clusters, problem.jets)):
+        mults = cluster.mults.tolist()
+        if _is_zero(target):
             polys.append(None)
             continue
         quotient_jets = [
             jet_mul(jet_from_derivatives(row), jet_exp(np.concatenate([[0.0], -L[: m - 1, i]])))
             / values[i]
-            for i, m, row in zip(rows, mults, target.derivatives)
+            for i, m, row in zip(np.flatnonzero(labels == k), mults, target)
         ]
-        polys.append(hermite_interpolant(cluster.seq.zs, mults, quotient_jets))
+        polys.append(hermite_interpolant(cluster.zs, mults, quotient_jets))
     return polys
 
 
@@ -434,10 +414,10 @@ def _solution_evaluator(problem: InterpolationProblem):
     polys = _multiplier_polynomials(problem, summed(points, [np.ones_like] * len(problem.jets)))
 
     def ev(z):
-        scalar = not isinstance(z, np.ndarray)
-        w = np.asarray(complex(z) if scalar else z, dtype=complex).ravel()
-        out = summed(w, polys)
-        return complex(out[0]) if scalar else out.reshape(np.shape(z))
+        w = np.asarray(z, dtype=complex).ravel()
+        # one point runs as two (module docstring)
+        out = summed(np.repeat(w, 2), polys)[::2] if len(w) == 1 else summed(w, polys)
+        return out.reshape(z.shape) if isinstance(z, np.ndarray) else complex(out[0])
 
     return ev
 
@@ -469,21 +449,15 @@ def vgh_interpolate(problem: InterpolationProblem) -> InterpolationSolution:
     largest mismatch (relative, with an absolute floor near zero targets)
     must stay below 1e-6 or the construction reports failure.
     """
-    if problem.p != np.inf and not problem.p > 0:
-        raise ValueError("p must be positive or inf")
     part = problem.partition
     # q = 2/p past the double range overflows the kernel; the inf and nan it
     # leaves give a nan residual, which fails the check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ev = _solution_evaluator(problem)
 
-    target_scale = 1.0
-    for jet in problem.jets:
-        for row in jet.derivatives:
-            for v in row:
-                target_scale = max(target_scale, abs(v))
+    rows = [row for jet in problem.jets for row in jet]
+    target_scale = max([1.0] + [abs(v) for row in rows for v in row])
     seq = part.all_points()
-    rows = [row for jet in problem.jets for row in jet.derivatives]
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         got_jets = _extract_jets(ev, seq.zs, seq.mults.tolist())
@@ -518,7 +492,7 @@ def hinf_bound_estimate(part: ClusterPartition, b: BlaschkeProduct) -> float:
     arcs = ([], [], [], [])  # centres, radii, t0, t1
     samples = []  # the kept samples of every circle
     for cluster in part.clusters:
-        disks = [_euclid_disk(z, part.eps) for z in cluster.seq.zs.tolist()]
+        disks = [_euclid_disk(z, part.eps) for z in cluster.zs.tolist()]
         for j, (cj, rj) in enumerate(disks):
             theta = 2.0 * np.pi * (np.arange(_CIRCLE_SAMPLES) + 0.5) / _CIRCLE_SAMPLES
             pts = cj + rj * np.exp(1j * theta)
@@ -583,13 +557,13 @@ def verify_facts(part: ClusterPartition, solution_batch,
     clusters = part.clusters
     sep_margin = np.inf
     if len(clusters) > 1:
-        _, gaps = _cluster_distances(clusters)
+        _, gaps = part._distances()
         sep_margin = gaps[np.triu_indices(len(clusters), 1)].min() - 2.0 * part.eps
     separation_ok = sep_margin > 0 or len(clusters) < 2
     if not separation_ok:
         violations.append(f"cluster separation short by {-sep_margin:.3e}")
 
-    max_card = max((c.cardinality for c in clusters), default=0)
+    max_card = max((c.total_count for c in clusters), default=0)
     if clusters:
         b_all = BlaschkeProduct(part.all_points())
         bound = max_local_count(b_all, min(0.999999, part.R_max * 1.001))
@@ -608,14 +582,10 @@ def verify_facts(part: ClusterPartition, solution_batch,
         for _ in range(n_subsets):
             size = int(rng.integers(1, len(clusters)))
             chosen = np.sort(rng.choice(len(clusters), size=size, replace=False))
-            sub_part = ClusterPartition(
-                tuple(clusters[i] for i in chosen),
-                part.eps,
-                tuple(part.d[i] for i in chosen),
-                part.R_max,
-            )
+            sub_part = ClusterPartition(tuple(clusters[i] for i in chosen),
+                                        part.eps, part.R_max)
             sub_jets = tuple(sol.problem.jets[i] for i in chosen)
-            if all(j.is_zero() for j in sub_jets):
+            if all(map(_is_zero, sub_jets)):
                 continue
             sub = vgh_interpolate(InterpolationProblem(sub_part, sub_jets, sol.problem.p))
             if sub.norm_ratio > 0:

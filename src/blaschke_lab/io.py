@@ -2,7 +2,10 @@
 
 Sequence files carry one point per line as ``re im mult`` with full float
 precision (round-trips are bit exact); ``#`` starts a comment.  Target
-files address jets as ``cluster point order value_re value_im``.  Reports
+files address jets as ``cluster point order value_re value_im``: the
+order-th raw derivative at point ``point`` of cluster ``cluster``, in the
+partition's cluster order; parse_targets returns them as the nested rows
+InterpolationProblem takes, zero where a file is silent.  Reports
 are ``key = value`` lines under ``[section]`` headers, parseable back into
 nested dicts; verdict-valued keys use pass / fail / n/a.
 """
@@ -12,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .disk import FiniteSequence
-from .geninterp import ClusterPartition, HermiteJet
+from .geninterp import ClusterPartition
 
 
 class ParseError(ValueError):
@@ -58,11 +61,9 @@ def read_sequence(path) -> FiniteSequence:
 
 
 def parse_targets(text: str, part: ClusterPartition):
-    """Jets for the given partition; unspecified entries default to zero."""
-    rows = [
-        [[0.0 + 0.0j] * m for m in c.seq.mults.tolist()]
-        for c in part.clusters
-    ]
+    """Jets for the given partition, one tuple of per-point derivative rows
+    per cluster; unspecified entries default to zero."""
+    rows = [[[0.0 + 0.0j] * m for m in c.mults.tolist()] for c in part.clusters]
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,17 +81,15 @@ def parse_targets(text: str, part: ClusterPartition):
         if not 0 <= k < len(part.clusters):
             raise ParseError(f"line {ln}: cluster index {k} out of range")
         cluster = part.clusters[k]
-        if not 0 <= i < len(cluster.seq):
+        if not 0 <= i < len(cluster):
             raise ParseError(f"line {ln}: point index {i} out of range")
-        if not 0 <= order < cluster.seq.mults[i]:
+        if not 0 <= order < cluster.mults[i]:
             raise ParseError(
                 f"line {ln}: derivative order {order} at multiplicity "
-                f"{cluster.seq.mults[i]}"
+                f"{cluster.mults[i]}"
             )
         rows[k][i][order] = val
-    return tuple(
-        HermiteJet(tuple(tuple(r) for r in cluster_rows)) for cluster_rows in rows
-    )
+    return tuple(tuple(tuple(r) for r in cluster_rows) for cluster_rows in rows)
 
 
 def read_targets(path, part: ClusterPartition):

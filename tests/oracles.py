@@ -38,7 +38,7 @@ from blaschke_lab.disk import (
     psh_distance,
     psh_distance_pairwise,
 )
-from blaschke_lab.geninterp import ClusterPartition, HermiteJet, _exponents
+from blaschke_lab.geninterp import ClusterPartition, _exponents
 
 # the 3,775,327-node grid of QuadratureGrid.build's defaults, for oracles
 # whose integrands peak near the circle
@@ -293,7 +293,7 @@ def summed_by_rows(problem, w, weights):
     out = np.zeros_like(w)
     after = np.ones_like(w)
     for k, kern in _kernels(part.anchors, w, q, s):
-        own = evaluate(BlaschkeProduct(part.clusters[k].seq), w)
+        own = evaluate(BlaschkeProduct(part.clusters[k]), w)
         out *= own
         if weights[k] is not None:
             out += weights[k](w) * after * kern
@@ -440,16 +440,16 @@ def reference_greedy(zs, sep):
     return parts
 
 
-def zero_jet(cluster) -> HermiteJet:
+def zero_jet(cluster) -> tuple:
     """The all-zero target on a cluster."""
-    return HermiteJet(tuple((0.0,) * m for m in cluster.seq.mults.tolist()))
+    return tuple((0.0,) * m for m in cluster.mults.tolist())
 
 
 def format_targets(jets) -> str:
     """Target-file text for the given jets, one line per derivative."""
     lines = ["# cluster point order value_re value_im"]
     for k, jet in enumerate(jets):
-        for i, row in enumerate(jet.derivatives):
+        for i, row in enumerate(jet):
             for order, v in enumerate(row):
                 lines.append(f"{k} {i} {order} {v.real!r} {v.imag!r}")
     return "\n".join(lines) + "\n"

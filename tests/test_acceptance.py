@@ -84,14 +84,14 @@ def _interpolation_problem(seed):
     jets = []
     for c in part.clusters:
         rows = []
-        for z, m in zip(c.seq.zs.tolist(), c.seq.mults.tolist()):
+        for z, m in zip(c.zs.tolist(), c.mults.tolist()):
             scale = 1.0 / (1 - abs(z) ** 2)
             row = [complex(rng.standard_normal(), rng.standard_normal())]
             for i in range(1, m):
                 row.append(complex(rng.standard_normal(), rng.standard_normal())
                            * scale**i)
             rows.append(tuple(row))
-        jets.append(gi.HermiteJet(tuple(rows)))
+        jets.append(tuple(rows))
     return part, tuple(jets)
 
 
@@ -256,7 +256,7 @@ def test_criterion_07_interpolation():
     for seed in range(10):
         part, jets = _interpolation_problem(seed)
         n_pts = part.all_points().total_count
-        max_card = max(c.cardinality for c in part.clusters)
+        max_card = max(c.total_count for c in part.clusters)
         if n_pts > 100 or max_card > 3:
             failures.append(f"seed {seed}: bad problem shape n={n_pts} card={max_card}")
             continue
@@ -285,13 +285,13 @@ def test_criterion_08_singleton_reduction():
         off = rng.uniform(0, 2 * np.pi)
         s = gen_radial_geometric(0.45, 7, tuple(off + np.pi * k / 2 for k in range(4)))
         part = gi.cluster_sequence(s, 0.02, 0.9)
-        if not all(c.cardinality == 1 for c in part.clusters):
+        if not all(c.total_count == 1 for c in part.clusters):
             failures.append(f"seed {seed}: clusters not singletons")
             continue
         vals = rng.standard_normal(len(part.clusters)) \
             + 1j * rng.standard_normal(len(part.clusters))
-        jets = tuple(gi.HermiteJet(((v,),)) for v in vals)
-        anchor_vals = {c.seq.zs[0]: v for c, v in zip(part.clusters, vals)}
+        jets = tuple(((v,),) for v in vals)
+        anchor_vals = {c.zs[0]: v for c, v in zip(part.clusters, vals)}
         seq = part.all_points()
         ordered = [anchor_vals[z] for z in seq.zs]
         for p in (1.0, 2.0, np.inf):

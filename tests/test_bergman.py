@@ -284,8 +284,8 @@ def test_divisor_ratio_converged_on_analysis_grid(name, alpha):
     # the divisor ratio: one over the least recentred mean to the power 1/p
     got = 1.0 / min(bg.recentred_means(b, centers, 0.5, alpha, analysis_grid())) ** 2.0
     # twice the rings and twice the angles per ring
-    fine = bg.QuadratureGrid.build(rings=240, min_gap=1e-7, base_angular=128,
-                                   max_angular=4096, angular_factor=32.0)
+    g = bg.QuadratureGrid.build(rings=240, min_gap=1e-7, max_angular=2048)
+    fine = bg.QuadratureGrid(g.radii, g.band_areas, 2 * g.angular_counts)
     assert fine.angular_counts.sum() >= 3.9 * analysis_grid().angular_counts.sum()
     want = 1.0 / min(bg.recentred_means(b, centers, 0.5, alpha, fine)) ** 2.0
     assert abs(got - want) <= 1e-4 * want

@@ -130,6 +130,7 @@ def test_analyze_huge_exponent_reports_infinite_divisor(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--p", "0"), ("--p", "-1"), ("--p", "nan"), ("--eps", "0"), ("--eps", "nan"),
+    ("--eps", "1"), ("--eps", "1.5"),
     ("--r-max", "0"), ("--r-max", "1"), ("--r-max", "nan"),
 ])
 def test_interpolate_bad_flag_exit_2(tmp_path, capsys, flag, value):
