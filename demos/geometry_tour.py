@@ -6,7 +6,6 @@ Run:  python demos/geometry_tour.py
 import numpy as np
 
 from blaschke_lab import (
-    DiskPoint,
     FiniteSequence,
     MoebiusMap,
     hyperbolic_grid,
@@ -27,10 +26,10 @@ print()
 print("=" * 60)
 print("The involutive automorphism swapping 0 and c")
 print("=" * 60)
-c = DiskPoint(0.6, 0.2)
+c = 0.6 + 0.2j
 phi = MoebiusMap(c)
-print(f"  c = {c.z}")
-print(f"  phi(c) = {phi(c.z):.3e}  (maps its center to 0)")
+print(f"  c = {c}")
+print(f"  phi(c) = {phi(c):.3e}  (maps its center to 0)")
 print(f"  phi(0) = {phi(0.0):.6f}  (and 0 back to the center)")
 z = 0.3 - 0.4j
 print(f"  phi(phi(z)) - z = {abs(phi(phi(z)) - z):.2e}  (involution)")

@@ -35,7 +35,6 @@ from .carleson import (
     uniform_blaschke_sup,
 )
 from .disk import (
-    DiskPoint,
     FiniteSequence,
     InvariantViolation,
     MoebiusMap,

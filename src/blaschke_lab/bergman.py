@@ -34,7 +34,7 @@ import numpy as np
 
 from . import disk
 from .blaschke import BlaschkeProduct, _log_abs_moved, _moved
-from .disk import FiniteSequence, _one_minus_abs2
+from .disk import FiniteSequence, _one_minus_abs2, _one_minus_conj
 
 # hp_norm's circle, its node count, first grid, tolerance and spot-check nodes
 _HARDY_RADIUS = 0.99999
@@ -221,15 +221,13 @@ def reproducing_family(s: FiniteSequence, p: float) -> list:
     """Normalized reproducing-kernel style test functions anchored at the
     points of s: f_a(z) = ((1-|a|^2)/(1 - conj(a) z))^(2/p).
 
-    With d = 1 - |a|^2 error-free, 1 - conj(a) z = v = d + conj(a)(a - z)
+    With d = 1 - |a|^2 error-free, v = 1 - conj(a) z from _one_minus_conj
     and log(v/d) = log(|v|/d) + i arg v, so f_a(a) = 1 exactly, however
     deep a lies."""
     fam = []
-    for a in s.zs.tolist():
-        d = float(_one_minus_abs2(a))
-
+    for a, d in zip(s.zs.tolist(), _one_minus_abs2(s.zs).tolist()):
         def ev(z, a=a, d=d):
-            v = d + np.conj(a) * (a - np.asarray(z, dtype=complex))
+            v = _one_minus_conj(a, d, np.asarray(z, dtype=complex))
             out = np.exp((-2.0 / p) * (np.log(np.abs(v) / d) + 1j * np.angle(v)))
             return out if isinstance(z, np.ndarray) else complex(out)
 

@@ -42,6 +42,7 @@ from .disk import (
     _coords,
     _log_rho2,
     _one_minus_abs2,
+    _one_minus_conj,
     _tiles,
 )
 
@@ -82,11 +83,9 @@ class SeparationReport:
 def _factors(a, da, units, z):
     """Factor values units (a - z) / (1 - conj(a) z) for zeros a (rows)
     against points z (columns), in complex arithmetic, with 1 - conj(a) z
-    as da + conj(a)(a - z) from the error-free da = 1 - |a|^2: no cancelling."""
-    diff = np.subtract.outer(a, z)
-    den = np.conj(a)[:, None] * diff
-    den += da[:, None]
-    return units[:, None] * diff / den
+    from _one_minus_conj and the error-free da = 1 - |a|^2: no cancelling."""
+    a = a[:, None]
+    return units[:, None] * (a - z) / _one_minus_conj(a, da[:, None], z)
 
 
 def _points(z):
@@ -130,8 +129,8 @@ def log_abs_evaluate(b: BlaschkeProduct, z):
 def _moved(b: BlaschkeProduct, c: complex) -> np.ndarray:
     """Kernel coordinates of the zeros moved by phi_c(z) = (c - z)/(1 - conj(c) z).
 
-    With dc = 1 - |c|^2 and da = 1 - |a|^2 error-free, 1 - conj(c) a =
-    dc + conj(c)(c - a) and 1 - |phi_c(a)|^2 = dc da / (|c - a|^2 + dc da),
+    With dc = 1 - |c|^2 and da = 1 - |a|^2 error-free, 1 - conj(c) a comes
+    from _one_minus_conj and 1 - |phi_c(a)|^2 = dc da / (|c - a|^2 + dc da),
     so no step cancels near the circle.  The moved depths can fall far
     below BOUNDARY_FLOOR and |phi_c(a)| can round to 1: these are kernel
     coordinates only, never a FiniteSequence.
@@ -140,7 +139,7 @@ def _moved(b: BlaschkeProduct, c: complex) -> np.ndarray:
     coords = b._table[1]
     dc = float(_one_minus_abs2(c))
     d = c - zs
-    moved = d / (dc + np.conj(c) * d)
+    moved = d / _one_minus_conj(c, dc, zs)
     prod = dc * coords[2]
     return np.stack([moved.real, moved.imag, prod / (d.real**2 + d.imag**2 + prod)])
 
@@ -290,18 +289,16 @@ class _Boxes:
         d_(k+1) = x d_k + y^k d_1 from d_1 = R (1 - |a|^2) X / (1 - conj(a) t),
         and every term keeps its relative accuracy.
         """
-        zs = coords[0] + 1j * coords[1]
-        conj = np.conj(zs)[:, None]
+        zs = (coords[0] + 1j * coords[1])[:, None]
         depth = coords[2][:, None]
         radii = self.radii[bs]
-        x = zs[:, None] - self.centers[bs]
+        centers = self.centers[bs]
+        x = zs - centers
+        den = _one_minus_conj(zs, depth, centers)
         with np.errstate(divide="ignore", invalid="ignore"):
-            den = x * conj
             np.divide(radii, x, out=x)
             near = ~(np.abs(x) < _FAR)  # nan and inf (a at t) are near
-            # 1 - conj(a) t = (1 - |a|^2) + conj(a)(a - t): no cancellation
-            den += depth
-            y = conj * radii
+            y = np.conj(zs) * radii
             y /= den
             d = np.divide(depth, den, out=den)
             d *= x
@@ -362,8 +359,7 @@ def derivative(b: BlaschkeProduct, z) -> complex:
         return deleted_product(b, j) * -units[j] / coords[2, j]
     # the term -m (1 - |a|^2) / ((1 - conj(a) w)(a - w)) is m / w for a = 0
     da = coords[2]
-    diff = zs - w
-    logd = (-mults * da / ((da + np.conj(zs) * diff) * diff)).sum()
+    logd = (-mults * da / (_one_minus_conj(zs, da, w) * (zs - w))).sum()
     return evaluate(b, w) * complex(logd)
 
 

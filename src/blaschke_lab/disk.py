@@ -1,14 +1,15 @@
 """Pseudohyperbolic geometry of the open unit disk.
 
-Points, finite point sequences with multiplicities (two read-only arrays),
-the disk automorphisms ``(c - z) / (1 - conj(c) z)``, the metric
+Finite point sequences with multiplicities (two read-only arrays), the
+disk automorphisms ``(c - z) / (1 - conj(c) z)``, the metric
 ``rho = |(z - w) / (1 - conj(w) z)|``, and small grid helpers.  Everything
 here is immutable after construction and every operation is a pure function.
 
 The metric comes from one kernel for log rho^2 between a tile of points
 and another, in real arithmetic and free of cancellation near the circle
 (_log_rho2); the Blaschke moduli, separation constants and zero counts of
-the other modules use the same kernel.
+the other modules use the same kernel.  Every complex 1 - conj(c) z of the
+package comes from one error-free form too (_one_minus_conj).
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ def _one_minus_abs2(z):
     corr += err[0::2]
     corr += err[1::2]
     return ((1.0 - s) - corr).reshape(z.shape)
+
+
+def _one_minus_conj(c, dc, z):
+    """1 - conj(c) z for complex scalars or broadcasting arrays c and z, as
+    dc + conj(c)(c - z) with dc = 1 - |c|^2 from _one_minus_abs2: it does
+    not cancel near the circle, and it is exactly dc at z = c."""
+    return dc + c.conjugate() * (c - z)
 
 
 def _tiles(m: int, k: int):
@@ -153,24 +161,6 @@ def _check_point(z: complex) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point of the open unit disk, kept strictly inside the conditioning floor."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        _check_point(self.z)
-
-    @property
-    def z(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __complex__(self) -> complex:
-        return self.z
-
-
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -230,30 +220,29 @@ class FiniteSequence:
 class MoebiusMap:
     """The involutive disk automorphism ``z -> (c - z) / (1 - conj(c) z)``.
 
-    It swaps 0 and its center c, and applying it twice is the identity.
-    1 - conj(c) z is formed as (1 - |c|^2) + conj(c)(c - z), with the depth
-    error-free, so it does not cancel near the circle.
+    It swaps 0 and its center c, a complex kept strictly inside the
+    conditioning floor, and applying it twice is the identity.  The
+    denominator comes from _one_minus_conj with the depth 1 - |c|^2 formed
+    once, so it does not cancel near the circle.
     """
 
-    center: DiskPoint
+    center: complex
 
     def __post_init__(self):
-        if not isinstance(self.center, DiskPoint):
-            c = complex(self.center)
-            object.__setattr__(self, "center", DiskPoint(c.real, c.imag))
-        object.__setattr__(self, "_depth", float(_one_minus_abs2(self.center.z)))
+        c = complex(self.center)
+        _check_point(c)
+        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "_depth", float(_one_minus_abs2(c)))
 
     def __call__(self, z):
         """Apply the map; accepts scalars or complex arrays, returns the same."""
-        c = self.center.z
-        diff = c - (z if isinstance(z, np.ndarray) else complex(z))
-        return diff / (self._depth + c.conjugate() * diff)
+        z = z if isinstance(z, np.ndarray) else complex(z)
+        return (self.center - z) / _one_minus_conj(self.center, self._depth, z)
 
     def jacobian(self, w) -> float:
         """Area-distortion factor |d(map)/dz|^2 = (1-|c|^2)^2 / |1 - conj(c) w|^4 at w."""
-        c = self.center.z
-        v = w if isinstance(w, np.ndarray) else complex(w)
-        return self._depth**2 / abs(self._depth + c.conjugate() * (c - v)) ** 4
+        w = w if isinstance(w, np.ndarray) else complex(w)
+        return self._depth**2 / abs(_one_minus_conj(self.center, self._depth, w)) ** 4
 
 
 def psh_distance(z, w) -> float:

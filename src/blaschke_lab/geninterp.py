@@ -16,11 +16,11 @@ confluent interpolation polynomial that makes the k-th summand carry the
 prescribed jet.  Exponents (q, s) are (2, 1) for p >= 1 and (2/p, p) for
 p < 1.  Every cross summand vanishes on cluster k to full multiplicity,
 so jets add up exactly; solutions are verified independently through
-Cauchy-circle derivative extraction.
+Cauchy-circle derivative extraction, against the nodes actually sampled.
 
 The sum is evaluated in one pass over the clusters from last to first.
-Cluster k forms the denominator 1 - conj(a_k) z once and
-x = (1-|a_k|^2)/(1 - conj(a_k) z) with one division, and x serves both
+Cluster k forms 1 - conj(a_k) z once (disk._one_minus_conj, as do the
+jets) and x = (1-|a_k|^2)/(1 - conj(a_k) z) with one division; x serves
 the tail term 2x - (1-|a_k|^2) of the running beta_k (its constant cancels
 in beta_k(a_k) - beta_k(z), so only x is summed) and kernel_k = x^q exp(...).
 The pass keeps ``after``, the product of the own-cluster Blaschke products
@@ -68,6 +68,7 @@ from .disk import (
     FiniteSequence,
     InvariantViolation,
     _one_minus_abs2,
+    _one_minus_conj,
     _tiles,
     psh_distance_pairwise,
 )
@@ -75,7 +76,8 @@ from .hermite import hermite_interpolant, jet_exp, jet_from_derivatives, jet_mul
 
 EPS_HALVINGS = 5  # eps floor is eps / 2**EPS_HALVINGS
 _CIRCLE_SAMPLES = 256  # samples per circle of a cluster's eps-neighborhood
-_CAUCHY_NODES = 128  # nodes per Cauchy circle of the jet check
+_CAUCHY_NODES = 128  # least nodes per Cauchy circle of the jet check
+_JET_POWERS, _JET_PASSES = 16, 4  # Taylor coefficients fitted per circle, refining passes
 
 
 def _anchor_key(z: complex) -> tuple:
@@ -89,9 +91,11 @@ class ClusterPartition:
 
     Worked out at construction: anchors[k], the least-modulus point of
     cluster k (ties by angle); d[k], the Euclidean distance from its
-    eps-neighborhood to the unit circle; and the points of all clusters in
-    order (all_points).  Clusters are kept in the given order, which fixes
-    the tail sums beta_k.
+    eps-neighborhood to the unit circle, the least over its points z of
+    (1 - |z|)(1 - eps)/(1 + eps |z|) with 1 - |z| = (1 - |z|^2)/(1 + |z|)
+    from the error-free depth; and the points of all clusters in order
+    (all_points).  Clusters are kept in the given order, which fixes the
+    tail sums beta_k.
     """
 
     clusters: tuple
@@ -107,12 +111,16 @@ class ClusterPartition:
             raise InvariantViolation("clusters must be nonempty")
         anchors = np.array([min(c, key=_anchor_key) for c in zs], dtype=complex)
         anchors.flags.writeable = False
-        d = tuple(1.0 - max(_outer_modulus(z, self.eps) for z in c) for c in zs)
-        if not all(0 < dk <= 1 for dk in d):
-            raise InvariantViolation("boundary gaps must lie in (0, 1]")
         points = FiniteSequence(np.concatenate([c.zs for c in self.clusters]),
                                 np.concatenate([c.mults for c in self.clusters])) \
             if self.clusters else FiniteSequence([])
+        r = np.abs(points.zs)
+        gaps = _one_minus_abs2(points.zs) / (1.0 + r) * (1.0 - self.eps) / (1.0 + self.eps * r)
+        d = np.full(len(zs), np.inf)
+        np.minimum.at(d, self.labels(), gaps)
+        d = tuple(d.tolist())
+        if not all(0 < dk <= 1 for dk in d):
+            raise InvariantViolation("boundary gaps must lie in (0, 1]")
         for name, value in (("anchors", anchors), ("d", d), ("_points", points)):
             object.__setattr__(self, name, value)
         if not self.clusters:
@@ -190,16 +198,11 @@ class InterpolationSolution:
     target_norm: float
 
 
-def _euclid_disk(z: complex, eps: float):
-    """Euclidean center and radius of the pseudohyperbolic disk D(z, eps)."""
-    a = abs(z) ** 2
-    c = z * (1.0 - eps * eps) / (1.0 - eps * eps * a)
-    r = eps * (1.0 - a) / (1.0 - eps * eps * a)
-    return c, r
-
-
-def _outer_modulus(z: complex, eps: float) -> float:
-    return (abs(z) + eps) / (1.0 + eps * abs(z))
+def _euclid_disks(zs: np.ndarray, eps: float):
+    """Euclidean centres and radii of the pseudohyperbolic disks D(z, eps)
+    about the points zs, the radii from the error-free depths 1 - |z|^2."""
+    k = 1.0 - eps * eps * np.abs(zs) ** 2
+    return zs * (1.0 - eps * eps) / k, eps * _one_minus_abs2(zs) / k
 
 
 def cluster_sequence(s: FiniteSequence, eps: float, R_max: float) -> ClusterPartition:
@@ -260,11 +263,9 @@ def class_norm(cluster: FiniteSequence, jet, eps: float) -> float:
     jets = [jet_from_derivatives(row) for row in jet]
     P = hermite_interpolant(cluster.zs, cluster.mults, jets)
     theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
-    samples = [cluster.zs]
-    for z in cluster.zs.tolist():
-        c, r = _euclid_disk(z, eps)
-        samples += [np.atleast_1d(c), c + r * np.exp(1j * theta)]
-    return float(np.abs(P(np.concatenate(samples))).max())
+    c, r = _euclid_disks(cluster.zs, eps)
+    circles = c[:, None] + r[:, None] * np.exp(1j * theta)
+    return float(np.abs(P(np.concatenate([cluster.zs, c, circles.ravel()]))).max())
 
 
 def xp_norm(part: ClusterPartition, jets, p) -> float:
@@ -301,30 +302,26 @@ def _summands(problem: InterpolationProblem):
     part = problem.partition
     q, s = _exponents(problem.p)
     anchors = part.anchors
+    depths = _one_minus_abs2(anchors)
     b_own = [BlaschkeProduct(c) for c in part.clusters]
 
     def summed(w, weights):
         n = len(w)
         wa = np.append(w, anchors)
-        x = np.empty_like(wa)
         tails = np.zeros_like(wa)
         kern = np.empty_like(w)
-        pw = np.empty_like(w)
-        xw = x[:n]
         out = np.zeros_like(w)
         after = np.ones_like(w)
         for k in range(len(anchors) - 1, -1, -1):
-            a = anchors[k]
-            np.multiply(wa, -a.conjugate(), out=x)
-            x += 1.0
+            x = _one_minus_conj(anchors[k], depths[k], wa)
             if not (x.real > 0).all():
                 raise RuntimeError("principal power guard: Re(1 - conj(a) z) <= 0")
-            np.divide(1.0 - abs(a) ** 2, x, out=x)
+            np.divide(depths[k], x, out=x)
             tails += x
             np.subtract(tails[n + k], tails[:n], out=kern)
             kern *= 2.0 / s
             np.exp(kern, out=kern)
-            kern *= np.power(xw, q, out=pw)
+            kern *= np.power(x[:n], q, out=x[:n])  # x is in tails already
             own = evaluate(b_own[k], w)
             out *= own
             if weights[k] is not None:
@@ -358,7 +355,7 @@ def _log_coefficients(part: ClusterPartition, q: float, s: float) -> np.ndarray:
     for r, c in _tiles(len(z0), len(z0)):
         other = np.not_equal.outer(labels[r], labels[c])
         diff = np.where(other, np.subtract.outer(z0[r], z0[c]), 1.0)
-        v = 1.0 - np.multiply.outer(np.conj(z0[r]), z0[c])
+        v = _one_minus_conj(z0[r, None], depth[r, None], z0[c])
         x = 1.0 / diff
         y = np.conj(z0[r])[:, None] / v
         scaled = (mults[r] * depth[r])[:, None] * other / (diff * v)  # m_a (x - y)
@@ -370,13 +367,13 @@ def _log_coefficients(part: ClusterPartition, q: float, s: float) -> np.ndarray:
             geo *= x
             geo += yn
     anchors = part.anchors
+    depth = _one_minus_abs2(anchors)
     idx = np.arange(len(anchors))
     for r, c in _tiles(len(anchors), len(z0)):
-        v = 1.0 - np.multiply.outer(np.conj(anchors[r]), z0[c])
+        v = _one_minus_conj(anchors[r, None], depth[r, None], z0[c])
         y = np.conj(anchors[r])[:, None] / v
         own = np.equal.outer(idx[r], labels[c]) * q
-        tail = np.greater_equal.outer(idx[r], labels[c]) * (2.0 / s) \
-            * _one_minus_abs2(anchors[r])[:, None] / v
+        tail = np.greater_equal.outer(idx[r], labels[c]) * (2.0 / s) * depth[r, None] / v
         yn = np.ones_like(y)
         for n in range(1, len(out) + 1):
             yn *= y
@@ -425,20 +422,26 @@ def _solution_evaluator(problem: InterpolationProblem):
 def _extract_jets(fn, centers, orders) -> list:
     """Derivatives f, f', ..., f^(order-1) at every center by Cauchy-circle
     means, from one call of fn on the stacked circles of radius
-    0.1 (1 - |z0|) about the centers."""
+    rho = 0.1 (1 - |z0|) about the centers, with at least twice as many
+    nodes as coefficients fitted.  Near the circle the nodes round by a
+    fair share of rho, so the Taylor coefficients c_n of f(z0 + rho u) are
+    fitted to the offsets u = (w - z0)/rho of the nodes w actually sampled,
+    which are exact: the FFT means of the samples, refined by passes that
+    add the FFT means of vals - sum c_n u^n."""
     centers = np.asarray(centers, dtype=complex)
     rho = 0.1 * (1.0 - np.abs(centers))
-    ring = np.exp(2j * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
-    vals = fn(centers[:, None] + rho[:, None] * ring)
-    jets = []
-    for row, r, order in zip(vals, rho, orders):
-        derivs = np.empty(order, dtype=complex)
-        fact = 1.0
-        for i in range(order):
-            derivs[i] = np.mean(row * ring ** (-i)) / r**i * fact
-            fact *= i + 1
-        jets.append(derivs)
-    return jets
+    powers = max(_JET_POWERS, max(orders, default=0))
+    nodes = max(_CAUCHY_NODES, 2 * powers)
+    ring = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    w = centers[:, None] + rho[:, None] * ring
+    vals = fn(w)
+    u = (w - centers[:, None]) / rho[:, None]
+    coef = np.fft.fft(vals)[:, :powers] / nodes
+    for _ in range(_JET_PASSES):
+        fit = np.polynomial.polynomial.polyval(u, coef.T[:, :, None], tensor=False)
+        coef += np.fft.fft(vals - fit)[:, :powers] / nodes
+    fact = np.cumprod(np.r_[1.0, 1:powers])
+    return [c[:m] / r ** np.arange(m) * fact[:m] for c, r, m in zip(coef, rho, orders)]
 
 
 def vgh_interpolate(problem: InterpolationProblem) -> InterpolationSolution:
@@ -461,10 +464,10 @@ def vgh_interpolate(problem: InterpolationProblem) -> InterpolationSolution:
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         got_jets = _extract_jets(ev, seq.zs, seq.mults.tolist())
-    for got, row in zip(got_jets, rows):
-        for g, t in zip(got, row):
-            denom = max(abs(t), 0.01 * target_scale)
-            worst = float(np.maximum(worst, abs(g - t) / denom))
+        for got, row in zip(got_jets, rows):
+            for g, t in zip(got, row):
+                denom = max(abs(t), 0.01 * target_scale)
+                worst = float(np.maximum(worst, abs(g - t) / denom))
     if not worst <= 1e-6:
         raise RuntimeError(
             f"construction failed: jet residual {worst:.3e} exceeds 1e-6"
@@ -491,15 +494,15 @@ def hinf_bound_estimate(part: ClusterPartition, b: BlaschkeProduct) -> float:
         return 0.0
     arcs = ([], [], [], [])  # centres, radii, t0, t1
     samples = []  # the kept samples of every circle
+    theta = 2.0 * np.pi * (np.arange(_CIRCLE_SAMPLES) + 0.5) / _CIRCLE_SAMPLES
+    ring = np.exp(1j * theta)
     for cluster in part.clusters:
-        disks = [_euclid_disk(z, part.eps) for z in cluster.zs.tolist()]
-        for j, (cj, rj) in enumerate(disks):
-            theta = 2.0 * np.pi * (np.arange(_CIRCLE_SAMPLES) + 0.5) / _CIRCLE_SAMPLES
-            pts = cj + rj * np.exp(1j * theta)
-            keep = np.ones(_CIRCLE_SAMPLES, dtype=bool)
-            for i, (ci, ri) in enumerate(disks):
-                if i != j:
-                    keep &= np.abs(pts - ci) >= ri
+        centres, radii = _euclid_disks(cluster.zs, part.eps)
+        for j, (cj, rj) in enumerate(zip(centres.tolist(), radii.tolist())):
+            pts = cj + rj * ring
+            outside = np.abs(pts[:, None] - centres) >= radii  # of each other disk
+            outside[:, j] = True
+            keep = outside.all(axis=1)
             if not keep.any():
                 continue
             samples.append(pts[keep])

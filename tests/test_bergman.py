@@ -10,7 +10,7 @@ from blaschke_lab import geninterp as gi
 from blaschke_lab.analysis import analysis_grid, analyze_sequence
 from blaschke_lab.blaschke import BlaschkeProduct, _pair_sums, evaluate, log_abs_evaluate
 from blaschke_lab.carleson import uniform_blaschke_sup
-from blaschke_lab.disk import DiskPoint, FiniteSequence, MoebiusMap
+from blaschke_lab.disk import FiniteSequence, MoebiusMap
 from blaschke_lab.generators import (
     gen_escalating_multiplicity,
     gen_radial_geometric,
@@ -367,7 +367,7 @@ def test_stacked_rows_match_single_integrals_bitwise(monkeypatch, shrink):
     # at the default block size and at half of it
     monkeypatch.setattr(disk, "_BLOCK", disk._BLOCK // shrink)
     g = analysis_grid()
-    phi = MoebiusMap(DiskPoint(0.7, -0.2))
+    phi = MoebiusMap(0.7 - 0.2j)
     fields = [
         lambda z: np.abs(1.0 + z + z * z) ** 1.5,
         lambda z: phi.jacobian(z),
@@ -399,7 +399,7 @@ def test_area_integral_matches_ring_by_ring(monkeypatch, shrink):
     # at the default block size and at half of it: the blocks change no result
     monkeypatch.setattr(disk, "_BLOCK", disk._BLOCK // shrink)
     b = BlaschkeProduct(FiniteSequence([0.5, -0.3 + 0.6j, 0.9j], [1, 2, 1]))
-    phi = MoebiusMap(DiskPoint(0.7, -0.2))
+    phi = MoebiusMap(0.7 - 0.2j)
     fields = [
         lambda z: np.abs(1.0 + z + z * z) ** 1.5,
         lambda z: np.exp(0.5 * log_abs_evaluate(b, phi(z))),

@@ -23,7 +23,6 @@ from blaschke_lab.disk import (
     FiniteSequence,
     InvariantViolation,
     MoebiusMap,
-    DiskPoint,
     psh_distance_pairwise,
 )
 from blaschke_lab.generators import (
@@ -248,8 +247,7 @@ def test_compose_probe():
 
 def test_moebius_covariance():
     b = BlaschkeProduct(random_sequence(21, n=6, r_max=0.7))
-    zeta = DiskPoint(0.35, -0.2)
-    phi = MoebiusMap(zeta)
+    phi = MoebiusMap(0.35 - 0.2j)
     transformed = BlaschkeProduct(FiniteSequence(phi(b.zeros.zs)))
     rng = np.random.default_rng(4)
     z = rng.uniform(0, 0.9, 100) * np.exp(1j * rng.uniform(0, 2 * np.pi, 100))

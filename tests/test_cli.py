@@ -15,6 +15,7 @@ from blaschke_lab.geninterp import (
     xp_norm,
 )
 from blaschke_lab.io import read_sequence, write_sequence
+from test_demos import src_env
 
 
 def run_cli(*args):
@@ -346,9 +347,9 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "blaschke_lab.cli", "gen", "radial-geometric",
          "--q", "0.5", "--n", "3", "-o", str(out)],
-        capture_output=True,
+        capture_output=True, env=src_env(),
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
 

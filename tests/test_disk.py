@@ -6,7 +6,6 @@ from blaschke_lab import disk
 from blaschke_lab.blaschke import BlaschkeProduct, separation_report
 from blaschke_lab.disk import (
     BOUNDARY_FLOOR,
-    DiskPoint,
     FiniteSequence,
     InvariantViolation,
     MoebiusMap,
@@ -78,15 +77,15 @@ def test_distance_of_subnormal_square_against_mpmath(a, z):
 
 
 def test_moebius_examples():
-    m = MoebiusMap(DiskPoint(0.5, 0.0))
+    m = MoebiusMap(0.5)
     assert m(0.5) == pytest.approx(0.0)
     assert m(0.0) == pytest.approx(0.5)
     assert m(0.25) == pytest.approx(0.25 / 0.875)
 
 
 def test_jacobian_examples():
-    assert MoebiusMap(DiskPoint(0.0, 0.0)).jacobian(0.3 + 0.1j) == pytest.approx(1.0)
-    assert MoebiusMap(DiskPoint(0.5, 0.0)).jacobian(0.0) == pytest.approx(0.5625)
+    assert MoebiusMap(0.0).jacobian(0.3 + 0.1j) == pytest.approx(1.0)
+    assert MoebiusMap(0.5).jacobian(0.0) == pytest.approx(0.5625)
 
 
 @given(disk_points(), disk_points())
@@ -131,13 +130,15 @@ def test_diameter():
 
 
 def test_point_invariants():
+    # a map's centre is checked as a sequence's points are
     with pytest.raises(InvariantViolation):
-        DiskPoint(1.0, 0.0)
-    with pytest.raises(InvariantViolation):
-        DiskPoint(1.0 - BOUNDARY_FLOOR / 2, 0.0)
-    with pytest.raises(InvariantViolation):
-        DiskPoint(float("nan"), 0.0)
-    DiskPoint(1.0 - 2e-14, 0.0)  # just inside the floor
+        MoebiusMap(1.0)
+    with pytest.raises(InvariantViolation, match="too close"):
+        MoebiusMap(1.0 - BOUNDARY_FLOOR / 2)
+    with pytest.raises(InvariantViolation, match="finite"):
+        MoebiusMap(complex(float("nan"), 0.0))
+    m = MoebiusMap(np.complex128(1.0 - 2e-14))  # just inside the floor
+    assert type(m.center) is complex and m.center == 1.0 - 2e-14
 
 
 def test_sequence_invariants():

@@ -5,9 +5,14 @@ from blaschke_lab import geninterp as gi
 from blaschke_lab.bergman import hp_norm
 from blaschke_lab.blaschke import BlaschkeProduct, evaluate
 from blaschke_lab.carleson import lp_sequence_norm
-from blaschke_lab.disk import FiniteSequence, InvariantViolation, psh_distance_pairwise
+from blaschke_lab.disk import (
+    FiniteSequence,
+    InvariantViolation,
+    _one_minus_abs2,
+    psh_distance_pairwise,
+)
 from blaschke_lab.generators import gen_perturbed, gen_radial_geometric
-from blaschke_lab.hermite import jet_exp
+from blaschke_lab.hermite import HermiteInterpolant, jet_exp
 from oracles import (
     HARDY_RADII,
     beta,
@@ -287,16 +292,51 @@ def mp_summand(part, k, q, s):
     return h
 
 
+def floor_partition(n, depth, mult, center):
+    """n points of multiplicity mult at 1 - |z| = depth, angles 2 pi j / n,
+    and a simple point at 0.5 when center is set, each a cluster of its
+    own."""
+    zs = (1.0 - depth) * np.exp(2j * np.pi * np.arange(n) / n)
+    mults = [mult] * n
+    if center:
+        zs, mults = np.append(zs, 0.5), mults + [1]
+    part = gi.cluster_sequence(FiniteSequence(zs, mults), 0.05, 0.6)
+    assert len(part.clusters) == len(zs)
+    return part
+
+
+def floor_targets(part):
+    """Targets N(0,1) + i N(0,1) from default_rng(0), the n-th derivative
+    scaled by (1 - |z|^2)^-n."""
+    rng = np.random.default_rng(0)
+    return tuple(
+        tuple(tuple(complex(rng.standard_normal(), rng.standard_normal())
+                    / (1.0 - abs(z) ** 2) ** i for i in range(m))
+              for z, m in zip(c.zs.tolist(), c.mults.tolist()))
+        for c in part.clusters)
+
+
+# seven simple points at depth 1e-13 with 0.5, and five double points at 1e-10
+FLOOR_PROBLEMS = ((7, 1e-13, 1, True), (5, 1e-10, 2, False))
+
+
 def test_summand_jets_match_mpmath():
     """The jets h_k(z0) exp(L) the solver divides by agree with 50-digit
     Taylor coefficients of B~_k * kernel_k.  Each coefficient c_n is
     compared at the natural scale rho = 1 - |z0|^2: its error times rho^n,
-    relative to the largest |c_j| rho^j."""
+    relative to the largest |c_j| rho^j.  The second partition's double
+    points lie at 1 - |z| = 1e-13, where a naive 1 - conj(a) z misses."""
     mpmath = pytest.importorskip("mpmath")
     part = deep_clusters()
     seq = part.all_points()
-    labels = np.repeat(np.arange(len(part.clusters)), [len(c) for c in part.clusters])
     assert max(seq.mults) == 4 and min(1 - np.abs(seq.zs) ** 2) < 2.0 ** -13
+    for part in (part, floor_partition(7, 1e-13, 2, True)):
+        _check_summand_jets(mpmath, part)
+
+
+def _check_summand_jets(mpmath, part):
+    seq = part.all_points()
+    labels = part.labels()
     ones = [np.ones_like] * len(part.clusters)
     for p in (0.5, 2.0, np.inf):
         q, s = gi._exponents(p)
@@ -311,6 +351,57 @@ def test_summand_jets_match_mpmath():
             scale = (1 - abs(z0) ** 2) ** np.arange(m)
             err = (np.abs(got - want) * scale).max() / (np.abs(want) * scale).max()
             assert err <= 1e-10, (p, i, err)
+
+
+@pytest.mark.parametrize("shape", FLOOR_PROBLEMS, ids=("simple-1e-13", "double-1e-10"))
+def test_floor_problems_solve(shape):
+    """Near the floor the Cauchy nodes z0 + rho e^(i theta) round by a fair
+    share of rho; the jet check reads the nodes it sampled, so these
+    solve with residuals of rounding size, far inside the 1e-6 check."""
+    part = floor_partition(*shape)
+    jets = floor_targets(part)
+    for p in (0.5, 2.0, np.inf):
+        sol = gi.vgh_interpolate(gi.InterpolationProblem(part, jets, p))
+        assert sol.jet_residual <= 1e-8, (p, sol.jet_residual)
+
+
+def test_jet_check_past_the_default_node_count():
+    """A multiplicity above the 128 nodes of a Cauchy circle gets more
+    nodes, so the solve ends in the check's refusal (its residual
+    overflows, silently), not in a shape error."""
+    part = gi.cluster_sequence(FiniteSequence([0.3], [130]), 0.05, 0.6)
+    jets = (((1.0,) + (0.0,) * 129,),)
+    with pytest.raises(RuntimeError, match="construction failed"):
+        gi.vgh_interpolate(gi.InterpolationProblem(part, jets, 2.0))
+
+
+def test_jet_check_refuses_a_perturbed_multiplier(monkeypatch):
+    """The check stays independent of the construction and keeps its
+    teeth at the floor: scaling the top Newton coefficient of one
+    multiplier polynomial by 1 + 1e-5 is refused, for each of the first
+    three clusters of both floor problems and of a bench-shaped one.  (The
+    top coefficient carries the highest derivative; the value of a double
+    point whose derivative targets are of size 5e9 sits below the check's
+    floor of 1% of the largest target.)"""
+    build = gi._multiplier_polynomials
+    problems = [floor_partition(*shape) for shape in FLOOR_PROBLEMS]
+    problems = [(part, floor_targets(part)) for part in problems]
+    problems.append(_interpolation_problem(0))
+    for part, jets in problems:
+        problem = gi.InterpolationProblem(part, jets, 2.0)
+        assert gi.vgh_interpolate(problem).jet_residual <= 1e-8
+        for k in range(3):
+            def mutated(problem, values, k=k):
+                polys = build(problem, values)
+                coeffs = polys[k].coeffs.copy()
+                coeffs[-1] *= 1.0 + 1e-5
+                polys[k] = HermiteInterpolant(polys[k].nodes, coeffs)
+                return polys
+
+            monkeypatch.setattr(gi, "_multiplier_polynomials", mutated)
+            with pytest.raises(RuntimeError, match="construction failed"):
+                gi.vgh_interpolate(problem)
+            monkeypatch.setattr(gi, "_multiplier_polynomials", build)
 
 
 def test_fused_pass_matches_per_cluster_reference():
@@ -523,9 +614,11 @@ def test_partition_rejects_oversized_cluster():
 def test_partition_derives_anchors_and_gaps(monkeypatch):
     """A partition works out its anchors, boundary gaps and points from its
     clusters and eps alone: rebuilt from cluster_sequence's clusters it
-    gives the same bits, which are the least-modulus point, one minus the
-    largest outer modulus and the concatenated clusters; the sub-partitions
-    verify_facts builds carry the parent's values at their clusters."""
+    gives the same bits, which are the least-modulus point, the least
+    (1 - |z|)(1 - eps)/(1 + eps |z|) with 1 - |z| = (1 - |z|^2)/(1 + |z|)
+    from the error-free depth, and the concatenated clusters; the
+    sub-partitions verify_facts builds carry the parent's values at their
+    clusters."""
     part, jets = _interpolation_problem(0)
     assert max(c.total_count for c in part.clusters) == 3
     assert any(c.mults.max() == 2 for c in part.clusters)
@@ -544,7 +637,8 @@ def test_partition_derives_anchors_and_gaps(monkeypatch):
     for c, a, dk in zip(part.clusters, part.anchors.tolist(), part.d):
         zs = c.zs.tolist()
         assert a == min(zs, key=lambda z: (abs(z), np.angle(z)))
-        assert dk == 1.0 - max((abs(z) + eps) / (1.0 + eps * abs(z)) for z in zs)
+        r = np.abs(c.zs)
+        assert dk == (_one_minus_abs2(c.zs) / (1.0 + r) * (1.0 - eps) / (1.0 + eps * r)).min()
     built = []
     partition = gi.ClusterPartition
     monkeypatch.setattr(gi, "ClusterPartition",
@@ -557,6 +651,28 @@ def test_partition_derives_anchors_and_gaps(monkeypatch):
               for cluster in sub.clusters]
         assert sub.d == tuple(part.d[k] for k in ks)
         assert np.array_equal(sub.anchors, part.anchors[ks])
+
+
+def test_eps_disk_geometry_against_mpmath():
+    """The boundary gap d of a one-point cluster and the Euclidean radius of
+    D(z, eps) against 50 digits, down to 1 - |z| = 2e-14 (formed from the
+    naive 1 - |z| and 1 - |z|^2 they missed by up to 1.6e-3 and 3.2e-4 at
+    1e-13, 7.4e-3 and 2.2e-3 at 2e-14)."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for depth in (1e-3, 1e-8, 1e-13, 2e-14):
+        for theta in (0.3, 1.9, 4.4):
+            z = (1.0 - depth) * np.exp(1j * theta)
+            for eps in (0.05, 0.3):
+                d = gi.ClusterPartition((FiniteSequence([z]),), eps, 0.6).d[0]
+                r = gi._euclid_disks(np.array([z]), eps)[1][0]
+                with mpmath.workdps(50):
+                    m2 = mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2
+                    e = mpmath.mpf(eps)
+                    want_d = 1 - (mpmath.sqrt(m2) + e) / (1 + e * mpmath.sqrt(m2))
+                    want_r = e * (1 - m2) / (1 - e * e * m2)
+                    worst = max(worst, float(abs(d / want_d - 1)), float(abs(r / want_r - 1)))
+    assert worst <= 1e-15, worst
 
 
 def test_hinf_bound():
