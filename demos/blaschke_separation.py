@@ -13,7 +13,6 @@ import numpy as np
 from blaschke_lab import (
     BlaschkeProduct,
     compose_min_on_compact,
-    derivative,
     evaluate,
     gen_radial_geometric,
     gen_union,
@@ -21,6 +20,15 @@ from blaschke_lab import (
     partition_separated,
     separation_report,
 )
+
+
+def derivative(b, z, nodes=64):
+    """B'(z) as the Cauchy-circle mean of B(z + r u) / (r u) over the
+    nodes-th roots of unity u, with r = (1 - |z|) / 10."""
+    r = 0.1 * (1 - abs(z))
+    u = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    return (evaluate(b, z + r * u) / (r * u)).mean()
+
 
 print("=" * 60)
 print("A geometric radial sequence and its product")

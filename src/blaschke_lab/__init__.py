@@ -6,19 +6,11 @@ constructive solver for clustered (multiple-point) interpolation.
 """
 
 from .analysis import AnalysisReport, analyze_sequence, direction_agreement
-from .bergman import (
-    QuadratureGrid,
-    constant_fn,
-    hp_norm,
-    recentred_means,
-    reproducing_family,
-)
+from .bergman import QuadratureGrid, hp_norm, recentred_means
 from .blaschke import (
     BlaschkeProduct,
     SeparationReport,
     compose_min_on_compact,
-    deleted_product,
-    derivative,
     evaluate,
     log_abs_composed,
     log_abs_evaluate,
@@ -26,20 +18,12 @@ from .blaschke import (
     partition_separated,
     separation_report,
 )
-from .carleson import (
-    arc_carleson_constant,
-    carleson_embedding_probe,
-    carleson_norm,
-    lp_sequence_norm,
-    mu_z_measure,
-    uniform_blaschke_sup,
-)
+from .carleson import arc_carleson_constant, carleson_norm, uniform_blaschke_sup
 from .disk import (
     FiniteSequence,
     InvariantViolation,
-    MoebiusMap,
     hyperbolic_grid,
-    psh_diameter,
+    moebius,
     psh_distance,
     psh_distance_pairwise,
 )
@@ -52,13 +36,11 @@ from .generators import (
 )
 from .geninterp import (
     ClusterPartition,
-    FactsReport,
     InterpolationProblem,
     InterpolationSolution,
     class_norm,
     cluster_sequence,
     hinf_bound_estimate,
-    verify_facts,
     vgh_interpolate,
     xp_norm,
 )

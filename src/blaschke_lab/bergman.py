@@ -34,7 +34,7 @@ import numpy as np
 
 from . import disk
 from .blaschke import BlaschkeProduct, _log_abs_moved, _moved
-from .disk import FiniteSequence, _one_minus_abs2, _one_minus_conj
+from .disk import _one_minus_abs2
 
 # hp_norm's circle, its node count, first grid, tolerance and spot-check nodes
 _HARDY_RADIUS = 0.99999
@@ -46,12 +46,6 @@ _HARDY_CHECKS = np.array([2731, 7919, 11213, 14341])
 # angles, at least _BASE_ANGULAR and at most its max_angular
 _ANGULAR_FACTOR = 16.0
 _BASE_ANGULAR = 64
-
-
-def constant_fn(c):
-    c = complex(c)
-    return lambda z: (np.full_like(np.asarray(z, dtype=complex), c)
-                      if isinstance(z, np.ndarray) else c)
 
 
 @dataclass(frozen=True)
@@ -215,21 +209,3 @@ def recentred_means(b: BlaschkeProduct, centers, p: float, alpha: float,
     sums = area_integral(powers, weighted)
     norm = np.pi / (1.0 + alpha)
     return [float(v) / norm for v in sums]
-
-
-def reproducing_family(s: FiniteSequence, p: float) -> list:
-    """Normalized reproducing-kernel style test functions anchored at the
-    points of s: f_a(z) = ((1-|a|^2)/(1 - conj(a) z))^(2/p).
-
-    With d = 1 - |a|^2 error-free, v = 1 - conj(a) z from _one_minus_conj
-    and log(v/d) = log(|v|/d) + i arg v, so f_a(a) = 1 exactly, however
-    deep a lies."""
-    fam = []
-    for a, d in zip(s.zs.tolist(), _one_minus_abs2(s.zs).tolist()):
-        def ev(z, a=a, d=d):
-            v = _one_minus_conj(a, d, np.asarray(z, dtype=complex))
-            out = np.exp((-2.0 / p) * (np.log(np.abs(v) / d) + 1j * np.angle(v)))
-            return out if isinstance(z, np.ndarray) else complex(out)
-
-        fam.append(ev)
-    return fam

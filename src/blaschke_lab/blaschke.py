@@ -5,10 +5,9 @@ A finite Blaschke product is the bounded analytic function
     B(z) = z^m * prod_k (conj(a_k)/|a_k|) (a_k - z) / (1 - conj(a_k) z)
 
 over the nonzero points a_k of its zero sequence, with m the multiplicity
-of 0.  This module evaluates B and its derivative, forms deleted products,
-measures separation constants, counts zeros in metric disks, partitions
-sequences into separated pieces, and probes compositions with disk
-automorphisms.
+of 0.  This module evaluates B, measures separation constants (the
+deleted products), counts zeros in metric disks, partitions sequences
+into separated pieces, and probes compositions with disk automorphisms.
 
 Every modulus (log|B|, the separation constants, zero counts) comes from
 the metric's kernel for log rho^2 between a tile of zeros and a tile of
@@ -44,6 +43,7 @@ from .disk import (
     _one_minus_abs2,
     _one_minus_conj,
     _tiles,
+    moebius,
 )
 
 
@@ -127,20 +127,18 @@ def log_abs_evaluate(b: BlaschkeProduct, z):
 
 
 def _moved(b: BlaschkeProduct, c: complex) -> np.ndarray:
-    """Kernel coordinates of the zeros moved by phi_c(z) = (c - z)/(1 - conj(c) z).
+    """Kernel coordinates of the zeros moved by phi_c (disk.moebius).
 
-    With dc = 1 - |c|^2 and da = 1 - |a|^2 error-free, 1 - conj(c) a comes
-    from _one_minus_conj and 1 - |phi_c(a)|^2 = dc da / (|c - a|^2 + dc da),
-    so no step cancels near the circle.  The moved depths can fall far
-    below BOUNDARY_FLOOR and |phi_c(a)| can round to 1: these are kernel
-    coordinates only, never a FiniteSequence.
+    With dc = 1 - |c|^2 and da = 1 - |a|^2 error-free,
+    1 - |phi_c(a)|^2 = dc da / (|c - a|^2 + dc da), so no step cancels near
+    the circle.  The moved depths can fall far below BOUNDARY_FLOOR and
+    |phi_c(a)| can round to 1: these are kernel coordinates only, never a
+    FiniteSequence.
     """
     zs = b.zeros.zs
-    coords = b._table[1]
-    dc = float(_one_minus_abs2(c))
+    moved = moebius(c, zs)
     d = c - zs
-    moved = d / _one_minus_conj(c, dc, zs)
-    prod = dc * coords[2]
+    prod = float(_one_minus_abs2(c)) * b._table[1][2]
     return np.stack([moved.real, moved.imag, prod / (d.real**2 + d.imag**2 + prod)])
 
 
@@ -317,50 +315,6 @@ class _Boxes:
             d += e
             e *= y
         return coef, half, np.nonzero(near.T)
-
-
-def deleted_product(b: BlaschkeProduct, j: int) -> complex:
-    """B_j(z_j): the product over all other zeros, evaluated at zero j.
-
-    Returns 0 when zero j is repeated, 1 for a lone zero (empty product).
-    The modulus comes from the pass over the pairs of zeros (_pair_sums),
-    as in separation_report; the argument is the sum of the complex
-    factors' arguments.
-    """
-    n = len(b.zeros)
-    if not 0 <= j < n:
-        raise IndexError(f"zero index {j} out of range for {n} listed zeros")
-    zs = b.zeros.zs
-    mults, coords, units = b._table
-    if mults[j] > 1:
-        return 0.0 + 0.0j
-    a, m, da, unit = (np.delete(v, j) for v in (zs, mults, coords[2], units))
-    log_mod = 0.5 * _pair_sums(b, zs[j:j + 1]).logs[0]
-    arg = m @ np.angle(_factors(a, da, unit, zs[j:j + 1])[:, 0])
-    return complex(np.exp(log_mod + 1j * arg))
-
-
-def derivative(b: BlaschkeProduct, z) -> complex:
-    """Analytic derivative B'(z).
-
-    Off the zero set this is B(z) times the logarithmic derivative; at a
-    simple zero the product rule leaves the deleted product times the own
-    factor's derivative; at a multiple zero the derivative is exactly 0.
-    """
-    w = complex(z)
-    zs = b.zeros.zs
-    mults, coords, units = b._table
-    hit = np.nonzero(zs == w)[0]
-    if hit.size:
-        j = int(hit[0])
-        if mults[j] > 1:
-            return 0.0 + 0.0j
-        # the own factor's derivative -unit / (1 - |a|^2), with -unit = 1 at a = 0
-        return deleted_product(b, j) * -units[j] / coords[2, j]
-    # the term -m (1 - |a|^2) / ((1 - conj(a) w)(a - w)) is m / w for a = 0
-    da = coords[2]
-    logd = (-mults * da / (_one_minus_conj(zs, da, w) * (zs - w))).sum()
-    return evaluate(b, w) * complex(logd)
 
 
 _PairSums = namedtuple("_PairSums", "logs least mass count")

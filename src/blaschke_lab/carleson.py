@@ -1,4 +1,4 @@
-"""Carleson squares, Carleson norms, and sequence-space norms.
+"""Carleson squares and Carleson norms.
 
 A Carleson square over an arc I of the unit circle (arc length normalized
 to total measure 1) is S_I = { z : z/|z| in I, 1 - |z| < m(I) }.  The
@@ -31,12 +31,6 @@ from .disk import _BLOCK, FiniteSequence, InvariantViolation, _one_minus_abs2
 # range of squares, such as a circle centred at 0, would refine without end.
 _GAP = 1e-3
 _MAX_REGIONS = 1 << 17
-
-
-def mu_z_measure(s: FiniteSequence) -> np.ndarray:
-    """The weights mult * (1 - |z_j|^2) of the measure mu_Z at its atoms,
-    the listed points s.zs."""
-    return s.mults * _one_minus_abs2(s.zs)
 
 
 def _wrap(x):
@@ -92,19 +86,6 @@ def uniform_blaschke_sup(s: FiniteSequence, probe_centers) -> float:
     sum_j mult_j (1 - |phi_c(z_j)|^2), the mass of the pass over the pairs
     of zeros and centers (blaschke._pair_sums)."""
     return float(_pair_sums(BlaschkeProduct(s), probe_centers).mass.max(initial=0.0))
-
-
-def lp_sequence_norm(s: FiniteSequence, values, p) -> float:
-    """Weighted sequence norm: (sum mult |w|^p (1-|z|^2))^(1/p), sup |w| at p=inf."""
-    vals = np.asarray(values, dtype=complex)
-    if vals.shape != (len(s),):
-        raise ValueError("values must parallel the listed points")
-    if p == np.inf:
-        return float(np.abs(vals).max()) if len(s) else 0.0
-    if not p > 0:
-        raise ValueError("p must be positive or inf")
-    w = s.mults * _one_minus_abs2(s.zs)
-    return float((w * np.abs(vals) ** p).sum() ** (1.0 / p))
 
 
 class _ArcTable:
@@ -244,25 +225,4 @@ def arc_carleson_constant(center, radius, t0, t1) -> float:
                           np.concatenate([np.where(by_angle, t_mid, tb), tb]),
                           np.concatenate([ua, np.where(by_angle, ua, u_mid)]),
                           np.concatenate([np.where(by_angle, ub, u_mid), ub]))
-    return best
-
-
-def carleson_embedding_probe(s: FiniteSequence, p: float, family) -> float:
-    """Max over test functions of (sum weights |f(z_j)|^p) / ||f||_Hp^p.
-
-    The family entries are callables analytic on the disk; their Hardy
-    norms are computed numerically (bergman.hp_norm).
-    """
-    from .bergman import hp_norm
-
-    if len(s) == 0:
-        return 0.0
-    if not p > 0:
-        raise ValueError("p must be positive")
-    zs, weights = s.zs, mu_z_measure(s)
-    best = 0.0
-    for f in family:
-        num = float((weights * np.abs(f(zs)) ** p).sum())
-        den = hp_norm(f, p) ** p
-        best = max(best, num / den)
     return best

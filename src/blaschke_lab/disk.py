@@ -216,33 +216,13 @@ class FiniteSequence:
         return len(self.zs)
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
-    """The involutive disk automorphism ``z -> (c - z) / (1 - conj(c) z)``.
-
-    It swaps 0 and its center c, a complex kept strictly inside the
-    conditioning floor, and applying it twice is the identity.  The
-    denominator comes from _one_minus_conj with the depth 1 - |c|^2 formed
-    once, so it does not cancel near the circle.
-    """
-
-    center: complex
-
-    def __post_init__(self):
-        c = complex(self.center)
-        _check_point(c)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "_depth", float(_one_minus_abs2(c)))
-
-    def __call__(self, z):
-        """Apply the map; accepts scalars or complex arrays, returns the same."""
-        z = z if isinstance(z, np.ndarray) else complex(z)
-        return (self.center - z) / _one_minus_conj(self.center, self._depth, z)
-
-    def jacobian(self, w) -> float:
-        """Area-distortion factor |d(map)/dz|^2 = (1-|c|^2)^2 / |1 - conj(c) w|^4 at w."""
-        w = w if isinstance(w, np.ndarray) else complex(w)
-        return self._depth**2 / abs(_one_minus_conj(self.center, self._depth, w)) ** 4
+def moebius(c, z):
+    """phi_c(z) = (c - z) / (1 - conj(c) z), the involutive disk automorphism
+    swapping 0 and the complex c, at scalars or arrays z.  The denominator
+    comes from _one_minus_conj with the error-free dc = 1 - |c|^2, so it
+    does not cancel near the circle.  c is not checked against the floor:
+    no outside input reaches it."""
+    return (c - z) / _one_minus_conj(c, float(_one_minus_abs2(c)), z)
 
 
 def psh_distance(z, w) -> float:
@@ -259,16 +239,6 @@ def psh_distance_pairwise(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     for r, c in _tiles(*out.shape):
         out[r, c] = np.exp(0.5 * _log_rho2(a[:, r], b[:, c]))
     return out
-
-
-def psh_diameter(s: FiniteSequence) -> float:
-    """Largest pairwise distance among the listed points; 0 for singletons."""
-    if len(s) == 0:
-        raise InvariantViolation("empty set")
-    if len(s) == 1:
-        return 0.0
-    d = psh_distance_pairwise(s.zs, s.zs)
-    return float(d.max())
 
 
 # most centers hyperbolic_grid returns

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import hp_norm
-from .blaschke import BlaschkeProduct, evaluate, log_abs_evaluate, max_local_count
+from .blaschke import BlaschkeProduct, evaluate, log_abs_evaluate
 from .carleson import arc_carleson_constant
 from .disk import (
     FiniteSequence,
@@ -116,8 +116,9 @@ class ClusterPartition:
             if self.clusters else FiniteSequence([])
         r = np.abs(points.zs)
         gaps = _one_minus_abs2(points.zs) / (1.0 + r) * (1.0 - self.eps) / (1.0 + self.eps * r)
+        labels = self.labels()
         d = np.full(len(zs), np.inf)
-        np.minimum.at(d, self.labels(), gaps)
+        np.minimum.at(d, labels, gaps)
         d = tuple(d.tolist())
         if not all(0 < dk <= 1 for dk in d):
             raise InvariantViolation("boundary gaps must lie in (0, 1]")
@@ -125,7 +126,7 @@ class ClusterPartition:
             object.__setattr__(self, name, value)
         if not self.clusters:
             return
-        diam, gaps = self._distances()
+        diam, gaps = _cluster_distances(psh_distance_pairwise(points.zs, points.zs), labels)
         wide = np.flatnonzero(diam > self.R_max)
         if wide.size:
             i = wide[0]
@@ -146,10 +147,6 @@ class ClusterPartition:
     def labels(self) -> np.ndarray:
         """The cluster index of each point of all_points."""
         return np.repeat(np.arange(len(self.clusters)), [len(c) for c in self.clusters])
-
-    def _distances(self):
-        zs = self._points.zs
-        return _cluster_distances(psh_distance_pairwise(zs, zs), self.labels())
 
 
 def _cluster_distances(dist: np.ndarray, labels: np.ndarray):
@@ -533,79 +530,3 @@ def _arcs_from_mask(theta: np.ndarray, keep: np.ndarray):
     t1 = theta[lasts] + step / 2.0
     t1[t1 < t0] += 2.0 * np.pi
     return t0, t1
-
-
-@dataclass(frozen=True)
-class FactsReport:
-    separation_ok: bool
-    separation_margin: float
-    cardinality_ok: bool
-    max_cardinality: int
-    cardinality_bound: int
-    subsequence_ok: bool
-    worst_subsequence_factor: float
-    violations: tuple
-
-
-def verify_facts(part: ClusterPartition, solution_batch,
-                 n_subsets: int = 10, seed: int = 0) -> FactsReport:
-    """Check the structural facts of clustered interpolation on a batch.
-
-    (a) clusters keep pairwise distance above 2*eps;
-    (b) restricting targets to a subsequence of clusters never inflates the
-        empirical norm ratio beyond 1.5x the full-problem ratio;
-    (c) cluster cardinalities stay below the local zero-count bound.
-    """
-    violations = []
-    clusters = part.clusters
-    sep_margin = np.inf
-    if len(clusters) > 1:
-        _, gaps = part._distances()
-        sep_margin = gaps[np.triu_indices(len(clusters), 1)].min() - 2.0 * part.eps
-    separation_ok = sep_margin > 0 or len(clusters) < 2
-    if not separation_ok:
-        violations.append(f"cluster separation short by {-sep_margin:.3e}")
-
-    max_card = max((c.total_count for c in clusters), default=0)
-    if clusters:
-        b_all = BlaschkeProduct(part.all_points())
-        bound = max_local_count(b_all, min(0.999999, part.R_max * 1.001))
-    else:
-        bound = 0
-    cardinality_ok = max_card <= bound
-    if not cardinality_ok:
-        violations.append(f"cardinality {max_card} above bound {bound}")
-
-    rng = np.random.default_rng(seed)
-    worst_factor = 0.0
-    subsequence_ok = True
-    for sol in solution_batch:
-        if sol.norm_ratio <= 0 or len(clusters) < 2:
-            continue
-        for _ in range(n_subsets):
-            size = int(rng.integers(1, len(clusters)))
-            chosen = np.sort(rng.choice(len(clusters), size=size, replace=False))
-            sub_part = ClusterPartition(tuple(clusters[i] for i in chosen),
-                                        part.eps, part.R_max)
-            sub_jets = tuple(sol.problem.jets[i] for i in chosen)
-            if all(map(_is_zero, sub_jets)):
-                continue
-            sub = vgh_interpolate(InterpolationProblem(sub_part, sub_jets, sol.problem.p))
-            if sub.norm_ratio > 0:
-                factor = sub.norm_ratio / sol.norm_ratio
-                worst_factor = max(worst_factor, factor)
-                if factor > 1.5:
-                    subsequence_ok = False
-                    violations.append(
-                        f"subsequence ratio factor {factor:.3f} above 1.5"
-                    )
-    return FactsReport(
-        separation_ok,
-        float(sep_margin if np.isfinite(sep_margin) else 1.0),
-        cardinality_ok,
-        max_card,
-        bound,
-        subsequence_ok,
-        worst_factor,
-        tuple(violations),
-    )

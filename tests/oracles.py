@@ -1,18 +1,21 @@
 """Reference functions shared by the tests.
 
-They build test integrands with known closed-form norms and zero sets,
-products B * g that remember both parts, quotients by B, weighted
-Bergman norms by direct quadrature, the fine grid FINE, the kernel mass
-(pi) and the area Jensen residual (0) that certify a grid, Hardy circle
-means, the pointwise division bound, local zero counts, the tail kernel
-sums beta, the interpolant's reverse pass in separate per-cluster steps,
-the Poisson angular mean and the summed kernel bound of the
-interpolation kernel, zero targets, target files, sampled arcs, a
-rescanning random-Carleson sampler, the uniformly-nonzero probe by one
-full call per zero and on a finer circle, the pairwise rho^2 table in
-exact rationals and the report keys it gives, the plain greedy partition
-loop, the anchored square family carleson_norm once searched and a
-brute-force Carleson norm; the library itself has no use for them.
+They build the constant function, the closed-form Jacobian of the disk
+automorphism, the weighted sequence norm of criterion 8, test integrands
+with known closed-form norms and zero sets, products B * g that remember
+both parts, quotients by B, weighted Bergman norms by direct quadrature,
+the fine grid FINE, the kernel mass (pi) and the area Jensen residual
+(0) that certify a grid, Hardy circle means, the pointwise division
+bound, local zero counts, the tail kernel sums beta, the interpolant's
+reverse pass in separate per-cluster steps, the Poisson angular mean and
+the summed kernel bound of the interpolation kernel, zero targets,
+target files, sampled arcs, a rescanning random-Carleson sampler, the
+uniformly-nonzero probe by one full call per zero and on a finer circle,
+|B'| at the zeros from the complex factors in 50 digits, the pairwise
+rho^2 table in exact rationals and the report keys it gives, the plain
+greedy partition loop, the anchored square family carleson_norm once
+searched and a brute-force Carleson norm; the library itself has no use
+for them.
 """
 
 import math
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from blaschke_lab.bergman import QuadratureGrid, area_integral, constant_fn
+from blaschke_lab.bergman import QuadratureGrid, area_integral
 from blaschke_lab.blaschke import (
     _PROBE_GRID,
     BlaschkeProduct,
@@ -32,17 +35,35 @@ from blaschke_lab.blaschke import (
     log_abs_evaluate,
 )
 from blaschke_lab.carleson import carleson_norm
-from blaschke_lab.disk import (
-    FiniteSequence,
-    MoebiusMap,
-    psh_distance,
-    psh_distance_pairwise,
-)
+from blaschke_lab.disk import FiniteSequence, moebius, psh_distance, psh_distance_pairwise
 from blaschke_lab.geninterp import ClusterPartition, _exponents
 
 # the 3,775,327-node grid of QuadratureGrid.build's defaults, for oracles
 # whose integrands peak near the circle
 FINE = QuadratureGrid.build()
+
+
+def constant_fn(c):
+    """The constant function c on complex scalars and arrays."""
+    c = complex(c)
+    return lambda z: (np.full_like(np.asarray(z, dtype=complex), c)
+                      if isinstance(z, np.ndarray) else c)
+
+
+def moebius_jacobian(c, w):
+    """|phi_c'(w)|^2 = (1 - |c|^2)^2 / |1 - conj(c) w|^4 in closed form, the
+    area distortion of the disk automorphism phi_c (disk.moebius)."""
+    c = complex(c)
+    return (1.0 - abs(c) ** 2) ** 2 / np.abs(1.0 - c.conjugate() * w) ** 4
+
+
+def lp_sequence_norm(s: FiniteSequence, values, p) -> float:
+    """Weighted sequence norm (sum mult |w|^p (1 - |z|^2))^(1/p), the sup
+    of |w| at p = inf."""
+    vals = np.abs(np.asarray(values, dtype=complex))
+    if p == np.inf:
+        return float(vals.max())
+    return float((s.mults * (1.0 - np.abs(s.zs) ** 2) * vals**p).sum() ** (1.0 / p))
 
 
 def poly_from_zeros(zeros, lead=1.0):
@@ -150,8 +171,7 @@ def kernel_mass(zeta, g: QuadratureGrid) -> float:
     Equals pi for every center by change of variables; the quadrature value
     certifies grid accuracy.
     """
-    phi = MoebiusMap(zeta)
-    return area_integral(lambda z: phi.jacobian(z), g)
+    return area_integral(lambda z: moebius_jacobian(zeta, z), g)
 
 
 def jensen_area_residual(f, zeros: FiniteSequence, g: QuadratureGrid) -> float:
@@ -221,14 +241,13 @@ def pointwise_division_bound(f, b: BlaschkeProduct, zeta, p: float, C: float,
     the transformed zero-mass sums of b's zero sequence (the uniform
     Blaschke supremum).
     """
-    phi = MoebiusMap(zeta)
     q = p / 2.0
 
     def field(z):
         if not isinstance(f, BlaschkeMultiple):
-            return np.abs(f(phi(z))) ** q
+            return np.abs(f(moebius(zeta, z))) ** q
         out = np.exp(q * log_abs_composed(f.product, [zeta], z)[0])
-        return out if f.cofactor is None else out * np.abs(f.cofactor(phi(z))) ** q
+        return out if f.cofactor is None else out * np.abs(f.cofactor(moebius(zeta, z))) ** q
 
     rhs = math.exp(C * q) * area_integral(field, g) / np.pi
     lhs = abs(quotient(f, b)(complex(zeta))) ** q
@@ -373,6 +392,46 @@ def deleted_product_moduli(zs, digits=50):
     with mpmath.workdps(digits):
         return ([mpmath.sqrt(mpmath.ldexp(a, -bits)) for a in out],
                 [mpmath.ldexp(d, -2 * scale) for d in depth])
+
+
+def blaschke_derivative_moduli(zs, digits=50):
+    """|B'(z_j)| at every point of a simple sequence, as mpmath numbers with
+    ``digits`` digits, from the complex factors of B.
+
+    At a simple zero z_j, B' is the own factor's derivative, of modulus
+    1 / (1 - |z_j|^2), times the other factors (a_k - z)/(1 - conj(a_k) z)
+    at z_j; their unimodular constants drop out of the modulus.  The
+    coordinates are taken exactly, as integers at a common binary scale, so
+    each factor is an exact rational; its value and the running complex
+    product are kept in fixed point with twice the bits of ``digits``
+    digits.  The moduli come from the complex denominators
+    1 - conj(a_k) z_j, not from the identity
+    |1 - conj(a) z|^2 = |a - z|^2 + (1 - |a|^2)(1 - |z|^2) that
+    deleted_product_moduli uses.
+    """
+    import mpmath
+
+    ints, scale = _dyadic_ints([c for z in zs for c in (z.real, z.imag)])
+    x = np.array(ints[0::2], dtype=object)
+    y = np.array(ints[1::2], dtype=object)
+    one = 1 << (2 * scale)
+    bits = 2 * math.ceil(digits * math.log2(10))
+    out = []
+    for j in range(len(zs)):
+        # a - z_j and 1 - conj(a) z_j at the scales 2^scale and 2^(2 scale),
+        # so the factor is (a - z_j) conj(1 - conj(a) z_j) 2^scale / |1 - conj(a) z_j|^2
+        nx, ny = x - x[j], y - y[j]
+        dx, dy = one - x * x[j] - y * y[j], y * x[j] - x * y[j]
+        mod2 = dx * dx + dy * dy
+        fx = np.delete(((nx * dx + ny * dy) << (scale + bits)) // mod2, j)
+        fy = np.delete(((ny * dx - nx * dy) << (scale + bits)) // mod2, j)
+        re, im = 1 << bits, 0
+        for a, b in zip(fx.tolist(), fy.tolist()):
+            re, im = (re * a - im * b) >> bits, (re * b + im * a) >> bits
+        out.append((re, im, dx[j]))
+    with mpmath.workdps(digits):
+        return [mpmath.hypot(mpmath.ldexp(re, -bits), mpmath.ldexp(im, -bits))
+                / mpmath.ldexp(depth, -2 * scale) for re, im, depth in out]
 
 
 def exact_rho2(zs) -> list:

@@ -22,18 +22,13 @@ from blaschke_lab import io as fio
 from blaschke_lab.blaschke import (
     BlaschkeProduct,
     compose_min_on_compact,
-    derivative,
     max_local_count,
     partition_separated,
     separation_report,
 )
-from blaschke_lab.carleson import carleson_norm, lp_sequence_norm, uniform_blaschke_sup
+from blaschke_lab.carleson import carleson_norm, uniform_blaschke_sup
 from blaschke_lab.cli import main as cli_main
-from blaschke_lab.disk import (
-    FiniteSequence,
-    MoebiusMap,
-    psh_distance_pairwise,
-)
+from blaschke_lab.disk import FiniteSequence, moebius, psh_distance_pairwise
 from blaschke_lab.generators import (
     gen_escalating_multiplicity,
     gen_perturbed,
@@ -43,9 +38,12 @@ from blaschke_lab.generators import (
 )
 from oracles import (
     FINE,
+    blaschke_derivative_moduli,
     deleted_product_moduli,
     jensen_area_residual,
     kernel_mass,
+    lp_sequence_norm,
+    moebius_jacobian,
     poisson_angular_mean,
     poly_from_zeros,
     vgh_kernel_bound,
@@ -115,12 +113,11 @@ def test_criterion_01_geometry():
         failures.append(f"involution worst {np.abs(back - z).max():.2e}")
     h = 1e-5
     for k in range(200):
-        m = MoebiusMap(c[k] * 0.95)
-        wk = w[k] * 0.9
-        du = (m(wk + h) - m(wk - h)) / (2 * h)
-        dv = (m(wk + 1j * h) - m(wk - 1j * h)) / (2 * h)
+        ck, wk = c[k] * 0.95, w[k] * 0.9
+        du = (moebius(ck, wk + h) - moebius(ck, wk - h)) / (2 * h)
+        dv = (moebius(ck, wk + 1j * h) - moebius(ck, wk - 1j * h)) / (2 * h)
         det = du.real * dv.imag - du.imag * dv.real
-        if abs(det - m.jacobian(wk)) > 1e-6 * abs(det):
+        if abs(det - moebius_jacobian(ck, wk)) > 1e-6 * abs(det):
             failures.append(f"jacobian fd mismatch at sample {k}")
             break
     _verdict("criterion 1 (geometry)", failures, t0)
@@ -140,16 +137,19 @@ def test_criterion_02_derivative_identity():
     seqs.append(gen_random_carleson(6, 60, 5.0))
     assert max(s.total_count for s in seqs) == 500 and len(seqs) == 20
     for s in seqs:
-        # independent route: 50-digit deleted products and depths
+        # independent routes: 50-digit B' from the complex factors, and
+        # 50-digit deleted products and depths
+        derivative = blaschke_derivative_moduli(s.zs)
         deleted, depth = deleted_product_moduli(s.zs)
-        b = BlaschkeProduct(s)
+        # the per-point values whose least the report prints as delta and delta_prime
+        per_point = separation_report(BlaschkeProduct(s)).per_point.tolist()
         with mpmath.workdps(50):
-            for j, z in enumerate(s.zs.tolist()):
-                lhs = depth[j] * abs(derivative(b, z))
-                if abs(lhs - deleted[j]) > 1e-10 * deleted[j]:
-                    failures.append(
-                        f"identity off at n={s.total_count} j={j}: "
-                        f"{float(lhs):.3e} vs {float(deleted[j]):.3e}")
+            for j in range(len(s)):
+                lhs = depth[j] * derivative[j]
+                off = [float(abs(v - lhs) / lhs) for v in (per_point[j], deleted[j])]
+                if max(off) > 1e-10:
+                    failures.append(f"identity off at n={s.total_count} j={j}: printed "
+                                    f"{off[0]:.1e}, deleted {off[1]:.1e} relative")
                     break
     _verdict("criterion 2 (derivative identity)", failures, t0)
 

@@ -10,7 +10,7 @@ from blaschke_lab import geninterp as gi
 from blaschke_lab.analysis import analysis_grid, analyze_sequence
 from blaschke_lab.blaschke import BlaschkeProduct, _pair_sums, evaluate, log_abs_evaluate
 from blaschke_lab.carleson import uniform_blaschke_sup
-from blaschke_lab.disk import FiniteSequence, MoebiusMap
+from blaschke_lab.disk import FiniteSequence, moebius
 from blaschke_lab.generators import (
     gen_escalating_multiplicity,
     gen_radial_geometric,
@@ -22,8 +22,10 @@ from oracles import (
     ap_norm,
     circle_mean,
     conformal_density,
+    constant_fn,
     jensen_area_residual,
     kernel_mass,
+    moebius_jacobian,
     pointwise_division_bound,
     poly_from_zeros,
     quotient,
@@ -45,7 +47,7 @@ def test_grid_tiles_the_disk():
 def test_hp_norm_oracles():
     f = lambda z: z**3
     assert bg.hp_norm(f, np.inf) == pytest.approx(0.99999**3)
-    assert bg.hp_norm(bg.constant_fn(2 - 1j), 1) == pytest.approx(abs(2 - 1j))
+    assert bg.hp_norm(constant_fn(2 - 1j), 1) == pytest.approx(abs(2 - 1j))
     # square-summable coefficients: 1/(1 - z/2) has M_2(r)^2 = 1/(1 - r^2/4)
     g = lambda z: 1.0 / (1.0 - 0.5 * z)
     r = bg._HARDY_RADIUS
@@ -142,7 +144,7 @@ def test_hp_sup_submultiplicative():
 
 
 def test_ap_norm_oracles():
-    assert ap_norm(bg.constant_fn(1.0), 2, 0.0, LIGHT) == pytest.approx(np.sqrt(np.pi))
+    assert ap_norm(constant_fn(1.0), 2, 0.0, LIGHT) == pytest.approx(np.sqrt(np.pi))
     idf = lambda z: z
     assert ap_norm(idf, 2, 0.0, LIGHT) == pytest.approx(np.sqrt(np.pi / 2))
     # conformal density has Bergman-2 norm sqrt(pi) for every center
@@ -150,7 +152,7 @@ def test_ap_norm_oracles():
         f = conformal_density(c, 1.0)
         assert ap_norm(f, 2, 0.0, LIGHT) == pytest.approx(np.sqrt(np.pi), rel=1e-6)
     # weighted: integral of (1-|z|^2) dA = pi/2
-    assert ap_norm(bg.constant_fn(1.0), 2, 1.0, LIGHT) == pytest.approx(
+    assert ap_norm(constant_fn(1.0), 2, 1.0, LIGHT) == pytest.approx(
         np.sqrt(np.pi / 2), rel=1e-9
     )
     with pytest.raises(ValueError):
@@ -177,7 +179,7 @@ def test_jensen_residual():
     expected = -(np.log(1.0 / abs(withheld)) - (1 - abs(withheld) ** 2) / 2)
     assert res2 == pytest.approx(expected, abs=1e-3)
     assert res2 < 0
-    assert jensen_area_residual(bg.constant_fn(2.5), FiniteSequence([]), LIGHT) == pytest.approx(0.0, abs=1e-12)
+    assert jensen_area_residual(constant_fn(2.5), FiniteSequence([]), LIGHT) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError, match="shift"):
         jensen_area_residual(poly_from_zeros([0.0]), FiniteSequence([]), LIGHT)
 
@@ -196,7 +198,7 @@ def test_division_bound():
     f = BlaschkeMultiple(b)
     out = pointwise_division_bound(f, b, 0.1 + 0.1j, 2.0, C, LIGHT)
     assert out.holds and out.lhs == pytest.approx(1.0)
-    zero = bg.constant_fn(0.0)
+    zero = constant_fn(0.0)
     out0 = pointwise_division_bound(zero, b, 0.1, 2.0, C, LIGHT)
     assert out0.holds and out0.margin == pytest.approx(0.0)
     g = lambda z: 1.0 - 0.5 * z
@@ -337,9 +339,18 @@ def test_recentred_means_above_jensen_bound(name):
 @pytest.mark.parametrize("p", [0.5, 2.0])
 @pytest.mark.parametrize("depth", [1e-13, 1e-10, 1e-6])
 def test_reproducing_family_is_one_at_its_anchor(depth, p):
-    # f_a(a) = 1: a naive 1 - |a|^2 reads 1 + 2.2e-3 at depth 1e-13, p = 1/2
+    # the normalised kernel f_a(z) = ((1 - |a|^2)/(1 - conj(a) z))^(2/p)
+    # from the error-free d = 1 - |a|^2 and v = 1 - conj(a) z of
+    # disk._one_minus_abs2 and _one_minus_conj, with
+    # log(v/d) = log(|v|/d) + i arg v, has f_a(a) = 1 exactly however deep a
+    # lies: a naive 1 - |a|^2 reads 1 + 2.2e-3 at depth 1e-13, p = 1/2
     a = (1.0 - depth) * np.exp(0.7j)
-    [f] = bg.reproducing_family(FiniteSequence([a]), p)
+    d = float(disk._one_minus_abs2(a))
+
+    def f(z):
+        v = disk._one_minus_conj(a, d, z)
+        return np.exp((-2.0 / p) * (np.log(np.abs(v) / d) + 1j * np.angle(v)))
+
     assert abs(f(a) - 1.0) <= 1e-15
     assert abs(f(np.array([a]))[0] - 1.0) <= 1e-15
     # and away from the anchor, against 50-digit arithmetic
@@ -367,10 +378,9 @@ def test_stacked_rows_match_single_integrals_bitwise(monkeypatch, shrink):
     # at the default block size and at half of it
     monkeypatch.setattr(disk, "_BLOCK", disk._BLOCK // shrink)
     g = analysis_grid()
-    phi = MoebiusMap(0.7 - 0.2j)
     fields = [
         lambda z: np.abs(1.0 + z + z * z) ** 1.5,
-        lambda z: phi.jacobian(z),
+        lambda z: moebius_jacobian(0.7 - 0.2j, z),
         lambda z: np.cos(3.0 * z.real) * z.imag,
     ]
     rows = bg.area_integral(lambda z: np.stack([fn(z) for fn in fields]), g)
@@ -399,11 +409,10 @@ def test_area_integral_matches_ring_by_ring(monkeypatch, shrink):
     # at the default block size and at half of it: the blocks change no result
     monkeypatch.setattr(disk, "_BLOCK", disk._BLOCK // shrink)
     b = BlaschkeProduct(FiniteSequence([0.5, -0.3 + 0.6j, 0.9j], [1, 2, 1]))
-    phi = MoebiusMap(0.7 - 0.2j)
     fields = [
         lambda z: np.abs(1.0 + z + z * z) ** 1.5,
-        lambda z: np.exp(0.5 * log_abs_evaluate(b, phi(z))),
-        lambda z: phi.jacobian(z),
+        lambda z: np.exp(0.5 * log_abs_evaluate(b, moebius(0.7 - 0.2j, z))),
+        lambda z: moebius_jacobian(0.7 - 0.2j, z),
     ]
     # LIGHT has rings of up to 4096 nodes, larger than one block
     for g in (LIGHT, bg.QuadratureGrid.build(rings=40, min_gap=1e-5)):

@@ -8,13 +8,13 @@ from blaschke_lab.disk import (
     BOUNDARY_FLOOR,
     FiniteSequence,
     InvariantViolation,
-    MoebiusMap,
     hyperbolic_grid,
-    psh_diameter,
+    moebius,
     psh_distance,
     psh_distance_pairwise,
 )
 from blaschke_lab.generators import gen_escalating_multiplicity, gen_radial_geometric
+from oracles import moebius_jacobian
 
 
 def disk_points(max_r=0.999):
@@ -77,15 +77,22 @@ def test_distance_of_subnormal_square_against_mpmath(a, z):
 
 
 def test_moebius_examples():
-    m = MoebiusMap(0.5)
-    assert m(0.5) == pytest.approx(0.0)
-    assert m(0.0) == pytest.approx(0.5)
-    assert m(0.25) == pytest.approx(0.25 / 0.875)
+    assert moebius(0.5, 0.5) == pytest.approx(0.0)
+    assert moebius(0.5, 0.0) == pytest.approx(0.5)
+    assert moebius(0.5, 0.25) == pytest.approx(0.25 / 0.875)
+
+
+def fd_jacobian(c, w, h=1e-5):
+    """The Jacobian determinant of w -> moebius(c, w) by central differences."""
+    du = (moebius(c, w + h) - moebius(c, w - h)) / (2 * h)
+    dv = (moebius(c, w + 1j * h) - moebius(c, w - 1j * h)) / (2 * h)
+    return du.real * dv.imag - du.imag * dv.real
 
 
 def test_jacobian_examples():
-    assert MoebiusMap(0.0).jacobian(0.3 + 0.1j) == pytest.approx(1.0)
-    assert MoebiusMap(0.5).jacobian(0.0) == pytest.approx(0.5625)
+    # |phi_0'|^2 = 1 and |phi_(1/2)'(0)|^2 = (1 - 1/4)^2
+    assert fd_jacobian(0.0, 0.3 + 0.1j) == pytest.approx(1.0)
+    assert fd_jacobian(0.5, 0.0) == pytest.approx(0.5625)
 
 
 @given(disk_points(), disk_points())
@@ -100,45 +107,37 @@ def test_metric_triangle(z, w, v):
 
 @given(disk_points(0.999), disk_points(0.999))
 def test_involution(z, c):
-    m = MoebiusMap(c)
-    assert abs(m(m(z)) - z) <= 1e-12
+    assert abs(moebius(c, moebius(c, z)) - z) <= 1e-12
 
 
 @given(disk_points(0.99), disk_points(0.99), disk_points(0.99))
 def test_moebius_invariance(z, w, c):
-    m = MoebiusMap(c)
-    assert abs(psh_distance(m(z), m(w)) - psh_distance(z, w)) <= 1e-12
+    assert abs(psh_distance(moebius(c, z), moebius(c, w)) - psh_distance(z, w)) <= 1e-12
 
 
 @settings(max_examples=30)
 @given(disk_points(0.95), disk_points(0.9))
 def test_jacobian_matches_finite_differences(c, w):
-    m = MoebiusMap(c)
-    h = 1e-5
-    du = (m(w + h) - m(w - h)) / (2 * h)
-    dv = (m(w + 1j * h) - m(w - 1j * h)) / (2 * h)
-    det = du.real * dv.imag - du.imag * dv.real
-    assert det == pytest.approx(m.jacobian(w), rel=1e-6)
+    assert fd_jacobian(c, w) == pytest.approx(moebius_jacobian(c, w), rel=1e-6)
 
 
 def test_diameter():
-    assert psh_diameter(FiniteSequence([0.3])) == 0.0
-    assert psh_diameter(FiniteSequence([0, 0.5])) == pytest.approx(0.5)
-    assert psh_diameter(FiniteSequence([0, 0.3, 0.7])) == pytest.approx(0.7)
-    with pytest.raises(InvariantViolation, match="empty"):
-        psh_diameter(FiniteSequence([]))
+    # the diameter of a point set is the largest entry of its distance matrix
+    for zs, want in (([0.3], 0.0), ([0, 0.5], 0.5), ([0, 0.3, 0.7], 0.7)):
+        pts = np.array(zs, dtype=complex)
+        assert psh_distance_pairwise(pts, pts).max() == pytest.approx(want)
 
 
 def test_point_invariants():
-    # a map's centre is checked as a sequence's points are
+    # points are checked for finiteness and against the floor
     with pytest.raises(InvariantViolation):
-        MoebiusMap(1.0)
+        FiniteSequence([1.0])
     with pytest.raises(InvariantViolation, match="too close"):
-        MoebiusMap(1.0 - BOUNDARY_FLOOR / 2)
+        FiniteSequence([1.0 - BOUNDARY_FLOOR / 2])
     with pytest.raises(InvariantViolation, match="finite"):
-        MoebiusMap(complex(float("nan"), 0.0))
-    m = MoebiusMap(np.complex128(1.0 - 2e-14))  # just inside the floor
-    assert type(m.center) is complex and m.center == 1.0 - 2e-14
+        FiniteSequence([complex(float("nan"), 0.0)])
+    s = FiniteSequence([np.complex128(1.0 - 2e-14)])  # just inside the floor
+    assert s.zs.tolist() == [1.0 - 2e-14]
 
 
 def test_sequence_invariants():

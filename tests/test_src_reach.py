@@ -1,0 +1,35 @@
+"""The library is what the CLI runs.
+
+A public module-level function or class of src/blaschke_lab stays only if
+something else in src/ refers to it: a CLI command reaches it, or a kept
+function uses it.  The package's __init__ re-exports names and counts as
+no use.  The demos build what they show from the kept names.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "blaschke_lab"
+# the scalar metric, the inverse of the report schema, the CLI entry point,
+# and the sup-norm bound that the benchmark's clustered workload times
+ALLOWED = {"psh_distance", "parse_report", "main", "hinf_bound_estimate"}
+
+
+def test_every_public_name_has_a_user_in_src():
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert len(defined) > 30
+    unused = sorted(f"{module}: {name}" for name, module in defined.items()
+                    if name not in used and name not in ALLOWED)
+    assert not unused, "public names no other part of src/ uses: " + ", ".join(unused)
