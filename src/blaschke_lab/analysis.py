@@ -67,26 +67,34 @@ def union_separation(s: FiniteSequence, sep: float = 0.3):
 
 @functools.cache
 def analysis_grid() -> bg.QuadratureGrid:
-    """The quadrature grid of the batch diagnostics: 63,994 nodes.
+    """The quadrature grid of the batch diagnostics: 36,346 nodes.
 
     The recentred probes (divisor_ratio, mb_probe) integrate functions
     flat near 0 on it, evaluated exactly at its nodes however deep the
     center, save for the cusp |w|^(p m) at w = 0 of a center at a zero,
     which the graded first bands of QuadratureGrid.build resolve.  Below
-    r = 0.9, 81% of the area, it holds 3,652 nodes on 52 rings; past
-    r = 0.9999, 2e-4 of the area, the 512-node cap keeps its 62 rings to
-    31,744 nodes.  At p = 1/2 and alpha = 0 the divisor ratio
-    agrees with a grid of 11.9x the nodes to 3.2e-5 relative on a random
-    Carleson cloud (n = 40), to 9.4e-6 and 5.2e-8 on the escalating
-    family (n_max 6 and 12) and to 3.3e-5 and 3.5e-6 on the radial rays
+    r = 0.9, 81% of the area, it holds 3,652 nodes on 52 rings.  Its bands
+    are QuadratureGrid.build's at rings=140 and min_gap=1e-7 (tests'
+    UNCUT, 63,994 nodes) down to 1 - r = 1e-4; from there to 1e-7 three
+    decade bands replace thirty of a tenth of a decade, which the 512-node
+    cap could not resolve, and the closing band [1 - 1e-7, 1] stays.  Past
+    r = 0.9999, 2e-4 of the area, that leaves 8 rings and 4,096 nodes.
+    The five means of analyze agree with UNCUT's within 3.4e-8 relative
+    (p = 2, radial rays at 1 and 1 + pi) and 4.2e-9 at p = 1/2, and at
+    p = 1e8, where only the deepest bands carry |B o phi_c|^p, the
+    divisor ratio stays finite.  At p = 1/2 and alpha = 0 the divisor
+    ratio agrees with a grid of 20.9x the nodes to 3.2e-5 relative on a
+    random Carleson cloud (n = 40), to 9.4e-6 and 5.2e-8 on the escalating
+    family (n_max 6 and 12) and to 2.8e-5 and 3.0e-6 on the radial rays
     q = 1/2, n = 46 at 0 and 1 rad, where the multiplication probe agrees
-    to 1.5e-5 and 7.6e-6.  At alpha = 1 the weight (1-|w|^2) rides on the
+    to 1.7e-6 and 2.4e-6.  At alpha = 1 the weight (1-|w|^2) rides on the
     band areas: the divisor ratio agrees with the finer grid to within
-    6.7e-6 (escalating n_max = 4) and 1.8e-6 (n_max = 6).  Integrands
+    6.8e-6 (escalating n_max = 4) and 1.8e-6 (n_max = 6).  Integrands
     peaked near the circle are not resolved: the kernel mass misses pi
     by 5.8e-6 at |c| = 0.9 and by 91% at |c| = 0.999.
     """
-    return bg.QuadratureGrid.build(rings=140, min_gap=1e-7, max_angular=512)
+    gaps = 1e-7 ** (np.arange(71) / 70)  # tenths of a decade in 1 - r
+    return bg._band_grid(np.concatenate([gaps[:40], gaps[40::10]]), 512)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,13 @@ is a logarithmic potential of the moved zeros, and from _TREE_ZEROS
 zeros and _TREE_POINTS points on it runs as a one-level treecode
 (_Boxes): the points are grouped once into compact boxes, the zeros far
 from a box enter through a local expansion about its centre, and only
-the near ones go through the kernel.
+the near ones go through the kernel.  A near pair is gathered pair by
+pair, at about twice the cost of a pair of the plain kernel (17 to 25
+against 8 to 11 ns per evaluation, one thread), so a box that at least
+half of the zeros are near (2 near >= n) takes the plain kernel over all
+of them instead: on the analysis grid these are the wide boxes of its
+sparse rings, which hold 85-96% of the near pairs of the benchmark's
+inputs.
 """
 
 from __future__ import annotations
@@ -190,12 +196,14 @@ _FAR = 0.2
 _ORDER = 20
 _BOX = 128  # nodes per box
 # From these counts on the boxes beat the direct kernel.  Over the
-# analysis grid with five centres the two tie at 12 to 16 zeros.  At 200
-# zeros the boxes take 0.82 to 0.91 of the kernel's time on 2,048
-# consecutive nodes near the circle and 0.19 on the graded rings near 0,
-# while on 512 points of |z| = 1/2 every box is so wide that all zeros
-# are near and the boxes take 2.4 times as long.
-_TREE_ZEROS = 16
+# analysis grid with five centres the two tie at 20 zeros: the boxes take
+# 1.13 to 1.14 of the kernel's time at 16 zeros and 0.88 to 0.93 at 24
+# (random Carleson clouds and radial rays, medians of three runs).  At
+# 200 zeros they take 0.62 of the kernel's time on 2,048 consecutive
+# nodes near the circle but 1.16 on 1,024, and 0.20 on the graded rings
+# near 0, while on 512 points of |z| = 1/2 every box takes the plain
+# kernel and building the boxes makes them 1.5 to 1.7 times as slow.
+_TREE_ZEROS = 20
 _TREE_POINTS = 2048
 
 
@@ -239,8 +247,12 @@ class _Boxes:
         self.center_coords = _coords(self.centers)
 
     def log_abs(self, coords: np.ndarray, mults: np.ndarray, out: np.ndarray) -> None:
-        """Write sum of mults * log rho for zeros (coords) at the points into out."""
+        """Write sum of mults * log rho for zeros (coords) at the points
+        into out; a box that at least half of the zeros are near takes the
+        plain kernel over all of them (see the module docstring)."""
         coef, half, near = self._expansions(coords, mults)
+        plain = 2 * np.bincount(near[:, 1], minlength=len(self.centers)) >= len(mults)
+        near = near[~plain[near[:, 1]]]
         step = max(1, disk._BLOCK // (4 * _BOX))
         for i in range(0, len(self.centers), step):
             bs = slice(i, i + step)
@@ -261,6 +273,8 @@ class _Boxes:
             # the padding repeats one point with one value: repeated
             # indices are harmless
             out[self.order[box[first]]] += 0.5 * np.add.reduceat(lr, first, axis=0)
+        out[self.order[plain]] = _log_abs(coords, mults, self.coords[:, plain].reshape(3, -1)
+                                          ).reshape(-1, _BOX)
 
     def _expansions(self, coords: np.ndarray, mults: np.ndarray):
         """Local expansion coefficients of the far zeros, one column per box

@@ -4,18 +4,18 @@ They build the constant function, the closed-form Jacobian of the disk
 automorphism, the weighted sequence norm of criterion 8, test integrands
 with known closed-form norms and zero sets, products B * g that remember
 both parts, quotients by B, weighted Bergman norms by direct quadrature,
-the fine grid FINE, the kernel mass (pi) and the area Jensen residual
-(0) that certify a grid, Hardy circle means, the pointwise division
-bound, local zero counts, the tail kernel sums beta, the interpolant's
-reverse pass in separate per-cluster steps, the Poisson angular mean and
-the summed kernel bound of the interpolation kernel, zero targets,
-target files, sampled arcs, a rescanning random-Carleson sampler, the
-uniformly-nonzero probe by one full call per zero and on a finer circle,
-|B'| at the zeros from the complex factors in 50 digits, the pairwise
-rho^2 table in exact rationals and the report keys it gives, the plain
-greedy partition loop, the anchored square family carleson_norm once
-searched and a brute-force Carleson norm; the library itself has no use
-for them.
+the fine grid FINE, the analysis grid before its cut UNCUT, the kernel
+mass (pi) and the area Jensen residual (0) that certify a grid, Hardy
+circle means, the pointwise division bound, local zero counts, the tail
+kernel sums beta, the interpolant's reverse pass in separate per-cluster
+steps, the Poisson angular mean and the summed kernel bound of the
+interpolation kernel, zero targets, target files, sampled arcs, a
+rescanning random-Carleson sampler, the uniformly-nonzero probe by one
+full call per zero and on a finer circle, |B'| at the zeros from the
+complex factors in 50 digits, the pairwise rho^2 table in exact
+rationals and the report keys it gives, the plain greedy partition loop,
+the anchored square family carleson_norm once searched and a brute-force
+Carleson norm; the library itself has no use for them.
 """
 
 import math
@@ -41,6 +41,9 @@ from blaschke_lab.geninterp import ClusterPartition, _exponents
 # the 3,775,327-node grid of QuadratureGrid.build's defaults, for oracles
 # whose integrands peak near the circle
 FINE = QuadratureGrid.build()
+# the 63,994-node analysis grid before its 30 bands of a tenth of a decade
+# from 1 - r = 1e-4 to 1e-7 became three decade bands
+UNCUT = QuadratureGrid.build(rings=140, min_gap=1e-7, max_angular=512)
 
 
 def constant_fn(c):

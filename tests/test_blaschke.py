@@ -358,8 +358,9 @@ TREE_INPUTS = {
 @pytest.mark.parametrize("name", list(TREE_INPUTS))
 def test_tree_matches_direct_kernel(name):
     # the recentred probes' rows at the four deepest centres, on both node
-    # blocks of the analysis grid (0 to 1 - r = 9.6e-5, then on to 2.1e-8):
-    # far zeros by local expansion, near ones direct
+    # blocks of the analysis grid (32,762 nodes from 0 to 1 - r = 8.1e-5,
+    # then 3,584 from 2.9e-5 on to 2.1e-8): far zeros by local expansion,
+    # near ones direct, and boxes most zeros are near by the plain kernel
     s = TREE_INPUTS[name]()
     b = BlaschkeProduct(s)
     assert len(s) >= blaschke._TREE_ZEROS
@@ -374,8 +375,8 @@ def test_tree_matches_direct_kernel(name):
 def test_tree_near_and_far_boxes_against_mpmath():
     # the deepest centre of the rays at 0 and pi (depth 2.8e-14) moves the
     # zeros down to depth 2e-28; nodes of the second block (1 - r from
-    # 2.1e-8 to 8.4e-5, 6 of its 244 boxes with near zeros) in a box with
-    # near zeros and in one with none
+    # 2.1e-8 to 2.9e-5, 6 of its 28 boxes with near zeros, all six taken
+    # by the plain kernel) in a box with near zeros and in one with none
     mpmath = pytest.importorskip("mpmath")
     s = DEEP["radial rays 0,pi"]()
     b = BlaschkeProduct(s)
@@ -391,6 +392,29 @@ def test_tree_near_and_far_boxes_against_mpmath():
     got = blaschke._log_abs_moved(b, [moved], z)[0, picks]
     want = np.array([float(mp_log_abs_composed(mpmath, s.zs, s.mults, c, w)) for w in z[picks]])
     assert np.abs(got - want).max() <= 1e-13
+
+
+def test_tree_box_most_zeros_are_near_takes_the_plain_kernel():
+    # on the first block of the analysis grid at the deepest centre of the
+    # n = 200 cloud, 48 of its 256 boxes have at least half of the zeros
+    # near (2 near >= n), 9,590 of the 9,621 near pairs: their slots come
+    # from the direct kernel over all zeros, taken on those boxes' slots
+    # in one call (BLAS's sums depend on the tile width), and nothing else
+    # is added to them.  The copies of one point that pad the last box may
+    # differ in the last bit, and one of them is kept: that box is left out
+    s = TREE_INPUTS["random-carleson n=200"]()
+    b = BlaschkeProduct(s)
+    mults = b._table[0]
+    moved = blaschke._moved(b, s.zs[np.argmax(np.abs(s.zs))])
+    z = analysis_blocks()[0]
+    boxes = blaschke._Boxes(z)
+    near = boxes._expansions(moved, mults)[2]
+    plain = np.flatnonzero(2 * np.bincount(near[:, 1], minlength=len(boxes.centers)) >= len(s))
+    assert plain.size
+    want = blaschke._log_abs(moved, mults, boxes.coords[:, plain].reshape(3, -1))
+    got = blaschke._log_abs_moved(b, [moved], z)[0]
+    whole = plain < len(z) // blaschke._BOX
+    assert np.array_equal(got[boxes.order[plain[whole]]], want.reshape(-1, blaschke._BOX)[whole])
 
 
 def test_tree_at_a_moved_zero_is_minus_inf_without_warnings():
