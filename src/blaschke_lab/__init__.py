@@ -38,7 +38,7 @@ from .geninterp import (
     ClusterPartition,
     InterpolationProblem,
     InterpolationSolution,
-    class_norm,
+    class_norms,
     cluster_sequence,
     hinf_bound_estimate,
     vgh_interpolate,

@@ -9,9 +9,12 @@ flags point the same way.  The thresholds are documented heuristics for
 the generator families shipped here, not theorems.
 
 delta, discreteness, the transformed mass at the zeros and the local
-count come from one pass over the pairs of zeros (blaschke._pair_sums);
-probe-grid centres go through uniform_blaschke_sup alone.  The
-composition probe's pruned search: see blaschke._least_compose_max.
+count come from one pass over the pairs of zeros, which forms those four
+sums (blaschke._pair_sums); probe-grid centres go through
+uniform_blaschke_sup, which forms the transformed mass alone and no
+logarithm.  The recentred means form sum m log rho^2 of the moved zeros
+alone (bergman.recentred_means).  The composition probe's pruned search:
+see blaschke._least_compose_max.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
     b = BlaschkeProduct(s)
     zs = s.zs
     # the one pass over the pairs of zeros; the local count at radius 1/2
-    at_zeros = _pair_sums(b, zs, 0.5)
+    at_zeros = _pair_sums(b, zs)
     sep = _separation(b, at_zeros)
     n_parts, part_delta = union_separation(s)
     cn = carleson_norm(s)

@@ -20,13 +20,15 @@ the weight to the integral of |B o phi_c|^p against the same weight, flat
 near 0 instead, and ||h||^p to pi/(1+alpha).  There the zeros move and the
 nodes stay: |B o phi_c| is evaluated from the zeros moved by phi_c at the
 grid's own nodes, exact however deep c lies, and one pass over the nodes
-serves every center.  The nodes come in blocks of up to disk._BLOCK
+serves every center.  The means form one sum per center and node, sum
+m log rho^2 over the moved zeros, and nothing else; the zeros are moved
+by all centers at once.  The nodes come in blocks of up to disk._BLOCK
 spanning several rings, so that blaschke's treecode can group each block
 into compact boxes once for all centers.  A box that at least half of the
 moved zeros are near, as the wide boxes of the sparse mid-radius rings
-mostly are, takes the plain kernel over all zeros: a near pair gathered
-pair by pair costs about twice a plain one (17 to 25 against 8 to 11 ns
-per evaluation, one thread), hence the half.
+mostly are, takes the plain kernel over all zeros and forms no expansion:
+a near pair gathered pair by pair costs about twice a plain one (17 to 25
+against 8 to 11 ns per evaluation, one thread), hence the half.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import disk
-from .blaschke import BlaschkeProduct, _log_abs_moved, _moved
+from .blaschke import BlaschkeProduct, _log_abs_moved, _moved_zeros
 from .disk import _one_minus_abs2
 
 # hp_norm's circle, its node count, first grid, tolerance and spot-check nodes
@@ -209,7 +211,7 @@ def recentred_means(b: BlaschkeProduct, centers, p: float, alpha: float,
         raise ValueError("alpha must exceed -1")
     weighted = QuadratureGrid(g.radii, g.band_areas * _one_minus_abs2(g.radii) ** alpha,
                               g.angular_counts)
-    moved = [_moved(b, complex(c)) for c in centers]
+    moved = _moved_zeros(b, centers)
 
     def powers(z):
         rows = _log_abs_moved(b, moved, z)

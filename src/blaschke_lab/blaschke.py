@@ -9,14 +9,19 @@ of 0.  This module evaluates B, measures separation constants (the
 deleted products), counts zeros in metric disks, partitions sequences
 into separated pieces, and probes compositions with disk automorphisms.
 
-Every modulus (log|B|, the separation constants, zero counts) comes from
-the metric's kernel for log rho^2 between a tile of zeros and a tile of
-points (disk._log_rho2), in real arithmetic and free of cancellation near
-the circle; complex values come from the factors in complex arithmetic
-over the same tiles.  The per-point sums over the zeros that the battery
-reads (sum m log rho^2 for the deleted products, the nearest zero, the
-transformed mass sum m (1 - rho^2) and the zero count in a metric disk)
-come from one pass over the pairs of zeros and points (_pair_sums).
+Every modulus (log|B|, the separation constants) comes from the metric's
+kernel for log rho^2 between a tile of zeros and a tile of points
+(disk._log_rho2), in real arithmetic and free of cancellation near the
+circle; the transformed mass sum m (1 - rho^2) and the zero count in a
+metric disk need no logarithm and come from 1 - rho^2 = q / (|a - z|^2 +
+q) over the same tiles (disk._one_minus_rho2), as do the depths of the
+moved zeros; complex values come from the factors in complex arithmetic.
+Each caller forms only the sums it reads.  analyze's pass at its zeros
+forms all four per-point sums (_pair_sums): sum m log rho^2 for the
+deleted products, the nearest zero, the mass and the count, and so does
+separation_report, which reads the first two.  The probe grid of
+uniform_blaschke_sup forms the mass alone and max_local_count the count
+alone (_pair_sum).
 
 log|B o phi_c| at many points (the recentred probes' quadrature nodes)
 is a logarithmic potential of the moved zeros, and from _TREE_ZEROS
@@ -29,7 +34,10 @@ against 8 to 11 ns per evaluation, one thread), so a box that at least
 half of the zeros are near (2 near >= n) takes the plain kernel over all
 of them instead: on the analysis grid these are the wide boxes of its
 sparse rings, which hold 85-96% of the near pairs of the benchmark's
-inputs.
+inputs.  Such a plain box is picked out before the far-field recurrence
+and gets neither expansion coefficients nor a Horner pass.  The zeros
+are moved by every centre of a call in one array operation
+(_moved_zeros).
 """
 
 from __future__ import annotations
@@ -46,8 +54,8 @@ from .disk import (
     InvariantViolation,
     _coords,
     _log_rho2,
-    _one_minus_abs2,
     _one_minus_conj,
+    _one_minus_rho2,
     _tiles,
     moebius,
 )
@@ -132,20 +140,20 @@ def log_abs_evaluate(b: BlaschkeProduct, z):
     return float(res[0]) if scalar else res.reshape(np.shape(z))
 
 
-def _moved(b: BlaschkeProduct, c: complex) -> np.ndarray:
-    """Kernel coordinates of the zeros moved by phi_c (disk.moebius).
+def _moved_zeros(b: BlaschkeProduct, centers) -> np.ndarray:
+    """Kernel coordinates of the zeros moved by phi_c (disk.moebius), one
+    (3, zeros) table per center c of the array-like centers, all centers
+    in one array operation: shape (centers, 3, zeros).
 
     With dc = 1 - |c|^2 and da = 1 - |a|^2 error-free,
-    1 - |phi_c(a)|^2 = dc da / (|c - a|^2 + dc da), so no step cancels near
-    the circle.  The moved depths can fall far below BOUNDARY_FLOOR and
-    |phi_c(a)| can round to 1: these are kernel coordinates only, never a
-    FiniteSequence.
+    1 - |phi_c(a)|^2 = 1 - rho^2(c, a) = dc da / (|c - a|^2 + dc da)
+    (disk._one_minus_rho2), so no step cancels near the circle.  The moved
+    depths can fall far below BOUNDARY_FLOOR and |phi_c(a)| can round to 1:
+    these are kernel coordinates only, never a FiniteSequence.
     """
-    zs = b.zeros.zs
-    moved = moebius(c, zs)
-    d = c - zs
-    prod = float(_one_minus_abs2(c)) * b._table[1][2]
-    return np.stack([moved.real, moved.imag, prod / (d.real**2 + d.imag**2 + prod)])
+    c = np.asarray(centers, dtype=complex).ravel()
+    moved = moebius(c[:, None], b.zeros.zs)
+    return np.stack([moved.real, moved.imag, _one_minus_rho2(_coords(c), b._table[1])], axis=1)
 
 
 def log_abs_composed(b: BlaschkeProduct, centers, z) -> np.ndarray:
@@ -158,14 +166,14 @@ def log_abs_composed(b: BlaschkeProduct, centers, z) -> np.ndarray:
     coordinates of z are formed once for all centers.
     """
     w = np.asarray(z, dtype=complex).ravel()
-    moved = [_moved(b, complex(c)) for c in centers]
-    return _log_abs_moved(b, moved, w).reshape((len(centers),) + np.shape(z))
+    out = _log_abs_moved(b, _moved_zeros(b, centers), w)
+    return out.reshape((len(out),) + np.shape(z))
 
 
-def _log_abs_moved(b: BlaschkeProduct, moved: list, w: np.ndarray) -> np.ndarray:
+def _log_abs_moved(b: BlaschkeProduct, moved: np.ndarray, w: np.ndarray) -> np.ndarray:
     """log|B o phi_c| at the points w (a flat complex array), one row per
-    table of moved zeros from _moved.  The kernel coordinates of w are
-    formed once for all rows.
+    table of moved zeros from _moved_zeros.  The kernel coordinates of w
+    are formed once for all rows.
 
     From _TREE_ZEROS listed zeros and _TREE_POINTS points on, the points
     are grouped into boxes once (_Boxes) and every row comes from the
@@ -248,23 +256,22 @@ class _Boxes:
 
     def log_abs(self, coords: np.ndarray, mults: np.ndarray, out: np.ndarray) -> None:
         """Write sum of mults * log rho for zeros (coords) at the points
-        into out; a box that at least half of the zeros are near takes the
-        plain kernel over all of them (see the module docstring)."""
-        coef, half, near = self._expansions(coords, mults)
-        plain = 2 * np.bincount(near[:, 1], minlength=len(self.centers)) >= len(mults)
-        near = near[~plain[near[:, 1]]]
+        into out.  A box that at least half of the zeros are near takes the
+        plain kernel over all of them (see the module docstring), and no
+        expansion or series; the others take their series and near pairs."""
+        tree, coef, half, near = self._expansions(coords, mults)
         step = max(1, disk._BLOCK // (4 * _BOX))
-        for i in range(0, len(self.centers), step):
-            bs = slice(i, i + step)
+        for i in range(0, len(tree), step):
+            bs, cs = tree[i:i + step], slice(i, i + step)
             # the local series by Horner in u = (w - t)/R, |u| <= 1
             u = self.coords[0, bs] + 1j * self.coords[1, bs]
             u -= self.centers[bs, None]
             u /= np.where(self.radii[bs] > 0.0, self.radii[bs], 1.0)[:, None]
-            acc = u * coef[-1, bs, None]
+            acc = u * coef[-1, cs, None]
             for k in range(_ORDER - 2, -1, -1):
-                acc += coef[k, bs, None]
+                acc += coef[k, cs, None]
                 acc *= u
-            out[self.order[bs]] = 0.5 * half[bs, None] - acc.real
+            out[self.order[bs]] = 0.5 * half[cs, None] - acc.real
         for i in range(0, len(near), step):
             j, box = near[i:i + step].T
             lr = _log_rho2(coords[:, j], self.coords[:, box])
@@ -273,27 +280,30 @@ class _Boxes:
             # the padding repeats one point with one value: repeated
             # indices are harmless
             out[self.order[box[first]]] += 0.5 * np.add.reduceat(lr, first, axis=0)
+        plain = np.ones(len(self.centers), dtype=bool)
+        plain[tree] = False
         out[self.order[plain]] = _log_abs(coords, mults, self.coords[:, plain].reshape(3, -1)
                                           ).reshape(-1, _BOX)
 
     def _expansions(self, coords: np.ndarray, mults: np.ndarray):
-        """Local expansion coefficients of the far zeros, one column per box
-        (the 1/k folded in), sum of m log rho^2 at the box centres over the
-        far zeros, and the near (zero, box) pairs, sorted by box."""
-        boxes = len(self.centers)
-        coef = np.empty((_ORDER, boxes), dtype=complex)
-        half = np.empty(boxes)
-        near = []
+        """The boxes that fewer than half of the zeros are near (the tree
+        boxes, in increasing order), the local expansion coefficients of
+        their far zeros, one column per tree box (the 1/k folded in), the
+        sums of m log rho^2 at their centres over the far zeros, and their
+        near (zero, box) pairs, sorted by box.  Plain boxes get nothing."""
+        parts = []
         step = max(1, disk._BLOCK // (4 * coords.shape[1]))
-        for i in range(0, boxes, step):
-            bs = slice(i, min(i + step, boxes))
-            coef[:, bs], half[bs], (box, j) = self._far_field(coords, mults, bs)
-            near.append(np.stack([j, box + i], axis=1))
-        return coef, half, np.concatenate(near)
+        for i in range(0, len(self.centers), step):
+            tree, coef, half, (box, j) = self._far_field(coords, mults, slice(i, i + step))
+            parts.append((tree + i, coef, half, np.stack([j, tree[box] + i], axis=1)))
+        tree, coef, half, near = zip(*parts)
+        return (np.concatenate(tree), np.concatenate(coef, axis=1), np.concatenate(half),
+                np.concatenate(near))
 
     def _far_field(self, coords: np.ndarray, mults: np.ndarray, bs: slice):
-        """_expansions for the boxes bs; the near pairs as (box, zero)
-        index arrays.  Its temporaries die on return.
+        """_expansions for the boxes bs, with the tree boxes numbered from
+        the start of bs and the near pairs as (tree box, zero) index arrays
+        into that selection.  Its temporaries die on return.
 
         In the scaled variables x = R X and y = R Y the coefficients are
         sums of m (x^k - y^k)/k.  For a zero near the circle x and y nearly
@@ -303,20 +313,22 @@ class _Boxes:
         """
         zs = (coords[0] + 1j * coords[1])[:, None]
         depth = coords[2][:, None]
-        radii = self.radii[bs]
-        centers = self.centers[bs]
-        x = zs - centers
+        x = zs - self.centers[bs]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(self.radii[bs], x, out=x)
+            near = ~(np.abs(x) < _FAR)  # nan and inf (a at t) are near
+        tree = np.flatnonzero(2 * np.count_nonzero(near, axis=0) < len(mults))
+        x, near = x[:, tree], near[:, tree]
+        centers, radii = self.centers[bs][tree], self.radii[bs][tree]
         den = _one_minus_conj(zs, depth, centers)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(radii, x, out=x)
-            near = ~(np.abs(x) < _FAR)  # nan and inf (a at t) are near
             y = np.conj(zs) * radii
             y /= den
             d = np.divide(depth, den, out=den)
             d *= x
         for v in (x, y, d):
             v[near] = 0.0
-        lr = _log_rho2(coords, self.center_coords[:, bs])
+        lr = _log_rho2(coords, self.center_coords[:, bs][:, tree])
         lr[near] = 0.0
         half = mults @ lr
         del lr
@@ -328,38 +340,58 @@ class _Boxes:
             d *= x
             d += e
             e *= y
-        return coef, half, np.nonzero(near.T)
+        return tree, coef, half, np.nonzero(near.T)
 
 
 _PairSums = namedtuple("_PairSums", "logs least mass count")
 
 
-def _pair_sums(b: BlaschkeProduct, w, r: float = 0.5) -> _PairSums:
+def _pair_sums(b: BlaschkeProduct, w) -> _PairSums:
     """Sums over the listed zeros z_j at each point of w (an array-like of
-    complex), from one pass over the pairs in tiles of the log rho^2 kernel:
+    complex), from one pass over the pairs in tiles:
 
     logs   sum of m_j log rho^2(w, z_j)
     least  min of log rho^2(w, z_j), 0 when no zero is left
-    mass   sum of m_j (1 - rho^2(w, z_j)), each term -expm1(log rho^2)
-    count  sum of m_j over the zeros with rho(w, z_j) < r
+    mass   sum of m_j (1 - rho^2(w, z_j))
+    count  sum of m_j over the zeros with rho(w, z_j) < 1/2
 
-    A zero at w itself (where the kernel is -inf) counts in mass and count,
-    not in logs or least, so at the zeros logs gives the deleted products
-    and least the nearest pair.
+    logs and least come from the log rho^2 kernel (disk._log_rho2), mass
+    and count from 1 - rho^2 (disk._one_minus_rho2, _within): the four
+    sums of analyze at its zeros.  A zero at w itself (where log rho^2 is
+    -inf) counts in mass and count, not in logs or least, so at the zeros
+    logs gives the deleted products and least the nearest pair.
     """
     mults, coords, _ = b._table
     pts = _coords(np.asarray(w, dtype=complex).ravel())
     logs, least, mass, count = (np.zeros(pts.shape[1]) for _ in range(4))
-    bound = 2.0 * np.log(r)
     for rows, cols in _tiles(len(mults), pts.shape[1]):
-        lr = _log_rho2(coords[:, rows], pts[:, cols])
-        m = mults[rows]
-        mass[cols] += m @ -np.expm1(lr)
-        count[cols] += m @ (lr < bound)
+        a, z, m = coords[:, rows], pts[:, cols], mults[rows]
+        near = _one_minus_rho2(a, z)
+        mass[cols] += m @ near
+        count[cols] += m @ _within(near, 0.5)
+        lr = _log_rho2(a, z)
         lr[lr == -np.inf] = 0.0
         logs[cols] += m @ lr
         np.minimum(least[cols], lr.min(axis=0), out=least[cols])
     return _PairSums(logs, least, mass, count)
+
+
+def _within(near: np.ndarray, r: float) -> np.ndarray:
+    """rho < r, read from near = 1 - rho^2 as near > 1 - r^2."""
+    return near > 1.0 - r * r
+
+
+def _pair_sum(b: BlaschkeProduct, w, term) -> np.ndarray:
+    """sum over the listed zeros z_j of m_j term(1 - rho^2(w, z_j)) at each
+    point of w (an array-like of complex), in tiles of disk._one_minus_rho2:
+    the one sum that the probe grid (the mass, term the identity) and
+    max_local_count (the count, term _within) read, with no logarithm."""
+    mults, coords, _ = b._table
+    pts = _coords(np.asarray(w, dtype=complex).ravel())
+    out = np.zeros(pts.shape[1])
+    for rows, cols in _tiles(len(mults), pts.shape[1]):
+        out[cols] += mults[rows] @ term(_one_minus_rho2(coords[:, rows], pts[:, cols]))
+    return out
 
 
 def separation_report(b: BlaschkeProduct) -> SeparationReport:
@@ -393,7 +425,7 @@ def max_local_count(b: BlaschkeProduct, r: float) -> int:
     """
     if not 0 < r < 1:
         raise ValueError("radius must lie in (0, 1)")
-    return int(_pair_sums(b, b.zeros.zs, r).count.max(initial=0.0))
+    return int(_pair_sum(b, b.zeros.zs, lambda near: _within(near, r)).max(initial=0.0))
 
 
 def _greedy_parts(zs: np.ndarray, sep: float, mults=None) -> list:

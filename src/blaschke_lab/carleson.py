@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _pair_sums
+from .blaschke import BlaschkeProduct, _pair_sum
 from .disk import _BLOCK, FiniteSequence, InvariantViolation, _one_minus_abs2
 
 # arc_carleson_constant drops a box of squares once its upper bound is
@@ -83,9 +83,10 @@ def carleson_norm(s: FiniteSequence) -> float:
 
 def uniform_blaschke_sup(s: FiniteSequence, probe_centers) -> float:
     """Max over probe centers c (an array-like of complex) of
-    sum_j mult_j (1 - |phi_c(z_j)|^2), the mass of the pass over the pairs
-    of zeros and centers (blaschke._pair_sums)."""
-    return float(_pair_sums(BlaschkeProduct(s), probe_centers).mass.max(initial=0.0))
+    sum_j mult_j (1 - |phi_c(z_j)|^2), the transformed mass, alone: the pass
+    over the pairs of zeros and centers forms no other sum and no
+    logarithm (blaschke._pair_sum)."""
+    return float(_pair_sum(BlaschkeProduct(s), probe_centers, lambda near: near).max(initial=0.0))
 
 
 class _ArcTable:

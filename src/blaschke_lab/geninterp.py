@@ -202,6 +202,14 @@ def _euclid_disks(zs: np.ndarray, eps: float):
     return zs * (1.0 - eps * eps) / k, eps * _one_minus_abs2(zs) / k
 
 
+def _cluster_disks(part: ClusterPartition) -> list:
+    """(centres, radii) of the eps-disks about the points of each cluster,
+    from one _euclid_disks call over all_points, split by labels."""
+    centres, radii = _euclid_disks(part.all_points().zs, part.eps)
+    cuts = np.flatnonzero(np.diff(part.labels())) + 1
+    return list(zip(np.split(centres, cuts), np.split(radii, cuts)))
+
+
 def cluster_sequence(s: FiniteSequence, eps: float, R_max: float) -> ClusterPartition:
     """Greedy agglomeration into clusters with disjoint eps-neighborhoods.
 
@@ -247,29 +255,33 @@ def _components(adj: np.ndarray) -> np.ndarray:
         labels = low
 
 
-def class_norm(cluster: FiniteSequence, jet, eps: float) -> float:
-    """Size of the target class: sup of the minimal-degree polynomial
-    carrying the jet over the eps-neighborhood, sampled at the cluster
-    points, the disk centres and each constituent circle.
+def class_norms(part: ClusterPartition, jets) -> list:
+    """Size of each cluster's target class: sup of the minimal-degree
+    polynomial carrying its jet over its eps-neighborhood, sampled at the
+    cluster points, the disk centres and each constituent circle.
 
     The true quotient-class norm (inf of sup-norms over all analytic
     representatives) is not finitely computable; the canonical polynomial
     representative is equivalent for diameters bounded away from 1 and
     reduces to |value| on simple singletons.
     """
-    jets = [jet_from_derivatives(row) for row in jet]
-    P = hermite_interpolant(cluster.zs, cluster.mults, jets)
+    if len(jets) != len(part.clusters):
+        raise InvariantViolation("jets must parallel clusters")
     theta = 2.0 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
-    c, r = _euclid_disks(cluster.zs, eps)
-    circles = c[:, None] + r[:, None] * np.exp(1j * theta)
-    return float(np.abs(P(np.concatenate([cluster.zs, c, circles.ravel()]))).max())
+    ring = np.exp(1j * theta)
+    norms = []
+    for cluster, jet, (c, r) in zip(part.clusters, jets, _cluster_disks(part)):
+        P = hermite_interpolant(cluster.zs, cluster.mults,
+                                [jet_from_derivatives(row) for row in jet])
+        circles = c[:, None] + r[:, None] * ring
+        norms.append(float(np.abs(P(np.concatenate([cluster.zs, c, circles.ravel()]))).max()))
+    return norms
 
 
 def xp_norm(part: ClusterPartition, jets, p) -> float:
-    """Target-sequence norm: (sum class_norm^p * d_k)^(1/p), sup at p=inf."""
-    if len(jets) != len(part.clusters):
-        raise InvariantViolation("jets must parallel clusters")
-    norms = [class_norm(c, j, part.eps) for c, j in zip(part.clusters, jets)]
+    """Target-sequence norm: (sum n_k^p * d_k)^(1/p) over the class_norms
+    n_k of the clusters, max n_k at p=inf."""
+    norms = class_norms(part, jets)
     if p == np.inf:
         return max(norms) if norms else 0.0
     if not p > 0:
@@ -493,8 +505,7 @@ def hinf_bound_estimate(part: ClusterPartition, b: BlaschkeProduct) -> float:
     samples = []  # the kept samples of every circle
     theta = 2.0 * np.pi * (np.arange(_CIRCLE_SAMPLES) + 0.5) / _CIRCLE_SAMPLES
     ring = np.exp(1j * theta)
-    for cluster in part.clusters:
-        centres, radii = _euclid_disks(cluster.zs, part.eps)
+    for centres, radii in _cluster_disks(part):
         for j, (cj, rj) in enumerate(zip(centres.tolist(), radii.tolist())):
             pts = cj + rj * ring
             outside = np.abs(pts[:, None] - centres) >= radii  # of each other disk

@@ -268,8 +268,7 @@ def test_criterion_07_interpolation():
                 failures.append(f"seed {seed} p={p}: ratio not finite")
             if p == np.inf:
                 bound = gi.hinf_bound_estimate(part, BlaschkeProduct(part.all_points()))
-                sup_cn = max(gi.class_norm(c, j, part.eps)
-                             for c, j in zip(part.clusters, jets))
+                sup_cn = max(gi.class_norms(part, jets))
                 if sol.achieved_norm > bound * sup_cn * 1.05:
                     failures.append(
                         f"seed {seed}: sup {sol.achieved_norm:.3g} above "

@@ -364,7 +364,7 @@ def test_tree_matches_direct_kernel(name):
     s = TREE_INPUTS[name]()
     b = BlaschkeProduct(s)
     assert len(s) >= blaschke._TREE_ZEROS
-    moved = [blaschke._moved(b, c) for c in sorted(s.zs, key=lambda z: -abs(z))[:4]]
+    moved = blaschke._moved_zeros(b, sorted(s.zs, key=lambda z: -abs(z))[:4])
     blocks = analysis_blocks()
     assert min(len(z) for z in blocks) >= blaschke._TREE_POINTS
     for z in blocks:
@@ -381,14 +381,14 @@ def test_tree_near_and_far_boxes_against_mpmath():
     s = DEEP["radial rays 0,pi"]()
     b = BlaschkeProduct(s)
     c = s.zs[np.argmax(np.abs(s.zs))]
-    moved = blaschke._moved(b, c)
+    moved = blaschke._moved_zeros(b, [c])[0]
     z = analysis_blocks()[1]
     boxes = blaschke._Boxes(z)
-    near = boxes._expansions(moved, b._table[0])[2]
-    near_boxes = np.unique(near[:, 1])
-    far_box = np.setdiff1d(np.arange(len(boxes.centers)), near_boxes)[0]
-    assert near_boxes.size and boxes.radii[far_box] > 0
-    picks = np.concatenate([boxes.order[near_boxes[0], ::43], boxes.order[far_box, ::43]])
+    tree, _, _, near = boxes._expansions(moved, b._table[0])
+    plain = np.setdiff1d(np.arange(len(boxes.centers)), tree)
+    far_box = np.setdiff1d(tree, near[:, 1])[0]
+    assert plain.size and boxes.radii[far_box] > 0
+    picks = np.concatenate([boxes.order[plain[0], ::43], boxes.order[far_box, ::43]])
     got = blaschke._log_abs_moved(b, [moved], z)[0, picks]
     want = np.array([float(mp_log_abs_composed(mpmath, s.zs, s.mults, c, w)) for w in z[picks]])
     assert np.abs(got - want).max() <= 1e-13
@@ -397,20 +397,39 @@ def test_tree_near_and_far_boxes_against_mpmath():
 def test_tree_box_most_zeros_are_near_takes_the_plain_kernel():
     # on the first block of the analysis grid at the deepest centre of the
     # n = 200 cloud, 48 of its 256 boxes have at least half of the zeros
-    # near (2 near >= n), 9,590 of the 9,621 near pairs: their slots come
-    # from the direct kernel over all zeros, taken on those boxes' slots
-    # in one call (BLAS's sums depend on the tile width), and nothing else
-    # is added to them.  The copies of one point that pad the last box may
-    # differ in the last bit, and one of them is kept: that box is left out
+    # near (2 near >= n), 9,590 of the 9,621 near pairs: they get no
+    # expansion column and no near pair, and their slots come from the
+    # direct kernel over all zeros, taken on those boxes' slots in one call
+    # (BLAS's sums depend on the tile width), with nothing else added.
+    # The copies of one point that pad the last box may differ in the last
+    # bit, and one of them is kept: that box is left out
     s = TREE_INPUTS["random-carleson n=200"]()
     b = BlaschkeProduct(s)
     mults = b._table[0]
-    moved = blaschke._moved(b, s.zs[np.argmax(np.abs(s.zs))])
+    c = s.zs[np.argmax(np.abs(s.zs))]
+    # the moved zeros of a batch of centres are disk.moebius's, bit for
+    # bit, and their depths dc da / (|c - a|^2 + dc da)
+    centers = np.concatenate([[0.0, c, 0.3 - 0.9j], s.zs[:40]])
+    batch = blaschke._moved_zeros(b, centers)
+    da = disk._one_minus_abs2(s.zs)
+    for ck, (re, im, depth) in zip(centers.tolist(), batch):
+        phi = moebius(ck, s.zs)
+        d = ck - s.zs
+        q = float(disk._one_minus_abs2(ck)) * da
+        assert np.array_equal(re, phi.real) and np.array_equal(im, phi.imag)
+        assert np.array_equal(depth, q / (d.real**2 + d.imag**2 + q))
+    moved = batch[1]
     z = analysis_blocks()[0]
     boxes = blaschke._Boxes(z)
-    near = boxes._expansions(moved, mults)[2]
-    plain = np.flatnonzero(2 * np.bincount(near[:, 1], minlength=len(boxes.centers)) >= len(s))
-    assert plain.size
+    # near by the definition: a zero a is far from a box (t, R) when R/|a - t| < _FAR
+    with np.errstate(divide="ignore"):
+        x = boxes.radii / ((moved[0] + 1j * moved[1])[:, None] - boxes.centers)
+    plain = np.flatnonzero(2 * np.count_nonzero(~(np.abs(x) < blaschke._FAR), axis=0) >= len(s))
+    assert plain.size == 48
+    tree, coef, half, near = boxes._expansions(moved, mults)
+    assert np.array_equal(tree, np.setdiff1d(np.arange(len(boxes.centers)), plain))
+    assert coef.shape == (blaschke._ORDER, len(tree)) and half.shape == (len(tree),)
+    assert len(near) == 9621 - 9590 and np.isin(near[:, 1], tree).all()
     want = blaschke._log_abs(moved, mults, boxes.coords[:, plain].reshape(3, -1))
     got = blaschke._log_abs_moved(b, [moved], z)[0]
     whole = plain < len(z) // blaschke._BOX
@@ -429,7 +448,7 @@ def test_tree_at_a_moved_zero_is_minus_inf_without_warnings():
     assert got[100] == -np.inf
     rest = np.arange(len(w)) != 100
     assert np.isfinite(got[rest]).all()
-    want = direct_rows(b, [blaschke._moved(b, 0.0)], w)[0]
+    want = direct_rows(b, blaschke._moved_zeros(b, [0.0]), w)[0]
     assert np.abs(got[rest] - want[rest]).max() <= 1e-13
 
 
@@ -440,7 +459,7 @@ def test_below_crossover_is_the_direct_kernel(n, points):
     assert n < blaschke._TREE_ZEROS or points < blaschke._TREE_POINTS
     rng = np.random.default_rng(4)
     w = rng.uniform(0, 0.999, points) * np.exp(1j * rng.uniform(0, 2 * np.pi, points))
-    moved = [blaschke._moved(b, c) for c in (0.0, s.zs[0], 0.3 - 0.9j)]
+    moved = blaschke._moved_zeros(b, [0.0, s.zs[0], 0.3 - 0.9j])
     assert np.array_equal(blaschke._log_abs_moved(b, moved, w), direct_rows(b, moved, w))
 
 
@@ -495,6 +514,15 @@ def test_probe_bounds_lie_below_the_full_values(name):
     bounds = blaschke._probe_bounds(b, s.zs)
     full = np.array([compose_min_on_compact(b, z) for z in s.zs])
     assert (np.exp(bounds) <= full).all()
+
+
+@pytest.mark.parametrize("name", [*BENCH_INPUTS, "random-carleson n=800"])
+def test_max_local_count_against_oracle_on_bench_inputs(name):
+    # the count alone, from 1 - rho^2 > 1 - r^2, at the radius of analyze
+    # and of the benchmark's partitions
+    s = BENCH_INPUTS[name]() if name in BENCH_INPUTS else gen_random_carleson(11, 800, 4.0)
+    b = BlaschkeProduct(s)
+    assert max_local_count(b, 0.5) == max(local_zero_count(b, z, 0.5) for z in s.zs)
 
 
 def test_pruned_probe_evaluates_few_centres(monkeypatch):
@@ -574,8 +602,11 @@ def test_analyze_walks_the_zero_pairs_once(monkeypatch):
         calls.append(len(args[1]))
         return pair_sums(*args, **kwargs)
 
-    for module in (analysis, blaschke, carleson):
+    for module in (analysis, blaschke):
         monkeypatch.setattr(module, "_pair_sums", counting)
+    # without a probe grid no single-sum pass runs either
+    for module in (blaschke, carleson):
+        monkeypatch.setattr(module, "_pair_sum", lambda b, w, term: calls.append(("one", len(w))))
     # the per-part reports of union_separation run the pass on each part
     monkeypatch.setattr(analysis, "union_separation", lambda s: (1, 1.0))
     analyze_sequence(gen_random_carleson(11, 200, 4.0))

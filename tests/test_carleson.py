@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from blaschke_lab import disk
+from blaschke_lab import blaschke, disk
 from blaschke_lab import geninterp as gi
 from blaschke_lab.blaschke import BlaschkeProduct
 from blaschke_lab.carleson import (
@@ -17,7 +19,14 @@ from blaschke_lab.generators import (
     gen_radial_geometric,
     gen_random_carleson,
 )
-from oracles import ANCHOR_ETAS, _dyadic_levels, _search_squares, arc_samples, brute_carleson_norm
+from oracles import (
+    ANCHOR_ETAS,
+    _dyadic_levels,
+    _search_squares,
+    arc_samples,
+    brute_carleson_norm,
+    exact_rho2,
+)
 from test_acceptance import _interpolation_problem
 
 
@@ -265,3 +274,46 @@ def test_arc_carleson_dominates_sampled_squares(monkeypatch):
         arcs = list(zip(*cols))
         assert got >= (1.0 - 1e-3) * sampled_family_constant(arcs)
         assert got >= (1.0 - 1e-3) * grid_constant(arcs)
+
+
+# measured: 4.0e-16 (escalating) and 2.1e-16 (rays) relative at worst
+MASS_TOL = 1e-15
+
+
+@pytest.mark.parametrize("s", [gen_escalating_multiplicity(8, split=True),
+                               gen_radial_geometric(0.5, 46, (1.0, 1.0 + np.pi))],
+                         ids=["escalating n_max=8 split", "radial rays 1,1+pi"])
+def test_probe_grid_mass_against_exact_sums(s):
+    # verify --level full's probe grid: the supremum is the mass at its
+    # argmax, and there and at 20 seeded centres the mass meets the exact
+    # sum of m (1 - rho^2), rounded once
+    b = BlaschkeProduct(s)
+    grid = disk.hyperbolic_grid(float(np.abs(s.zs).max()), 0.25)
+    mass = blaschke._pair_sum(b, grid, lambda near: near)
+    top = int(np.argmax(mass))
+    assert uniform_blaschke_sup(s, grid) == mass[top]
+    picks = [top, *np.random.default_rng(5).choice(len(grid), 20, replace=False).tolist()]
+    for j in picks:
+        row = exact_rho2([grid[j], *s.zs])[0][1:]
+        want = float(sum(int(m) * (1 - r) for m, r in zip(s.mults, row)))
+        assert abs(mass[j] - want) <= MASS_TOL * want
+
+
+@pytest.mark.parametrize("c", [0.3 + 0.1j, -0.6j, (1.0 - 1e-13) * np.exp(0.7j)])
+@pytest.mark.parametrize("m", [1, 5])
+def test_centre_on_a_zero_gets_its_multiplicity(c, m):
+    assert uniform_blaschke_sup(FiniteSequence([c], [m]), [c]) == m
+    # next to another zero: m plus that zero's term, rounded once
+    other = uniform_blaschke_sup(FiniteSequence([0.5 * c]), [c])
+    assert uniform_blaschke_sup(FiniteSequence([c, 0.5 * c], [m, 1]), [c]) == m + other
+
+
+@pytest.mark.parametrize("a, c", [(0.5, 0.5 + 1e-160), (1e-160, 3e-160), (0.7j, 0.7j - 1e-170)])
+def test_centre_next_to_a_zero_gets_one_without_warnings(a, c):
+    # |a - c|^2 underflows: 1 - rho^2 = q / (|a - c|^2 + q) reads 1 exactly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = BlaschkeProduct(FiniteSequence([a]))
+        assert uniform_blaschke_sup(FiniteSequence([a]), [c]) == 1.0
+        assert blaschke._pair_sums(b, [c]).mass[0] == 1.0
+        assert blaschke._pair_sum(b, [c], lambda near: blaschke._within(near, 0.5))[0] == 1.0

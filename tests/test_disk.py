@@ -203,3 +203,17 @@ def test_hyperbolic_grid():
     assert len(g) > 10
     with pytest.raises(ValueError):
         hyperbolic_grid(0.9, 1.5)
+
+
+@pytest.mark.parametrize("m, k", [(200, 32762), (92, 20000), (20000, 92), (8, 36346),
+                                  (3, 5000), (40000, 1), (1, 1), (0, 7), (7, 0)])
+def test_tiles_cover_once_in_wide_rows(m, k):
+    # every element once, no tile above _BLOCK elements, rows min(k, 4,096)
+    # columns wide (the knee of numpy's broadcast; see disk._ROW)
+    seen = np.zeros((m, k), dtype=int)
+    for rows, cols in disk._tiles(m, k):
+        seen[rows, cols] += 1
+        width, height = cols.stop - cols.start, rows.stop - rows.start
+        assert width * height <= disk._BLOCK
+        assert width == min(k, 4096) or cols.stop == k
+    assert (seen == 1).all()
