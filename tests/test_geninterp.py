@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blaschke_lab import blaschke
 from blaschke_lab import geninterp as gi
 from blaschke_lab.bergman import hp_norm
 from blaschke_lab.blaschke import BlaschkeProduct, evaluate
@@ -335,7 +336,8 @@ def _check_summand_jets(mpmath, part):
     seq = part.all_points()
     labels = part.labels()
     ones = [np.ones_like] * len(part.clusters)
-    for p in (0.5, 2.0, np.inf):
+    # q = 4, 3 and 20/7 by products, products and np.power; 2 at p >= 1
+    for p in (0.5, 2.0 / 3.0, 0.7, 2.0, np.inf):
         q, s = gi._exponents(p)
         problem = gi.InterpolationProblem(part, tuple(zero_jet(c) for c in part.clusters), p)
         values = gi._summands(problem)(seq.zs, ones)
@@ -360,6 +362,30 @@ def test_floor_problems_solve(shape):
     for p in (0.5, 2.0, np.inf):
         sol = gi.vgh_interpolate(gi.InterpolationProblem(part, jets, p))
         assert sol.jet_residual <= 1e-8, (p, sol.jet_residual)
+
+
+def test_jet_check_stops_once_a_pass_corrects_by_rounding(monkeypatch):
+    """The refining passes of the jet check stop once one corrects no
+    coefficient by more than eps max|vals| on any circle.  Measured: two
+    passes on the bench-shaped problem at every p (the first corrects by
+    about 1e-15 to 1e-14 of max|f|, the second by less than eps), and all
+    four, the cap, on the seven simple points at 1 - |z| = 1e-13 with 0.5;
+    the double points at 1e-10 take three."""
+    polyval = np.polynomial.polynomial.polyval
+    passes = []
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return polyval(*args, **kwargs)
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyval", counting)
+    floor = floor_partition(*FLOOR_PROBLEMS[0])
+    for (part, jets), want in ((_interpolation_problem(0), 2),
+                               ((floor, floor_targets(floor)), gi._JET_PASSES)):
+        for p in (0.5, 2.0, np.inf):
+            passes.clear()
+            assert gi.vgh_interpolate(gi.InterpolationProblem(part, jets, p)).jet_residual <= 1e-8
+            assert len(passes) == want, (len(part.clusters), p, len(passes))
 
 
 def test_jet_check_past_the_default_node_count():
@@ -428,6 +454,36 @@ def test_fused_pass_matches_per_cluster_reference():
                 want = summed_by_rows(problem, w, weights)
                 err = np.abs(got - want).max() / np.abs(want).max()
                 assert err <= 1e-13, (len(points), p, len(w), err)
+
+
+def test_pass_forms_each_anchor_denominator_once(monkeypatch):
+    """In one summed call blaschke.evaluate runs only for the clusters with
+    more than one listed point, on their points other than the anchor, and
+    nothing outside the pass forms 1 - conj(a_k) w at an anchor: the pass
+    forms it once per cluster and takes the tail term, the kernel and the
+    anchor's own factor from it."""
+    part, jets = _interpolation_problem(2)
+    summed = gi._summands(gi.InterpolationProblem(part, jets, 2.0))
+    evaluated, centres = [], []
+    evaluate_, one_minus_conj = gi.evaluate, blaschke._one_minus_conj
+
+    def counting_evaluate(b, z):
+        evaluated.append(set(b.zeros.zs.tolist()))
+        return evaluate_(b, z)
+
+    def counting_one_minus_conj(c, dc, z):
+        centres.extend(np.ravel(c).tolist())
+        return one_minus_conj(c, dc, z)
+
+    monkeypatch.setattr(gi, "evaluate", counting_evaluate)
+    for module in (gi, blaschke):
+        monkeypatch.setattr(module, "_one_minus_conj", counting_one_minus_conj)
+    summed(0.9 * np.exp(2j * np.pi * np.arange(64) / 64), [np.ones_like] * len(part.clusters))
+    others = [set(c.zs.tolist()) - {a}
+              for c, a in zip(part.clusters, part.anchors.tolist()) if len(c) > 1]
+    assert 0 < len(others) < len(part.clusters)
+    assert evaluated == others[::-1]  # the pass runs from the last cluster
+    assert not set(part.anchors.tolist()) & set(centres)
 
 
 def test_kernel_bound_matches_stacked_formula():
