@@ -8,11 +8,11 @@ sequence behaves like a finite union of interpolating sequences when all
 flags point the same way.  The thresholds are documented heuristics for
 the generator families shipped here, not theorems.
 
-delta, discreteness, the transformed mass at the zeros and the local
-count come from one pass over the pairs of zeros, which forms those four
-sums (blaschke._pair_sums); probe-grid centres go through
-uniform_blaschke_sup, which forms the transformed mass alone and no
-logarithm.  The recentred means form sum m log rho^2 of the moved zeros
+delta and discreteness come from blaschke.separation_report, the
+transformed mass supremum from carleson.uniform_blaschke_sup at the zeros
+(and at the probe grid's centres, if any) and the local count from
+blaschke.max_local_count: each pass over the pairs forms only the sum it
+reads.  The recentred means form sum m log rho^2 of the moved zeros
 alone (bergman.recentred_means).  The composition probe's pruned search:
 see blaschke._least_compose_max.
 """
@@ -30,8 +30,7 @@ from .blaschke import (
     BlaschkeProduct,
     _greedy_parts,
     _least_compose_max,
-    _pair_sums,
-    _separation,
+    max_local_count,
     separation_report,
 )
 from .carleson import carleson_norm, uniform_blaschke_sup
@@ -94,7 +93,8 @@ def analysis_grid() -> bg.QuadratureGrid:
     band areas: the divisor ratio agrees with the finer grid to within
     6.8e-6 (escalating n_max = 4) and 1.8e-6 (n_max = 6).  Integrands
     peaked near the circle are not resolved: the kernel mass misses pi
-    by 5.8e-6 at |c| = 0.9 and by 91% at |c| = 0.999.
+    by 5.8e-6 at |c| = 0.9, by 91% at c = 0.999 and by 237% at
+    c = 0.999 exp(0.3i).
     """
     gaps = 1e-7 ** (np.arange(71) / 70)  # tenths of a decade in 1 - r
     return bg._band_grid(np.concatenate([gaps[:40], gaps[40::10]]), 512)
@@ -132,16 +132,14 @@ def analyze_sequence(s: FiniteSequence, p: float = 0.5, alpha: float = 0.0,
         return AnalysisReport(0, 0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, {}, "n/a")
     b = BlaschkeProduct(s)
     zs = s.zs
-    # the one pass over the pairs of zeros; the local count at radius 1/2
-    at_zeros = _pair_sums(b, zs)
-    sep = _separation(b, at_zeros)
+    sep = separation_report(b)
     n_parts, part_delta = union_separation(s)
     cn = carleson_norm(s)
-    ubs = float(at_zeros.mass.max())
+    ubs = uniform_blaschke_sup(s, zs)
     if probe_pitch > 0:
         grid = hyperbolic_grid(float(np.abs(zs).max()), probe_pitch)
         ubs = max(ubs, uniform_blaschke_sup(s, grid))
-    ncount = int(at_zeros.count.max())
+    ncount = max_local_count(b, 0.5)
     nonzero = _least_compose_max(b, zs)
     # the divisor probe recentres at 0 and at the deepest zero, the
     # multiplication probe at the deepest four zeros: one mean per center

@@ -9,19 +9,16 @@ of 0.  This module evaluates B, measures separation constants (the
 deleted products), counts zeros in metric disks, partitions sequences
 into separated pieces, and probes compositions with disk automorphisms.
 
-Every modulus (log|B|, the separation constants) comes from the metric's
-kernel for log rho^2 between a tile of zeros and a tile of points
-(disk._log_rho2), in real arithmetic and free of cancellation near the
-circle; the transformed mass sum m (1 - rho^2) and the zero count in a
-metric disk need no logarithm and come from 1 - rho^2 = q / (|a - z|^2 +
-q) over the same tiles (disk._one_minus_rho2), as do the depths of the
-moved zeros; complex values come from the factors in complex arithmetic.
-Each caller forms only the sums it reads.  analyze's pass at its zeros
-forms all four per-point sums (_pair_sums): sum m log rho^2 for the
-deleted products, the nearest zero, the mass and the count, and so does
-separation_report, which reads the first two.  The probe grid of
-uniform_blaschke_sup forms the mass alone and max_local_count the count
-alone (_pair_sum).
+Every sum over pairs of zeros and points is one tiled loop, _pair_sum,
+with the kernel its caller reads: log rho^2 (disk._log_rho2) for log|B|,
+in real arithmetic and free of cancellation near the circle; 1 - rho^2 =
+q / (|a - z|^2 + q) (disk._one_minus_rho2) for the transformed mass of
+carleson.uniform_blaschke_sup; and the test 1 - rho^2 > 1 - r^2 for the
+zero count of max_local_count, these two with no logarithm.
+separation_report keeps a loop of its own, which forms sum m log rho^2
+and the least log rho^2 at the zeros and nothing else.  The depths of the
+moved zeros come from 1 - rho^2 too; complex values come from the factors
+in complex arithmetic.
 
 log|B o phi_c| at many points (the recentred probes' quadrature nodes)
 is a logarithmic potential of the moved zeros, and from _TREE_ZEROS
@@ -42,7 +39,6 @@ are moved by every centre of a call in one array operation
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -122,21 +118,21 @@ def evaluate(b: BlaschkeProduct, z):
     return complex(res[0]) if scalar else res.reshape(np.shape(z))
 
 
-def _log_abs(coords: np.ndarray, mults: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """sum of mults * log rho for zeros (coords) at points (pts), both
-    given by their kernel coordinates."""
-    res = np.zeros(pts.shape[1])
+def _pair_sum(coords: np.ndarray, mults: np.ndarray, pts: np.ndarray, kernel) -> np.ndarray:
+    """sum over the zeros a_j of m_j kernel(a_j, z) at each point z, for
+    zeros (coords) and points (pts) given by their kernel coordinates, one
+    tile of disk._tiles at a time (the kernels: see the module docstring)."""
+    out = np.zeros(pts.shape[1])
     for r, c in _tiles(coords.shape[1], pts.shape[1]):
-        res[c] += mults[r] @ _log_rho2(coords[:, r], pts[:, c])
-    res *= 0.5
-    return res
+        out[c] += mults[r] @ kernel(coords[:, r], pts[:, c])
+    return out
 
 
 def log_abs_evaluate(b: BlaschkeProduct, z):
     """sum of mult * log|factor|; -inf at zeros.  Stable for long products."""
     w, scalar = _points(z)
     mults, coords, _ = b._table
-    res = _log_abs(coords, mults, _coords(w))
+    res = 0.5 * _pair_sum(coords, mults, _coords(w), _log_rho2)
     return float(res[0]) if scalar else res.reshape(np.shape(z))
 
 
@@ -190,7 +186,7 @@ def _log_abs_moved(b: BlaschkeProduct, moved: np.ndarray, w: np.ndarray) -> np.n
     pts = _coords(w)
     out = np.empty((len(moved), len(w)))
     for k, coords in enumerate(moved):
-        out[k] = _log_abs(coords, mults, pts)
+        out[k] = 0.5 * _pair_sum(coords, mults, pts, _log_rho2)
     return out
 
 
@@ -282,8 +278,8 @@ class _Boxes:
             out[self.order[box[first]]] += 0.5 * np.add.reduceat(lr, first, axis=0)
         plain = np.ones(len(self.centers), dtype=bool)
         plain[tree] = False
-        out[self.order[plain]] = _log_abs(coords, mults, self.coords[:, plain].reshape(3, -1)
-                                          ).reshape(-1, _BOX)
+        pts = self.coords[:, plain].reshape(3, -1)
+        out[self.order[plain]] = 0.5 * _pair_sum(coords, mults, pts, _log_rho2).reshape(-1, _BOX)
 
     def _expansions(self, coords: np.ndarray, mults: np.ndarray):
         """The boxes that fewer than half of the zeros are near (the tree
@@ -343,75 +339,29 @@ class _Boxes:
         return tree, coef, half, np.nonzero(near.T)
 
 
-_PairSums = namedtuple("_PairSums", "logs least mass count")
-
-
-def _pair_sums(b: BlaschkeProduct, w) -> _PairSums:
-    """Sums over the listed zeros z_j at each point of w (an array-like of
-    complex), from one pass over the pairs in tiles:
-
-    logs   sum of m_j log rho^2(w, z_j)
-    least  min of log rho^2(w, z_j), 0 when no zero is left
-    mass   sum of m_j (1 - rho^2(w, z_j))
-    count  sum of m_j over the zeros with rho(w, z_j) < 1/2
-
-    logs and least come from the log rho^2 kernel (disk._log_rho2), mass
-    and count from 1 - rho^2 (disk._one_minus_rho2, _within): the four
-    sums of analyze at its zeros.  A zero at w itself (where log rho^2 is
-    -inf) counts in mass and count, not in logs or least, so at the zeros
-    logs gives the deleted products and least the nearest pair.
-    """
-    mults, coords, _ = b._table
-    pts = _coords(np.asarray(w, dtype=complex).ravel())
-    logs, least, mass, count = (np.zeros(pts.shape[1]) for _ in range(4))
-    for rows, cols in _tiles(len(mults), pts.shape[1]):
-        a, z, m = coords[:, rows], pts[:, cols], mults[rows]
-        near = _one_minus_rho2(a, z)
-        mass[cols] += m @ near
-        count[cols] += m @ _within(near, 0.5)
-        lr = _log_rho2(a, z)
-        lr[lr == -np.inf] = 0.0
-        logs[cols] += m @ lr
-        np.minimum(least[cols], lr.min(axis=0), out=least[cols])
-    return _PairSums(logs, least, mass, count)
-
-
-def _within(near: np.ndarray, r: float) -> np.ndarray:
-    """rho < r, read from near = 1 - rho^2 as near > 1 - r^2."""
-    return near > 1.0 - r * r
-
-
-def _pair_sum(b: BlaschkeProduct, w, term) -> np.ndarray:
-    """sum over the listed zeros z_j of m_j term(1 - rho^2(w, z_j)) at each
-    point of w (an array-like of complex), in tiles of disk._one_minus_rho2:
-    the one sum that the probe grid (the mass, term the identity) and
-    max_local_count (the count, term _within) read, with no logarithm."""
-    mults, coords, _ = b._table
-    pts = _coords(np.asarray(w, dtype=complex).ravel())
-    out = np.zeros(pts.shape[1])
-    for rows, cols in _tiles(len(mults), pts.shape[1]):
-        out[cols] += mults[rows] @ term(_one_minus_rho2(coords[:, rows], pts[:, cols]))
-    return out
-
-
 def separation_report(b: BlaschkeProduct) -> SeparationReport:
     """Compute all separation constants of the zero sequence.
 
-    One pass over the pairs of zeros (_pair_sums at the zeros) gives the
-    deleted products and the discreteness.  By the identity
-    (1 - |z_j|^2)|B'(z_j)| = |B_j(z_j)| at a simple zero (the derivative
-    vanishes at a multiple one) delta is also the derivative form delta'.
+    One pass over the pairs of zeros, in tiles of disk._tiles, forms at
+    each zero z_i the sum of m_j log rho^2(z_i, z_j) over the other zeros,
+    whose exp(1/2 .) is the deleted product, and the least of their
+    log rho^2, the nearest pair; a zero's own pair (-inf) enters neither.
+    By the identity (1 - |z_j|^2)|B'(z_j)| = |B_j(z_j)| at a simple zero
+    (the derivative vanishes at a multiple one) delta is also the
+    derivative form delta'.
     """
     if len(b.zeros) == 0:
         raise InvariantViolation("separation report needs a nonempty sequence")
-    return _separation(b, _pair_sums(b, b.zeros.zs))
-
-
-def _separation(b: BlaschkeProduct, at_zeros: _PairSums) -> SeparationReport:
-    """The separation constants from the pair sums at the zeros."""
-    per_point = np.where(b.zeros.mults > 1, 0.0, np.exp(0.5 * at_zeros.logs))
+    mults, coords, _ = b._table
+    logs, least = np.zeros(len(mults)), np.zeros(len(mults))
+    for rows, cols in _tiles(len(mults), len(mults)):
+        lr = _log_rho2(coords[:, rows], coords[:, cols])
+        lr[lr == -np.inf] = 0.0
+        logs[cols] += mults[rows] @ lr
+        np.minimum(least[cols], lr.min(axis=0), out=least[cols])
+    per_point = np.where(b.zeros.mults > 1, 0.0, np.exp(0.5 * logs))
     # a lone point keeps discreteness 1
-    discreteness = float(np.exp(0.5 * at_zeros.least.min())) if b.zeros.is_simple() else 0.0
+    discreteness = float(np.exp(0.5 * least.min())) if b.zeros.is_simple() else 0.0
     return SeparationReport(float(per_point.min()), discreteness, per_point)
 
 
@@ -425,7 +375,10 @@ def max_local_count(b: BlaschkeProduct, r: float) -> int:
     """
     if not 0 < r < 1:
         raise ValueError("radius must lie in (0, 1)")
-    return int(_pair_sum(b, b.zeros.zs, lambda near: _within(near, r)).max(initial=0.0))
+    mults, coords, _ = b._table
+    near = 1.0 - r * r  # rho < r read as 1 - rho^2 > 1 - r^2, with no logarithm
+    count = _pair_sum(coords, mults, coords, lambda a, z: _one_minus_rho2(a, z) > near)
+    return int(count.max(initial=0.0))
 
 
 def _greedy_parts(zs: np.ndarray, sep: float, mults=None) -> list:

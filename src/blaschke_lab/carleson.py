@@ -22,8 +22,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _pair_sum
-from .disk import _BLOCK, FiniteSequence, InvariantViolation, _one_minus_abs2
+from .blaschke import _pair_sum
+from .disk import (
+    _BLOCK,
+    FiniteSequence,
+    InvariantViolation,
+    _coords,
+    _one_minus_abs2,
+    _one_minus_rho2,
+)
 
 # arc_carleson_constant drops a box of squares once its upper bound is
 # within this relative gap of the best square found, and stops after
@@ -85,8 +92,10 @@ def uniform_blaschke_sup(s: FiniteSequence, probe_centers) -> float:
     """Max over probe centers c (an array-like of complex) of
     sum_j mult_j (1 - |phi_c(z_j)|^2), the transformed mass, alone: the pass
     over the pairs of zeros and centers forms no other sum and no
-    logarithm (blaschke._pair_sum)."""
-    return float(_pair_sum(BlaschkeProduct(s), probe_centers, lambda near: near).max(initial=0.0))
+    logarithm (blaschke._pair_sum with disk._one_minus_rho2)."""
+    pts = _coords(np.asarray(probe_centers, dtype=complex).ravel())
+    mass = _pair_sum(_coords(s.zs), s.mults.astype(float), pts, _one_minus_rho2)
+    return float(mass.max(initial=0.0))
 
 
 class _ArcTable:

@@ -62,7 +62,8 @@ def read_sequence(path) -> FiniteSequence:
 
 def parse_targets(text: str, part: ClusterPartition):
     """Jets for the given partition, one tuple of per-point derivative rows
-    per cluster; unspecified entries default to zero."""
+    per cluster; unspecified entries default to zero, and nan or inf
+    values are a ParseError."""
     rows = [[[0.0 + 0.0j] * m for m in c.mults.tolist()] for c in part.clusters]
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -78,6 +79,8 @@ def parse_targets(text: str, part: ClusterPartition):
             val = complex(float(parts[3]), float(parts[4]))
         except ValueError as exc:
             raise ParseError(f"line {ln}: {exc}") from None
+        if not np.isfinite(val):
+            raise ParseError(f"line {ln}: non-finite target value in {raw!r}")
         if not 0 <= k < len(part.clusters):
             raise ParseError(f"line {ln}: cluster index {k} out of range")
         cluster = part.clusters[k]

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blaschke_lab import analysis, blaschke, carleson, disk
+from blaschke_lab import blaschke, carleson, disk
 from blaschke_lab.analysis import analysis_grid, analyze_sequence, union_separation
 from blaschke_lab.bergman import area_integral
 from blaschke_lab.blaschke import (
@@ -16,6 +16,7 @@ from blaschke_lab.blaschke import (
     partition_separated,
     separation_report,
 )
+from blaschke_lab.carleson import uniform_blaschke_sup
 from blaschke_lab.disk import (
     BOUNDARY_FLOOR,
     FiniteSequence,
@@ -346,7 +347,8 @@ def analysis_blocks() -> list:
 
 def direct_rows(b, moved, z) -> np.ndarray:
     pts = disk._coords(z)
-    return np.array([blaschke._log_abs(coords, b._table[0], pts) for coords in moved])
+    return np.array([0.5 * blaschke._pair_sum(coords, b._table[0], pts, disk._log_rho2)
+                     for coords in moved])
 
 
 TREE_INPUTS = {
@@ -430,7 +432,8 @@ def test_tree_box_most_zeros_are_near_takes_the_plain_kernel():
     assert np.array_equal(tree, np.setdiff1d(np.arange(len(boxes.centers)), plain))
     assert coef.shape == (blaschke._ORDER, len(tree)) and half.shape == (len(tree),)
     assert len(near) == 9621 - 9590 and np.isin(near[:, 1], tree).all()
-    want = blaschke._log_abs(moved, mults, boxes.coords[:, plain].reshape(3, -1))
+    want = 0.5 * blaschke._pair_sum(moved, mults, boxes.coords[:, plain].reshape(3, -1),
+                                    disk._log_rho2)
     got = blaschke._log_abs_moved(b, [moved], z)[0]
     whole = plain < len(z) // blaschke._BOX
     assert np.array_equal(got[boxes.order[plain[whole]]], want.reshape(-1, blaschke._BOX)[whole])
@@ -594,23 +597,25 @@ def test_union_separation_reads_only_the_listed_points(monkeypatch):
     assert shapes and max(max(shape) for shape in shapes) <= 2
 
 
-def test_analyze_walks_the_zero_pairs_once(monkeypatch):
+def test_each_pass_forms_only_what_its_caller_reads(monkeypatch):
+    # separation_report forms log rho^2 alone; the transformed mass and the
+    # local count form 1 - rho^2 alone, with no logarithm
     calls = []
-    pair_sums = blaschke._pair_sums
+    for name in ("_log_rho2", "_one_minus_rho2"):
+        def recording(a, z, name=name, kernel=getattr(disk, name)):
+            calls.append(name)
+            return kernel(a, z)
 
-    def counting(*args, **kwargs):
-        calls.append(len(args[1]))
-        return pair_sums(*args, **kwargs)
-
-    for module in (analysis, blaschke):
-        monkeypatch.setattr(module, "_pair_sums", counting)
-    # without a probe grid no single-sum pass runs either
-    for module in (blaschke, carleson):
-        monkeypatch.setattr(module, "_pair_sum", lambda b, w, term: calls.append(("one", len(w))))
-    # the per-part reports of union_separation run the pass on each part
-    monkeypatch.setattr(analysis, "union_separation", lambda s: (1, 1.0))
-    analyze_sequence(gen_random_carleson(11, 200, 4.0))
-    assert calls == [200]
+        for module in (blaschke, carleson):
+            monkeypatch.setattr(module, name, recording, raising=False)
+    s = gen_random_carleson(11, 200, 4.0)
+    b = BlaschkeProduct(s)
+    separation_report(b)
+    assert calls and set(calls) == {"_log_rho2"}
+    calls.clear()
+    uniform_blaschke_sup(s, s.zs)
+    max_local_count(b, 0.5)
+    assert calls and set(calls) == {"_one_minus_rho2"}
 
 
 # measured against exact_pair_keys: delta 7.3e-16, discreteness 2.5e-17,

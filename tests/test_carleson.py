@@ -289,7 +289,8 @@ def test_probe_grid_mass_against_exact_sums(s):
     # sum of m (1 - rho^2), rounded once
     b = BlaschkeProduct(s)
     grid = disk.hyperbolic_grid(float(np.abs(s.zs).max()), 0.25)
-    mass = blaschke._pair_sum(b, grid, lambda near: near)
+    mults, coords, _ = b._table
+    mass = blaschke._pair_sum(coords, mults, disk._coords(grid), disk._one_minus_rho2)
     top = int(np.argmax(mass))
     assert uniform_blaschke_sup(s, grid) == mass[top]
     picks = [top, *np.random.default_rng(5).choice(len(grid), 20, replace=False).tolist()]
@@ -315,5 +316,9 @@ def test_centre_next_to_a_zero_gets_one_without_warnings(a, c):
         warnings.simplefilter("error")
         b = BlaschkeProduct(FiniteSequence([a]))
         assert uniform_blaschke_sup(FiniteSequence([a]), [c]) == 1.0
-        assert blaschke._pair_sums(b, [c]).mass[0] == 1.0
-        assert blaschke._pair_sum(b, [c], lambda near: blaschke._within(near, 0.5))[0] == 1.0
+        mults, coords, _ = b._table
+        pts = disk._coords(np.array([c], dtype=complex))
+        assert blaschke._pair_sum(coords, mults, pts, disk._one_minus_rho2)[0] == 1.0
+        within = blaschke._pair_sum(coords, mults, pts,
+                                    lambda a, z: disk._one_minus_rho2(a, z) > 1.0 - 0.5 * 0.5)
+        assert within[0] == 1.0

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from blaschke_lab import cli
 from blaschke_lab import io as fio
 from blaschke_lab.analysis import analyze_sequence, report_sections
 from blaschke_lab.cli import main
@@ -290,6 +291,22 @@ def test_interpolate(tmp_path):
     # bad target index -> parse error
     targets.write_text("7 0 0 1.0 0.0\n")
     assert run_cli("interpolate", str(seq_file), str(targets)) == 2
+
+
+@pytest.mark.parametrize("value", ["0 nan 0", "0 inf 0", "0 0 -inf", "0 0 nan"])
+def test_interpolate_non_finite_target_exit_2_without_a_solve(tmp_path, capsys, monkeypatch, value):
+    seq_file = tmp_path / "seq.txt"
+    seq_file.write_text("0.0 0.0 1\n0.5 0.0 1\n")
+    targets = tmp_path / "targets.txt"
+    targets.write_text(f"0 0 0 1.0 0.0\n1 0 {value}\n")
+
+    def no_solve(problem):
+        raise AssertionError("solve ran on a malformed target file")
+
+    monkeypatch.setattr(cli, "vgh_interpolate", no_solve)
+    assert run_cli("interpolate", str(seq_file), str(targets)) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "line 2" in err and "non-finite" in err
 
 
 def test_interpolate_report_matches_direct_solve(tmp_path):
