@@ -150,7 +150,8 @@ def hp_norm(f, p) -> float:
 
     M_p is nondecreasing in r for analytic f (Hardy's convexity theorem),
     so no smaller circle gives a larger mean.  It is taken over |f| at the
-    _HARDY_SAMPLES nodes of that circle (the max at p = inf).  f is assumed
+    _HARDY_SAMPLES nodes of that circle (the max at p = inf), scaled by the
+    largest so that no power overflows (_p_mean).  f is assumed
     analytic, so its samples have no negative frequencies: n of them, from
     _HARDY_FIRST on and doubling over nested nodes, resolve f once the top
     eighth of their FFT is within _HARDY_TOL of its largest entry and the
@@ -185,7 +186,20 @@ def hp_norm(f, p) -> float:
             k = np.arange(step, _HARDY_SAMPLES, 2 * step)
     if p == np.inf:
         return float(mods.max())
-    return float(np.mean(mods**p) ** (1.0 / p))
+    return _p_mean(mods, p)
+
+
+def _p_mean(x, p, weights=None) -> float:
+    """(sum w x^p)^(1/p) over x >= 0 with weights w (the plain mean when
+    weights is None), taken as M (sum w (x/M)^p)^(1/p) with M the largest
+    x, so that no power of a large x overflows; M itself when it is 0,
+    inf or nan."""
+    x = np.asarray(x, dtype=float)
+    top = x.max(initial=0.0)
+    if not 0.0 < top < np.inf:
+        return float(top)
+    r = (x / top) ** p
+    return float(top * (r.mean() if weights is None else np.dot(weights, r)) ** (1.0 / p))
 
 
 def recentred_means(b: BlaschkeProduct, centers, p: float, alpha: float,

@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import hp_norm
+from .bergman import _p_mean, hp_norm
 from .blaschke import BlaschkeProduct, evaluate, log_abs_evaluate
 from .carleson import arc_carleson_constant
 from .disk import (
@@ -86,7 +86,6 @@ from .hermite import hermite_interpolant, jet_exp, jet_from_derivatives, jet_mul
 
 EPS_HALVINGS = 5  # eps floor is eps / 2**EPS_HALVINGS
 _CIRCLE_SAMPLES = 256  # samples per circle of a cluster's eps-neighborhood
-_CAUCHY_NODES = 128  # least nodes per Cauchy circle of the jet check
 _JET_POWERS, _JET_PASSES = 16, 4  # Taylor coefficients fitted per circle, refining passes
 
 
@@ -290,13 +289,14 @@ def class_norms(part: ClusterPartition, jets) -> list:
 
 def xp_norm(part: ClusterPartition, jets, p) -> float:
     """Target-sequence norm: (sum n_k^p * d_k)^(1/p) over the class_norms
-    n_k of the clusters, max n_k at p=inf."""
+    n_k of the clusters, scaled by the largest n_k (bergman._p_mean), max
+    n_k at p=inf."""
     norms = class_norms(part, jets)
     if p == np.inf:
         return max(norms) if norms else 0.0
     if not p > 0:
         raise ValueError("p must be positive or inf")
-    return float(sum(cn**p * dk for cn, dk in zip(norms, part.d)) ** (1.0 / p))
+    return _p_mean(norms, p, part.d)
 
 
 def _is_zero(jet) -> bool:
@@ -479,18 +479,23 @@ def _solution_evaluator(problem: InterpolationProblem):
 def _extract_jets(fn, centers, orders) -> list:
     """Derivatives f, f', ..., f^(order-1) at every center by Cauchy-circle
     means, from one call of fn on the stacked circles of radius
-    rho = 0.1 (1 - |z0|) about the centers, with at least twice as many
-    nodes as coefficients fitted.  Near the circle the nodes round by a
-    fair share of rho, so the Taylor coefficients c_n of f(z0 + rho u) are
-    fitted to the offsets u = (w - z0)/rho of the nodes w actually sampled,
-    which are exact: the FFT means of the samples, refined by passes that
-    add the FFT means of vals - sum c_n u^n.  The passes stop early once
-    one corrects no coefficient by more than a rounding of the circle's
-    largest sample, eps max|vals|, on every circle."""
+    rho = 0.1 (1 - |z0|) about the centers, each with twice as many nodes
+    as coefficients fitted: powers = max(_JET_POWERS, largest order), so
+    32 nodes a circle at the default.  Every singularity of the interpolant
+    lies at least 10 rho from z0, so its n-th coefficient on the circle is
+    about 10^-n of the circle's bound, and the trapezoid rule, which
+    aliases coefficient n + nodes onto n, aliases at about 1e-32.  Near the
+    circle the nodes round by a fair share of rho, so the Taylor
+    coefficients c_n of f(z0 + rho u) are fitted to the offsets
+    u = (w - z0)/rho of the nodes w actually sampled, which are exact: the
+    FFT means of the samples, refined by passes that add the FFT means of
+    vals - sum c_n u^n.  The passes stop early once one corrects no
+    coefficient by more than a rounding of the circle's largest sample,
+    eps max|vals|, on every circle."""
     centers = np.asarray(centers, dtype=complex)
     rho = 0.1 * (1.0 - np.abs(centers))
     powers = max(_JET_POWERS, max(orders, default=0))
-    nodes = max(_CAUCHY_NODES, 2 * powers)
+    nodes = 2 * powers
     ring = np.exp(2j * np.pi * np.arange(nodes) / nodes)
     w = centers[:, None] + rho[:, None] * ring
     vals = fn(w)

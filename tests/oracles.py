@@ -216,13 +216,16 @@ def circle_mean(f, p, r: float) -> float:
     """The Hardy circle mean M_p(f, r) over direct samples of f at
     8 / (1 - r) equally spaced angles, clipped to [64, 2^14]; the max over
     them at p = inf.  At r = 0.99999 these are hp_norm's 2^14 nodes, and
-    this is the mean hp_norm falls back on when its FFT does not resolve f."""
+    this is the mean hp_norm falls back on when its FFT does not resolve f,
+    taken as hp_norm takes it: M (mean (|f|/M)^p)^(1/p) with M the largest
+    sample, so that no power overflows."""
     n = int(np.clip(np.ceil(8.0 / (1.0 - r)), 64, 1 << 14))
     theta = 2.0 * np.pi * np.arange(n) / n
     vals = np.abs(f(r * np.exp(1j * theta)))
-    if p == np.inf:
-        return float(vals.max())
-    return float(np.mean(vals**p) ** (1.0 / p))
+    top = vals.max()
+    if p == np.inf or not 0.0 < top < np.inf:
+        return float(top)
+    return float(top * np.mean((vals / top) ** p) ** (1.0 / p))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,31 @@ def test_interpolate_non_finite_target_exit_2_without_a_solve(tmp_path, capsys, 
     assert run_cli("interpolate", str(seq_file), str(targets)) == 2
     err = capsys.readouterr().err
     assert "parse error" in err and "line 2" in err and "non-finite" in err
+
+
+# the p-means scale by their largest term, so no power of a huge finite
+# target overflows; near the top of the double range the solve itself
+# overflows and the jet check refuses it
+@pytest.mark.parametrize("value", ["1e200", "1e300", "1e308"])
+@pytest.mark.parametrize("p", [["--p", "0.5"], ["--p", "2"], ["--inf"]])
+def test_interpolate_huge_finite_target_ends_in_an_exit_code(tmp_path, capsys, value, p):
+    seq_file = tmp_path / "seq.txt"
+    seq_file.write_text("0.0 0.0 1\n0.5 0.0 1\n")
+    targets = tmp_path / "targets.txt"
+    targets.write_text(f"0 0 0 {value} 0\n1 0 0 1 0\n")
+    report = tmp_path / "sol.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli("interpolate", str(seq_file), str(targets), *p, "-o", str(report))
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert err == ""
+        sol = fio.parse_report(report.read_text())["solution"]
+        for key in ("achieved_norm", "norm_ratio"):
+            assert np.isfinite(float(sol[key])), (key, sol[key])
+    else:
+        assert rc == 1
+        assert err.startswith("blaschke-lab: ") and err.count("\n") == 1, err
 
 
 def test_interpolate_report_matches_direct_solve(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -328,22 +330,60 @@ def test_summand_jets_match_mpmath():
     part = deep_clusters()
     seq = part.all_points()
     assert max(seq.mults) == 4 and min(1 - np.abs(seq.zs) ** 2) < 2.0 ** -13
+    # q = 4, 3 and 20/7 by products, products and np.power; 2 at p >= 1
+    ps = (0.5, 2.0 / 3.0, 0.7, 2.0, np.inf)
     for part in (part, floor_partition(7, 1e-13, 2, True)):
-        _check_summand_jets(mpmath, part)
+        _check_summand_jets(mpmath, part, _closed_form_taylor, ps)
 
 
-def _check_summand_jets(mpmath, part):
+def test_extracted_summand_jets_match_mpmath():
+    """The jet check's own extraction, on its Cauchy circles of twice the
+    fitted powers (32 nodes a point), reads the Taylor coefficients of each
+    summand h_k = B~_k * kernel_k at the points of cluster k as 50-digit
+    arithmetic gives them, at the same natural scale as above."""
+    mpmath = pytest.importorskip("mpmath")
+    for part in (deep_clusters(), floor_partition(7, 1e-13, 2, True)):
+        _check_summand_jets(mpmath, part, _extracted_taylor, (0.5, 2.0, np.inf))
+
+
+def _closed_form_taylor(problem):
+    """Taylor coefficients h_k(z0) exp(L) at every listed point z0."""
+    part = problem.partition
+    seq = part.all_points()
+    values = gi._summands(problem)(seq.zs, [np.ones_like] * len(part.clusters))
+    L = gi._log_coefficients(part, *gi._exponents(problem.p))
+    return [values[i] * jet_exp(np.concatenate([[0.0], L[: m - 1, i]]))
+            for i, m in enumerate(seq.mults)]
+
+
+def _extracted_taylor(problem):
+    """Taylor coefficients of h_k at the points of cluster k, from the jets
+    that _extract_jets reads off the summand alone."""
+    part = problem.partition
+    summed = gi._summands(problem)
+    out = []
+    for k, c in enumerate(part.clusters):
+        weights = [None] * len(part.clusters)
+        weights[k] = np.ones_like
+
+        def h(w, weights=weights):
+            return summed(w.ravel(), weights).reshape(w.shape)
+
+        for jet in gi._extract_jets(h, c.zs, c.mults.tolist()):
+            out.append(jet / np.cumprod(np.r_[1.0, 1:len(jet)]))
+    return out
+
+
+def _check_summand_jets(mpmath, part, taylor, ps):
+    """Compare taylor(problem), the coefficients at every listed point, with
+    mpmath's for each p in ps."""
     seq = part.all_points()
     labels = part.labels()
-    ones = [np.ones_like] * len(part.clusters)
-    # q = 4, 3 and 20/7 by products, products and np.power; 2 at p >= 1
-    for p in (0.5, 2.0 / 3.0, 0.7, 2.0, np.inf):
+    for p in ps:
         q, s = gi._exponents(p)
         problem = gi.InterpolationProblem(part, tuple(zero_jet(c) for c in part.clusters), p)
-        values = gi._summands(problem)(seq.zs, ones)
-        L = gi._log_coefficients(part, q, s)
-        for i, (z0, m) in enumerate(zip(seq.zs, seq.mults)):
-            got = values[i] * jet_exp(np.concatenate([[0.0], L[: m - 1, i]]))
+        for i, (z0, m, got) in enumerate(zip(seq.zs, seq.mults, taylor(problem))):
+            assert len(got) == m
             with mpmath.workdps(50):
                 want = np.array([complex(c) for c in mpmath.taylor(
                     mp_summand(part, labels[i], q, s), mpmath.mpc(z0.real, z0.imag), m - 1)])
@@ -389,9 +429,10 @@ def test_jet_check_stops_once_a_pass_corrects_by_rounding(monkeypatch):
 
 
 def test_jet_check_past_the_default_node_count():
-    """A multiplicity above the 128 nodes of a Cauchy circle gets more
-    nodes, so the solve ends in the check's refusal (its residual
-    overflows, silently), not in a shape error."""
+    """A multiplicity above the 16 fitted powers fits as many powers as
+    its order, on twice as many nodes: the 130-fold point's circle gets
+    260, so the solve ends in the check's refusal (its residual overflows,
+    silently), not in a shape error."""
     part = gi.cluster_sequence(FiniteSequence([0.3], [130]), 0.05, 0.6)
     jets = (((1.0,) + (0.0,) * 129,),)
     with pytest.raises(RuntimeError, match="construction failed"):
@@ -427,10 +468,36 @@ def test_jet_check_refuses_a_perturbed_multiplier(monkeypatch):
             monkeypatch.setattr(gi, "_multiplier_polynomials", build)
 
 
+def test_jet_check_refuses_a_wrong_jet_at_every_order(monkeypatch):
+    """On a bench-shaped problem with unit-modulus targets, so that every
+    order sits above the check's floor of 1% of the largest target, the
+    check refuses the solution with 1e-5 |t_n| (z - z0)^n / n! added, which
+    moves the n-th derivative at z0 by 1e-5 of its target: at every listed
+    point z0 and for each order n below its multiplicity."""
+    part, _ = _interpolation_problem(0)
+    rng = np.random.default_rng(1)
+    jets = tuple(tuple(tuple(np.exp(2j * np.pi * rng.random(m)))
+                       for m in c.mults.tolist()) for c in part.clusters)
+    problem = gi.InterpolationProblem(part, jets, 2.0)
+    assert gi.vgh_interpolate(problem).jet_residual <= 1e-8
+    seq = part.all_points()
+    assert max(seq.mults) == 2
+    ev = gi._solution_evaluator(problem)
+    rows = [row for jet in jets for row in jet]
+    for z0, row in zip(seq.zs.tolist(), rows):
+        for n, t in enumerate(row):
+            def perturbed(z, z0=z0, n=n, size=1e-5 * abs(t) / math.factorial(n)):
+                return ev(z) + size * (z - z0) ** n
+
+            monkeypatch.setattr(gi, "_solution_evaluator", lambda problem, f=perturbed: f)
+            with pytest.raises(RuntimeError, match="construction failed"):
+                gi.vgh_interpolate(problem)
+
+
 def test_fused_pass_matches_per_cluster_reference():
     """_summands against the reverse pass in separate per-cluster steps, on
-    hp_norm's circle r = 0.99999, the Cauchy rings of _extract_jets and the
-    cluster points, at p = 1/2, 2/3, 0.7 (q = 4, 3, 20/7), 2 and inf: the
+    hp_norm's circle r = 0.99999, 128-node Cauchy rings (every fourth node
+    one of _extract_jets' 32, bit for bit) and the cluster points, at p = 1/2, 2/3, 0.7 (q = 4, 3, 20/7), 2 and inf: the
     bench-shaped problems (satellites, a double point, a cardinality-3
     cluster) and the first of them with a singleton at 0 (unit -1)."""
     problems = [_interpolation_problem(seed) for seed in range(3)]
@@ -551,7 +618,16 @@ def test_stacked_jets_match_per_point_extraction():
     centers = part.all_points().zs
     orders = part.all_points().mults.tolist()
     assert max(orders) == 2
-    for got, z0, m in zip(gi._extract_jets(ev, centers, orders), centers, orders):
+    shapes = []
+
+    def spy(w):
+        shapes.append(w.shape)
+        return ev(w)
+
+    jets = gi._extract_jets(spy, centers, orders)
+    # one call, on twice the fitted powers' nodes a circle
+    assert shapes == [(len(centers), 2 * gi._JET_POWERS)]
+    for got, z0, m in zip(jets, centers, orders):
         want = cauchy_jet(ev, z0, m)
         assert len(got) == m
         for g, w in zip(got, want):
