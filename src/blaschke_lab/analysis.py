@@ -58,13 +58,13 @@ def union_separation(s: FiniteSequence, sep: float = 0.3):
 
     The copies of a repeated point land in distinct parts, so bounded
     multiplicity still reads as a small finite union while escalating
-    multiplicity does not.  Parts with the same points share a delta, and
-    a lone point's is 1.
+    multiplicity does not.  Parts with the same points come once, with
+    their count, and share a delta; a lone point's is 1.
     """
     parts = _greedy_parts(s.zs, sep, s.mults)
     deltas = (separation_report(BlaschkeProduct(FiniteSequence(s.zs[list(p)]))).delta
-              for p in {tuple(p) for p in parts if len(p) > 1})
-    return len(parts), min(deltas, default=1.0)
+              for p in {tuple(p) for p, _ in parts if len(p) > 1})
+    return sum(count for _, count in parts), min(deltas, default=1.0)
 
 
 @functools.cache

@@ -14,7 +14,9 @@ with the kernel its caller reads: log rho^2 (disk._log_rho2) for log|B|,
 in real arithmetic and free of cancellation near the circle; 1 - rho^2 =
 q / (|a - z|^2 + q) (disk._one_minus_rho2) for the transformed mass of
 carleson.uniform_blaschke_sup; and the test 1 - rho^2 > 1 - r^2 for the
-zero count of max_local_count, these two with no logarithm.
+zero count of max_local_count, these two with no logarithm; and the
+closed-form mean of log|factor| over the composition probe's circle
+(_jensen_terms), which prunes the probe's search.
 separation_report keeps a loop of its own, which forms sum m log rho^2
 and the least log rho^2 at the zeros and nothing else.  The depths of the
 moved zeros come from 1 - rho^2 too; complex values come from the factors
@@ -381,47 +383,59 @@ def max_local_count(b: BlaschkeProduct, r: float) -> int:
     return int(count.max(initial=0.0))
 
 
+def _lowest_free(taken: list, m: int) -> list:
+    """The m lowest integers >= 0 outside the half-open ranges taken, as
+    half-open ranges in increasing order."""
+    out, start = [], 0
+    for lo, hi in sorted(taken):
+        if lo > start:
+            out.append((start, min(lo, start + m)))
+            m -= out[-1][1] - start
+            if m == 0:
+                return out
+        start = max(start, hi)
+    return out + [(start, start + m)]
+
+
 def _greedy_parts(zs: np.ndarray, sep: float, mults=None) -> list:
     """Greedy first fit of the points zs, each taken mults times (once by
-    default), into parts with pairwise distance > sep; returns index lists.
+    default), into parts with pairwise distance > sep; returns the parts
+    as (index list, count) pairs: count consecutive parts that hold the
+    same listed points, in part order.
 
     Points go in order of increasing modulus, then angle, then position;
     each joins the first part all of whose members are farther than sep,
     else opens a new part.  A point of multiplicity m takes the m lowest
     parts its earlier near neighbours leave free, as its m adjacent copies
-    would one by one, each blocking the next.  The kernel coordinates are
-    formed once, and the near rows of a chunk of points (in that order)
-    against all points in one kernel call; part_of holds the part of each
-    copy, those of point i at the slots first[i] to first[i + 1] - 1.
+    would one by one, each blocking the next.  Each point's parts are kept
+    as ranges, so the work and memory follow the listed points and their
+    ranges, not the multiplicities.  The kernel coordinates are formed
+    once, and the near rows of a chunk of points (in that order) against
+    all points in one kernel call.
     """
     n = len(zs)
     coords = _coords(zs)
     points = zs.tolist()  # scalar moduli: numpy's vectorised abs can differ in the last bit
-    order = np.array(sorted(range(n), key=lambda i: (abs(points[i]), np.angle(points[i]))),
-                     dtype=int)
+    order = sorted(range(n), key=lambda i: (abs(points[i]), np.angle(points[i])))
     ms = [1] * n if mults is None else mults.tolist()
-    owner = np.repeat(np.arange(n), ms)  # the point of each slot
-    first = np.cumsum([0] + ms).tolist()
-    part_of = np.full(len(owner), -1)
-    count = 0
-    step = max(1, disk._BLOCK // max(1, len(owner)))
+    ranges = [[] for _ in range(n)]  # the parts of each placed point
+    step = max(1, disk._BLOCK // max(1, n))
     for start in range(0, n, step):
         chunk = order[start:start + step]
         near = np.exp(0.5 * _log_rho2(coords[:, chunk], coords)) <= sep
-        if len(owner) > n:
-            near = near[:, owner]
-        for i, row in zip(chunk.tolist(), near):
-            m = ms[i]
-            # slots 0..count+m-1 are the candidate parts, m of them free,
-            # and the last slot absorbs the unplaced copies (part -1)
-            free = np.ones(count + m + 1, dtype=bool)
-            free[part_of[row]] = False
-            parts = free.nonzero()[0][:m]
-            part_of[first[i]:first[i + 1]] = parts
-            count = max(count, int(parts[-1]) + 1)
-    # the members of each part in placement order
-    members = owner[np.lexsort((np.argsort(order)[owner], part_of))]
-    return [p.tolist() for p in np.split(members, np.cumsum(np.bincount(part_of)))[:-1]]
+        for i, row in zip(chunk, near):
+            ranges[i] = _lowest_free([r for j in np.flatnonzero(row).tolist() for r in ranges[j]],
+                                     ms[i])
+    # cut the parts where any point's ranges start or stop; the members of
+    # each piece in placement order
+    cuts = sorted({x for rs in ranges for r in rs for x in r})
+    piece = {x: k for k, x in enumerate(cuts)}
+    members = [[] for _ in cuts[1:]]
+    for i in order:
+        for lo, hi in ranges[i]:
+            for k in range(piece[lo], piece[hi]):
+                members[k].append(i)
+    return [(part, hi - lo) for part, lo, hi in zip(members, cuts, cuts[1:])]
 
 
 def partition_separated(s: FiniteSequence, sep: float):
@@ -436,7 +450,7 @@ def partition_separated(s: FiniteSequence, sep: float):
         raise ValueError("separation must lie in (0, 1)")
     if not s.is_simple():
         raise InvariantViolation("inseparable multiplicity")
-    return [FiniteSequence(s.zs[part]) for part in _greedy_parts(s.zs, sep)]
+    return [FiniteSequence(s.zs[part]) for part, _ in _greedy_parts(s.zs, sep)]
 
 
 # radius and samples of the composition probe's circle
@@ -463,11 +477,13 @@ def _circle(rho: float, grid: int) -> np.ndarray:
     return rho * np.exp(1j * theta)
 
 
-# The pruned probe (_least_compose_max) first reads every _COARSE-th sample
-# of the circle: 32 of 512.  On the bench inputs 16, 32 and 64 samples
-# leave the same centres to evaluate in full, except the radial rays at 1
-# and 1 + pi (66, 40 and 40 of 92); more samples add kernel work to every
-# centre and prune no further.
+# The pruned probe's second filter (_probe_bounds) reads every _COARSE-th
+# sample of the circle, 32 of 512, at the centres that the closed-form
+# Jensen means (_jensen_bounds) leave.  On the bench inputs, before the
+# Jensen filter, 16, 32 and 64 samples left the same centres to evaluate
+# in full, except the radial rays at 1 and 1 + pi (66, 40 and 40 of 92);
+# more samples add kernel work to every centre they read and prune no
+# further.
 _COARSE = 16
 
 
@@ -484,6 +500,8 @@ def _probe_bounds(b: BlaschkeProduct, centers: np.ndarray) -> np.ndarray:
     So the computed L and F obey L - e|L| <= L* <= F* <= F + e|L|, and
     L (1 + 4 (n + 16) 2^-53) <= F with room for the rounding of the product.
     Centers go in chunks whose moved zeros stay within the kernel's tile.
+    _least_compose_max reads it only at the centers whose Jensen means
+    (_jensen_bounds) leave them in the running.
     """
     coarse = _circle(_PROBE_RHO, _PROBE_GRID)[::_COARSE]
     out = np.empty(len(centers))
@@ -494,20 +512,97 @@ def _probe_bounds(b: BlaschkeProduct, centers: np.ndarray) -> np.ndarray:
     return out
 
 
+# _jensen_terms forms the phase term only where |v|^N >= 2^-64, that is
+# where |phi_c(a)| lies within a factor 2^(1/8) of _PROBE_RHO: at moved
+# depths 1 - |phi_c(a)|^2 between these two.
+_PHASE_DEPTHS = (1.0 - _PROBE_RHO**2 * 2.0**0.25, 1.0 - _PROBE_RHO**2 * 2.0**-0.25)
+
+
+def _jensen_terms(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """For zeros a (rows) and centers c (columns), both given by their
+    kernel coordinates, the mean of log rho(a', w) with a' = phi_c(a) over
+    the probe's N = 2^9 nodes w = r exp(2 pi i k / N), r = _PROBE_RHO, in
+    closed form; -inf where a node lies within 2^-18 of a'.
+
+    The nodes' products of a' - w and of 1 - conj(a') w are a'^N - r^N
+    and 1 - (conj(a') r)^N.  With v = a'/r inside |w| = r and r/a'
+    outside, the mean is max(log|a'|, log r) + log|1 - v^N| / N, less a
+    term below 2^-511, which is dropped.  log|a'| = log1p(-d)/2 comes from
+    the moved depth d = 1 - |a'|^2 (the depth _moved_zeros gives the full
+    call), so it keeps its digits however near the circle a' lies.  The
+    phase term, from a' = disk.moebius(c, a) and nine squarings of v, is
+    formed only at depths inside _PHASE_DEPTHS and is below 2^-64 / N
+    elsewhere.  Where |1 - v^N| < 2^-8 the term is -inf; otherwise
+    |a' - w| >= 2^-18 at every node, since |1 - v^N| <= N |v - w/r|.
+    """
+    depth = _one_minus_rho2(a, c)
+    out = np.log1p(-np.minimum(depth, 1.0 - _PROBE_RHO**2))
+    out *= 0.5
+    phase = (depth > _PHASE_DEPTHS[0]) & (depth < _PHASE_DEPTHS[1])
+    if phase.any():
+        zero, center = np.nonzero(phase)
+        moved = moebius(c[0, center] + 1j * c[1, center], a[0, zero] + 1j * a[1, zero])
+        v = np.where(depth[phase] > 1.0 - _PROBE_RHO**2, moved / _PROBE_RHO, _PROBE_RHO / moved)
+        for _ in range(_PROBE_GRID.bit_length() - 1):
+            v *= v
+        gap = np.abs(1.0 - v)
+        with np.errstate(divide="ignore"):
+            out[phase] += np.where(gap < 2.0**-8, -np.inf, np.log(gap) / _PROBE_GRID)
+    return out
+
+
+def _jensen_bounds(b: BlaschkeProduct, centers: np.ndarray) -> np.ndarray:
+    """Per center c, a lower bound on log compose_min_on_compact(b, c) as
+    that call computes it: the mean J of log|B o phi_c| over the call's
+    own nodes, which is at most their max, in closed form (_jensen_terms)
+    from one pass of _pair_sum, with no sample taken.
+
+    The slack.  J and the call's log max F are sums of n terms <= 0, one
+    per listed zero, so a relative bound on every term bounds the sum.
+    Let k units of 2^-53 be the relative error of a moved zero (a few for
+    disk.moebius; the slack allows 2^5).  (1) Summed in any order, J and
+    F each carry (n + 16) 2^-53 of themselves, as in _probe_bounds.
+    (2) Each term of J is within 2^8 (k + 4) 2^-53 of itself of the exact
+    mean: log1p of the moved depth keeps its relative accuracy at any
+    depth, repeated squaring is backward stable, and an error of
+    N (k + 3) units in v^N moves log|1 - v^N| >= -8 log 2 by at most
+    2^8 N (k + 3) units.  (3) The call reads nodes and moved zeros that
+    are rounded, and log rho^2(a', w) changes by at most
+    2 (|da'| + |dw|) / |a' - w| of itself, plus the depth's relative
+    error; a' lies 2^-18 or more from every node (outside the phase band
+    by 0.04), so each of the call's terms is within 2^19 (k + 4) 2^-53 of
+    its exact value.  The three stay below 4 (n + 16) 2^-53 + 2^-28 of
+    |J|, so J (1 + that) <= F.
+    """
+    mults, coords, _ = b._table
+    out = _pair_sum(coords, mults, _coords(np.asarray(centers, dtype=complex)), _jensen_terms)
+    out *= 1.0 + 4.0 * (len(mults) + 16) * 2.0**-53 + 2.0**-28
+    return out
+
+
 def _least_compose_max(b: BlaschkeProduct, centers: np.ndarray) -> float:
     """min over centers of compose_min_on_compact(b, c), by a pruned
     search that returns the same float.
 
-    The centers are visited in increasing _probe_bounds, each with the full
-    call, until the exp of the next bound exceeds the least value found:
-    exp is monotone, so no center left can fall below it.  A value of 0
-    (a sample on a moved zero) ends the search at once.  On the benchmark's
-    random Carleson clouds (n = 200 and 800) one center gets the full call.
+    Two filters, both lower bounds on the log of the full call.  The
+    center of least Jensen mean (_jensen_bounds, no samples) takes the full
+    call first, and only the centers whose Jensen bound's exp is at or
+    below that value are left.  Those are visited in increasing
+    _probe_bounds (32 samples each), each with the full call, until the
+    exp of the next bound exceeds the least value found: exp is monotone,
+    so no center left can fall below it.  A value of 0 (a sample on a
+    moved zero) ends the search at once.  On the benchmark's random
+    Carleson clouds (n = 200 and 800) 1 to 9 centers besides the first
+    pass the Jensen filter, and one or two get the full call.
     """
-    bounds = _probe_bounds(b, centers)
-    best = np.inf
+    jensen = _jensen_bounds(b, centers)
+    first = int(np.argmin(jensen))
+    best = compose_min_on_compact(b, centers[first])
+    left = np.flatnonzero(np.exp(jensen) <= best)
+    left = left[left != first]
+    bounds = _probe_bounds(b, centers[left])
     for i in np.argsort(bounds, kind="stable"):
         if best == 0.0 or np.exp(bounds[i]) > best:
             break
-        best = min(best, compose_min_on_compact(b, centers[i]))
+        best = min(best, compose_min_on_compact(b, centers[left[i]]))
     return float(best)

@@ -6,8 +6,11 @@ Carleson norm of a measure is the supremum of mu(S_I)/m(I).
 
 For the discrete measures attached to zero sequences the supremum is
 exact: every square that holds mass can be turned to start at an atom and
-shrunk to a scale just above one atom's angular offset or depth, so one
-sort per atom finds it.  carleson_norm returns that supremum as a float.
+shrunk to a scale just above one atom's angular offset or depth.  With the
+atoms sorted by angle once, the scales of the squares starting at each
+atom are a window of the sorted arrays, nearly in order, so a stable sort
+per starting angle is near linear (_square_sup).  carleson_norm returns
+that supremum as a float.
 
 For arc-length measure on a family of circle arcs, given as four
 parallel arrays (centre, radius, start and end angle), the mass of every
@@ -55,20 +58,44 @@ def _square_sup(angles, depths, weights) -> float:
     in turns, and tau_k = max(o_k, depth_k), a scale just above tau_k
     holds exactly the atoms with tau <= tau_k, and between consecutive
     tau the mass is constant while the ratio falls.  The supremum is the
-    max over i and over tau_k < 1 of (mass with tau <= tau_k) / tau_k,
-    taken by one sort and one cumulative sum per row i, in tiles of
-    _BLOCK elements; a limit from above when the depth binds.
+    max over i and over tau_k < 1 of (mass with tau <= tau_k) / tau_k; a
+    limit from above when the depth binds.
+
+    The atoms are sorted once, by angle and then depth.  Atoms at one
+    angle share a row, read from the first of them, and the atoms
+    counter-clockwise from it are a window of the doubled arrays: the
+    offsets (turn_k - turn_i, plus 1 past the end, the bits of
+    (turn_k - turn_i) % 1) rise along the window, and tau breaks that
+    order only where a depth binds.  A stable sort of such a row is near
+    linear, and ties keep window order, so the masses of tied atoms are
+    summed in an order that does not depend on the order of the input.
+    Rows go in tiles of _BLOCK elements, each sorted and summed at once.
     """
     n = len(angles)
-    turns = angles / (2 * np.pi)
+    by_angle = np.lexsort((depths, angles))
+    turns = angles[by_angle] / (2 * np.pi)
+    window = lambda x: np.lib.stride_tricks.sliding_window_view(x, n)
+    turns2 = window(np.concatenate([turns, turns]))
+    past_end = window(np.repeat([0.0, 1.0], n))
+    depths2 = window(np.concatenate([depths[by_angle]] * 2))
+    weights2 = np.concatenate([weights[by_angle]] * 2)
+    starts = np.flatnonzero(np.diff(turns, prepend=np.nan))
     best = 0.0
     rows = max(1, _BLOCK // n)
-    for i in range(0, n, rows):
-        tau = np.maximum((turns - turns[i:i + rows, None]) % 1.0, depths)
-        order = np.argsort(tau, axis=1)
-        tau = np.take_along_axis(tau, order, axis=1)
-        ratio = np.where(tau < 1.0, np.cumsum(weights[order], axis=1) / tau, 0.0)
-        best = max(best, float(ratio.max()))
+    for i in range(0, len(starts), rows):
+        first = starts[i:i + rows]
+        tau = turns2[first]
+        tau -= turns[first, None]
+        tau[tau == 1.0] = 0.0  # from turn -1/2 to 1/2, which % 1 reads as 0
+        tau += past_end[first]
+        np.maximum(tau, depths2[first], out=tau)
+        order = np.argsort(tau, axis=1, kind="stable")
+        order += first[:, None]
+        mass = np.cumsum(weights2[order], axis=1)
+        tau.sort(axis=1, kind="stable")
+        mass /= tau
+        mass[tau >= 1.0] = 0.0
+        best = max(best, float(mass.max()))
     return best
 
 

@@ -67,6 +67,7 @@ of raw derivatives f, f', ..., f^(m-1) at a point of multiplicity m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -476,15 +477,42 @@ def _solution_evaluator(problem: InterpolationProblem):
     return ev
 
 
-def _extract_jets(fn, centers, orders) -> list:
+def _jet_powers(q: float, order: int) -> int:
+    """Taylor coefficients _extract_jets fits per circle for an interpolant
+    whose kernel is raised to the power q: at least _JET_POWERS and the
+    largest order, and enough that the trapezoid rule on twice as many
+    nodes, which aliases coefficient n + nodes onto n, misses by less
+    than 2^-53 of the kernel's value at the centre.
+
+    Every anchor a lies at least 10 rho from the centre z0, so in
+    u = (z - z0)/rho the kernel's power (1 - conj(a) z)^(-q) is its centre
+    value times (1 - t u)^(-q) with |t| <= 1/10.  On |u| = R < 10 that is
+    at most (1 - R/10)^(-q), so by Cauchy's estimate coefficient N is at
+    most (1 - R/10)^(-q) R^(-N), which at the best R = 10 N / (q + N) is
+    (1 + N/q)^q ((q + N) / (10 N))^N.  At q <= 4 (p >= 1/2) it falls
+    below 2^-53 from N = 21 on, so the default 16 powers (32 nodes)
+    stand; at q = 400 (p = 0.005) it asks for 82 powers.  The powers stop
+    growing at 8 _JET_POWERS (q about 690): there the check's rounding,
+    eps max|f| n!/rho^n, refuses the solve at any node count.
+    """
+    powers = max(_JET_POWERS, order)
+    while powers < 8 * _JET_POWERS and (
+            q * math.log1p(2 * powers / q)
+            + 2 * powers * math.log((q + 2 * powers) / (20 * powers)) > -53 * math.log(2)):
+        powers += 1
+    return powers
+
+
+def _extract_jets(fn, centers, orders, q: float) -> list:
     """Derivatives f, f', ..., f^(order-1) at every center by Cauchy-circle
     means, from one call of fn on the stacked circles of radius
     rho = 0.1 (1 - |z0|) about the centers, each with twice as many nodes
-    as coefficients fitted: powers = max(_JET_POWERS, largest order), so
-    32 nodes a circle at the default.  Every singularity of the interpolant
-    lies at least 10 rho from z0, so its n-th coefficient on the circle is
-    about 10^-n of the circle's bound, and the trapezoid rule, which
-    aliases coefficient n + nodes onto n, aliases at about 1e-32.  Near the
+    as coefficients fitted, powers = _jet_powers(q, largest order): 32
+    nodes a circle at q <= 4.  Every singularity of the interpolant lies at
+    least 10 rho from z0, so its n-th coefficient on the circle falls off
+    like 10^-n once n passes about q/9, and the trapezoid rule, which
+    aliases coefficient n + nodes onto n, aliases below 2^-53 of the
+    kernel's centre value (_jet_powers).  Near the
     circle the nodes round by a fair share of rho, so the Taylor
     coefficients c_n of f(z0 + rho u) are fitted to the offsets
     u = (w - z0)/rho of the nodes w actually sampled, which are exact: the
@@ -494,7 +522,7 @@ def _extract_jets(fn, centers, orders) -> list:
     eps max|vals|, on every circle."""
     centers = np.asarray(centers, dtype=complex)
     rho = 0.1 * (1.0 - np.abs(centers))
-    powers = max(_JET_POWERS, max(orders, default=0))
+    powers = _jet_powers(q, max(orders, default=0))
     nodes = 2 * powers
     ring = np.exp(2j * np.pi * np.arange(nodes) / nodes)
     w = centers[:, None] + rho[:, None] * ring
@@ -531,7 +559,7 @@ def vgh_interpolate(problem: InterpolationProblem) -> InterpolationSolution:
     seq = part.all_points()
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        got_jets = _extract_jets(ev, seq.zs, seq.mults.tolist())
+        got_jets = _extract_jets(ev, seq.zs, seq.mults.tolist(), _exponents(problem.p)[0])
         for got, row in zip(got_jets, rows):
             for g, t in zip(got, row):
                 denom = max(abs(t), 0.01 * target_scale)

@@ -478,6 +478,7 @@ def test_compose_probe_at_deepest_zero_against_mpmath(theta):
     assert abs(got - want) <= 1e-13 * want
 
 
+FLOOR_RING = (1.0 - 1.1e-14) * np.exp(2j * np.pi * np.arange(7) / 7)
 SEARCH_INPUTS = {
     "random-carleson n=40": lambda: gen_random_carleson(11, 40, 4.0),
     "random-carleson n=200": lambda: gen_random_carleson(11, 200, 4.0),
@@ -491,6 +492,9 @@ SEARCH_INPUTS = {
         0.9 * np.exp(2j * np.pi * np.arange(24) / 24)),
     # at centre 0 the zero -1/2 moves onto the sample 1/2: the minimum is 0
     "a sample on a moved zero": lambda: FiniteSequence([0.0, -0.5]),
+    "a triple zero": lambda: FiniteSequence([0.3 - 0.4j], [3]),
+    "seven zeros at 1 - |z| = 1.1e-14": lambda: FiniteSequence(FLOOR_RING),
+    "seven zeros at 1 - |z| = 1.1e-14 and 0.5": lambda: FiniteSequence([*FLOOR_RING, 0.5]),
 }
 
 
@@ -517,6 +521,22 @@ def test_probe_bounds_lie_below_the_full_values(name):
     bounds = blaschke._probe_bounds(b, s.zs)
     full = np.array([compose_min_on_compact(b, z) for z in s.zs])
     assert (np.exp(bounds) <= full).all()
+
+
+@pytest.mark.parametrize("name", list({**BENCH_INPUTS, **SEARCH_INPUTS}))
+def test_jensen_bounds_lie_below_the_full_values(name):
+    # the closed-form mean over the probe's own nodes, with its slack, lies
+    # below the computed max at every zero and at 0; at a centre on a lone
+    # or multiple zero the mean is the max, and at "a sample on a moved
+    # zero" the bound is -inf
+    s = {**BENCH_INPUTS, **SEARCH_INPUTS}[name]()
+    b = BlaschkeProduct(s)
+    centers = np.concatenate([s.zs, [0.0]])
+    bounds = blaschke._jensen_bounds(b, centers)
+    full = np.array([compose_min_on_compact(b, c) for c in centers])
+    assert (np.exp(bounds) <= full).all()
+    if name == "a sample on a moved zero":
+        assert bounds[-1] == -np.inf
 
 
 @pytest.mark.parametrize("name", [*BENCH_INPUTS, "random-carleson n=800"])

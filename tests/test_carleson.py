@@ -67,6 +67,35 @@ def test_carleson_norm_is_the_brute_force_supremum(s):
     assert carleson_norm(s) == pytest.approx(brute_carleson_norm(s), rel=1e-12)
 
 
+TIED_INPUTS = {
+    # atoms share angles, and tau ties between the two rays
+    "radial q=1/2 n=46 rays 1,1+pi": lambda: gen_radial_geometric(0.5, 46, (1.0, 1.0 + np.pi)),
+    "regular 24-gon at 0.9": lambda: FiniteSequence(0.9 * np.exp(2j * np.pi * np.arange(24) / 24)),
+    "regular 24-gon at 0.9 and 0.6": lambda: FiniteSequence(np.concatenate(
+        [r * np.exp(2j * np.pi * np.arange(24) / 24) for r in (0.9, 0.6)])),
+}
+
+
+@pytest.mark.parametrize("name", list(TIED_INPUTS))
+def test_carleson_norm_with_tied_tau_is_the_brute_force_supremum(name):
+    s = TIED_INPUTS[name]()
+    norm = carleson_norm(s)
+    assert norm == pytest.approx(brute_carleson_norm(s), rel=1e-12)
+    # tied masses are summed in an order fixed by angle and depth, so the
+    # float does not depend on the order the points are listed in
+    for seed in range(5):
+        order = np.random.default_rng(seed).permutation(len(s))
+        assert carleson_norm(FiniteSequence(s.zs[order], s.mults[order])) == norm
+
+
+def test_radial_rays_norm_is_twenty_thirds():
+    # the square of scale 1/2 whose arc runs from one ray to the other holds
+    # every atom, mass 2 sum_k (1 - (1 - 2^-k)^2) = 4 (1 - 2^-46) -
+    # (2/3)(1 - 4^-46); over 1/2 that is 20/3 less 1.7e-14 of itself
+    s = TIED_INPUTS["radial q=1/2 n=46 rays 1,1+pi"]()
+    assert carleson_norm(s) == pytest.approx(20.0 / 3.0, rel=1e-13)
+
+
 def test_single_atom_norm_against_mpmath():
     # one atom: the ratio (1 - |z|^2) / m rises to 1 + |z| as m falls to 1 - |z|
     mpmath = pytest.importorskip("mpmath")

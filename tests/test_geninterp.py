@@ -369,7 +369,7 @@ def _extracted_taylor(problem):
         def h(w, weights=weights):
             return summed(w.ravel(), weights).reshape(w.shape)
 
-        for jet in gi._extract_jets(h, c.zs, c.mults.tolist()):
+        for jet in gi._extract_jets(h, c.zs, c.mults.tolist(), gi._exponents(problem.p)[0]):
             out.append(jet / np.cumprod(np.r_[1.0, 1:len(jet)]))
     return out
 
@@ -492,6 +492,27 @@ def test_jet_check_refuses_a_wrong_jet_at_every_order(monkeypatch):
             monkeypatch.setattr(gi, "_solution_evaluator", lambda problem, f=perturbed: f)
             with pytest.raises(RuntimeError, match="construction failed"):
                 gi.vgh_interpolate(problem)
+
+
+@pytest.mark.parametrize("p", [0.007, 0.006, 0.005, 0.004])
+def test_jet_check_accepts_right_answers_at_small_p(p):
+    """At q = 2/p in the hundreds the kernel's Taylor coefficients about
+    a point rise to n of about q/9 before they fall, so the check fits
+    more powers (gi._jet_powers): on 16 powers these solves were refused
+    with residuals 2.1e-5 to 1.5e4.  The accepted interpolant meets its
+    targets 1 and 2 when evaluated at the points directly, with no circle."""
+    part = gi.cluster_sequence(FiniteSequence([0.0, 0.5]), 0.05, 0.6)
+    assert gi._jet_powers(2.0 / p, 1) > gi._JET_POWERS
+    solution = gi.vgh_interpolate(gi.InterpolationProblem(part, (((1.0,),), ((2.0,),)), p))
+    assert solution.jet_residual <= 1e-7
+    got = solution.function(np.array([0.0, 0.5], dtype=complex))
+    assert np.allclose(got, [1.0, 2.0], rtol=1e-9, atol=0.0)
+
+
+def test_jet_powers_stay_at_the_default_from_p_one_half():
+    # q = 2/p <= 4 keeps 16 powers (32 nodes), so no bench solve changes
+    assert all(gi._jet_powers(q, m) == max(gi._JET_POWERS, m)
+               for q in (1.0, 2.0, 20.0 / 7.0, 3.0, 4.0) for m in (1, 2, 16, 40))
 
 
 def test_fused_pass_matches_per_cluster_reference():
@@ -624,7 +645,7 @@ def test_stacked_jets_match_per_point_extraction():
         shapes.append(w.shape)
         return ev(w)
 
-    jets = gi._extract_jets(spy, centers, orders)
+    jets = gi._extract_jets(spy, centers, orders, 2.0)
     # one call, on twice the fitted powers' nodes a circle
     assert shapes == [(len(centers), 2 * gi._JET_POWERS)]
     for got, z0, m in zip(jets, centers, orders):
