@@ -24,7 +24,9 @@ serves every center.  The means form one sum per center and node, sum
 m log rho^2 over the moved zeros, and nothing else; the zeros are moved
 by all centers at once.  The nodes come in blocks of up to disk._BLOCK
 spanning several rings, so that blaschke's treecode can group each block
-into compact boxes once for all centers.  A box that at least half of the
+into compact boxes once for all centers; a grid of at most two blocks,
+as the analysis grid is, holds the boxes of its blocks, so they are
+grouped once per grid, not once per call.  A box that at least half of the
 moved zeros are near, as the wide boxes of the sparse mid-radius rings
 mostly are, takes the plain kernel over all zeros and forms no expansion:
 a near pair gathered pair by pair costs about twice a plain one (17 to 25
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import disk
-from .blaschke import BlaschkeProduct, _log_abs_moved, _moved_zeros
+from .blaschke import BlaschkeProduct, _Boxes, _log_abs_moved, _moved_zeros
 from .disk import _one_minus_abs2
 
 # hp_norm's circle, its node count, first grid, tolerance and spot-check nodes
@@ -56,7 +58,13 @@ _BASE_ANGULAR = 64
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Disk quadrature: ring radii, exact ring-band areas, angles per ring."""
+    """Disk quadrature: ring radii, exact ring-band areas, angles per ring.
+
+    A grid of at most _HELD_BLOCKS node blocks (the analysis grid's two)
+    holds their boxes across calls, and with them the one table of the
+    nodes' kernel coordinates; a larger grid builds its blocks one at a
+    time on every call and holds nothing.
+    """
 
     radii: np.ndarray
     band_areas: np.ndarray
@@ -81,6 +89,28 @@ class QuadratureGrid:
         and by 2.7e-4 (6.1e-4) with one ungraded first band."""
         bands = max(1, rings // 2)
         return _band_grid(min_gap ** (np.arange(bands + 1) / bands), max_angular)
+
+    def _blocks(self):
+        """The node blocks of area_integral as (first ring, stop ring,
+        nodes), each read from its held boxes or else built when it is
+        reached."""
+        held = self._held()
+        for k, (first, stop) in enumerate(_ring_blocks(self.angular_counts)):
+            yield first, stop, held[k].points() if held else _ring_nodes(self, first, stop)
+
+    def _held(self) -> list:
+        """The boxes (blaschke._Boxes) of each node block at the current
+        disk._BLOCK, built on first use and then held; none when the grid
+        has more than _HELD_BLOCKS blocks."""
+        size, held = self.__dict__.get("_held_boxes", (None, None))
+        if size != disk._BLOCK:
+            blocks = _ring_blocks(self.angular_counts)
+            few = len(blocks) <= _HELD_BLOCKS
+            held = [_Boxes(_ring_nodes(self, *block)) for block in blocks] if few else []
+            # the dataclass is frozen: write the instance dictionary, as
+            # functools.cached_property does
+            self.__dict__["_held_boxes"] = (disk._BLOCK, held)
+        return held
 
 
 def _band_grid(gaps: np.ndarray, max_angular: int) -> QuadratureGrid:
@@ -119,8 +149,25 @@ def _ring_blocks(counts: np.ndarray) -> list:
     return blocks
 
 
-def area_integral(fn, g: QuadratureGrid):
-    """Integral over the disk of a real-valued field fn(z_array) -> array.
+# most node blocks a grid holds across calls (QuadratureGrid._held)
+_HELD_BLOCKS = 2
+
+
+def _ring_nodes(g: QuadratureGrid, first: int, stop: int) -> np.ndarray:
+    """The nodes of rings first to stop, ring after ring, as one flat
+    complex array."""
+    counts = g.angular_counts[first:stop]
+    starts = np.cumsum(counts) - counts
+    nodes = np.empty(counts.sum(), dtype=complex)
+    for r, n, i in zip(g.radii[first:stop], counts.tolist(), starts.tolist()):
+        nodes[i:i + n] = r * np.exp(1j * (2.0 * np.pi * (np.arange(n) + 0.5) / n))
+    return nodes
+
+
+def area_integral(fn, g: QuadratureGrid, weights=None):
+    """Integral over the disk of a real-valued field fn(z_array) -> array,
+    times a radial weight given by its value on each ring (weights, one per
+    ring of g; none by default).
 
     The integrand is evaluated once per block of consecutive rings, one
     block after another.  Each ring contributes its node sum times its
@@ -128,17 +175,16 @@ def area_integral(fn, g: QuadratureGrid):
     result depends neither on the blocks nor on evaluation order, and each
     row of a stacked integrand gets the bits it would get alone.  An
     integrand that returns one row per field, shape (fields, nodes), gets
-    an array of the integrals.
+    an array of the integrals.  A grid that holds its blocks reads their
+    nodes from the coordinates of its boxes, the same floats.
     """
+    areas = g.band_areas if weights is None else g.band_areas * weights
     terms = []
-    for first, stop in _ring_blocks(g.angular_counts):
+    for first, stop, nodes in g._blocks():
         counts = g.angular_counts[first:stop]
         starts = np.cumsum(counts) - counts
-        nodes = np.empty(counts.sum(), dtype=complex)
-        for r, n, i in zip(g.radii[first:stop], counts.tolist(), starts.tolist()):
-            nodes[i:i + n] = r * np.exp(1j * (2.0 * np.pi * (np.arange(n) + 0.5) / n))
         terms.append(np.add.reduceat(fn(nodes), starts, axis=-1)
-                     * (g.band_areas[first:stop] / counts))
+                     * (areas[first:stop] / counts))
     terms = np.concatenate(terms, axis=-1)
     if terms.ndim == 1:
         return math.fsum(terms)
@@ -212,26 +258,28 @@ def recentred_means(b: BlaschkeProduct, centers, p: float, alpha: float,
     |phi_c'(w)|^alpha (1-|w|^2)^alpha, so this is ||B h||^p / ||h||^p in
     the weighted Bergman norm, with ||h||^p = pi/(1+alpha) in closed form
     (h = 1 at c = 0).  The weight is constant on each ring and rides on
-    the band areas.
+    the band areas (area_integral's weights).
 
     The nodes stay where they are: |B o phi_c| comes from the zeros moved
     by phi_c (as in blaschke.log_abs_composed).  The integrand has one row
-    per center, so each node block and its kernel coordinates are built
-    once per call and serve every center.
+    per center, so each node block and its kernel coordinates serve every
+    center: once per call, or once per grid when g holds its blocks, whose
+    boxes then serve the tree and the direct kernel alike.
     """
     if not p > 0:
         raise ValueError("p must be positive")
     if not alpha > -1:
         raise ValueError("alpha must exceed -1")
-    weighted = QuadratureGrid(g.radii, g.band_areas * _one_minus_abs2(g.radii) ** alpha,
-                              g.angular_counts)
+    held = iter(g._held())
     moved = _moved_zeros(b, centers)
 
     def powers(z):
-        rows = _log_abs_moved(b, moved, z)
+        # area_integral takes the blocks in order, so a held block's boxes
+        # are the next ones
+        rows = _log_abs_moved(b, moved, z, next(held, None))
         rows *= p
         return np.exp(rows, out=rows)
 
-    sums = area_integral(powers, weighted)
+    sums = area_integral(powers, g, _one_minus_abs2(g.radii) ** alpha)
     norm = np.pi / (1.0 + alpha)
     return [float(v) / norm for v in sums]

@@ -25,24 +25,28 @@ in complex arithmetic.
 log|B o phi_c| at many points (the recentred probes' quadrature nodes)
 is a logarithmic potential of the moved zeros, and from _TREE_ZEROS
 zeros and _TREE_POINTS points on it runs as a one-level treecode
-(_Boxes): the points are grouped once into compact boxes, the zeros far
-from a box enter through a local expansion about its centre, and only
-the near ones go through the kernel.  A near pair is gathered pair by
-pair, at about twice the cost of a pair of the plain kernel (17 to 25
-against 8 to 11 ns per evaluation, one thread), so a box that at least
+(_Boxes): the points are grouped into compact boxes once per grid, the
+zeros far from a box enter through a local expansion about its centre,
+and only the near ones go through the kernel.  A near pair is gathered
+pair by pair, at about twice the cost of a pair of the plain kernel (17
+to 25 against 8 to 11 ns per evaluation, one thread), so a box that at least
 half of the zeros are near (2 near >= n) takes the plain kernel over all
 of them instead: on the analysis grid these are the wide boxes of its
 sparse rings, which hold 85-96% of the near pairs of the benchmark's
 inputs.  Such a plain box is picked out before the far-field recurrence
 and gets neither expansion coefficients nor a Horner pass.  The zeros
 are moved by every centre of a call in one array operation
-(_moved_zeros).
+(_moved_zeros).  A fixed grid holds its boxes, which carry the one table
+of its points' kernel coordinates, across calls: the analysis grid's node
+blocks (bergman.QuadratureGrid) and the composition probe's circle
+(_probe_circle).  Any other points are grouped, or given coordinates,
+per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -168,7 +172,8 @@ def log_abs_composed(b: BlaschkeProduct, centers, z) -> np.ndarray:
     return out.reshape((len(out),) + np.shape(z))
 
 
-def _log_abs_moved(b: BlaschkeProduct, moved: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _log_abs_moved(b: BlaschkeProduct, moved: np.ndarray, w: np.ndarray,
+                   boxes: _Boxes | None = None) -> np.ndarray:
     """log|B o phi_c| at the points w (a flat complex array), one row per
     table of moved zeros from _moved_zeros.  The kernel coordinates of w
     are formed once for all rows.
@@ -176,16 +181,19 @@ def _log_abs_moved(b: BlaschkeProduct, moved: np.ndarray, w: np.ndarray) -> np.n
     From _TREE_ZEROS listed zeros and _TREE_POINTS points on, the points
     are grouped into boxes once (_Boxes) and every row comes from the
     boxes' local expansions plus the direct kernel for near zeros; below,
-    the direct kernel alone is cheaper.
+    the direct kernel alone is cheaper.  A fixed grid passes the boxes it
+    holds for w, and both paths read their coordinates instead of forming
+    new ones.
     """
     mults = b._table[0]
     if len(mults) >= _TREE_ZEROS and len(w) >= _TREE_POINTS:
-        boxes = _Boxes(w)  # before out: its temporaries go first
+        if boxes is None:
+            boxes = _Boxes(w)  # before out: its temporaries go first
         out = np.empty((len(moved), len(w)))
         for k, coords in enumerate(moved):
             boxes.log_abs(coords, mults, out[k])
         return out
-    pts = _coords(w)
+    pts = _coords(w) if boxes is None else boxes.node_coords()
     out = np.empty((len(moved), len(w)))
     for k, coords in enumerate(moved):
         out[k] = 0.5 * _pair_sum(coords, mults, pts, _log_rho2)
@@ -235,9 +243,12 @@ class _Boxes:
     copies of its last point.
 
     The layout depends on the points alone, so one serves every table of
-    moved zeros.  Slots hold in (boxes, _BOX) arrays: order (the point
-    index of each slot) and coords (their kernel coordinates).  Each box
-    has a centre t (the centroid) and a radius R = max |w - t|.
+    moved zeros, and a fixed grid holds it across calls.  Slots hold in
+    (boxes, _BOX) arrays: order (the point index of each slot) and coords
+    (their kernel coordinates, the only coordinate table kept).  Once
+    read, slots maps each point back to its slot, so that a held layout
+    also gives the points and their coordinates in their own order.  Each
+    box has a centre t (the centroid) and a radius R = max |w - t|.
     """
 
     def __init__(self, w: np.ndarray):
@@ -251,6 +262,28 @@ class _Boxes:
         self.radii = np.hypot(self.coords[0] - self.centers.real[:, None],
                               self.coords[1] - self.centers.imag[:, None]).max(axis=1)
         self.center_coords = _coords(self.centers)
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """The slot of each point (of a padded point, its last copy), kept
+        with the boxes once read: 4 bytes a point."""
+        slots = np.empty(self.order.max() + 1, dtype=np.int32)
+        slots[self.order.ravel()] = np.arange(self.order.size)
+        return slots
+
+    def node_coords(self) -> np.ndarray:
+        """The kernel coordinates in the points' own order, copied from the
+        slots."""
+        return np.take(self.coords.reshape(3, -1), self.slots, axis=1)
+
+    def points(self) -> np.ndarray:
+        """The points in their own order, the floats they were given,
+        copied from the slots' coordinates."""
+        flat = self.coords.reshape(3, -1)
+        w = np.empty(len(self.slots), dtype=complex)
+        np.take(flat[0], self.slots, out=w.real)
+        np.take(flat[1], self.slots, out=w.imag)
+        return w
 
     def log_abs(self, coords: np.ndarray, mults: np.ndarray, out: np.ndarray) -> None:
         """Write sum of mults * log rho for zeros (coords) at the points
@@ -468,7 +501,7 @@ def compose_min_on_compact(b: BlaschkeProduct, center) -> float:
     that this composition is nearly 0 on the compact set, the failure mode
     of the 'uniformly nonzero' property.
     """
-    return float(np.exp(log_abs_composed(b, [center], _circle(_PROBE_RHO, _PROBE_GRID)).max()))
+    return float(_composed_max(b, [center])[0])
 
 
 def _circle(rho: float, grid: int) -> np.ndarray:
@@ -476,6 +509,28 @@ def _circle(rho: float, grid: int) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(grid) / grid
     return rho * np.exp(1j * theta)
 
+
+@cache
+def _probe_circle() -> tuple:
+    """The probe's samples and their _Boxes (the table of their kernel
+    coordinates), built once."""
+    w = _circle(_PROBE_RHO, _PROBE_GRID)
+    w.flags.writeable = False
+    return w, _Boxes(w)
+
+
+def _composed_max(b: BlaschkeProduct, centers) -> np.ndarray:
+    """compose_min_on_compact(b, c) at each of the centers: one row of
+    log|B o phi_c| per center on the held circle, each row the pair sum
+    a single center would get, bit for bit."""
+    rows = _log_abs_moved(b, _moved_zeros(b, centers), *_probe_circle())
+    return np.exp(rows.max(axis=1))
+
+
+# _least_compose_max: Jensen bounds within this fraction of the least one
+# tie, and the ordered search evaluates this many centers in one call
+_TIED = 2.0**-20
+_BATCH = 8
 
 # The pruned probe's second filter (_probe_bounds) reads every _COARSE-th
 # sample of the circle, 32 of 512, at the centres that the closed-form
@@ -503,7 +558,7 @@ def _probe_bounds(b: BlaschkeProduct, centers: np.ndarray) -> np.ndarray:
     _least_compose_max reads it only at the centers whose Jensen means
     (_jensen_bounds) leave them in the running.
     """
-    coarse = _circle(_PROBE_RHO, _PROBE_GRID)[::_COARSE]
+    coarse = _probe_circle()[0][::_COARSE]
     out = np.empty(len(centers))
     step = max(1, disk._BLOCK // len(b.zeros))
     for i in range(0, len(centers), step):
@@ -584,25 +639,39 @@ def _least_compose_max(b: BlaschkeProduct, centers: np.ndarray) -> float:
     """min over centers of compose_min_on_compact(b, c), by a pruned
     search that returns the same float.
 
-    Two filters, both lower bounds on the log of the full call.  The
-    center of least Jensen mean (_jensen_bounds, no samples) takes the full
-    call first, and only the centers whose Jensen bound's exp is at or
-    below that value are left.  Those are visited in increasing
-    _probe_bounds (32 samples each), each with the full call, until the
-    exp of the next bound exceeds the least value found: exp is monotone,
-    so no center left can fall below it.  A value of 0 (a sample on a
-    moved zero) ends the search at once.  On the benchmark's random
-    Carleson clouds (n = 200 and 800) 1 to 9 centers besides the first
-    pass the Jensen filter, and one or two get the full call.
+    Two filters, both lower bounds on the log of the full call: the
+    Jensen mean (_jensen_bounds, no samples) and _probe_bounds (32 samples
+    each).  The centers whose Jensen bound ties the least one to within
+    _TIED of itself get their _probe_bounds, and the one of least bound
+    takes the full call first: on the split escalating family the points
+    of one level tie to 4e-7 and the least Jensen mean is not the winner.
+    Only the centers whose Jensen bound's exp is at or below that value
+    are left.  They are visited in increasing _probe_bounds, _BATCH at a
+    time, each batch one call on the held circle (_composed_max), until
+    the exp of the next bound exceeds the least value found: exp is
+    monotone, so no center left can fall below it, and a center of a
+    batch that the sequential order would have skipped has a value above
+    its bound, so it cannot lower the minimum.  A value of 0 (a sample on
+    a moved zero) ends the search.  On the benchmark's random Carleson
+    clouds (n = 200 and 800) 1 to 9 centers besides the first pass the
+    Jensen filter, and one or two get the full call; on the split
+    escalating family the first one is the winner.
     """
     jensen = _jensen_bounds(b, centers)
-    first = int(np.argmin(jensen))
+    bounds = np.full(len(centers), np.nan)
+    tied = np.flatnonzero(jensen <= jensen.min() * (1.0 - _TIED))
+    bounds[tied] = _probe_bounds(b, centers[tied])
+    first = tied[np.argmin(bounds[tied])]
     best = compose_min_on_compact(b, centers[first])
     left = np.flatnonzero(np.exp(jensen) <= best)
     left = left[left != first]
-    bounds = _probe_bounds(b, centers[left])
-    for i in np.argsort(bounds, kind="stable"):
-        if best == 0.0 or np.exp(bounds[i]) > best:
+    fresh = left[np.isnan(bounds[left])]
+    bounds[fresh] = _probe_bounds(b, centers[fresh])
+    order = left[np.argsort(bounds[left], kind="stable")]
+    for i in range(0, len(order), _BATCH):
+        batch = order[i:i + _BATCH]
+        batch = batch[np.exp(bounds[batch]) <= best]  # a prefix: the bounds ascend
+        if best == 0.0 or not len(batch):
             break
-        best = min(best, compose_min_on_compact(b, centers[left[i]]))
+        best = min(best, float(_composed_max(b, centers[batch]).min()))
     return float(best)

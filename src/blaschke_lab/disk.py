@@ -15,6 +15,7 @@ package comes from one error-free form too (_one_minus_conj).
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,18 +285,33 @@ def hyperbolic_grid(r_max: float, pitch: float) -> np.ndarray:
     Ring sizes grow like 1/(1 - r), so the cap binds on deep inputs: at
     pitch 0.25 and any r_max from 1 - 4^-8 on (the deep inputs of
     ``verify --level full``) the grid ends at r = 0.9984, its last ring
-    only partly filled, not at r_max.
+    only partly filled, not at r_max.  The rings up to r_max are a prefix
+    of the capped grid of the pitch, which is built once (_pitch_grid);
+    each call returns a copy of that prefix.
     """
     if not 0 < pitch < 1:
         raise ValueError("pitch must lie in (0, 1)")
-    centers = [0.0 + 0.0j]
+    centers, radii, ends = _pitch_grid(pitch)
+    # the rings with r <= r_max (all of them when r_max is nan), as the
+    # loop that stopped at the first ring past r_max took them
+    return centers[:ends[np.count_nonzero(~(radii > r_max))]].copy()
+
+
+@functools.lru_cache(maxsize=2)
+def _pitch_grid(pitch: float) -> tuple:
+    """hyperbolic_grid's centers with no bound on r, read-only; the radius
+    of each ring; and the number of centers up to each ring (ends[k] after
+    the first k rings, ends[0] = 1 for the center 0)."""
+    centers, radii, ends = [0.0 + 0.0j], [], [1]
     r = 0.0
     while len(centers) < _GRID_POINTS:
         r = (r + pitch) / (1.0 + r * pitch)
-        if r > r_max:
-            break
         n_theta = max(6, int(np.ceil(2.0 * np.pi * r / ((1.0 - r * r) * pitch))))
         n_theta = min(n_theta, _GRID_POINTS - len(centers))
         theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
         centers.extend(r * np.exp(1j * theta))
-    return np.array(centers, dtype=complex)
+        radii.append(r)
+        ends.append(len(centers))
+    centers, radii = np.array(centers, dtype=complex), np.array(radii)
+    centers.flags.writeable = radii.flags.writeable = False
+    return centers, radii, tuple(ends)

@@ -68,7 +68,7 @@ of raw derivatives f, f', ..., f^(m-1) at a point of multiplicity m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -105,7 +105,9 @@ class ClusterPartition:
     (1 - |z|)(1 - eps)/(1 + eps |z|) with 1 - |z| = (1 - |z|^2)/(1 + |z|)
     from the error-free depth; and the points of all clusters in order
     (all_points).  Clusters are kept in the given order, which fixes the
-    tail sums beta_k.
+    tail sums beta_k.  The diameters and gaps are checked on the pairwise
+    distances of all_points; cluster_sequence, which has them already,
+    hands them in (_dist), and otherwise they are formed here.
     """
 
     clusters: tuple
@@ -114,8 +116,9 @@ class ClusterPartition:
     anchors: np.ndarray = field(init=False, repr=False, compare=False)
     d: tuple = field(init=False)
     _points: FiniteSequence = field(init=False, repr=False, compare=False)
+    _dist: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _dist):
         zs = [c.zs.tolist() for c in self.clusters]
         if not all(zs):
             raise InvariantViolation("clusters must be nonempty")
@@ -136,7 +139,9 @@ class ClusterPartition:
             object.__setattr__(self, name, value)
         if not self.clusters:
             return
-        diam, gaps = _cluster_distances(psh_distance_pairwise(points.zs, points.zs), labels)
+        if _dist is None:
+            _dist = psh_distance_pairwise(points.zs, points.zs)
+        diam, gaps = _cluster_distances(_dist, labels)
         wide = np.flatnonzero(diam > self.R_max)
         if wide.size:
             i = wide[0]
@@ -227,7 +232,8 @@ def cluster_sequence(s: FiniteSequence, eps: float, R_max: float) -> ClusterPart
     components.  If a component's diameter exceeds R_max the whole pass
     retries with eps halved, down to eps / 2**EPS_HALVINGS; beyond that the
     sequence admits no partition at this scale and the call fails.
-    Clusters sort by anchor (_anchor_key).
+    Clusters sort by anchor (_anchor_key).  The pairwise distances are
+    formed once, and the partition checks its clusters on the same matrix.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -245,8 +251,10 @@ def cluster_sequence(s: FiniteSequence, eps: float, R_max: float) -> ClusterPart
         if (diam <= R_max).all():
             groups = [np.flatnonzero(labels == g) for g in range(len(diam))]
             groups.sort(key=lambda g: min(_anchor_key(points[i]) for i in g))
+            order = np.concatenate(groups)
             return ClusterPartition(
-                tuple(FiniteSequence(zs[g], s.mults[g]) for g in groups), cur, R_max)
+                tuple(FiniteSequence(zs[g], s.mults[g]) for g in groups), cur, R_max,
+                dist[np.ix_(order, order)])
         cur /= 2.0
     raise InvariantViolation("no admissible partition at eps floor")
 

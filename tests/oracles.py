@@ -14,8 +14,9 @@ rescanning random-Carleson sampler, the uniformly-nonzero probe by one
 full call per zero and on a finer circle, |B'| at the zeros from the
 complex factors in 50 digits, the pairwise rho^2 table in exact
 rationals and the report keys it gives, the plain greedy partition loop,
-the anchored square family carleson_norm once searched and a brute-force
-Carleson norm; the library itself has no use for them.
+the anchored square family carleson_norm once searched, a brute-force
+Carleson norm and the hyperbolic probe grid as a loop over rings; the
+library itself has no use for them.
 """
 
 import math
@@ -24,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from blaschke_lab import disk
 from blaschke_lab.bergman import QuadratureGrid, area_integral
 from blaschke_lab.blaschke import (
     _PROBE_GRID,
@@ -665,3 +667,19 @@ def brute_carleson_norm(s: FiniteSequence) -> float:
         scale = np.maximum(offsets[:, None] / (2 * np.pi), depths[None, :])
         best = max(best, float((mass / scale).max()))
     return best
+
+
+def reference_hyperbolic_grid(r_max: float, pitch: float) -> np.ndarray:
+    """disk.hyperbolic_grid as a loop over rings that stops at the first
+    ring past r_max or at disk._GRID_POINTS centers."""
+    centers = [0.0 + 0.0j]
+    r = 0.0
+    while len(centers) < disk._GRID_POINTS:
+        r = (r + pitch) / (1.0 + r * pitch)
+        if r > r_max:
+            break
+        n_theta = max(6, int(np.ceil(2.0 * np.pi * r / ((1.0 - r * r) * pitch))))
+        n_theta = min(n_theta, disk._GRID_POINTS - len(centers))
+        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        centers.extend(r * np.exp(1j * theta))
+    return np.array(centers, dtype=complex)

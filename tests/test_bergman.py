@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blaschke_lab import bergman as bg
-from blaschke_lab import disk
+from blaschke_lab import blaschke, disk
 from blaschke_lab import geninterp as gi
 from blaschke_lab.analysis import analysis_grid, analyze_sequence
 from blaschke_lab.blaschke import BlaschkeProduct, _pair_sum, evaluate, log_abs_evaluate
@@ -459,3 +459,38 @@ def test_area_integral_matches_ring_by_ring(monkeypatch, shrink):
         for got, fn in zip(rows, fields):
             want = ring_by_ring(fn, g)
             assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_analysis_grid_builds_its_layout_once(monkeypatch):
+    # the analysis grid holds the boxes of its two node blocks: a second
+    # call of the recentred means, on the tree path (40 zeros) and the
+    # direct one (6 listed zeros) and at either weight, builds no nodes
+    # and no boxes, and still hands every node to its integrand as a
+    # complex array, read from the boxes' coordinates
+    g = analysis_grid()
+    inputs = [gen_random_carleson(11, 40, 4.0), gen_escalating_multiplicity(6)]
+
+    def means(alpha):
+        return [bg.recentred_means(BlaschkeProduct(s), [0.0, *s.zs[:2]], 0.5, alpha, g)
+                for s in inputs]
+
+    first = {alpha: means(alpha) for alpha in (0.0, 1.0)}
+    built, seen = [], []
+    ring_nodes, boxes_init, area = bg._ring_nodes, blaschke._Boxes.__init__, bg.area_integral
+    monkeypatch.setattr(bg, "_ring_nodes", lambda *a: built.append("nodes") or ring_nodes(*a))
+    monkeypatch.setattr(blaschke._Boxes, "__init__",
+                        lambda self, w: built.append("boxes") or boxes_init(self, w))
+    monkeypatch.setattr(bg, "area_integral", lambda fn, grid, weights=None: area(
+        lambda z: seen.append(z) or fn(z), grid, weights))
+    for alpha in (0.0, 1.0):
+        assert means(alpha) == first[alpha]
+    assert built == []
+    assert len(g._held()) == 2
+    assert all(z.dtype == complex for z in seen)
+    assert sum(z.size for z in seen) == 4 * 36346
+    # LIGHT (19 blocks) holds nothing: every call builds its blocks anew
+    blocks = len(bg._ring_blocks(LIGHT.angular_counts))
+    assert blocks > 2 and LIGHT._held() == []
+    for _ in range(2):
+        bg.recentred_means(BlaschkeProduct(inputs[0]), [0.0], 0.5, 0.0, LIGHT)
+    assert built.count("nodes") == 2 * blocks

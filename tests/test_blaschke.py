@@ -558,6 +558,27 @@ def test_pruned_probe_evaluates_few_centres(monkeypatch):
     assert 1 <= len(calls) <= 5
 
 
+@pytest.mark.parametrize("name, full", [
+    # the split family's points of one level tie in their Jensen means to
+    # 4e-7; the least probe bound among them is the winner
+    ("escalating n_max=8 split", 1),
+    ("escalating n_max=12 split", 3),
+    # the bounds of 39 centres lie below the winner's value: the ordered
+    # search evaluates them in five batches
+    ("radial rays 1,1+pi", 40),
+])
+def test_pruned_probe_takes_the_winner_first(monkeypatch, name, full):
+    s = SEARCH_INPUTS[name]()
+    b = BlaschkeProduct(s)
+    evaluated = []
+    rows = blaschke._composed_max
+    monkeypatch.setattr(blaschke, "_composed_max",
+                        lambda b, centers: evaluated.extend(centers) or rows(b, centers))
+    got = blaschke._least_compose_max(b, s.zs)
+    assert len(evaluated) == full
+    assert compose_min_on_compact(b, evaluated[0]) == got
+
+
 # ref / printed - 1 read 1.1e-7, 2.6e-5 and 1.1e-7 on these inputs
 NONZERO_TOL = 1e-4
 ORACLE_INPUTS = {

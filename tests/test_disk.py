@@ -14,7 +14,7 @@ from blaschke_lab.disk import (
     psh_distance_pairwise,
 )
 from blaschke_lab.generators import gen_escalating_multiplicity, gen_radial_geometric
-from oracles import moebius_jacobian
+from oracles import moebius_jacobian, reference_hyperbolic_grid
 
 
 def disk_points(max_r=0.999):
@@ -203,6 +203,19 @@ def test_hyperbolic_grid():
     assert len(g) > 10
     with pytest.raises(ValueError):
         hyperbolic_grid(0.9, 1.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.0, 1.0 - 1e-14), st.floats(0.05, 0.95))
+def test_hyperbolic_grid_is_the_ring_loop(r_max, pitch):
+    # the prefix of the pitch's one capped grid is the loop that stopped at
+    # the first ring past r_max, array for array
+    want = reference_hyperbolic_grid(r_max, pitch)
+    got = hyperbolic_grid(r_max, pitch)
+    assert np.array_equal(got, want)
+    # a caller who writes to the returned array keeps the change to itself
+    got[:] = 0.5
+    assert np.array_equal(hyperbolic_grid(r_max, pitch), want)
 
 
 @pytest.mark.parametrize("m, k", [(200, 32762), (92, 20000), (20000, 92), (8, 36346),

@@ -749,6 +749,23 @@ def test_interpolation_battery():
     assert sol.problem.partition is part
 
 
+def test_cluster_sequence_forms_one_distance_matrix(monkeypatch):
+    # the partition checks its clusters on cluster_sequence's own matrix,
+    # in the order of all_points; a partition built from clusters alone
+    # forms its matrix itself
+    part, _ = _interpolation_problem(0)
+    s = part.all_points()
+    calls = []
+    pairwise = gi.psh_distance_pairwise
+    monkeypatch.setattr(gi, "psh_distance_pairwise",
+                        lambda zs, ws: calls.append(len(zs)) or pairwise(zs, ws))
+    again = gi.cluster_sequence(s, part.eps, part.R_max)
+    assert calls == [len(s)]
+    assert np.array_equal(again.all_points().zs, s.zs) and again.d == part.d
+    gi.ClusterPartition(again.clusters, again.eps, again.R_max)
+    assert calls == [len(s)] * 2
+
+
 def test_partition_rejects_overlapping_clusters():
     c1, c2 = FiniteSequence([0.0]), FiniteSequence([0.05])
     with pytest.raises(InvariantViolation, match="overlap"):
